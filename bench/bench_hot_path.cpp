@@ -73,10 +73,10 @@ struct CaseResult {
   std::int64_t grants = 0;
   /// Revalidation passes on slots holding an already-committed request —
   /// the allocator work that arbitration pruning exists to eliminate.
-  /// grants/consumed is the companion efficiency ratio: grants the engine
-  /// performed per packet actually delivered.
+  /// re_requests/grants is the companion waste ratio: repeat arbitration
+  /// attempts per packet movement (hops plus ejections).
   std::int64_t re_requests = 0;
-  double grants_per_consumed = 0.0;
+  double re_requests_per_grant = 0.0;
 };
 
 double time_case(const Case& c, const SimConfig& base, Cycle cycles,
@@ -98,10 +98,10 @@ double time_case(const Case& c, const SimConfig& base, Cycle cycles,
     out->consumed = net.metrics().consumed_packets();
     out->grants = net.total_grants();
     out->re_requests = net.re_requests();
-    out->grants_per_consumed =
-        out->consumed > 0 ? static_cast<double>(out->grants) /
-                                static_cast<double>(out->consumed)
-                          : 0.0;
+    out->re_requests_per_grant =
+        out->grants > 0 ? static_cast<double>(out->re_requests) /
+                              static_cast<double>(out->grants)
+                        : 0.0;
   }
   return secs > 0.0 ? static_cast<double>(cycles) / secs : 0.0;
 }
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(cycles));
   std::printf("%-30s %9s %8s %12s %12s %9s %9s %10s %11s %8s\n", "case",
               "cycles", "wall_s", "cycles/sec", "cps(telem)", "overhead",
-              "consumed", "grants", "re_request", "g/cons");
+              "consumed", "grants", "re_request", "rr/grant");
 
   std::vector<CaseResult> results;
   double log_sum = 0.0;
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
         r.cycles_per_sec, r.cycles_per_sec_telemetry, r.telemetry_overhead,
         static_cast<long long>(r.consumed),
         static_cast<long long>(r.grants),
-        static_cast<long long>(r.re_requests), r.grants_per_consumed);
+        static_cast<long long>(r.re_requests), r.re_requests_per_grant);
     log_sum += std::log(r.cycles_per_sec);
     telem_log_sum += std::log(r.telemetry_overhead);
     results.push_back(r);
@@ -231,8 +231,8 @@ int main(int argc, char** argv) {
       c.set("grants", JsonValue::make_number(static_cast<double>(r.grants)));
       c.set("re_requests",
             JsonValue::make_number(static_cast<double>(r.re_requests)));
-      c.set("grants_per_consumed",
-            JsonValue::make_number(r.grants_per_consumed));
+      c.set("re_requests_per_grant",
+            JsonValue::make_number(r.re_requests_per_grant));
       cases.array.push_back(std::move(c));
     }
     doc.set("microbench", std::move(cases));

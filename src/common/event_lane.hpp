@@ -8,12 +8,17 @@
 // popping from the head while due — no sorting, no per-node allocation,
 // no pointer chasing, unlike the std::deque chunks it replaces.
 //
-// ActiveSet tracks which ids (links, routers) currently have pending work.
+// ActiveSet tracks which ids (routers) currently have pending work.
 // Membership is one bit per id; a sweep scans the words and visits set bits
 // low-to-high, so ids always come out in ascending order — the same order
 // the old full scans used, which is what keeps results bit-identical no
 // matter in which order work was discovered. The bitmap replaces an earlier
 // sorted-vector design whose per-sweep std::sort dominated sparse sweeps.
+//
+// TimingWheel is the due-cycle counterpart for work that is known to wait
+// until a specific cycle (a link lane's next arrival, a serializer's next
+// start): ids are filed under the cycle they become due, and a sweep visits
+// only that cycle's ids — again low-to-high.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +26,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/types.hpp"
 
 namespace flexnet {
 
@@ -123,6 +129,81 @@ class ActiveSet {
 
  private:
   std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+};
+
+/// A power-of-two ring of per-cycle bitmaps over ids [0, ids), in one flat
+/// allocation (bucket b owns words [b * words_, (b + 1) * words_)). An id
+/// due at cycle c sits in bucket c mod span(); sweep(now) drains bucket
+/// now mod span() in ascending id order and files each visited id under
+/// the next due cycle its visit returns.
+///
+/// Callers keep two rules, which together make a bucket hold exactly one
+/// cycle's ids and never change under its own sweep:
+///   * every id is filed in at most one bucket at a time;
+///   * every due lies in [c, c + span()) where c is the next cycle to be
+///     swept — and a visit's returned due lies strictly after the swept
+///     cycle — so nothing lands in the bucket being drained.
+class TimingWheel {
+ public:
+  /// Returned by a visit to leave the id unscheduled.
+  static constexpr Cycle kIdle = -1;
+
+  /// Sizes the wheel for ids [0, ids) due at most `horizon` cycles ahead;
+  /// span() becomes the smallest power of two above `horizon`. Empties it.
+  void resize(std::size_t ids, Cycle horizon) {
+    span_ = 1;
+    while (span_ <= horizon) span_ <<= 1;
+    words_ = (ids + 63) / 64;
+    bits_.assign(words_ * static_cast<std::size_t>(span_), 0);
+    size_ = 0;
+  }
+
+  Cycle span() const { return span_; }
+
+  /// Ids currently scheduled, over all buckets.
+  std::size_t size() const { return size_; }
+
+  /// Files `id` under cycle `due`; idempotent within one bucket.
+  void add(std::int32_t id, Cycle due) {
+    FLEXNET_DCHECK(due >= 0);
+    std::uint64_t& w = row(due)[static_cast<std::size_t>(id) >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    size_ += static_cast<std::size_t>(!(w & bit));
+    w |= bit;
+  }
+
+  /// Visits every id due at `now` in ascending order and empties its
+  /// bucket. `visit(id)` returns the id's next due cycle — in
+  /// (now, now + span()) — or kIdle.
+  template <typename VisitFn>
+  void sweep(Cycle now, VisitFn&& visit) {
+    std::uint64_t* words = row(now);
+    for (std::size_t wi = 0; wi < words_; ++wi) {
+      std::uint64_t pend = words[wi];
+      if (pend == 0) continue;
+      words[wi] = 0;
+      size_ -= static_cast<std::size_t>(__builtin_popcountll(pend));
+      while (pend != 0) {
+        const int b = __builtin_ctzll(pend);
+        pend &= pend - 1;
+        const Cycle next = visit(static_cast<std::int32_t>((wi << 6) + b));
+        if (next == kIdle) continue;
+        FLEXNET_DCHECK(next > now && next - now < span_);
+        add(static_cast<std::int32_t>((wi << 6) + b), next);
+      }
+    }
+  }
+
+ private:
+  std::uint64_t* row(Cycle c) {
+    return bits_.data() +
+           static_cast<std::size_t>(c & (span_ - 1)) * words_;
+  }
+
+  std::vector<std::uint64_t> bits_;
+  std::size_t words_ = 0;
+  Cycle span_ = 1;
   std::size_t size_ = 0;
 };
 

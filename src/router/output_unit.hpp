@@ -13,6 +13,8 @@
 // cycles, so head-pop order is ready order.
 #pragma once
 
+#include <algorithm>
+
 #include "buffers/packet_pool.hpp"
 #include "common/check.hpp"
 #include "common/event_lane.hpp"
@@ -53,6 +55,14 @@ class OutputUnit final {
     link_busy_until_ = now + e.phits;
     downstream_vc = e.vc;
     return e.ref;
+  }
+
+  /// Earliest cycle ready_to_send can hold while the buffered packets stay
+  /// as they are: the head's pipeline exit or the end of the current
+  /// serialization, whichever is later. Requires !idle().
+  Cycle next_ready() const {
+    FLEXNET_DCHECK(!pipeline_.empty());
+    return std::max(pipeline_.front().ready, link_busy_until_);
   }
 
   int occupancy() const { return occupancy_; }

@@ -1,5 +1,8 @@
 #include "scenario/registry.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "core/vc_arrangement.hpp"
 
 namespace flexnet {
@@ -63,6 +66,18 @@ void validate_config(const SimConfig& cfg) {
   // The arrangement string is component-like config too: parse it now so a
   // malformed "vcs" fails with its parser's message, not mid-construction.
   (void)VcArrangement::parse(cfg.vcs);
+  // Timing: the engine's event wheels file every flit and credit at least
+  // one cycle after the phase that pushes it, so links take >= 1 cycle; a
+  // zero-cycle router pipeline is allowed (sent the cycle it is granted).
+  const auto require_at_least = [](const char* key, int value, int floor) {
+    if (value < floor)
+      throw std::invalid_argument(std::string(key) + " must be >= " +
+                                  std::to_string(floor) + " (got " +
+                                  std::to_string(value) + ")");
+  };
+  require_at_least("local_latency", cfg.local_latency, 1);
+  require_at_least("global_latency", cfg.global_latency, 1);
+  require_at_least("pipeline_latency", cfg.pipeline_latency, 0);
 }
 
 std::vector<RegistryListing> list_registries() {

@@ -175,7 +175,8 @@ Registry<BufferMgmtFactory>& buffer_mgmt_registry();
 
 /// Checks every component name in `cfg` against its registry (unknown
 /// names enumerate the alternatives), runs each entry's validate hook,
-/// and parses the VC arrangement string. Throws std::invalid_argument
+/// parses the VC arrangement string, and range-checks the link and
+/// pipeline latencies (naming the key). Throws std::invalid_argument
 /// (RegistryError for name lookups) on the first failure.
 void validate_config(const SimConfig& cfg);
 

@@ -190,8 +190,7 @@ void Network::build() {
   // Active-set bookkeeping and hot-path scratch, sized once here (the
   // allocator never resizes anything per cycle).
   router_buffered_.assign(static_cast<std::size_t>(num_routers), 0);
-  router_in_pipe_.assign(static_cast<std::size_t>(num_routers), 0);
-  router_streaming_.assign(static_cast<std::size_t>(num_routers), 0);
+  router_sends_.assign(static_cast<std::size_t>(num_routers), 0);
   if (flit_) {
     transit_.assign(static_cast<std::size_t>(total_links), TransitTail{});
     streams_.assign(static_cast<std::size_t>(total_links), LinkStream{});
@@ -233,19 +232,28 @@ void Network::build() {
           router_domain_[static_cast<std::size_t>(links_[li].to)];
     }
   }
-  data_links_.resize(static_cast<std::size_t>(domains_));
-  credit_links_.resize(static_cast<std::size_t>(domains_));
+  // Wheel horizons: a data event is due latency + 1 cycles after its send
+  // and a credit latency cycles after its push; a serializer is due when
+  // its head leaves the pipeline or the previous packet finishes
+  // serializing (longer packets are clamped, see send_due).
+  const int max_phits =
+      std::max(config_.effective_packet_phits(), config_.packet_size);
+  const Cycle lane_horizon =
+      std::max(config_.local_latency, config_.global_latency) + 1;
+  const Cycle send_horizon = std::max(config_.pipeline_latency, max_phits);
+  data_wheel_.resize(static_cast<std::size_t>(domains_));
+  credit_wheel_.resize(static_cast<std::size_t>(domains_));
+  send_wheel_.resize(static_cast<std::size_t>(domains_));
   alloc_sets_.resize(static_cast<std::size_t>(domains_));
-  send_sets_.resize(static_cast<std::size_t>(domains_));
   for (int d = 0; d < domains_; ++d) {
-    data_links_[static_cast<std::size_t>(d)].resize(
-        static_cast<std::size_t>(total_links));
-    credit_links_[static_cast<std::size_t>(d)].resize(
-        static_cast<std::size_t>(total_links));
-    alloc_sets_[static_cast<std::size_t>(d)].resize(
-        static_cast<std::size_t>(num_routers));
-    send_sets_[static_cast<std::size_t>(d)].resize(
-        static_cast<std::size_t>(num_routers));
+    const auto di = static_cast<std::size_t>(d);
+    data_wheel_[di].resize(static_cast<std::size_t>(total_links),
+                           lane_horizon);
+    credit_wheel_[di].resize(static_cast<std::size_t>(total_links),
+                             lane_horizon);
+    send_wheel_[di].resize(static_cast<std::size_t>(total_links),
+                           send_horizon);
+    alloc_sets_[di].resize(static_cast<std::size_t>(num_routers));
   }
   scratch_.resize(static_cast<std::size_t>(domains_));
   for (int d = 0; d < domains_; ++d)
@@ -261,17 +269,15 @@ void Network::build() {
          gi < in_index_[static_cast<std::size_t>(r) + 1]; ++gi)
       input_router_[static_cast<std::size_t>(gi)] = r;
   }
-  wake_ring_ = std::max(config_.effective_packet_phits(),
-                        config_.packet_size) + 2;
+  wake_ring_ = max_phits + 2;
   port_masks_ok_ = true;
   for (RouterId r = 0; r < num_routers; ++r) {
-    if (num_inputs(r) > 64 || net_ports(r) > 64) {
+    if (num_inputs(r) > 64) {
       port_masks_ok_ = false;
       break;
     }
   }
   armed_inputs_.assign(static_cast<std::size_t>(num_routers), 0);
-  send_links_.assign(static_cast<std::size_t>(num_routers), 0);
   // Blocked uncommitted heads may sleep only when re-running their VC
   // allocation is pure: draw-free routing and a selection function that
   // consumes no randomness (kRandom reservoir-samples per feasible VC).
@@ -434,12 +440,10 @@ void Network::step(Cycle now) {
   commit_allocate(now);
   team_->run([this, now](int d) {
     DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-    send_sets_[static_cast<std::size_t>(d)].sweep([&](std::int32_t r) {
-      send(r, now, ds);
-      // An active link stream keeps the router sending even when the
-      // output pipelines drained — stalled body flits retry every cycle.
-      return router_in_pipe_[static_cast<std::size_t>(r)] > 0 ||
-             router_streaming_[static_cast<std::size_t>(r)] > 0;
+    // Ascending link id is the old router-major, port-ascending order.
+    send_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
+      return send_link(link_owner_[static_cast<std::size_t>(li)], li, now,
+                       ds);
     });
   });
   flush_lane_adds();  // sent data may land in another domain
@@ -447,7 +451,7 @@ void Network::step(Cycle now) {
 
 void Network::deliver_data(int d, Cycle now) {
   DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-  data_links_[static_cast<std::size_t>(d)].sweep([&](std::int32_t li) {
+  data_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
     DirLink& link = links_[static_cast<std::size_t>(li)];
     while (!link.data.empty() && link.data.front().arrive <= now) {
       const FlyingPacket fp = link.data.front();
@@ -481,10 +485,9 @@ void Network::deliver_data(int d, Cycle now) {
       if (tail.ref == fp.ref && tail.remaining > 0) {
         // The freed upstream slot travels back per flit. The credit lane
         // belongs to this link's owner domain, which sweeps it in the
-        // credits phase — route the lane-set addition there.
-        link.credits.push_back(FlyingCredit{fp.vc, 1, tail.kind,
-                                            now + link.latency});
-        add_credit_link(li, ds);
+        // credits phase — push_credit files it there.
+        push_credit(li, FlyingCredit{fp.vc, 1, tail.kind, now + link.latency},
+                    ds);
         --tail.remaining;
         if (tail.remaining == 0) tail = TransitTail{};
         FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_transit(li));
@@ -500,7 +503,7 @@ void Network::deliver_data(int d, Cycle now) {
         alloc_sets_[static_cast<std::size_t>(d)].add(link.to);
       }
     }
-    return !link.data.empty();
+    return link.data.empty() ? TimingWheel::kIdle : link.data.front().arrive;
   });
 }
 
@@ -512,7 +515,7 @@ void Network::deliver_credits(int d, Cycle now) {
   // pushed at least one cycle ahead of their arrival, so draining them in
   // a separate phase after all data movement is byte-identical to the old
   // per-link data-then-credits interleave.
-  credit_links_[static_cast<std::size_t>(d)].sweep([&](std::int32_t li) {
+  credit_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
     DirLink& link = links_[static_cast<std::size_t>(li)];
     CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
     bool drained = false;
@@ -525,7 +528,8 @@ void Network::deliver_credits(int d, Cycle now) {
     }
     // Ledger space only ever grows here — wake every slot sleeping on it.
     if (drained) fire_waiters(link_owner_[static_cast<std::size_t>(li)], li);
-    return !link.credits.empty();
+    return link.credits.empty() ? TimingWheel::kIdle
+                                : link.credits.front().arrive;
   });
 }
 
@@ -546,20 +550,21 @@ void Network::fire_waiters(RouterId r, int li) {
 }
 
 void Network::flush_lane_adds() {
-  // Ascending-domain merge of the cross-domain outboxes. Additions are
-  // idempotent and sweeps sort before visiting, so the merge order never
+  // Ascending-domain merge of the cross-domain outboxes: each entry is a
+  // lane a push made non-empty, filed under its head's arrival. Filing is
+  // idempotent and sweeps visit in id order, so the merge order never
   // shows in results — this loop only needs to be serial, not ordered.
   for (int d = 0; d < domains_; ++d) {
     DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
     for (const std::int32_t li : ds.credit_adds)
-      credit_links_[static_cast<std::size_t>(
+      credit_wheel_[static_cast<std::size_t>(
                         link_owner_domain_[static_cast<std::size_t>(li)])]
-          .add(li);
+          .add(li, links_[static_cast<std::size_t>(li)].credits.front().arrive);
     ds.credit_adds.clear();
     for (const std::int32_t li : ds.data_adds)
-      data_links_[static_cast<std::size_t>(
+      data_wheel_[static_cast<std::size_t>(
                       link_to_domain_[static_cast<std::size_t>(li)])]
-          .add(li);
+          .add(li, links_[static_cast<std::size_t>(li)].data.front().arrive);
     ds.data_adds.clear();
   }
 }
@@ -1082,10 +1087,11 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
   if (req.in_port < net_ports(r)) {
     const PortDesc& desc = topo_->port(r, req.in_port);
     const int uli = link_at(desc.neighbor, desc.neighbor_port);
-    DirLink& upstream = links_[static_cast<std::size_t>(uli)];
-    upstream.credits.push_back(FlyingCredit{
-        req.in_vc, slot.phits, pkt.credited_kind, now + upstream.latency});
-    add_credit_link(uli, ds);
+    const int latency = links_[static_cast<std::size_t>(uli)].latency;
+    push_credit(
+        uli,
+        FlyingCredit{req.in_vc, slot.phits, pkt.credited_kind, now + latency},
+        ds);
     if (flit_ && slot.phits < pkt.size) {
       TransitTail& tail = transit_[static_cast<std::size_t>(uli)];
       FLEXNET_CHECK(tail.ref == kInvalidPacketRef);
@@ -1136,7 +1142,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
     traces_[static_cast<std::size_t>(slot.ref)].push_back(
         static_cast<std::int16_t>(links_[static_cast<std::size_t>(li)].to));
   // Wormhole claims only the head flit at the grant; its body flits claim
-  // one by one as the link stream serializes them (send()). VCT and packet
+  // one by one as the link stream serializes them (send_link). VCT and packet
   // mode claim the whole packet here.
   const int claim =
       flow_control_ == FlowControl::kWormhole ? 1 : pkt.size;
@@ -1149,50 +1155,39 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
     telem_.on_send(li, cmt.out_vc, claim, lg.occupied(cmt.out_vc),
                    lg.occupied_port());
   });
-  out_[static_cast<std::size_t>(li)].accept(slot.ref, pkt.size, cmt.out_vc,
-                                            now);
-  if (port_masks_ok_)
-    send_links_[static_cast<std::size_t>(r)] |= std::uint64_t{1}
-                                                << cmt.option.out_port;
-  ++router_in_pipe_[static_cast<std::size_t>(r)];
-  send_sets_[static_cast<std::size_t>(ds.domain)].add(r);
-}
-
-void Network::send(RouterId r, Cycle now, DomainScratch& ds) {
-  const int li0 = link_index_[static_cast<std::size_t>(r)];
-  if (port_masks_ok_) {
-    // Visit only the links with queued or streaming work, ascending —
-    // the same order as the full scan, which only adds no-op iterations.
-    std::uint64_t pend = send_links_[static_cast<std::size_t>(r)];
-    std::uint64_t still = 0;
-    while (pend != 0) {
-      const int o = __builtin_ctzll(pend);
-      pend &= pend - 1;
-      if (send_link(r, li0 + o, now, ds)) still |= std::uint64_t{1} << o;
-    }
-    send_links_[static_cast<std::size_t>(r)] = still;
-    return;
-  }
-  const int li1 = link_index_[static_cast<std::size_t>(r) + 1];
-  for (int li = li0; li < li1; ++li) send_link(r, li, now, ds);
-}
-
-bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
+  // An output with neither queued packets nor a live stream is absent
+  // from the serializer wheel: file it under its new head's start. A busy
+  // one is already filed no later than that (the new packet queues behind).
   OutputUnit& ou = out_[static_cast<std::size_t>(li)];
+  const bool wake = ou.idle() && (!flit_ || streams_[static_cast<std::size_t>(
+                                                li)].ref == kInvalidPacketRef);
+  ou.accept(slot.ref, pkt.size, cmt.out_vc, now);
+  add_send_work(r, 1, ds);
+  if (wake)
+    send_wheel_[static_cast<std::size_t>(ds.domain)].add(
+        li, send_due(ou, now, now));
+}
+
+Cycle Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
+  OutputUnit& ou = out_[static_cast<std::size_t>(li)];
+  const int link_latency = links_[static_cast<std::size_t>(li)].latency;
+  // Between packets the link is next due when its head can start; an
+  // early visit (a clamped wake) is a no-op that reschedules.
+  const auto next_start = [&]() {
+    return ou.idle() ? TimingWheel::kIdle : send_due(ou, now + 1, now);
+  };
   if (!flit_) {
-    if (!ou.ready_to_send(now)) return !ou.idle();
+    if (!ou.ready_to_send(now)) return next_start();
     VcIndex vc = kInvalidVc;
     const PacketRef ref = ou.start_send(now, vc);
     // The departure freed output-buffer space: wake the slots sleeping
     // on this link's can_reserve edge.
     fire_waiters(r, li);
-    DirLink& link = links_[static_cast<std::size_t>(li)];
     // The packet is eligible downstream one cycle after its head
     // arrives; its phits keep streaming behind it.
-    link.data.push_back(FlyingPacket{ref, vc, now + link.latency + 1, 0});
-    add_data_link(li, ds);
-    --router_in_pipe_[static_cast<std::size_t>(r)];
-    return !ou.idle();
+    push_data(li, FlyingPacket{ref, vc, now + link_latency + 1, 0}, ds);
+    add_send_work(r, -1, ds);
+    return next_start();
   }
   // Flit-level flow control: the link serializes one packet at a time,
   // one flit per cycle. The head flit leaves the cycle the stream
@@ -1200,11 +1195,12 @@ bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
   // with one-flit packets the two paths emit identical link events.
   LinkStream& st = streams_[static_cast<std::size_t>(li)];
   if (st.ref == kInvalidPacketRef) {
-    if (!ou.ready_to_send(now)) return !ou.idle();
+    if (!ou.ready_to_send(now)) return next_start();
     VcIndex vc = kInvalidVc;
+    // The packet moves from the output unit into the stream: the router's
+    // send-work count is unchanged.
     const PacketRef ref = ou.start_send(now, vc);
     fire_waiters(r, li);
-    --router_in_pipe_[static_cast<std::size_t>(r)];
     const Packet& pkt = pool_[ref];
     st.ref = ref;
     st.vc = vc;
@@ -1216,7 +1212,6 @@ bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
     // Captured now: a later grant downstream rewrites pkt.route_kind
     // while body flits are still claiming space at this ledger.
     st.kind = pkt.route_kind;
-    ++router_streaming_[static_cast<std::size_t>(r)];
   }
   // Availability: a flit can only leave once it has arrived here. The
   // TransitTail on the inbound link counts the flits still in flight.
@@ -1229,9 +1224,10 @@ bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
     else
       st.in_link = -1;  // tail fully arrived; stop consulting
   }
+  // A live stream is due every cycle: a stall retries next cycle.
   if (st.next >= arrived) {
     FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_stall(li));
-    return true;  // wait for the tail to catch up
+    return now + 1;  // wait for the tail to catch up
   }
   if (flow_control_ == FlowControl::kWormhole && st.next > 0) {
     // Body flits claim downstream space one at a time; a full buffer
@@ -1239,22 +1235,20 @@ bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
     CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
     if (!ledger.can_send(st.vc, 1)) {
       FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_stall(li));
-      return true;
+      return now + 1;
     }
     ledger.on_send(st.vc, 1, st.kind);
   }
-  DirLink& link = links_[static_cast<std::size_t>(li)];
-  link.data.push_back(
-      FlyingPacket{st.ref, st.vc, now + link.latency + 1, st.next});
-  add_data_link(li, ds);
+  push_data(li, FlyingPacket{st.ref, st.vc, now + link_latency + 1, st.next},
+            ds);
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit(li));
   ++st.next;
   if (st.next == st.total) {
     st = LinkStream{};
-    --router_streaming_[static_cast<std::size_t>(r)];
-    return !ou.idle();
+    add_send_work(r, -1, ds);
+    return next_start();
   }
-  return true;
+  return now + 1;
 }
 
 }  // namespace flexnet

@@ -15,10 +15,13 @@
 //     queues and link lanes move 4-byte PacketRefs, never whole packets.
 //   * In-flight traffic sits in per-link ring-buffer event lanes
 //     (EventLane) ordered by arrival cycle.
-//   * Each phase iterates a deterministic worklist of only the links and
-//     routers with pending work (ActiveSet, swept in ascending id order so
-//     results are bit-identical to the full scans they replaced);
-//     quiescent routers cost nothing.
+//   * Link phases are event-driven: data lanes, credit lanes and output
+//     serializers sit in per-phase timing wheels (TimingWheel) under the
+//     cycle their next event is due, so a cycle visits only the links with
+//     something due now. Allocation iterates the routers with armed input
+//     slots (ActiveSet). Both sweep in ascending id order, so results are
+//     bit-identical to the full scans they replaced; quiescent routers and
+//     links in mid-flight cost nothing.
 //   * Arbitration is pruned and batched: every input VC slot carries an
 //     armed bit, and a head packet blocked on a condition that only a
 //     discrete event can change (credit return, output-buffer slot free,
@@ -35,6 +38,7 @@
 // tests/test_core_equivalence.cpp enforces them against golden reports.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -66,7 +70,8 @@ class Network final : public CongestionOracle {
   explicit Network(const SimConfig& config);
   ~Network() override;
 
-  /// Advances one link-clock cycle.
+  /// Advances one link-clock cycle. The link phases drain one timing-wheel
+  /// bucket per call, so call it once for every consecutive cycle.
   void step(Cycle now);
 
   // CongestionOracle (sender-side credit occupancy of output ports).
@@ -122,8 +127,8 @@ class Network final : public CongestionOracle {
   std::int64_t overflow_picks() const { return overflow_picks_; }
   std::int64_t lowest_picks() const { return lowest_picks_; }
   /// Arbitration attempts by packets that already held a commitment — the
-  /// repeat work re-request pruning removes. grants / consumed alongside
-  /// this ratio is the bench_hot_path pruning-progress oracle.
+  /// repeat work re-request pruning removes; re_requests / total_grants is
+  /// the waste ratio bench_hot_path reports.
   std::int64_t re_requests() const { return re_requests_; }
 
   /// Moves a packet from a node into its router's injection buffer; false
@@ -238,9 +243,10 @@ class Network final : public CongestionOracle {
 
   /// Per-domain hot-path scratch plus the staging lanes that make the
   /// parallel sweep deterministic: counters accumulate thread-locally and
-  /// fold into the Network totals at the barrier; cross-domain ActiveSet
-  /// additions queue here and merge serially (additions are idempotent and
-  /// sweeps sort, so merge order never shows in results).
+  /// fold into the Network totals at the barrier; lanes a push made
+  /// non-empty in another domain's wheel queue here and are filed serially
+  /// (filing is idempotent and sweeps visit in id order, so merge order
+  /// never shows in results).
   struct DomainScratch {
     int domain = 0;
     std::vector<RouteOption> options;
@@ -254,6 +260,9 @@ class Network final : public CongestionOracle {
     std::int64_t overflow = 0;
     std::int64_t lowest = 0;
     std::int64_t re_requests = 0;
+    /// Routers of this domain with output-side work (never reset: a gauge
+    /// the telemetry on_step hook reads, not a per-cycle counter).
+    std::int64_t send_routers = 0;
     bool granted = false;
   };
 
@@ -271,10 +280,26 @@ class Network final : public CongestionOracle {
   bool find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
                    Request& req, DomainScratch& ds);
   void grant(RouterId r, const Request& req, Cycle now, DomainScratch& ds);
-  void send(RouterId r, Cycle now, DomainScratch& ds);
-  /// One output link's serializer turn; returns whether the link still has
-  /// queued or streaming work (keeps its send_links_ bit set).
-  bool send_link(RouterId r, int li, Cycle now, DomainScratch& ds);
+  /// One output link's serializer turn; returns the cycle the link is next
+  /// due in the serializer wheel, or TimingWheel::kIdle when it has no
+  /// queued or streaming work left.
+  Cycle send_link(RouterId r, int li, Cycle now, DomainScratch& ds);
+  /// Serializer wheel due of a non-idle output unit: when its head can
+  /// start, no earlier than `earliest`, clamped inside the ring — a start
+  /// beyond the ring (an oversized packet) gets an early no-op visit that
+  /// reschedules, never a late one.
+  Cycle send_due(const OutputUnit& ou, Cycle earliest, Cycle now) const {
+    return std::min(std::max(ou.next_ready(), earliest),
+                    now + send_wheel_.front().span() - 1);
+  }
+  /// Output-side work count of router r (packets in its output units plus
+  /// live link streams) moved by `delta`; keeps the busy-router gauge.
+  void add_send_work(RouterId r, int delta, DomainScratch& ds) {
+    std::int32_t& n = router_sends_[static_cast<std::size_t>(r)];
+    const int was_busy = n > 0 ? 1 : 0;
+    n += delta;
+    ds.send_routers += (n > 0 ? 1 : 0) - was_busy;
+  }
 
   // --- Re-request pruning. A slot is (global input, VC); armed means
   // stage1_pick evaluates it. Disarming is legal only in states where
@@ -332,20 +357,29 @@ class Network final : public CongestionOracle {
     return true;
   }
 
-  // Cross-domain ActiveSet routing: direct add when the target lane's
-  // domain is the caller's own (its set is never mid-sweep in that phase),
-  // staged through the domain outbox otherwise.
-  void add_credit_link(int li, DomainScratch& ds) {
+  // Lane pushes. A push that makes a lane non-empty files the link in the
+  // sweeping domain's wheel under the new head's arrival: directly when
+  // that domain is the caller's own (its wheel is never mid-sweep in the
+  // pushing phase), through the domain outbox otherwise. A lane that was
+  // already non-empty is filed under its older head.
+  void push_credit(int li, const FlyingCredit& fc, DomainScratch& ds) {
+    EventLane<FlyingCredit>& lane =
+        links_[static_cast<std::size_t>(li)].credits;
+    lane.push_back(fc);
+    if (lane.size() > 1) return;
     const int d = link_owner_domain_[static_cast<std::size_t>(li)];
     if (d == ds.domain)
-      credit_links_[static_cast<std::size_t>(d)].add(li);
+      credit_wheel_[static_cast<std::size_t>(d)].add(li, fc.arrive);
     else
       ds.credit_adds.push_back(li);
   }
-  void add_data_link(int li, DomainScratch& ds) {
+  void push_data(int li, const FlyingPacket& fp, DomainScratch& ds) {
+    EventLane<FlyingPacket>& lane = links_[static_cast<std::size_t>(li)].data;
+    lane.push_back(fp);
+    if (lane.size() > 1) return;
     const int d = link_to_domain_[static_cast<std::size_t>(li)];
     if (d == ds.domain)
-      data_links_[static_cast<std::size_t>(d)].add(li);
+      data_wheel_[static_cast<std::size_t>(d)].add(li, fp.arrive);
     else
       ds.data_adds.push_back(li);
   }
@@ -353,12 +387,14 @@ class Network final : public CongestionOracle {
 
   // Read-only pending-work gauges summed across domains, kept as helpers
   // so the telemetry on_step hook stays a pure expression (lint L5).
+  // Links with queued lane events: every non-empty lane is filed in
+  // exactly one wheel bucket once the outboxes are flushed.
   std::int64_t pending_lane_work() const {
     std::int64_t n = 0;
     for (int d = 0; d < domains_; ++d)
       n += static_cast<std::int64_t>(
-          data_links_[static_cast<std::size_t>(d)].size() +
-          credit_links_[static_cast<std::size_t>(d)].size());
+          data_wheel_[static_cast<std::size_t>(d)].size() +
+          credit_wheel_[static_cast<std::size_t>(d)].size());
     return n;
   }
   std::int64_t pending_alloc_work() const {
@@ -368,11 +404,10 @@ class Network final : public CongestionOracle {
           alloc_sets_[static_cast<std::size_t>(d)].size());
     return n;
   }
+  // Routers with occupied output units or live link streams.
   std::int64_t pending_send_work() const {
     std::int64_t n = 0;
-    for (int d = 0; d < domains_; ++d)
-      n += static_cast<std::int64_t>(
-          send_sets_[static_cast<std::size_t>(d)].size());
+    for (const DomainScratch& ds : scratch_) n += ds.send_routers;
     return n;
   }
 
@@ -420,12 +455,10 @@ class Network final : public CongestionOracle {
   std::vector<int> output_index_;           // per router + sentinel
   std::vector<Rng> rng_;                    // per router
 
-  // --- Active sets: the links and routers with pending work. Counters
-  // are per router; sets are swept in ascending id order (see ActiveSet).
+  // --- Pending-work bookkeeping, per router.
   PacketPool pool_;
   std::vector<std::int32_t> router_buffered_;  // packets in input buffers
-  std::vector<std::int32_t> router_in_pipe_;   // packets in output units
-  std::vector<std::int32_t> router_streaming_;  // active link streams
+  std::vector<std::int32_t> router_sends_;  // output-unit packets + streams
 
   // --- Flit-level flow control state (empty in packet mode).
   std::vector<TransitTail> transit_;  // by inbound link index
@@ -435,20 +468,24 @@ class Network final : public CongestionOracle {
   /// TransitTail without a search. Grown lazily like traces_.
   std::vector<std::int32_t> flit_src_link_;
   // --- Deterministic parallel domains: contiguous ascending router ranges
-  // (`begin[d] = R * d / D`), one ActiveSet quartet per domain. Data lanes
-  // are swept by the link's *receiver* domain, credit lanes by the link's
-  // *owner* domain — every array element then has exactly one writer per
-  // phase. A team of one (`sim_domains=1`) runs everything inline on the
-  // caller with no thread machinery at all.
+  // (`begin[d] = R * d / D`), one allocation set and three timing wheels
+  // per domain. Data lanes are swept by the link's *receiver* domain,
+  // credit lanes and serializers by the link's *owner* domain — every
+  // array element then has exactly one writer per phase. A team of one
+  // (`sim_domains=1`) runs everything inline on the caller with no thread
+  // machinery at all.
   int domains_ = 1;
   std::vector<std::int32_t> router_domain_;     // per router
   std::vector<RouterId> link_owner_;            // per link: (owner, port) inverse
   std::vector<std::int32_t> link_owner_domain_; // per link
   std::vector<std::int32_t> link_to_domain_;    // per link: receiver's domain
-  std::vector<ActiveSet> data_links_;    // per domain: inbound data pending
-  std::vector<ActiveSet> credit_links_;  // per domain: credit returns pending
+  // Wheels file links under the cycle they are next due: a data lane at
+  // its head's arrival, a credit lane likewise, a serializer when its head
+  // packet can start (or every cycle while a flit stream is live).
+  std::vector<TimingWheel> data_wheel_;    // per domain: inbound data lanes
+  std::vector<TimingWheel> credit_wheel_;  // per domain: credit lanes
+  std::vector<TimingWheel> send_wheel_;    // per domain: output serializers
   std::vector<ActiveSet> alloc_sets_;    // per domain: routers with armed slots
-  std::vector<ActiveSet> send_sets_;     // per domain: occupied output units
   std::vector<DomainScratch> scratch_;   // per domain
   std::unique_ptr<DomainTeam> team_;
 
@@ -458,17 +495,13 @@ class Network final : public CongestionOracle {
   std::vector<std::int32_t> wait_link_;     // per (input, VC) commit slot
   std::vector<std::vector<std::int32_t>> link_waiters_;  // per link: (gi<<6)|vc
   std::vector<std::int32_t> input_router_;  // per global input: owning router
-  // Bitmask accelerators, valid only when every router's input count and
-  // network-port count fit a 64-bit word (true for every shipped topology;
-  // wider radixes fall back to the dense scans):
-  //   * armed_inputs_[r]: input ports with any armed VC — stage 1 iterates
-  //     set bits instead of scanning every port.
-  //   * send_links_[r]: local output links with queued or streaming work —
-  //     set at grant, cleared when the pipeline drains and no stream is
-  //     live; send() visits only set bits (ascending, like the full scan).
+  // Bitmask accelerator, valid only when every router's input count fits
+  // a 64-bit word (true for every shipped topology; wider radixes fall
+  // back to the dense scan): armed_inputs_[r] holds the input ports with
+  // any armed VC — stage 1 iterates set bits instead of scanning every
+  // port.
   bool port_masks_ok_ = false;
   std::vector<std::uint64_t> armed_inputs_;  // per router
-  std::vector<std::uint64_t> send_links_;    // per router
   // Uncommitted heads may sleep on their blocking resource's wake edges
   // only when re-running VC allocation is pure: a draw-free routing
   // algorithm (options are a function of packet and router alone) and a

@@ -79,6 +79,33 @@ TEST(SimDomains, DomainCountNeverPerturbsResults) {
   }
 }
 
+TEST(SimDomains, FlitStreamsUnderAdaptiveRoutingAreDomainInvariant) {
+  // VCT flit streams behind on/off backpressure, adversarial traffic, PAR
+  // routing: stalled streams retry their serializer every cycle, blocked
+  // heads cannot park (PAR draws from the router RNG), and body-flit cut
+  // through pushes credits across domain boundaries — the per-cycle paths
+  // most likely to drift when links are split across domains.
+  SimConfig cfg;
+  cfg.policy = "flexvc";
+  cfg.vcs = "4/2";
+  cfg.flow_control = "vct";
+  cfg.buffer_mgmt = "on_off";
+  cfg.traffic = "adversarial";
+  cfg.routing = "par";
+  cfg.load = 0.9;
+  cfg.warmup = 300;
+  cfg.measure = 600;
+  const SimResult serial = run_with_domains(cfg, 1);
+  EXPECT_GT(serial.consumed_packets, 0);
+  for (const int domains : {2, 4}) {
+    const SimResult parallel = run_with_domains(cfg, domains);
+    EXPECT_TRUE(result_bits_equal(serial, parallel))
+        << "vct/on_off/adversarial/par diverged at sim_domains=" << domains
+        << " (consumed " << parallel.consumed_packets << " vs "
+        << serial.consumed_packets << ")";
+  }
+}
+
 TEST(SimDomains, DegenerateDomainCountsCollapseToSerial) {
   SimConfig cfg;
   cfg.policy = "flexvc";

@@ -152,6 +152,49 @@ TEST(BuiltinRegistries, ValidateHooksRejectBadConfigs) {
   EXPECT_NO_THROW(validate_config(SimConfig{}));
 }
 
+TEST(BuiltinRegistries, ValidateRejectsOutOfRangeLatencies) {
+  // Links take at least one cycle (a flit or credit is never due in the
+  // cycle that pushes it); a router pipeline may take zero.
+  struct Bad {
+    const char* key;
+    void (*set)(SimConfig&);
+  };
+  const Bad bad[] = {
+      {"local_latency", [](SimConfig& c) { c.local_latency = 0; }},
+      {"global_latency", [](SimConfig& c) { c.global_latency = 0; }},
+      {"local_latency", [](SimConfig& c) { c.local_latency = -3; }},
+      {"pipeline_latency", [](SimConfig& c) { c.pipeline_latency = -1; }},
+  };
+  for (const Bad& b : bad) {
+    SimConfig cfg;
+    b.set(cfg);
+    const std::string msg = thrown_message([&] { validate_config(cfg); });
+    EXPECT_NE(msg.find(b.key), std::string::npos) << msg;
+    EXPECT_THROW(Network net(cfg), std::invalid_argument) << b.key;
+  }
+  SimConfig edge;
+  edge.local_latency = 1;
+  edge.global_latency = 1;
+  edge.pipeline_latency = 0;
+  EXPECT_NO_THROW(validate_config(edge));
+}
+
+TEST(BuiltinRegistries, MinimumLatenciesDeliver) {
+  // The smallest accepted timing, in packet and flit mode: one-cycle links
+  // and a zero-cycle pipeline (a packet leaves the cycle it is granted).
+  for (const char* fc : {"packet", "vct"}) {
+    SimConfig cfg;
+    cfg.flow_control = fc;
+    cfg.local_latency = 1;
+    cfg.global_latency = 1;
+    cfg.pipeline_latency = 0;
+    cfg.load = 0.5;
+    Network net(cfg);
+    for (Cycle now = 0; now < 400; ++now) net.step(now);
+    EXPECT_GT(net.metrics().consumed_packets(), 0) << fc;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Suite parsing.
 

@@ -146,7 +146,7 @@ JsonValue summarize_microbench(const JsonValue& report,
            {"name", "cycles", "wall_seconds", "cycles_per_sec",
             "cycles_per_sec_telemetry", "telemetry_overhead",
             "consumed_packets", "grants", "re_requests",
-            "grants_per_consumed"})
+            "re_requests_per_grant"})
         if (const JsonValue* v = c.find(key)) c_out.set(key, *v);
       if (const JsonValue* wall = c.find("wall_seconds"))
         wall_total += wall->number_or(0.0);
