@@ -124,6 +124,13 @@ TEST(CoreEquivalence, Fig6FlowControlGoldenReportByteIdentical) {
                        "fig6_flow_control.golden.json");
 }
 
+// The only golden with ON/OFF (bursty) injection: per-burst destinations
+// and the two-state process pin the node phase's generation order.
+TEST(CoreEquivalence, Fig6bBurstyGoldenReportByteIdentical) {
+  check_against_golden("fig6b_bursty_min.json",
+                       "fig6b_bursty_min.golden.json");
+}
+
 // --- Credit-owner regression (Network::deliver).
 //
 // A credit travels the reverse channel of the link its packet used, and
