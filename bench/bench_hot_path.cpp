@@ -15,6 +15,11 @@
 // rate is the primary number (and what the CI regression gate compares),
 // the ratio is the observed cost of leaving the counters on.
 //
+// The telemetry-on pass also times every phase of Network::step
+// (telemetry/phase_timers.hpp); the report gives each phase's share of the
+// step time. `paper_scale=1` runs the cases on the paper's 2064-router
+// Dragonfly (pass a small --cycles: a cycle there costs ~100x smoke).
+//
 // The JSON report is a "microbench" document (not a sweep report);
 // tools/bench_trajectory folds it into BENCH_sweeps.json alongside the
 // sweep entries so the engine's cycles/sec is tracked commit over commit.
@@ -77,6 +82,8 @@ struct CaseResult {
   /// attempts per packet movement (hops plus ejections).
   std::int64_t re_requests = 0;
   double re_requests_per_grant = 0.0;
+  /// Seconds per step phase in the telemetry-on pass, by StepPhase.
+  double phase_seconds[PhaseTimers::kPhases] = {};
 };
 
 double time_case(const Case& c, const SimConfig& base, Cycle cycles,
@@ -94,7 +101,12 @@ double time_case(const Case& c, const SimConfig& base, Cycle cycles,
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (out != nullptr) {
+  if (telemetry_on && out != nullptr) {
+    for (int p = 0; p < PhaseTimers::kPhases; ++p)
+      out->phase_seconds[p] =
+          net.phase_times().seconds(static_cast<StepPhase>(p));
+  }
+  if (!telemetry_on && out != nullptr) {
     out->consumed = net.metrics().consumed_packets();
     out->grants = net.total_grants();
     out->re_requests = net.re_requests();
@@ -113,7 +125,7 @@ CaseResult run_case(const Case& c, const SimConfig& base, Cycle cycles) {
   // Telemetry-on first, telemetry-off second: the off pass (the number the
   // CI regression gate watches) gets the warmed caches, biasing any error
   // against reporting a phantom speedup.
-  r.cycles_per_sec_telemetry = time_case(c, base, cycles, true, nullptr);
+  r.cycles_per_sec_telemetry = time_case(c, base, cycles, true, &r);
   r.cycles_per_sec = time_case(c, base, cycles, false, &r);
   r.wall_seconds = static_cast<double>(cycles) / r.cycles_per_sec;
   r.telemetry_overhead = r.cycles_per_sec_telemetry > 0.0
@@ -208,6 +220,19 @@ int main(int argc, char** argv) {
   std::printf("geomean cycles/sec: %.0f (telemetry-on overhead %.3fx)\n",
               geomean, overhead_geomean);
 
+  std::printf("\nstep phase shares, telemetry-on pass (%%):\n%-30s", "case");
+  for (int p = 0; p < PhaseTimers::kPhases; ++p)
+    std::printf(" %15s", PhaseTimers::name(static_cast<StepPhase>(p)));
+  std::printf("\n");
+  for (const CaseResult& r : results) {
+    double total = 0.0;
+    for (const double sec : r.phase_seconds) total += sec;
+    std::printf("%-30s", r.name.c_str());
+    for (const double sec : r.phase_seconds)
+      std::printf(" %15.1f", total > 0.0 ? 100.0 * sec / total : 0.0);
+    std::printf("\n");
+  }
+
   if (!json_path.empty()) {
     JsonValue doc = JsonValue::make_object();
     JsonValue meta = JsonValue::make_object();
@@ -233,6 +258,11 @@ int main(int argc, char** argv) {
             JsonValue::make_number(static_cast<double>(r.re_requests)));
       c.set("re_requests_per_grant",
             JsonValue::make_number(r.re_requests_per_grant));
+      JsonValue phases = JsonValue::make_object();
+      for (int p = 0; p < PhaseTimers::kPhases; ++p)
+        phases.set(PhaseTimers::name(static_cast<StepPhase>(p)),
+                   JsonValue::make_number(r.phase_seconds[p]));
+      c.set("phase_seconds", std::move(phases));
       cases.array.push_back(std::move(c));
     }
     doc.set("microbench", std::move(cases));

@@ -10,10 +10,15 @@
 // by the receiver carry the packet's RouteKind flag — the paper's "one
 // additional flag per credit packet and an additional credit counter per
 // output port".
+//
+// The per-VC counters sit inline (up to kMaxVcs VCs), so a ledger is one
+// flat object in the network's link-indexed array: a credit check reads
+// the header and one VC's counter pair from the same block.
 #pragma once
 
 #include <algorithm>
-#include <vector>
+#include <array>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
@@ -22,13 +27,19 @@ namespace flexnet {
 
 class CreditLedger {
  public:
-  CreditLedger(int num_vcs, int private_per_vc, int shared_capacity)
-      : private_per_vc_(private_per_vc),
-        shared_capacity_(shared_capacity),
-        occupied_(static_cast<std::size_t>(num_vcs), 0),
-        occupied_min_(static_cast<std::size_t>(num_vcs), 0) {}
+  /// Most VCs one ledger tracks (validate_config rejects arrangements
+  /// with more VCs per network port).
+  static constexpr int kMaxVcs = 16;
 
-  int num_vcs() const { return static_cast<int>(occupied_.size()); }
+  CreditLedger(int num_vcs, int private_per_vc, int shared_capacity)
+      : num_vcs_(num_vcs),
+        private_per_vc_(private_per_vc),
+        shared_capacity_(shared_capacity) {
+    FLEXNET_CHECK_MSG(num_vcs >= 1 && num_vcs <= kMaxVcs,
+                      "a credit ledger tracks 1 to 16 VCs");
+  }
+
+  int num_vcs() const { return num_vcs_; }
 
   /// Switches the ledger to on/off backpressure (buffer_mgmt=on_off): the
   /// downstream port is modeled by a single stop/go bit with hysteresis —
@@ -53,7 +64,7 @@ class CreditLedger {
 
   /// Free phits the sender may use for this VC right now.
   int free_for(VcIndex vc) const {
-    const int occ = occupied_[static_cast<std::size_t>(vc)];
+    const int occ = vc_[static_cast<std::size_t>(vc)].occupied;
     const int private_free = private_per_vc_ - std::min(occ, private_per_vc_);
     return private_free + shared_capacity_ - shared_used_;
   }
@@ -70,20 +81,20 @@ class CreditLedger {
   /// Credit returned by the receiver when a packet leaves its buffer.
   void on_credit(VcIndex vc, int phits, RouteKind kind) {
     add(vc, -phits, kind);
-    FLEXNET_DCHECK(occupied_[static_cast<std::size_t>(vc)] >= 0);
+    FLEXNET_DCHECK(vc_[static_cast<std::size_t>(vc)].occupied >= 0);
   }
 
   /// Downstream occupancy attributable to this sender, in phits. This is the
   /// congestion signal Piggyback compares (SII: "each router measures the
   /// occupancy (credits) of its global ports").
   int occupied(VcIndex vc) const {
-    return occupied_[static_cast<std::size_t>(vc)];
+    return vc_[static_cast<std::size_t>(vc)].occupied;
   }
   int occupied_port() const { return occupied_port_; }
 
   /// minCred counters: occupancy of minimally routed packets only.
   int occupied_min(VcIndex vc) const {
-    return occupied_min_[static_cast<std::size_t>(vc)];
+    return vc_[static_cast<std::size_t>(vc)].occupied_min;
   }
   int occupied_min_port() const { return occupied_min_port_; }
 
@@ -93,13 +104,13 @@ class CreditLedger {
 
  private:
   void add(VcIndex vc, int delta, RouteKind kind) {
-    auto& occ = occupied_[static_cast<std::size_t>(vc)];
-    const int before_overflow = std::max(0, occ - private_per_vc_);
-    occ += delta;
+    VcCount& c = vc_[static_cast<std::size_t>(vc)];
+    const int before_overflow = std::max(0, c.occupied - private_per_vc_);
+    c.occupied += delta;
     occupied_port_ += delta;
-    shared_used_ += std::max(0, occ - private_per_vc_) - before_overflow;
+    shared_used_ += std::max(0, c.occupied - private_per_vc_) - before_overflow;
     if (kind == RouteKind::kMinimal) {
-      occupied_min_[static_cast<std::size_t>(vc)] += delta;
+      c.occupied_min += delta;
       occupied_min_port_ += delta;
     }
     if (on_off_) update_off_bit();
@@ -114,6 +125,13 @@ class CreditLedger {
     }
   }
 
+  /// Occupied phits of one VC, all and minimally routed only.
+  struct VcCount {
+    std::int32_t occupied = 0;
+    std::int32_t occupied_min = 0;
+  };
+
+  int num_vcs_;
   int private_per_vc_;
   int shared_capacity_;
   int shared_used_ = 0;
@@ -123,8 +141,7 @@ class CreditLedger {
   bool off_ = false;
   int off_threshold_ = 0;
   int on_threshold_ = 0;
-  std::vector<int> occupied_;
-  std::vector<int> occupied_min_;
+  std::array<VcCount, kMaxVcs> vc_{};
 };
 
 }  // namespace flexnet

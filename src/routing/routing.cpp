@@ -26,8 +26,9 @@ RouteOption RoutingAlgorithm::continue_option(const Packet& pkt,
   FLEXNET_DCHECK(router != dst);
   RouteOption opt;
   opt.out_port = topo_.min_next_port(router, dst, &rng);
-  opt.hop_type = topo_.port(router, opt.out_port).type;
-  const RouterId next = topo_.port(router, opt.out_port).neighbor;
+  const PortDesc& hop = topo_.port(router, opt.out_port);
+  opt.hop_type = hop.type;
+  const RouterId next = hop.neighbor;
   opt.intended_after = topo_.min_hop_types(next, dst);
   opt.escape_after = opt.intended_after;
   opt.kind_after = pkt.route_kind;  // sticky: past misrouting stays nonminimal
@@ -49,15 +50,17 @@ RouteOption RoutingAlgorithm::valiant_option(const Packet& pkt,
     // routing decision was nonminimal (minCred accounts decisions).
     opt.valiant_reached_after = true;
     opt.out_port = topo_.min_next_port(router, dst, &rng);
-    opt.hop_type = topo_.port(router, opt.out_port).type;
-    const RouterId next = topo_.port(router, opt.out_port).neighbor;
+    const PortDesc& hop = topo_.port(router, opt.out_port);
+    opt.hop_type = hop.type;
+    const RouterId next = hop.neighbor;
     opt.intended_after = topo_.min_hop_types(next, dst);
     opt.escape_after = opt.intended_after;
     return opt;
   }
   opt.out_port = topo_.min_next_port(router, vr, &rng);
-  opt.hop_type = topo_.port(router, opt.out_port).type;
-  const RouterId next = topo_.port(router, opt.out_port).neighbor;
+  const PortDesc& hop = topo_.port(router, opt.out_port);
+  opt.hop_type = hop.type;
+  const RouterId next = hop.neighbor;
   opt.valiant_reached_after = next == vr;
   opt.intended_after =
       topo_.min_hop_types(next, vr) + topo_.min_hop_types(vr, dst);
@@ -87,8 +90,9 @@ RouteOption RoutingAlgorithm::escape_option(const Packet& pkt, RouterId router,
   FLEXNET_DCHECK(router != dst);
   RouteOption opt;
   opt.out_port = topo_.min_next_port(router, dst, &rng);
-  opt.hop_type = topo_.port(router, opt.out_port).type;
-  const RouterId next = topo_.port(router, opt.out_port).neighbor;
+  const PortDesc& hop = topo_.port(router, opt.out_port);
+  opt.hop_type = hop.type;
+  const RouterId next = hop.neighbor;
   opt.intended_after = topo_.min_hop_types(next, dst);
   opt.escape_after = opt.intended_after;
   opt.kind_after = pkt.route_kind;

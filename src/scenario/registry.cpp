@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "buffers/credit_ledger.hpp"
 #include "core/vc_arrangement.hpp"
 
 namespace flexnet {
@@ -65,7 +66,15 @@ void validate_config(const SimConfig& cfg) {
   check(buffer_mgmt_registry(), cfg.buffer_mgmt);
   // The arrangement string is component-like config too: parse it now so a
   // malformed "vcs" fails with its parser's message, not mid-construction.
-  (void)VcArrangement::parse(cfg.vcs);
+  const VcArrangement arrangement = VcArrangement::parse(cfg.vcs);
+  for (const LinkType type : {LinkType::kLocal, LinkType::kGlobal}) {
+    const int vcs = arrangement.vcs_per_port(type);
+    if (vcs > CreditLedger::kMaxVcs)
+      throw std::invalid_argument(
+          "vcs '" + cfg.vcs + "' puts " + std::to_string(vcs) +
+          " VCs on a network port; at most " +
+          std::to_string(CreditLedger::kMaxVcs) + " are supported");
+  }
   // Timing: the engine's event wheels file every flit and credit at least
   // one cycle after the phase that pushes it, so links take >= 1 cycle; a
   // zero-cycle router pipeline is allowed (sent the cycle it is granted).

@@ -148,8 +148,7 @@ struct TrafficFactories {
   std::function<std::unique_ptr<TrafficPattern>(const Topology&,
                                                 const SimConfig&)>
       pattern;
-  std::function<std::unique_ptr<InjectionProcess>(const SimConfig&,
-                                                  double request_load)>
+  std::function<InjectionProcess(const SimConfig&, double request_load)>
       process;
 };
 

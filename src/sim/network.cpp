@@ -22,6 +22,14 @@ Network::Network(const SimConfig& config) : config_(config) {
   // simulation state is built.
   validate_config(config_);
   topo_ = topology_registry().at(config_.topology).make(config_);
+  // Stage 1 of the allocator walks one 64-bit word of armed input ports
+  // per router.
+  const int inputs = topo_->max_network_ports() + topo_->concentration();
+  if (inputs > 64)
+    throw std::invalid_argument(
+        "topology " + topo_->name() + " has routers with " +
+        std::to_string(inputs) +
+        " input ports (network + injection); at most 64 are supported");
 
   const VcArrangement arrangement = VcArrangement::parse(config_.vcs);
   FLEXNET_CHECK_MSG(arrangement.typed == topo_->typed(),
@@ -160,7 +168,6 @@ void Network::build() {
 
       DirLink& link = links_[static_cast<std::size_t>(link_at(r, p))];
       link.to = desc.neighbor;
-      link.to_port = desc.neighbor_port;
       link.latency = global ? config_.global_latency : config_.local_latency;
     }
     for (int j = 0; j < inj_ports; ++j) {
@@ -179,13 +186,20 @@ void Network::build() {
       out_arb_.emplace_back(ports + inj_ports);
   }
 
-  // Nodes.
-  pattern_ = traffic_registry().at(config_.traffic).make.pattern(*topo_, config_);
-  nodes_.reserve(static_cast<std::size_t>(topo_->num_nodes()));
-  for (NodeId n = 0; n < topo_->num_nodes(); ++n) {
-    nodes_.push_back(std::make_unique<Node>(
-        n, config_, *pattern_, base.split(0x100000 + static_cast<std::uint64_t>(n))));
+  // Wiring in global-input terms: each network input's upstream link
+  // (the credit lane a grant there pays back), each link's receiving input.
+  upstream_link_.assign(static_cast<std::size_t>(total_inputs), -1);
+  for (RouterId r = 0; r < num_routers; ++r) {
+    for (PortIndex p = 0; p < topo_->num_network_ports(r); ++p) {
+      const PortDesc& desc = topo_->port(r, p);
+      upstream_link_[static_cast<std::size_t>(input_at(r, p))] =
+          link_at(desc.neighbor, desc.neighbor_port);
+      links_[static_cast<std::size_t>(link_at(r, p))].to_input =
+          input_at(desc.neighbor, desc.neighbor_port);
+    }
   }
+
+  nodes_ = std::make_unique<Nodes>(config_, *topo_, base);
 
   // Active-set bookkeeping and hot-path scratch, sized once here (the
   // allocator never resizes anything per cycle).
@@ -195,9 +209,6 @@ void Network::build() {
     transit_.assign(static_cast<std::size_t>(total_links), TransitTail{});
     streams_.assign(static_cast<std::size_t>(total_links), LinkStream{});
   }
-  requests_.assign(static_cast<std::size_t>(total_outputs), {});
-  in_matched_.assign(static_cast<std::size_t>(total_inputs), 0);
-  out_matched_.assign(static_cast<std::size_t>(total_outputs), 0);
 
   // Pruned-arbitration state: everything starts disarmed/unsubscribed —
   // the first injection or delivery arms its slot.
@@ -255,9 +266,16 @@ void Network::build() {
                            send_horizon);
     alloc_sets_[di].resize(static_cast<std::size_t>(num_routers));
   }
+  int max_outputs = 0;
+  for (RouterId r = 0; r < num_routers; ++r)
+    max_outputs = std::max(max_outputs, num_outputs(r));
   scratch_.resize(static_cast<std::size_t>(domains_));
-  for (int d = 0; d < domains_; ++d)
-    scratch_[static_cast<std::size_t>(d)].domain = d;
+  for (int d = 0; d < domains_; ++d) {
+    DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
+    ds.domain = d;
+    ds.lanes.resize(static_cast<std::size_t>(max_outputs));
+    ds.out_matched.assign(static_cast<std::size_t>(max_outputs), 0);
+  }
   team_ = std::make_unique<DomainTeam>(domains_);
 
   // Ejection wake calendar: a consumption port blocks for exactly the
@@ -270,13 +288,6 @@ void Network::build() {
       input_router_[static_cast<std::size_t>(gi)] = r;
   }
   wake_ring_ = max_phits + 2;
-  port_masks_ok_ = true;
-  for (RouterId r = 0; r < num_routers; ++r) {
-    if (num_inputs(r) > 64) {
-      port_masks_ok_ = false;
-      break;
-    }
-  }
   armed_inputs_.assign(static_cast<std::size_t>(num_routers), 0);
   // Blocked uncommitted heads may sleep only when re-running their VC
   // allocation is pure: draw-free routing and a selection function that
@@ -406,19 +417,32 @@ void Network::trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const {
 }
 
 void Network::step(Cycle now) {
-  FLEXNET_TELEM(if (telem_.enabled())
-                    telem_.on_step(pending_lane_work(), pending_alloc_work(),
-                                   pending_send_work(), pool_.live()));
+  FLEXNET_TELEM(if (telem_.enabled()) {
+    telem_.on_step(pending_lane_work(), pending_alloc_work(),
+                   pending_send_work(), pool_.live());
+    phases_.start();
+  });
   // Phases run one at a time across all domains with a full barrier in
   // between (DomainTeam::run); staged cross-domain effects merge serially
   // at the barrier. Data lanes are swept by receiver domain, credit lanes
   // by owner domain, allocation and sending by the router's own domain —
-  // every array element has exactly one writer per phase.
-  team_->run([this, now](int d) { deliver_data(d, now); });
+  // every array element has exactly one writer per phase. The caller runs
+  // domain 0 and laps each phase when its own share is done.
+  team_->run([this, now](int d) {
+    deliver_data(d, now);
+    if (d == 0) lap(StepPhase::kDeliverData);
+  });
   flush_lane_adds();  // cut-through credits may cross domains
-  team_->run([this, now](int d) { deliver_credits(d, now); });
+  lap(StepPhase::kBarrier);
+  team_->run([this, now](int d) {
+    deliver_credits(d, now);
+    if (d == 0) lap(StepPhase::kDeliverCredits);
+  });
+  lap(StepPhase::kBarrier);
   routing_->update(now);
-  for (auto& node : nodes_) node->step(now, *this);
+  lap(StepPhase::kAllocate);
+  nodes_->step(now, *this, metrics_);
+  lap(StepPhase::kNodes);
   team_->run([this, now](int d) {
     DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
     // Fire the ejection wakes due this cycle before sweeping: the slots
@@ -436,8 +460,11 @@ void Network::step(Cycle now) {
       allocate(r, now, ds);
       return router_armed_[static_cast<std::size_t>(r)] > 0;
     });
+    if (d == 0) lap(StepPhase::kAllocate);
   });
+  lap(StepPhase::kBarrier);
   commit_allocate(now);
+  lap(StepPhase::kCommit);
   team_->run([this, now](int d) {
     DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
     // Ascending link id is the old router-major, port-ascending order.
@@ -445,8 +472,10 @@ void Network::step(Cycle now) {
       return send_link(link_owner_[static_cast<std::size_t>(li)], li, now,
                        ds);
     });
+    if (d == 0) lap(StepPhase::kSend);
   });
   flush_lane_adds();  // sent data may land in another domain
+  lap(StepPhase::kBarrier);
 }
 
 void Network::deliver_data(int d, Cycle now) {
@@ -456,7 +485,7 @@ void Network::deliver_data(int d, Cycle now) {
     while (!link.data.empty() && link.data.front().arrive <= now) {
       const FlyingPacket fp = link.data.front();
       link.data.pop_front();
-      const int gi = input_at(link.to, link.to_port);
+      const int gi = link.to_input;
       if (!flit_) {
         in_[static_cast<std::size_t>(gi)].push(fp.vc, fp.ref,
                                                pool_[fp.ref].size);
@@ -592,7 +621,7 @@ void Network::commit_allocate(Cycle now) {
       const Packet& pkt = pool_[sc.ref];
       if (trace_ != nullptr) trace_packet(pkt, sc.ref, now);
       metrics_.on_consumed(pkt, sc.completion);
-      if (nodes_[static_cast<std::size_t>(pkt.dst)]->consume_spawns_reply(pkt))
+      if (nodes_->consume_spawns_reply(pkt))
         metrics_.on_generated(config_.effective_packet_phits());
       pool_.release(sc.ref);
     }
@@ -702,42 +731,35 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
   // for an already-committed packet — the work pruning exists to remove.
   if (commit.pkt == head.id) {
     ++ds.re_requests;
-    if (commit.option.ejection) {
+    if (commit.ejection) {
       if (flit_ && buf.front_phits(vc) < head.size) {
         disarm_slot(r, gi, vc);  // re-armed per arriving body flit
         return false;
       }
       const int out =
-          output_index_[static_cast<std::size_t>(r)] +
           eject_output_index(r, head.dst % topo_->concentration(), head.cls);
-      if (out_matched_[static_cast<std::size_t>(out)]) return false;
-      if (!nodes_[static_cast<std::size_t>(head.dst)]->can_consume(head.cls,
-                                                                   now)) {
+      if (ds.out_matched[static_cast<std::size_t>(out)]) return false;
+      if (!nodes_->can_consume(head.dst, head.cls, now)) {
         // Consumption is the safe sink: wait. A port-busy block clears at
         // a known cycle — park in the wake calendar instead of retrying;
         // a reply-queue block (reactive) has no timer, so stay armed.
-        const Cycle free_at =
-            nodes_[static_cast<std::size_t>(head.dst)]->consume_free_at(
-                head.cls);
+        const Cycle free_at = nodes_->consume_free_at(head.dst, head.cls);
         if (free_at > now) schedule_eject_wake(ds, r, gi, vc, free_at, now);
         return false;
       }
       fill_request(out);
       return true;
     }
-    const int li = link_at(r, commit.option.out_port);
+    const int li = link_at(r, commit.out_port);
     const bool resource_ok =
         out_[static_cast<std::size_t>(li)].can_reserve(head.size) &&
         ledger_[static_cast<std::size_t>(li)].can_send(commit.out_vc,
                                                        ledger_need);
     const bool feasible =
         resource_ok &&
-        !out_matched_[static_cast<std::size_t>(
-            output_index_[static_cast<std::size_t>(r)] +
-            commit.option.out_port)];
+        !ds.out_matched[static_cast<std::size_t>(commit.out_port)];
     if (feasible) {
-      fill_request(output_index_[static_cast<std::size_t>(r)] +
-                   commit.option.out_port);
+      fill_request(commit.out_port);
       return true;
     }
     if (commit.safe) {
@@ -772,21 +794,13 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
         return false;
       }
       const int out =
-          output_index_[static_cast<std::size_t>(r)] +
           eject_output_index(r, head.dst % topo_->concentration(), head.cls);
-      commit.pkt = head.id;
-      commit.option = opt;
-      commit.out_vc = kInvalidVc;
-      commit.out_position = -1;
-      commit.safe = true;
-      if (out_matched_[static_cast<std::size_t>(out)]) return false;
-      if (!nodes_[static_cast<std::size_t>(head.dst)]->can_consume(head.cls,
-                                                                   now)) {
+      commit_to(commit, head.id, opt, kInvalidVc, -1, /*safe=*/true);
+      if (ds.out_matched[static_cast<std::size_t>(out)]) return false;
+      if (!nodes_->can_consume(head.dst, head.cls, now)) {
         // Freshly committed (safe): revalidation is RNG-free from here on,
         // so a port-busy block can park in the wake calendar too.
-        const Cycle free_at =
-            nodes_[static_cast<std::size_t>(head.dst)]->consume_free_at(
-                head.cls);
+        const Cycle free_at = nodes_->consume_free_at(head.dst, head.cls);
         if (free_at > now) schedule_eject_wake(ds, r, gi, vc, free_at, now);
         return false;
       }
@@ -815,8 +829,8 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     // apart from the resource conditions: it clears when this pass ends,
     // while the others clear on link wake edges — the sleep decision
     // below needs to know which kind blocked.
-    const bool out_is_matched = out_matched_[static_cast<std::size_t>(
-        output_index_[static_cast<std::size_t>(r)] + opt.out_port)];
+    const bool out_is_matched =
+        ds.out_matched[static_cast<std::size_t>(opt.out_port)];
     const bool output_free =
         !out_is_matched && ou.can_reserve(head.size) &&
         !(ledger.on_off_enabled() && ledger.is_off());
@@ -828,13 +842,8 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
           rng_[static_cast<std::size_t>(r)]);
       if (sel >= 0) {
         const VcCandidate& cand = ds.cands[static_cast<std::size_t>(sel)];
-        commit.pkt = head.id;
-        commit.option = opt;
-        commit.out_vc = cand.phys;
-        commit.out_position = cand.position;
-        commit.safe = cand.safe;
-        fill_request(output_index_[static_cast<std::size_t>(r)] +
-                     opt.out_port);
+        commit_to(commit, head.id, opt, cand.phys, cand.position, cand.safe);
+        fill_request(opt.out_port);
         if (cand.position > ds.cands.front().position)
           ++ds.overflow;
         else
@@ -855,11 +864,8 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     }
     if (best >= 0) {
       const VcCandidate& cand = ds.cands[static_cast<std::size_t>(best)];
-      commit.pkt = head.id;
-      commit.option = opt;
-      commit.out_vc = cand.phys;
-      commit.out_position = cand.position;
-      commit.safe = true;
+      commit_to(commit, head.id, opt, cand.phys, cand.position,
+                /*safe=*/true);
       // Wait for the committed VC's credits. A safe commitment is
       // revalidated without RNG from here on, so when the block is on
       // downstream resources the slot can sleep on the link's wake edges;
@@ -927,8 +933,7 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
   // Pruning fast-path: a router whose every input slot is asleep would run
   // stage 1 to completion with zero proposals and zero side effects.
   if (router_armed_[static_cast<std::size_t>(r)] == 0) return;
-  const int in0 = in_index_[static_cast<std::size_t>(r)];
-  const int inputs = in_index_[static_cast<std::size_t>(r) + 1] - in0;
+  const int inputs = num_inputs(r);
   const int out0 = output_index_[static_cast<std::size_t>(r)];
   const int outputs = output_index_[static_cast<std::size_t>(r) + 1] - out0;
   const int speedup = config_.speedup;
@@ -940,11 +945,9 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
     // pass: their re-evaluation in later iterations would take the
     // revalidation path straight to the matched-output exit — no proposal,
     // no side effects, no RNG — so the scan skips them. Cleared with the
-    // matched bits when the next pass resets out_matched_.
+    // matched bits when the next pass resets out_matched.
     std::uint64_t lost_in = 0;
-    if (!port_masks_ok_)
-      std::fill_n(in_matched_.begin() + in0, inputs, static_cast<char>(0));
-    std::fill_n(out_matched_.begin() + out0, outputs, static_cast<char>(0));
+    std::fill_n(ds.out_matched.begin(), outputs, static_cast<char>(0));
     // With a pure allocation pass (draw-free routing, draw-free VC
     // selection) every blocking condition is monotone while the pass
     // runs: outputs only get matched, buffers only fill, credits only
@@ -956,49 +959,34 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
     // byte-equality pins that stream.
     std::uint64_t retry = ~std::uint64_t{0};
     for (int iter = 0; iter < alloc_iters; ++iter) {
-      // Stage 1: every unmatched input proposes one (VC, option, output).
-      // Requests batch into persistent per-output lanes; `touched` tracks
-      // which lanes are live so stage 2 visits only those (in ascending
-      // output order, matching the dense o-loop it replaces). With port
-      // masks the scan walks only the armed unmatched inputs, lowest
-      // first — the same ascending port order as the dense loop.
+      // Stage 1: every armed unmatched input proposes one (VC, option,
+      // output), lowest port first. Requests batch into the domain's
+      // router-local output lanes; `touched` tracks which lanes are live
+      // so stage 2 visits only those, in ascending output order.
       ds.touched.clear();
       std::uint64_t proposed = 0;
-      if (port_masks_ok_) {
-        std::uint64_t pend = armed_inputs_[static_cast<std::size_t>(r)] &
-                             ~matched_in & ~lost_in;
-        if (fresh_prune_ok_ && iter > 0) pend &= retry;
-        while (pend != 0) {
-          const auto ip = static_cast<PortIndex>(__builtin_ctzll(pend));
-          pend &= pend - 1;
-          Request req;
-          if (stage1_pick(r, ip, now, req, ds)) {
-            auto& lane = requests_[static_cast<std::size_t>(req.output)];
-            if (lane.empty())
-              ds.touched.push_back(static_cast<std::int32_t>(req.output));
-            lane.push_back(req);
-            proposed |= std::uint64_t{1} << ip;
-          }
-        }
-      } else {
-        for (PortIndex ip = 0; ip < inputs; ++ip) {
-          if (in_matched_[static_cast<std::size_t>(in0 + ip)]) continue;
-          Request req;
-          if (stage1_pick(r, ip, now, req, ds)) {
-            auto& lane = requests_[static_cast<std::size_t>(req.output)];
-            if (lane.empty())
-              ds.touched.push_back(static_cast<std::int32_t>(req.output));
-            lane.push_back(req);
-          }
+      std::uint64_t pend = armed_inputs_[static_cast<std::size_t>(r)] &
+                           ~matched_in & ~lost_in;
+      if (fresh_prune_ok_ && iter > 0) pend &= retry;
+      while (pend != 0) {
+        const auto ip = static_cast<PortIndex>(__builtin_ctzll(pend));
+        pend &= pend - 1;
+        Request req;
+        if (stage1_pick(r, ip, now, req, ds)) {
+          auto& lane = ds.lanes[static_cast<std::size_t>(req.output)];
+          if (lane.empty())
+            ds.touched.push_back(static_cast<std::int32_t>(req.output));
+          lane.push_back(req);
+          proposed |= std::uint64_t{1} << ip;
         }
       }
       if (ds.touched.empty()) break;
       std::sort(ds.touched.begin(), ds.touched.end());
       // Stage 2: every requested output grants one input (round-robin).
       for (const std::int32_t o : ds.touched) {
-        auto& reqs = requests_[static_cast<std::size_t>(o)];
-        if (!out_matched_[static_cast<std::size_t>(o)]) {
-          RoundRobinArbiter& arb = out_arb_[static_cast<std::size_t>(o)];
+        auto& reqs = ds.lanes[static_cast<std::size_t>(o)];
+        if (!ds.out_matched[static_cast<std::size_t>(o)]) {
+          RoundRobinArbiter& arb = out_arb_[static_cast<std::size_t>(out0 + o)];
           const Request* chosen = nullptr;
           int best_rank = inputs;
           for (const Request& req : reqs) {
@@ -1017,33 +1005,27 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
             telem_.on_requests(r, static_cast<int>(reqs.size()));
             telem_.on_conflicts(r, static_cast<int>(reqs.size()) - 1);
           });
-          if (port_masks_ok_) {
-            matched_in |= std::uint64_t{1} << chosen->in_port;
-            if (iter + 1 < alloc_iters) {
-              // A loser re-scanned next iteration finds its committed
-              // output matched and returns without proposing. That exit
-              // is silent only for a *safe* commitment held by the
-              // input's sole armed slot (an unsafe one re-allocates —
-              // possibly drawing routing RNG — and other armed VCs on
-              // the input still deserve their scan), so exactly those
-              // inputs drop out of the remaining iterations.
-              for (const Request& q : reqs) {
-                if (&q == chosen) continue;
-                const int lgi = input_at(r, q.in_port);
-                if (armed_[static_cast<std::size_t>(lgi)] !=
-                    std::uint64_t{1} << q.in_vc)
-                  continue;
-                const Commitment& lc = commits_[static_cast<std::size_t>(
-                    commit_index_[static_cast<std::size_t>(lgi)] + q.in_vc)];
-                if (lc.safe)
-                  lost_in |= std::uint64_t{1} << q.in_port;
-              }
+          matched_in |= std::uint64_t{1} << chosen->in_port;
+          if (iter + 1 < alloc_iters) {
+            // A loser re-scanned next iteration finds its committed
+            // output matched and returns without proposing. That exit
+            // is silent only for a *safe* commitment held by the
+            // input's sole armed slot (an unsafe one re-allocates —
+            // possibly drawing routing RNG — and other armed VCs on
+            // the input still deserve their scan), so exactly those
+            // inputs drop out of the remaining iterations.
+            for (const Request& q : reqs) {
+              if (&q == chosen) continue;
+              const int lgi = input_at(r, q.in_port);
+              if (armed_[static_cast<std::size_t>(lgi)] !=
+                  std::uint64_t{1} << q.in_vc)
+                continue;
+              const Commitment& lc = commits_[static_cast<std::size_t>(
+                  commit_index_[static_cast<std::size_t>(lgi)] + q.in_vc)];
+              if (lc.safe) lost_in |= std::uint64_t{1} << q.in_port;
             }
           }
-          else
-            in_matched_[static_cast<std::size_t>(in0 + chosen->in_port)] =
-                true;
-          out_matched_[static_cast<std::size_t>(o)] = true;
+          ds.out_matched[static_cast<std::size_t>(o)] = true;
           in_arb_[static_cast<std::size_t>(input_at(r, chosen->in_port))]
               .advance_past(chosen->in_vc);
           arb.advance_past(chosen->in_port);
@@ -1069,7 +1051,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
   ds.granted = true;
   ++ds.grants;
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_grant(r));
-  if (cmt.option.is_escape && pkt.valiant != kInvalidRouter &&
+  if (cmt.is_escape && pkt.valiant != kInvalidRouter &&
       !pkt.valiant_reached) {
     ++ds.escapes;
   }
@@ -1084,9 +1066,8 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
   // now — slot.phits == pkt.size in packet mode — and a tail still in
   // flight leaves a TransitTail so the remaining flits credit upstream
   // as they arrive and feed the outbound stream's availability.
-  if (req.in_port < net_ports(r)) {
-    const PortDesc& desc = topo_->port(r, req.in_port);
-    const int uli = link_at(desc.neighbor, desc.neighbor_port);
+  const int uli = upstream_link_[static_cast<std::size_t>(gi)];
+  if (uli >= 0) {
     const int latency = links_[static_cast<std::size_t>(uli)].latency;
     push_credit(
         uli,
@@ -1099,36 +1080,31 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
                          pkt.credited_kind};
     }
   }
-  if (flit_ && !cmt.option.ejection) {
+  if (flit_ && !cmt.ejection) {
     // Where the outbound stream finds this packet's TransitTail (or -1:
     // fully arrived / injected — injection buffers hold whole packets).
-    const bool in_flight =
-        req.in_port < net_ports(r) && slot.phits < pkt.size;
-    const PortDesc* desc =
-        in_flight ? &topo_->port(r, req.in_port) : nullptr;
     // flit_src_link_ was presized at injection (every ref is injected
     // before it can be granted), so this is a plain store — no resize
     // racing with concurrent domains.
     flit_src_link_[static_cast<std::size_t>(slot.ref)] =
-        in_flight ? link_at(desc->neighbor, desc->neighbor_port) : -1;
+        slot.phits < pkt.size ? uli : -1;
   }
 
-  if (cmt.option.ejection) {
+  if (cmt.ejection) {
     // Node-local effects apply now (the destination node belongs to this
     // router, hence this domain); global effects — trace, metrics, reply
     // generation accounting, pool release — are staged and flushed in
     // ascending-domain (= ascending-router) order at commit_allocate so
     // parallel domains reproduce the serial order byte for byte.
-    const Cycle completion =
-        nodes_[static_cast<std::size_t>(pkt.dst)]->consume(pkt, now);
+    const Cycle completion = nodes_->consume(pkt, now);
     ds.consumed.push_back(StagedConsume{slot.ref, completion});
     return;
   }
 
-  pkt.route_kind = cmt.option.kind_after;
+  pkt.route_kind = cmt.kind_after;
   pkt.credited_kind = pkt.route_kind;
-  pkt.valiant = cmt.option.valiant_after;
-  pkt.valiant_reached = cmt.option.valiant_reached_after;
+  pkt.valiant = cmt.valiant_after;
+  pkt.valiant_reached = cmt.valiant_reached_after;
   pkt.vc_position = cmt.out_position;
   {
     const VcTemplate& tmpl = policy_->tmpl();
@@ -1137,7 +1113,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
         static_cast<std::int16_t>(cmt.out_position);
   }
   ++pkt.hops;
-  const int li = link_at(r, cmt.option.out_port);
+  const int li = link_at(r, cmt.out_port);
   if (record_routes_)
     traces_[static_cast<std::size_t>(slot.ref)].push_back(
         static_cast<std::int16_t>(links_[static_cast<std::size_t>(li)].to));

@@ -58,8 +58,8 @@
 #include "sim/domains.hpp"
 #include "sim/metrics.hpp"
 #include "sim/node.hpp"
+#include "telemetry/phase_timers.hpp"
 #include "telemetry/telemetry.hpp"
-#include "traffic/traffic.hpp"
 
 namespace flexnet {
 
@@ -93,6 +93,9 @@ class Network final : public CongestionOracle {
   /// *and* runtime-enabled — build() enables when the FLEXNET_TELEMETRY
   /// environment variable is set, set_telemetry_enabled overrides.
   const TelemetryCounters& telemetry() const { return telem_; }
+  /// Wall-clock seconds per Network::step phase, accumulated only while
+  /// telemetry is enabled (telemetry/phase_timers.hpp).
+  const PhaseTimers& phase_times() const { return phases_; }
   void set_telemetry_enabled(bool on) {
     telem_.set_enabled(on && FLEXNET_TELEMETRY != 0);
   }
@@ -174,7 +177,7 @@ class Network final : public CongestionOracle {
   /// rings ordered by arrival cycle (fixed latency, monotone clock).
   struct DirLink {
     RouterId to = kInvalidRouter;
-    PortIndex to_port = kInvalidPort;
+    int to_input = -1;  ///< global input index the link feeds
     int latency = 1;
     EventLane<FlyingPacket> data;
     EventLane<FlyingCredit> credits;  ///< toward this link's sender
@@ -184,12 +187,18 @@ class Network final : public CongestionOracle {
   /// packet of an input VC commits to one (output port, downstream VC) and
   /// then waits for its credits through switch allocation. A *safe*
   /// commitment may be waited on indefinitely; an opportunistic one is
-  /// dropped and re-made the moment its credits disappear.
+  /// dropped and re-made the moment its credits disappear. Holds only the
+  /// scalars of the chosen RouteOption that revalidation and grant() read.
   struct Commitment {
     PacketId pkt = -1;  ///< head packet this commitment belongs to
-    RouteOption option;
+    PortIndex out_port = kInvalidPort;
     VcIndex out_vc = kInvalidVc;
     int out_position = -1;
+    RouterId valiant_after = kInvalidRouter;
+    RouteKind kind_after = RouteKind::kMinimal;
+    bool ejection = false;
+    bool is_escape = false;
+    bool valiant_reached_after = false;
     bool safe = false;
   };
 
@@ -227,7 +236,7 @@ class Network final : public CongestionOracle {
   struct Request {
     PortIndex in_port = kInvalidPort;
     VcIndex in_vc = kInvalidVc;
-    int output = -1;  ///< unified output index (network port or ejection)
+    int output = -1;  ///< router-local output (network port or ejection)
   };
 
   /// Ejection staged at grant time: node-local consumption state advances
@@ -251,7 +260,13 @@ class Network final : public CongestionOracle {
     int domain = 0;
     std::vector<RouteOption> options;
     std::vector<VcCandidate> cands;
-    std::vector<std::int32_t> touched;      ///< output lanes filled this iter
+    /// Allocator request lanes and matched flags of the router being
+    /// allocated, indexed by router-local output: sized once for the
+    /// widest router, so one router's lanes stay in cache and domains
+    /// never share a line.
+    std::vector<std::vector<Request>> lanes;
+    std::vector<char> out_matched;
+    std::vector<std::int32_t> touched;      ///< lanes filled this iteration
     std::vector<StagedConsume> consumed;    ///< ejections for the barrier
     std::vector<std::int32_t> credit_adds;  ///< cross-domain credit-lane ids
     std::vector<std::int32_t> data_adds;    ///< cross-domain data-lane ids
@@ -270,6 +285,10 @@ class Network final : public CongestionOracle {
   int eject_output_index(RouterId r, int node_local, MsgClass cls) const;
 
   void build();
+  /// Charges the time since the previous lap to phase p (telemetry on).
+  void lap(StepPhase p) {
+    FLEXNET_TELEM(if (telem_.enabled()) phases_.lap(p));
+  }
   void deliver_data(int d, Cycle now);
   void deliver_credits(int d, Cycle now);
   void allocate(RouterId r, Cycle now, DomainScratch& ds);
@@ -279,6 +298,19 @@ class Network final : public CongestionOracle {
                    DomainScratch& ds);
   bool find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
                    Request& req, DomainScratch& ds);
+  static void commit_to(Commitment& c, PacketId pkt, const RouteOption& opt,
+                        VcIndex out_vc, int out_position, bool safe) {
+    c.pkt = pkt;
+    c.out_port = opt.out_port;
+    c.out_vc = out_vc;
+    c.out_position = out_position;
+    c.valiant_after = opt.valiant_after;
+    c.kind_after = opt.kind_after;
+    c.ejection = opt.ejection;
+    c.is_escape = opt.is_escape;
+    c.valiant_reached_after = opt.valiant_reached_after;
+    c.safe = safe;
+  }
   void grant(RouterId r, const Request& req, Cycle now, DomainScratch& ds);
   /// One output link's serializer turn; returns the cycle the link is next
   /// due in the serializer wheel, or TimingWheel::kIdle when it has no
@@ -317,7 +349,7 @@ class Network final : public CongestionOracle {
     std::uint64_t& bits = armed_[static_cast<std::size_t>(gi)];
     const std::uint64_t bit = std::uint64_t{1} << vc;
     if ((bits & bit) == 0) {
-      if (bits == 0 && port_masks_ok_)
+      if (bits == 0)
         armed_inputs_[static_cast<std::size_t>(r)] |=
             std::uint64_t{1}
             << (gi - in_index_[static_cast<std::size_t>(r)]);
@@ -330,7 +362,7 @@ class Network final : public CongestionOracle {
     const std::uint64_t bit = std::uint64_t{1} << vc;
     if ((bits & bit) != 0) {
       bits &= ~bit;
-      if (bits == 0 && port_masks_ok_)
+      if (bits == 0)
         armed_inputs_[static_cast<std::size_t>(r)] &=
             ~(std::uint64_t{1}
               << (gi - in_index_[static_cast<std::size_t>(r)]));
@@ -451,6 +483,7 @@ class Network final : public CongestionOracle {
   std::vector<Commitment> commits_;        // flat (input, vc) slots
   std::vector<int> commit_index_;  // per global input: first commit slot
   std::vector<int> in_index_;      // per router + sentinel
+  std::vector<std::int32_t> upstream_link_;  // per global input (-1: inject)
   std::vector<RoundRobinArbiter> out_arb_;  // by global output index
   std::vector<int> output_index_;           // per router + sentinel
   std::vector<Rng> rng_;                    // per router
@@ -495,12 +528,9 @@ class Network final : public CongestionOracle {
   std::vector<std::int32_t> wait_link_;     // per (input, VC) commit slot
   std::vector<std::vector<std::int32_t>> link_waiters_;  // per link: (gi<<6)|vc
   std::vector<std::int32_t> input_router_;  // per global input: owning router
-  // Bitmask accelerator, valid only when every router's input count fits
-  // a 64-bit word (true for every shipped topology; wider radixes fall
-  // back to the dense scan): armed_inputs_[r] holds the input ports with
-  // any armed VC — stage 1 iterates set bits instead of scanning every
-  // port.
-  bool port_masks_ok_ = false;
+  // armed_inputs_[r] holds the input ports with any armed VC — stage 1
+  // iterates set bits instead of scanning every port. One word per router:
+  // the constructor rejects topologies with more than 64 inputs a router.
   std::vector<std::uint64_t> armed_inputs_;  // per router
   // Uncommitted heads may sleep on their blocking resource's wake edges
   // only when re-running VC allocation is pure: a draw-free routing
@@ -513,8 +543,7 @@ class Network final : public CongestionOracle {
   // Per domain: ring of per-cycle wake buckets, entries (gi<<6)|vc.
   std::vector<std::vector<std::vector<std::int32_t>>> eject_wake_;
 
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::unique_ptr<TrafficPattern> pattern_;
+  std::unique_ptr<Nodes> nodes_;
 
   Metrics metrics_;
   Cycle last_grant_ = 0;
@@ -524,15 +553,6 @@ class Network final : public CongestionOracle {
   std::int64_t lowest_picks_ = 0;
   std::int64_t re_requests_ = 0;
   PacketId next_packet_id_ = 0;
-
-  // Allocator scratch flattened into the SoA router state: request lanes
-  // per *global* output and matched flags per *global* input/output, so
-  // parallel domains never share a scratch line and each pass clears only
-  // its own router's subranges. Sized once in build(); never resized on
-  // the hot path.
-  std::vector<std::vector<Request>> requests_;  // per global output
-  std::vector<char> in_matched_;   // per global input
-  std::vector<char> out_matched_;  // per global output
 
   // Opt-in diagnostics: the per-pool-slot router-route side store is
   // recorded when either consumer is active — the FLEXNET_DEBUG_STUCK
@@ -544,6 +564,7 @@ class Network final : public CongestionOracle {
   // Per-network telemetry counters; hot-path updates are compiled away
   // when FLEXNET_TELEMETRY is 0 and branch-gated on enabled() otherwise.
   TelemetryCounters telem_;
+  PhaseTimers phases_;
   TraceWriter* trace_ = nullptr;
   int trace_pid_ = 0;
 };

@@ -2,88 +2,118 @@
 
 #include "common/check.hpp"
 #include "scenario/registry.hpp"
+#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 namespace flexnet {
 
-Node::Node(NodeId id, const SimConfig& config, const TrafficPattern& pattern,
-           Rng rng)
-    : id_(id), config_(config), pattern_(pattern), rng_(rng) {
-  // Reactive traffic offers `load` counting both requests and the replies
-  // they spawn, so requests are generated at half the configured load
-  // (SIV-B; keeps the injection channel's 1 phit/cycle budget feasible).
-  const double request_load = config_.reactive ? config_.load / 2 : config_.load;
-  process_ =
-      traffic_registry().at(config_.traffic).make.process(config_, request_load);
+namespace {
+
+// Reactive traffic offers `load` counting both requests and the replies
+// they spawn, so requests are generated at half the configured load
+// (SIV-B; keeps the injection channel's 1 phit/cycle budget feasible).
+double request_load(const SimConfig& config) {
+  return config.reactive ? config.load / 2 : config.load;
 }
 
-void Node::step(Cycle now, Network& net) {
-  generate(now, net);
-  inject(now, net);
+}  // namespace
+
+Nodes::Nodes(const SimConfig& config, const Topology& topo, const Rng& base)
+    : config_(config),
+      pattern_(traffic_registry().at(config.traffic).make.pattern(topo,
+                                                                  config)),
+      process_(traffic_registry().at(config.traffic).make.process(
+          config, request_load(config))) {
+  const auto n = static_cast<std::size_t>(topo.num_nodes());
+  rng_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    rng_.push_back(base.split(0x100000 + static_cast<std::uint64_t>(i)));
+  state_.assign(n, InjectionState{});
+  burst_dst_.assign(n, kInvalidNode);
+  queued_.assign(n, 0);
+  nodes_.resize(n);
+  backlog_.reserve(n);
 }
 
-void Node::inject(Cycle now, Network& net) {
-  // The injection channel carries one phit per cycle: at most one packet
-  // per packet_size cycles enters the router.
-  if (inject_busy_until_ > now) return;
+void Nodes::step(Cycle now, Network& net, Metrics& metrics) {
+  backlog_.clear();
+  const NodeId count = size();
+  for (NodeId n = 0; n < count; ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    const Emission e = process_.step(state_[i], rng_[i]);
+    if (e != Emission::kNone) {
+      if (e == Emission::kNewBurst)
+        burst_dst_[i] = pattern_->destination(n, rng_[i]);
+      Packet pkt;
+      pkt.src = n;
+      pkt.dst = burst_dst_[i];
+      pkt.size = config_.effective_packet_phits();
+      pkt.cls = MsgClass::kRequest;
+      pkt.created = now;
+      pkt.vc_position = kInjectionPosition;
+      enqueue(n, pkt);
+      metrics.on_generated(pkt.size);
+    }
+    if (queued_[i] > 0) backlog_.push_back(n);
+  }
+  for (const NodeId n : backlog_) inject(n, now, net);
+}
+
+void Nodes::enqueue(NodeId n, const Packet& pkt) {
+  nodes_[static_cast<std::size_t>(n)]
+      .source[static_cast<int>(pkt.cls)]
+      .push_back(pkt);
+  ++queued_[static_cast<std::size_t>(n)];
+}
+
+void Nodes::inject(NodeId n, Cycle now, Network& net) {
+  Node& node = nodes_[static_cast<std::size_t>(n)];
+  if (node.inject_busy_until > now) return;
   // Replies first: they unblock request consumption at remote nodes.
   for (int c : {static_cast<int>(MsgClass::kReply),
                 static_cast<int>(MsgClass::kRequest)}) {
-    auto& queue = source_[c];
+    EventLane<Packet>& queue = node.source[c];
     if (queue.empty()) continue;
     if (queue.front().created > now) continue;  // reply not materialized yet
-    if (net.try_inject(id_, queue.front(), now)) {
+    Packet pkt = queue.front();
+    if (net.try_inject(n, pkt, now)) {
       queue.pop_front();
-      inject_busy_until_ = now + config_.effective_packet_phits();
+      --queued_[static_cast<std::size_t>(n)];
+      node.inject_busy_until = now + config_.effective_packet_phits();
       return;
     }
   }
 }
 
-void Node::generate(Cycle now, Network& net) {
-  if (!process_->step(rng_)) return;
-  // Non-bursty processes report every packet as a new burst, so this is
-  // the only destination-refresh rule needed for any registered traffic.
-  if (process_->new_burst() || burst_destination_ == kInvalidNode) {
-    burst_destination_ = pattern_.destination(id_, rng_);
-  }
-  Packet pkt;
-  pkt.src = id_;
-  pkt.dst = burst_destination_;
-  pkt.size = config_.effective_packet_phits();
-  pkt.cls = MsgClass::kRequest;
-  pkt.created = now;
-  pkt.vc_position = kInjectionPosition;
-  source_[static_cast<int>(MsgClass::kRequest)].push_back(pkt);
-  net.metrics().on_generated(pkt.size);
-}
-
-bool Node::can_consume(MsgClass cls, Cycle now) const {
-  if (consume_busy_until_[static_cast<int>(cls)] > now) return false;
+bool Nodes::can_consume(NodeId n, MsgClass cls, Cycle now) const {
+  const Node& node = nodes_[static_cast<std::size_t>(n)];
+  if (node.consume_busy_until[static_cast<int>(cls)] > now) return false;
   if (cls == MsgClass::kRequest && config_.reactive) {
     // A request can only be consumed when the reply it triggers has room in
     // the reply source queue (protocol dependency).
-    return source_backlog(MsgClass::kReply) <
+    return static_cast<std::int64_t>(
+               node.source[static_cast<int>(MsgClass::kReply)].size()) <
            config_.reply_queue_capacity;
   }
   return true;
 }
 
-Cycle Node::consume(const Packet& pkt, Cycle now) {
-  FLEXNET_DCHECK(can_consume(pkt.cls, now));
+Cycle Nodes::consume(const Packet& pkt, Cycle now) {
+  FLEXNET_DCHECK(can_consume(pkt.dst, pkt.cls, now));
   // The consumption channel moves one phit per cycle; the router pipeline
   // adds latency but overlaps with the next packet's transfer.
   const Cycle completion = now + config_.pipeline_latency + pkt.size;
-  consume_busy_until_[static_cast<int>(pkt.cls)] = now + pkt.size;
+  nodes_[static_cast<std::size_t>(pkt.dst)]
+      .consume_busy_until[static_cast<int>(pkt.cls)] = now + pkt.size;
   if (consume_spawns_reply(pkt)) {
     Packet reply;
-    reply.src = id_;
+    reply.src = pkt.dst;
     reply.dst = pkt.src;
     reply.size = config_.effective_packet_phits();
     reply.cls = MsgClass::kReply;
     reply.created = completion;
     reply.vc_position = kInjectionPosition;
-    source_[static_cast<int>(MsgClass::kReply)].push_back(reply);
+    enqueue(pkt.dst, reply);
   }
   return completion;
 }

@@ -1,78 +1,99 @@
 // Computing-node model: traffic generation, bounded-bandwidth injection,
 // separate request/reply consumption ports, and reply generation for
 // reactive (request-reply) traffic.
+//
+// All nodes live in one Nodes object, struct-of-arrays: the per-node RNG
+// streams, injection-process states and burst destinations that the
+// generation pass reads every cycle sit in flat arrays of their own, and
+// the source queues and port timers sit in a by-value node array that only
+// backlogged nodes touch.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "buffers/packet.hpp"
+#include "common/event_lane.hpp"
 #include "common/rng.hpp"
 #include "sim/config.hpp"
+#include "topology/topology.hpp"
 #include "traffic/traffic.hpp"
 
 namespace flexnet {
 
+class Metrics;
 class Network;
 
-class Node {
+class Nodes {
  public:
-  Node(NodeId id, const SimConfig& config, const TrafficPattern& pattern,
-       Rng rng);
+  /// Node n draws from `base.split(0x100000 + n)`.
+  Nodes(const SimConfig& config, const Topology& topo, const Rng& base);
 
-  /// Generates traffic for this cycle and moves source-queue heads into the
-  /// router's injection buffers (at most one packet per packet_size cycles:
-  /// the injection channel is one phit per cycle).
-  void step(Cycle now, Network& net);
+  int size() const { return static_cast<int>(nodes_.size()); }
 
-  /// Whether the consumption port of the class can take a packet now. For
-  /// requests under reactive traffic this also requires room in the reply
-  /// source queue: the protocol dependency that makes request-reply
+  /// The node phase of one cycle. A dense pass advances every node's
+  /// injection process in ascending id, appending generated requests to
+  /// the source queues; then the nodes holding queued packets, again in
+  /// ascending id, move a source-queue head into their router's injection
+  /// buffer (at most one packet per packet_size cycles: the injection
+  /// channel is one phit per cycle). Splitting the passes is bit-identical
+  /// to stepping node by node: generation draws only from the node's own
+  /// stream, reads no network state, and feeds Metrics an integer phit
+  /// sum, while injection keeps its ascending node order.
+  void step(Cycle now, Network& net, Metrics& metrics);
+
+  /// Whether node n's consumption port of the class can take a packet now.
+  /// For requests under reactive traffic this also requires room in the
+  /// reply source queue: the protocol dependency that makes request-reply
   /// deadlock possible when VCs are misconfigured.
-  bool can_consume(MsgClass cls, Cycle now) const;
+  bool can_consume(NodeId n, MsgClass cls, Cycle now) const;
 
-  /// Accepts a packet at the consumption port (called on an ejection
-  /// grant); returns the completion cycle of the transfer. Touches only
-  /// node-local state (consumption ports, the reply source queue) — the
-  /// global side effects (metrics, pool release, trace) are staged by the
-  /// Network so ejections in parallel allocation domains apply them in a
-  /// deterministic serial order at the cycle barrier.
+  /// Accepts a packet at node `pkt.dst`'s consumption port (called on an
+  /// ejection grant); returns the completion cycle of the transfer.
+  /// Touches only that node's state (consumption ports, the reply source
+  /// queue) — the global side effects (metrics, pool release, trace) are
+  /// staged by the Network so ejections in parallel allocation domains
+  /// apply them in a deterministic serial order at the cycle barrier.
   Cycle consume(const Packet& pkt, Cycle now);
 
-  /// Whether consuming `pkt` now enqueues a reply (reactive request):
-  /// Network stages the generation metric for it alongside on_consumed.
+  /// Whether consuming `pkt` enqueues a reply (reactive request): Network
+  /// stages the generation metric for it alongside on_consumed.
   bool consume_spawns_reply(const Packet& pkt) const {
     return config_.reactive && pkt.cls == MsgClass::kRequest;
   }
 
-  /// First cycle the class's consumption port is free again. When this is
-  /// in the future, can_consume is false until exactly this cycle — the
-  /// allocator's pruning uses it to sleep ejection-blocked slots on a
-  /// timer instead of re-arbitrating them every cycle.
-  Cycle consume_free_at(MsgClass cls) const {
-    return consume_busy_until_[static_cast<int>(cls)];
-  }
-
-  NodeId id() const { return id_; }
-  std::int64_t source_backlog(MsgClass cls) const {
-    return static_cast<std::int64_t>(
-        source_[static_cast<int>(cls)].size());
+  /// First cycle node n's consumption port of the class is free again.
+  /// When this is in the future, can_consume is false until exactly this
+  /// cycle — the allocator's pruning uses it to sleep ejection-blocked
+  /// slots on a timer instead of re-arbitrating them every cycle.
+  Cycle consume_free_at(NodeId n, MsgClass cls) const {
+    return nodes_[static_cast<std::size_t>(n)]
+        .consume_busy_until[static_cast<int>(cls)];
   }
 
  private:
-  void generate(Cycle now, Network& net);
-  void inject(Cycle now, Network& net);
+  /// Queues and port timers of one node.
+  struct Node {
+    EventLane<Packet> source[kNumMsgClasses];
+    Cycle inject_busy_until = 0;
+    Cycle consume_busy_until[kNumMsgClasses] = {0, 0};
+  };
 
-  NodeId id_;
+  void enqueue(NodeId n, const Packet& pkt);
+  void inject(NodeId n, Cycle now, Network& net);
+
   const SimConfig& config_;
-  const TrafficPattern& pattern_;
-  Rng rng_;
-  std::unique_ptr<InjectionProcess> process_;
-
-  std::deque<Packet> source_[kNumMsgClasses];
-  NodeId burst_destination_ = kInvalidNode;
-  Cycle inject_busy_until_ = 0;
-  Cycle consume_busy_until_[kNumMsgClasses] = {0, 0};
+  std::unique_ptr<TrafficPattern> pattern_;
+  InjectionProcess process_;
+  // Generation state, per node.
+  std::vector<Rng> rng_;
+  std::vector<InjectionState> state_;
+  std::vector<NodeId> burst_dst_;
+  /// Packets in both source queues, per node: the injection pass's filter.
+  std::vector<std::int32_t> queued_;
+  std::vector<Node> nodes_;
+  std::vector<NodeId> backlog_;  ///< injection-pass scratch
 };
 
 }  // namespace flexnet

@@ -87,11 +87,15 @@ HopSeq Dragonfly::min_hop_types(RouterId from, RouterId to) const {
     seq.push_back(LinkType::kLocal);
     return seq;
   }
-  PortIndex global_port = kInvalidPort;
-  const RouterId owner = global_link_owner(from, gt, global_port);
-  if (owner != from) seq.push_back(LinkType::kLocal);
+  // Palmtree: channel k of the source group lands on channel a*h - 1 - k
+  // of the destination group, so the entry router follows without a
+  // wiring lookup.
+  const int channel = global_channel(gf, gt);
+  if (router_id(gf, channel_router_index(channel)) != from)
+    seq.push_back(LinkType::kLocal);
   seq.push_back(LinkType::kGlobal);
-  const RouterId entry = port(owner, global_port).neighbor;
+  const RouterId entry = router_id(
+      gt, channel_router_index(params_.a * params_.h - 1 - channel));
   if (entry != to) seq.push_back(LinkType::kLocal);
   return seq;
 }

@@ -30,7 +30,9 @@ class Topology {
 
   virtual std::string name() const = 0;
 
-  int num_routers() const { return static_cast<int>(ports_.size()); }
+  int num_routers() const {
+    return static_cast<int>(port_index_.size()) - 1;
+  }
   int num_nodes() const { return num_routers() * concentration_; }
 
   /// Computing nodes attached per router (the paper's p).
@@ -40,7 +42,8 @@ class Topology {
   NodeId first_node_of_router(RouterId r) const { return r * concentration_; }
 
   int num_network_ports(RouterId r) const {
-    return static_cast<int>(ports_[static_cast<std::size_t>(r)].size());
+    return port_index_[static_cast<std::size_t>(r) + 1] -
+           port_index_[static_cast<std::size_t>(r)];
   }
 
   /// Sum / maximum of num_network_ports over all routers — the sizes the
@@ -49,7 +52,8 @@ class Topology {
   int max_network_ports() const;
 
   const PortDesc& port(RouterId r, PortIndex p) const {
-    return ports_[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
+    return ports_[static_cast<std::size_t>(
+        port_index_[static_cast<std::size_t>(r)] + p)];
   }
 
   /// True when the network has topology-induced link-type restrictions
@@ -95,14 +99,19 @@ class Topology {
  protected:
   explicit Topology(int concentration) : concentration_(concentration) {}
 
-  /// Subclasses fill the wiring via add_router/connect.
+  /// Subclasses size the wiring here, then fill it via set_port.
   void resize_routers(int n, int ports_per_router) {
-    ports_.assign(static_cast<std::size_t>(n),
-                  std::vector<PortDesc>(static_cast<std::size_t>(ports_per_router)));
+    port_index_.resize(static_cast<std::size_t>(n) + 1);
+    for (int r = 0; r <= n; ++r)
+      port_index_[static_cast<std::size_t>(r)] = r * ports_per_router;
+    ports_.assign(static_cast<std::size_t>(n) *
+                      static_cast<std::size_t>(ports_per_router),
+                  PortDesc{});
   }
 
   void set_port(RouterId r, PortIndex p, const PortDesc& desc) {
-    ports_[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)] = desc;
+    ports_[static_cast<std::size_t>(
+        port_index_[static_cast<std::size_t>(r)] + p)] = desc;
   }
 
   /// Verifies that the wiring is a symmetric involution: every port connects
@@ -112,7 +121,10 @@ class Topology {
 
  private:
   int concentration_;
-  std::vector<std::vector<PortDesc>> ports_;
+  // Every router's ports in one flat array: router r owns
+  // [port_index_[r], port_index_[r + 1]) (the table carries a sentinel).
+  std::vector<PortDesc> ports_;
+  std::vector<int> port_index_ = {0};
 };
 
 /// BFS hop distances from `from` to every router — the reference oracle the

@@ -28,33 +28,20 @@ NodeId AdversarialPattern::destination(NodeId src, Rng& rng) const {
                      rng.next_below(static_cast<std::uint64_t>(span)));
 }
 
-OnOffProcess::OnOffProcess(double load, int packet_size,
-                           double mean_burst_packets)
-    : packet_size_(packet_size),
-      burst_exit_prob_(1.0 / mean_burst_packets) {
+InjectionProcess InjectionProcess::bernoulli(double load, int packet_size) {
+  return InjectionProcess(false, packet_size, load / packet_size, 0.0);
+}
+
+InjectionProcess InjectionProcess::on_off(double load, int packet_size,
+                                          double mean_burst_packets) {
   FLEXNET_CHECK(load > 0.0 && load <= 1.0);
   FLEXNET_CHECK(mean_burst_packets >= 1.0);
   // Load = ON fraction: mean ON cycles = burst * size; solve for mean OFF.
   const double mean_on = mean_burst_packets * packet_size;
   const double mean_off = mean_on * (1.0 - load) / load;
-  on_prob_ = mean_off <= 0.0 ? 1.0 : 1.0 / mean_off;
-}
-
-bool OnOffProcess::step(Rng& rng) {
-  new_burst_ = false;
-  if (state_ == State::kOff) {
-    if (!rng.next_bernoulli(on_prob_)) return false;
-    state_ = State::kOn;
-    phase_ = 0;
-    new_burst_ = true;
-  }
-  const bool generate = phase_ == 0;
-  ++phase_;
-  if (phase_ == packet_size_) {
-    phase_ = 0;
-    if (rng.next_bernoulli(burst_exit_prob_)) state_ = State::kOff;
-  }
-  return generate;
+  return InjectionProcess(true, packet_size,
+                          mean_off <= 0.0 ? 1.0 : 1.0 / mean_off,
+                          1.0 / mean_burst_packets);
 }
 
 std::unique_ptr<TrafficPattern> make_pattern(const std::string& name,
@@ -76,9 +63,9 @@ FLEXNET_REGISTER_TRAFFIC({
           return std::make_unique<UniformPattern>(topo.num_nodes());
         },
         [](const SimConfig& cfg, double request_load)
-            -> std::unique_ptr<InjectionProcess> {
-          return std::make_unique<BernoulliProcess>(
-              request_load, cfg.effective_packet_phits());
+            -> InjectionProcess {
+          return InjectionProcess::bernoulli(request_load,
+                                             cfg.effective_packet_phits());
         }},
     nullptr})
 
@@ -92,8 +79,8 @@ FLEXNET_REGISTER_TRAFFIC({
           return std::make_unique<UniformPattern>(topo.num_nodes());
         },
         [](const SimConfig& cfg, double request_load)
-            -> std::unique_ptr<InjectionProcess> {
-          return std::make_unique<OnOffProcess>(
+            -> InjectionProcess {
+          return InjectionProcess::on_off(
               request_load, cfg.effective_packet_phits(), cfg.burst_length);
         }},
     [](const SimConfig& cfg) {
@@ -112,9 +99,9 @@ FLEXNET_REGISTER_TRAFFIC({
               topo, cfg.adversarial_offset);
         },
         [](const SimConfig& cfg, double request_load)
-            -> std::unique_ptr<InjectionProcess> {
-          return std::make_unique<BernoulliProcess>(
-              request_load, cfg.effective_packet_phits());
+            -> InjectionProcess {
+          return InjectionProcess::bernoulli(request_load,
+                                             cfg.effective_packet_phits());
         }},
     [](const SimConfig& cfg) {
       if (cfg.adversarial_offset < 1)

@@ -9,6 +9,7 @@
 // generate requests and return a reply for every consumed request.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -53,53 +54,64 @@ class AdversarialPattern final : public TrafficPattern {
   int offset_;
 };
 
+/// Per-node state of an injection process. The network keeps one per node
+/// in a flat array and advances them all in one ascending-id pass.
+struct InjectionState {
+  /// ON/OFF: cycles into the current packet slot while ON, -1 while OFF.
+  std::int32_t phase = -1;
+};
+
+/// What one cycle of an injection process produced. A new burst takes a
+/// fresh destination; a packet inside a burst keeps the burst's.
+enum class Emission : std::uint8_t { kNone, kPacket, kNewBurst };
+
+/// The packet-generation process every node runs (one value shared by all
+/// nodes; their states live apart, in InjectionState).
+///   * Bernoulli: probability load/packet_size per cycle (load in
+///     phits/node/cycle); every packet starts its own burst.
+///   * ON/OFF: two-state Markov process (Adas'97 model, found
+///     representative of data-center traffic). While ON the node emits
+///     back-to-back packets (one per packet_size cycles); after each
+///     packet it leaves the burst with probability 1/mean_burst. OFF
+///     durations are geometric with the mean that yields the requested
+///     load.
 class InjectionProcess {
  public:
-  virtual ~InjectionProcess() = default;
-  virtual std::string name() const = 0;
-  /// Advances one cycle; true when a packet is generated this cycle.
-  virtual bool step(Rng& rng) = 0;
-  /// True when the packet generated by the latest step() starts a new burst
-  /// (bursty patterns keep one destination per burst).
-  virtual bool new_burst() const { return true; }
-};
+  static InjectionProcess bernoulli(double load, int packet_size);
+  static InjectionProcess on_off(double load, int packet_size,
+                                 double mean_burst_packets);
 
-/// Bernoulli packet generation: probability load/packet_size per cycle
-/// (load in phits/node/cycle).
-class BernoulliProcess final : public InjectionProcess {
- public:
-  BernoulliProcess(double load, int packet_size)
-      : prob_(load / packet_size) {}
-  std::string name() const override { return "bernoulli"; }
-  bool step(Rng& rng) override { return rng.next_bernoulli(prob_); }
+  std::string name() const { return bursty_ ? "onoff" : "bernoulli"; }
 
- private:
-  double prob_;
-};
-
-/// Two-state ON/OFF Markov process (Adas'97 model, found representative of
-/// data-center traffic). While ON the node emits back-to-back packets (one
-/// per packet_size cycles); after each packet it leaves the burst with
-/// probability 1/mean_burst. OFF durations are geometric with the mean that
-/// yields the requested load.
-class OnOffProcess final : public InjectionProcess {
- public:
-  OnOffProcess(double load, int packet_size, double mean_burst_packets);
-  std::string name() const override { return "onoff"; }
-  bool step(Rng& rng) override;
-  bool new_burst() const override { return new_burst_; }
-
-  bool on() const { return state_ == State::kOn; }
+  /// Advances one node's process by one cycle, drawing from its stream.
+  Emission step(InjectionState& state, Rng& rng) const {
+    if (!bursty_)
+      return rng.next_bernoulli(prob_) ? Emission::kNewBurst : Emission::kNone;
+    Emission out = Emission::kPacket;
+    if (state.phase < 0) {
+      if (!rng.next_bernoulli(prob_)) return Emission::kNone;
+      state.phase = 0;
+      out = Emission::kNewBurst;
+    }
+    if (state.phase != 0) out = Emission::kNone;
+    if (++state.phase == packet_size_) {
+      state.phase = rng.next_bernoulli(burst_exit_prob_) ? -1 : 0;
+    }
+    return out;
+  }
 
  private:
-  enum class State { kOff, kOn };
+  InjectionProcess(bool bursty, int packet_size, double prob,
+                   double burst_exit_prob)
+      : bursty_(bursty),
+        packet_size_(packet_size),
+        prob_(prob),
+        burst_exit_prob_(burst_exit_prob) {}
 
+  bool bursty_;
   int packet_size_;
-  double burst_exit_prob_;  ///< 1 / mean burst length (packets)
-  double on_prob_;          ///< OFF -> ON transition probability per cycle
-  State state_ = State::kOff;
-  int phase_ = 0;  ///< cycles into the current packet slot while ON
-  bool new_burst_ = false;
+  double prob_;  ///< Bernoulli: per-cycle emission; ON/OFF: OFF -> ON
+  double burst_exit_prob_;  ///< ON/OFF: 1 / mean burst length (packets)
 };
 
 std::unique_ptr<TrafficPattern> make_pattern(const std::string& name,

@@ -71,6 +71,69 @@ TEST(StaticInputBuffer, LongFifoSurvivesRingGrowth) {
   EXPECT_EQ(buf.occupancy(), 0);
 }
 
+// Every VC's ring lives in one block per port; a full ring doubles by
+// rebuilding the block, so growth must carry the other VCs' live entries
+// (and a wrapped head) over unchanged.
+TEST(StaticInputBuffer, RingWrapAndGrowthWhileOtherVcsHoldEntries) {
+  InputBuffer buf(3, 1024);
+  buf.push(0, 100, 1);
+  buf.push(0, 101, 2);
+  buf.push(2, 200, 3);
+  // Wrap VC1's ring past its initial capacity, then grow it from a
+  // wrapped head through several doublings.
+  for (int i = 0; i < 9; ++i) {
+    buf.push(1, i, 1);
+    ASSERT_EQ(buf.pop(1).ref, i);
+  }
+  for (int i = 0; i < 40; ++i) buf.push(1, 10 + i, 1 + i % 3);
+  EXPECT_EQ(buf.packets(1), 40);
+  EXPECT_EQ(buf.front(0), 100);
+  EXPECT_EQ(buf.packets(0), 2);
+  EXPECT_EQ(buf.occupancy(0), 3);
+  EXPECT_EQ(buf.front(2), 200);
+  EXPECT_EQ(buf.front_phits(2), 3);
+  // Grow VC0 while VC1 holds 40 entries and VC2 one.
+  for (int i = 0; i < 10; ++i) buf.push(0, 102 + i, 1);
+  for (int i = 0; i < 40; ++i) {
+    const BufferSlot slot = buf.pop(1);
+    ASSERT_EQ(slot.ref, 10 + i);
+    ASSERT_EQ(slot.phits, 1 + i % 3);
+  }
+  for (int i = 0; i < 12; ++i) ASSERT_EQ(buf.pop(0).ref, 100 + i);
+  EXPECT_EQ(buf.pop(2).ref, 200);
+  EXPECT_EQ(buf.occupancy(), 0);
+  for (VcIndex vc = 0; vc < 3; ++vc) EXPECT_TRUE(buf.empty(vc));
+}
+
+TEST(StaticInputBuffer, AddPhitOnWrappedTail) {
+  InputBuffer buf(2, 64);
+  buf.push(1, 50, 4);  // a live neighbour VC
+  for (int i = 0; i < 3; ++i) {
+    buf.push(0, i, 1);
+    buf.pop(0);
+  }
+  // Head sits at the ring's last slot; the second packet's tail wraps.
+  buf.push(0, 10, 1);
+  buf.push(0, 11, 1);
+  buf.add_phit(0, 11);
+  buf.add_phit(0, 11);
+  EXPECT_EQ(buf.front_phits(0), 1);
+  EXPECT_EQ(buf.occupancy(0), 4);
+  // Grow from the wrapped state, then extend the new tail.
+  for (int i = 12; i < 16; ++i) buf.push(0, i, 1);
+  buf.add_phit(0, 15);
+  EXPECT_EQ(buf.occupancy(0), 9);
+  const BufferSlot first = buf.pop(0);
+  EXPECT_EQ(first.ref, 10);
+  EXPECT_EQ(first.phits, 1);
+  EXPECT_EQ(buf.front_phits(0), 3);
+  EXPECT_EQ(buf.pop(0).phits, 3);
+  for (int i = 12; i < 15; ++i) EXPECT_EQ(buf.pop(0).phits, 1);
+  EXPECT_EQ(buf.pop(0).phits, 2);
+  EXPECT_EQ(buf.front(1), 50);
+  EXPECT_EQ(buf.occupancy(), 4);
+}
+
 // --- DAMQ (shared > 0).
 
 TEST(DamqInputBuffer, SharedPoolExtendsPrivate) {
@@ -146,6 +209,57 @@ TEST(DamqInputBuffer, IncrementalSharedUseMatchesScanUnderRandomTraffic) {
       scan += std::max(0, occ - private_per_vc);
     }
     ASSERT_EQ(buf.shared_used(), scan) << "step " << step;
+  }
+}
+
+TEST(DamqInputBuffer, FlitArrivalsKeepSharedAccountingUnderGrowth) {
+  // Flit-level traffic: 1-phit heads that grow by add_phit, many packets
+  // per VC (so rings wrap and grow). Checked against a per-VC model after
+  // every operation: FIFO heads, packet counts, occupancies and the
+  // shared-pool overflow sum.
+  Rng rng(29);
+  const int private_per_vc = 6;
+  const int vcs = 3;
+  InputBuffer buf(vcs, private_per_vc, 30);
+  struct Queued {
+    int ref;
+    int phits;
+  };
+  std::vector<std::vector<Queued>> model(vcs);
+  int next_ref = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const VcIndex vc = static_cast<VcIndex>(rng.next_below(vcs));
+    auto& q = model[static_cast<std::size_t>(vc)];
+    const double op = rng.next_double();
+    if (op < 0.35) {
+      if (!buf.can_accept(vc, 1)) continue;
+      buf.push(vc, next_ref, 1);
+      q.push_back(Queued{next_ref++, 1});
+    } else if (op < 0.7) {
+      if (q.empty() || !buf.can_accept(vc, 1)) continue;
+      buf.add_phit(vc, q.back().ref);
+      ++q.back().phits;
+    } else if (!q.empty()) {
+      const BufferSlot slot = buf.pop(vc);
+      ASSERT_EQ(slot.ref, q.front().ref) << "step " << step;
+      ASSERT_EQ(slot.phits, q.front().phits) << "step " << step;
+      q.erase(q.begin());
+    }
+    int scan = 0;
+    int total = 0;
+    for (VcIndex v = 0; v < vcs; ++v) {
+      const auto& mq = model[static_cast<std::size_t>(v)];
+      int occ = 0;
+      for (const Queued& e : mq) occ += e.phits;
+      ASSERT_EQ(buf.occupancy(v), occ) << "step " << step;
+      ASSERT_EQ(buf.packets(v), static_cast<int>(mq.size()));
+      ASSERT_EQ(buf.front(v), mq.empty() ? kInvalidPacketRef : mq.front().ref);
+      ASSERT_EQ(buf.front_phits(v), mq.empty() ? 0 : mq.front().phits);
+      scan += std::max(0, occ - private_per_vc);
+      total += occ;
+    }
+    ASSERT_EQ(buf.shared_used(), scan) << "step " << step;
+    ASSERT_EQ(buf.occupancy(), total);
   }
 }
 
@@ -261,6 +375,29 @@ TEST(CreditLedger, MirrorsDamqBufferExactly) {
     }
     ASSERT_EQ(ledger.occupied_port(), buf.occupancy());
   }
+}
+
+TEST(CreditLedger, AtItsVcCountLimit) {
+  // Per-VC counters sit inline: the last VC is as independent as the first.
+  constexpr int kVcs = CreditLedger::kMaxVcs;
+  CreditLedger ledger(kVcs, 4, 8);
+  EXPECT_EQ(ledger.num_vcs(), kVcs);
+  EXPECT_EQ(ledger.capacity_port(), kVcs * 4 + 8);
+  for (VcIndex v = 0; v < kVcs; ++v)
+    ledger.on_send(v, 4, v % 2 == 0 ? RouteKind::kMinimal
+                                    : RouteKind::kNonminimal);
+  EXPECT_EQ(ledger.free_for(kVcs - 1), 8);  // private full, shared left
+  ledger.on_send(kVcs - 1, 8, RouteKind::kMinimal);
+  EXPECT_EQ(ledger.occupied(kVcs - 1), 12);
+  EXPECT_EQ(ledger.occupied_min(kVcs - 1), 8);
+  EXPECT_EQ(ledger.occupied_min(kVcs - 2), 4);
+  EXPECT_EQ(ledger.occupied_port(), ledger.capacity_port());
+  EXPECT_EQ(ledger.occupied_min_port(), kVcs / 2 * 4 + 8);
+  for (VcIndex v = 0; v < kVcs; ++v) EXPECT_FALSE(ledger.can_send(v, 1));
+  ledger.on_credit(kVcs - 1, 8, RouteKind::kMinimal);
+  EXPECT_EQ(ledger.free_for(0), 8);  // the shared pool is back for VC 0
+  EXPECT_EQ(ledger.occupied(0), 4);
+  EXPECT_DEATH(CreditLedger(kVcs + 1, 4, 0), "1 to 16 VCs");
 }
 
 TEST(CreditLedger, ConservationInvariant) {

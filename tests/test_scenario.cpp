@@ -179,6 +179,33 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeLatencies) {
   EXPECT_NO_THROW(validate_config(edge));
 }
 
+TEST(BuiltinRegistries, RejectsRoutersWiderThanTheAllocatorMask) {
+  // Stage 1 of the allocator walks one 64-bit word of input ports per
+  // router (network + injection). Dragonfly(63,2,1) has 2 network ports
+  // and 63 nodes per router: 65 inputs.
+  SimConfig cfg;
+  cfg.dragonfly = {63, 2, 1};
+  const std::string msg = thrown_message([&] { Network net(cfg); });
+  EXPECT_NE(msg.find("dragonfly(p=63,a=2,h=1)"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("65 input ports"), std::string::npos) << msg;
+  // 62 nodes per router make exactly 64 inputs: accepted.
+  cfg.dragonfly = {62, 2, 1};
+  cfg.load = 0.0;
+  EXPECT_NO_THROW(Network net(cfg));
+}
+
+TEST(BuiltinRegistries, ValidateRejectsMoreVcsThanALedgerHolds) {
+  // A sender-side credit ledger keeps its per-VC counters inline.
+  SimConfig cfg;
+  cfg.vcs = "9/1+8/1";  // 17 local VCs per port
+  cfg.reactive = true;
+  const std::string msg = thrown_message([&] { validate_config(cfg); });
+  EXPECT_NE(msg.find("17 VCs"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'9/1+8/1'"), std::string::npos) << msg;
+  cfg.vcs = "8/1+8/1";  // 16: at the limit
+  EXPECT_NO_THROW(validate_config(cfg));
+}
+
 TEST(BuiltinRegistries, MinimumLatenciesDeliver) {
   // The smallest accepted timing, in packet and flit mode: one-cycle links
   // and a zero-cycle pipeline (a packet leaves the cycle it is granted).

@@ -129,6 +129,77 @@ TEST(Dragonfly, MinHopTypesFollowLglOrder) {
   }
 }
 
+/// Link types of the route built hop by hop from min_next_port and the
+/// port table — the reference min_hop_types computes arithmetically.
+HopSeq walked_min_hop_types(const Topology& topo, RouterId from,
+                            RouterId to) {
+  HopSeq seq;
+  for (RouterId at = from; at != to;) {
+    const PortDesc& hop = topo.port(at, topo.min_next_port(at, to));
+    seq.push_back(hop.type);
+    at = hop.neighbor;
+  }
+  return seq;
+}
+
+TEST(Dragonfly, MinHopTypesMatchTheWalkedRoute) {
+  for (const DragonflyParams params :
+       {DragonflyParams{2, 4, 2}, DragonflyParams{4, 8, 4}}) {
+    const Dragonfly topo(params);
+    for (RouterId from = 0; from < topo.num_routers(); ++from)
+      for (RouterId to = 0; to < topo.num_routers(); ++to)
+        ASSERT_EQ(topo.min_hop_types(from, to),
+                  walked_min_hop_types(topo, from, to))
+            << topo.name() << " " << from << "->" << to;
+  }
+  const Dragonfly paper(DragonflyParams::paper_scale());
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    const RouterId from = paper.random_router(rng);
+    const RouterId to = paper.random_router(rng);
+    ASSERT_EQ(paper.min_hop_types(from, to),
+              walked_min_hop_types(paper, from, to))
+        << from << "->" << to;
+  }
+}
+
+TEST(Dragonfly, FlatPortTableMatchesTheWiringAtEveryScale) {
+  // Every port, recomputed from the construction rules: a complete local
+  // graph per group (the port toward router j skips the self slot) and
+  // the palmtree global arrangement (channel k of group g reaches group
+  // g + k + 1 and lands on its channel a*h - 1 - k).
+  for (const DragonflyParams params :
+       {DragonflyParams{2, 4, 2}, DragonflyParams{4, 8, 4},
+        DragonflyParams::paper_scale()}) {
+    const Dragonfly topo(params);
+    const int a = params.a;
+    const int h = params.h;
+    const int groups = params.num_groups();
+    for (RouterId r = 0; r < topo.num_routers(); ++r) {
+      ASSERT_EQ(topo.num_network_ports(r), a - 1 + h);
+      const GroupId g = r / a;
+      const int i = r % a;
+      for (PortIndex p = 0; p < a - 1; ++p) {
+        const int j = p < i ? p : p + 1;
+        const PortDesc& desc = topo.port(r, p);
+        ASSERT_EQ(desc.type, LinkType::kLocal) << topo.name() << " " << r;
+        ASSERT_EQ(desc.neighbor, g * a + j) << topo.name() << " " << r;
+        ASSERT_EQ(desc.neighbor_port, i < j ? i : i - 1);
+      }
+      for (int c = 0; c < h; ++c) {
+        const int k = i * h + c;
+        const GroupId peer = (g + k + 1) % groups;
+        const int peer_channel = a * h - 1 - k;
+        const PortDesc& desc = topo.port(r, a - 1 + c);
+        ASSERT_EQ(desc.type, LinkType::kGlobal) << topo.name() << " " << r;
+        ASSERT_EQ(desc.neighbor, peer * a + peer_channel / h)
+            << topo.name() << " " << r;
+        ASSERT_EQ(desc.neighbor_port, a - 1 + peer_channel % h);
+      }
+    }
+  }
+}
+
 TEST(Dragonfly, GlobalLinkOwnerOwnsTheLink) {
   const Dragonfly topo({2, 4, 2});
   for (RouterId from = 0; from < topo.num_routers(); from += 3) {

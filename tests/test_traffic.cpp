@@ -67,12 +67,18 @@ TEST(AdversarialPattern, OffsetWraps) {
 }
 
 TEST(BernoulliProcess, MatchesLoad) {
-  BernoulliProcess proc(/*load=*/0.4, /*packet_size=*/8);
+  const auto proc = InjectionProcess::bernoulli(/*load=*/0.4, /*packet_size=*/8);
+  EXPECT_EQ(proc.name(), "bernoulli");
+  InjectionState state;
   Rng rng(11);
   int fired = 0;
   constexpr int kCycles = 200000;
-  for (int i = 0; i < kCycles; ++i)
-    if (proc.step(rng)) ++fired;
+  for (int i = 0; i < kCycles; ++i) {
+    const Emission e = proc.step(state, rng);
+    // Every Bernoulli packet is its own burst (a fresh destination).
+    ASSERT_NE(e, Emission::kPacket);
+    if (e == Emission::kNewBurst) ++fired;
+  }
   // 0.4 phits/cycle / 8 phits per packet = 0.05 packets/cycle.
   EXPECT_NEAR(fired / static_cast<double>(kCycles), 0.05, 0.002);
 }
@@ -80,25 +86,29 @@ TEST(BernoulliProcess, MatchesLoad) {
 TEST(OnOffProcess, MatchesLoadAcrossRates) {
   Rng rng(13);
   for (double load : {0.2, 0.5, 0.9}) {
-    OnOffProcess proc(load, /*packet_size=*/8, /*mean_burst=*/5.0);
+    const auto proc =
+        InjectionProcess::on_off(load, /*packet_size=*/8, /*mean_burst=*/5.0);
+    InjectionState state;
     int fired = 0;
     constexpr int kCycles = 400000;
     for (int i = 0; i < kCycles; ++i)
-      if (proc.step(rng)) ++fired;
+      if (proc.step(state, rng) != Emission::kNone) ++fired;
     EXPECT_NEAR(fired * 8.0 / kCycles, load, 0.03) << "load " << load;
   }
 }
 
 TEST(OnOffProcess, MeanBurstLengthIsFive) {
-  OnOffProcess proc(/*load=*/0.5, /*packet_size=*/8, /*mean_burst=*/5.0);
+  const auto proc =
+      InjectionProcess::on_off(/*load=*/0.5, /*packet_size=*/8, /*mean_burst=*/5.0);
+  EXPECT_EQ(proc.name(), "onoff");
+  InjectionState state;
   Rng rng(17);
   std::int64_t bursts = 0;
   std::int64_t packets = 0;
   for (int i = 0; i < 1000000; ++i) {
-    if (proc.step(rng)) {
-      ++packets;
-      if (proc.new_burst()) ++bursts;
-    }
+    const Emission e = proc.step(state, rng);
+    if (e != Emission::kNone) ++packets;
+    if (e == Emission::kNewBurst) ++bursts;
   }
   ASSERT_GT(bursts, 100);
   EXPECT_NEAR(static_cast<double>(packets) / static_cast<double>(bursts), 5.0,
@@ -107,12 +117,15 @@ TEST(OnOffProcess, MeanBurstLengthIsFive) {
 
 TEST(OnOffProcess, BackToBackWithinBurst) {
   // While ON, packets are generated exactly every packet_size cycles.
-  OnOffProcess proc(/*load=*/0.5, /*packet_size=*/4, /*mean_burst=*/50.0);
+  const auto proc =
+      InjectionProcess::on_off(/*load=*/0.5, /*packet_size=*/4, /*mean_burst=*/50.0);
+  InjectionState state;
   Rng rng(19);
   int last_fire = -1;
   for (int i = 0; i < 5000; ++i) {
-    if (proc.step(rng)) {
-      if (last_fire >= 0 && !proc.new_burst()) {
+    const Emission e = proc.step(state, rng);
+    if (e != Emission::kNone) {
+      if (last_fire >= 0 && e == Emission::kPacket) {
         EXPECT_EQ(i - last_fire, 4);
       }
       last_fire = i;
@@ -121,11 +134,13 @@ TEST(OnOffProcess, BackToBackWithinBurst) {
 }
 
 TEST(OnOffProcess, FullLoadNeverSleeps) {
-  OnOffProcess proc(/*load=*/1.0, /*packet_size=*/8, /*mean_burst=*/5.0);
+  const auto proc =
+      InjectionProcess::on_off(/*load=*/1.0, /*packet_size=*/8, /*mean_burst=*/5.0);
+  InjectionState state;
   Rng rng(23);
   int fired = 0;
   for (int i = 0; i < 80000; ++i)
-    if (proc.step(rng)) ++fired;
+    if (proc.step(state, rng) != Emission::kNone) ++fired;
   EXPECT_NEAR(fired * 8.0 / 80000.0, 1.0, 0.02);
 }
 
