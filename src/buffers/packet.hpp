@@ -18,7 +18,9 @@
 
 namespace flexnet {
 
-struct Packet {
+/// Exactly one cache line (64 bytes), aligned so every pool slot is one
+/// line: the allocator reads a head packet per proposal, at random slots.
+struct alignas(64) Packet {
   PacketId id = -1;
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
@@ -53,5 +55,6 @@ struct Packet {
   Cycle created = 0;   ///< cycle the generator produced the packet
   Cycle injected = 0;  ///< cycle the head entered the network
 };
+static_assert(sizeof(Packet) == 64, "a Packet fills one cache line");
 
 }  // namespace flexnet

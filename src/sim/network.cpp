@@ -938,6 +938,12 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
   const int outputs = output_index_[static_cast<std::size_t>(r) + 1] - out0;
   const int speedup = config_.speedup;
   const int alloc_iters = config_.alloc_iters;
+  // Each proposal is a chain of dependent loads starting at its input's VC
+  // block; start those first loads together rather than one per proposal.
+  const int in0 = in_index_[static_cast<std::size_t>(r)];
+  for (std::uint64_t m = armed_inputs_[static_cast<std::size_t>(r)]; m != 0;
+       m &= m - 1)
+    in_[static_cast<std::size_t>(in0 + __builtin_ctzll(m))].prefetch();
 
   for (int pass = 0; pass < speedup; ++pass) {
     std::uint64_t matched_in = 0;

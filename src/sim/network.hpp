@@ -11,6 +11,9 @@
 //     commitments, output units, and credit ledgers live in flat vectors
 //     indexed by global (router, port) slots via per-router offset tables
 //     (`in_index_` / `link_index_` / `output_index_`, each with a sentinel).
+//     A port's per-VC state is one allocation (InputBuffer) or inline
+//     (CreditLedger); commitments hold scalars only; the allocator's
+//     request lanes are per-domain scratch indexed by router-local output.
 //   * Packets live in a PacketPool slab from injection to consumption;
 //     queues and link lanes move 4-byte PacketRefs, never whole packets.
 //   * In-flight traffic sits in per-link ring-buffer event lanes

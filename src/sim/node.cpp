@@ -31,6 +31,7 @@ Nodes::Nodes(const SimConfig& config, const Topology& topo, const Rng& base)
   state_.assign(n, InjectionState{});
   burst_dst_.assign(n, kInvalidNode);
   queued_.assign(n, 0);
+  inject_busy_until_.assign(n, 0);
   nodes_.resize(n);
   backlog_.reserve(n);
 }
@@ -54,7 +55,7 @@ void Nodes::step(Cycle now, Network& net, Metrics& metrics) {
       enqueue(n, pkt);
       metrics.on_generated(pkt.size);
     }
-    if (queued_[i] > 0) backlog_.push_back(n);
+    if (queued_[i] > 0 && inject_busy_until_[i] <= now) backlog_.push_back(n);
   }
   for (const NodeId n : backlog_) inject(n, now, net);
 }
@@ -68,7 +69,6 @@ void Nodes::enqueue(NodeId n, const Packet& pkt) {
 
 void Nodes::inject(NodeId n, Cycle now, Network& net) {
   Node& node = nodes_[static_cast<std::size_t>(n)];
-  if (node.inject_busy_until > now) return;
   // Replies first: they unblock request consumption at remote nodes.
   for (int c : {static_cast<int>(MsgClass::kReply),
                 static_cast<int>(MsgClass::kRequest)}) {
@@ -79,7 +79,8 @@ void Nodes::inject(NodeId n, Cycle now, Network& net) {
     if (net.try_inject(n, pkt, now)) {
       queue.pop_front();
       --queued_[static_cast<std::size_t>(n)];
-      node.inject_busy_until = now + config_.effective_packet_phits();
+      inject_busy_until_[static_cast<std::size_t>(n)] =
+          now + config_.effective_packet_phits();
       return;
     }
   }

@@ -34,10 +34,10 @@ class Nodes {
 
   /// The node phase of one cycle. A dense pass advances every node's
   /// injection process in ascending id, appending generated requests to
-  /// the source queues; then the nodes holding queued packets, again in
-  /// ascending id, move a source-queue head into their router's injection
-  /// buffer (at most one packet per packet_size cycles: the injection
-  /// channel is one phit per cycle). Splitting the passes is bit-identical
+  /// the source queues; then the nodes holding queued packets and a free
+  /// injection channel, again in ascending id, move a source-queue head
+  /// into their router's injection buffer (at most one packet per
+  /// packet_size cycles: the injection channel is one phit per cycle). Splitting the passes is bit-identical
   /// to stepping node by node: generation draws only from the node's own
   /// stream, reads no network state, and feeds Metrics an integer phit
   /// sum, while injection keeps its ascending node order.
@@ -73,10 +73,9 @@ class Nodes {
   }
 
  private:
-  /// Queues and port timers of one node.
+  /// Source queues and consumption-port timers of one node.
   struct Node {
     EventLane<Packet> source[kNumMsgClasses];
-    Cycle inject_busy_until = 0;
     Cycle consume_busy_until[kNumMsgClasses] = {0, 0};
   };
 
@@ -90,8 +89,10 @@ class Nodes {
   std::vector<Rng> rng_;
   std::vector<InjectionState> state_;
   std::vector<NodeId> burst_dst_;
-  /// Packets in both source queues, per node: the injection pass's filter.
+  // The injection pass's filter, per node: packets in both source queues,
+  // and the first cycle the injection channel is free.
   std::vector<std::int32_t> queued_;
+  std::vector<Cycle> inject_busy_until_;
   std::vector<Node> nodes_;
   std::vector<NodeId> backlog_;  ///< injection-pass scratch
 };
