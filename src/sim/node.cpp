@@ -45,25 +45,18 @@ void Nodes::step(Cycle now, Network& net, Metrics& metrics) {
     if (e != Emission::kNone) {
       if (e == Emission::kNewBurst)
         burst_dst_[i] = pattern_->destination(n, rng_[i]);
-      Packet pkt;
-      pkt.src = n;
-      pkt.dst = burst_dst_[i];
-      pkt.size = config_.effective_packet_phits();
-      pkt.cls = MsgClass::kRequest;
-      pkt.created = now;
-      pkt.vc_position = kInjectionPosition;
-      enqueue(n, pkt);
-      metrics.on_generated(pkt.size);
+      enqueue(n, MsgClass::kRequest, burst_dst_[i], now);
+      metrics.on_generated(config_.effective_packet_phits());
     }
     if (queued_[i] > 0 && inject_busy_until_[i] <= now) backlog_.push_back(n);
   }
   for (const NodeId n : backlog_) inject(n, now, net);
 }
 
-void Nodes::enqueue(NodeId n, const Packet& pkt) {
+void Nodes::enqueue(NodeId n, MsgClass cls, NodeId dst, Cycle created) {
   nodes_[static_cast<std::size_t>(n)]
-      .source[static_cast<int>(pkt.cls)]
-      .push_back(pkt);
+      .source[static_cast<int>(cls)]
+      .push_back(Queued{dst, created});
   ++queued_[static_cast<std::size_t>(n)];
 }
 
@@ -72,10 +65,16 @@ void Nodes::inject(NodeId n, Cycle now, Network& net) {
   // Replies first: they unblock request consumption at remote nodes.
   for (int c : {static_cast<int>(MsgClass::kReply),
                 static_cast<int>(MsgClass::kRequest)}) {
-    EventLane<Packet>& queue = node.source[c];
+    EventLane<Queued>& queue = node.source[c];
     if (queue.empty()) continue;
     if (queue.front().created > now) continue;  // reply not materialized yet
-    Packet pkt = queue.front();
+    Packet pkt;
+    pkt.src = n;
+    pkt.dst = queue.front().dst;
+    pkt.size = config_.effective_packet_phits();
+    pkt.cls = static_cast<MsgClass>(c);
+    pkt.created = queue.front().created;
+    pkt.vc_position = kInjectionPosition;
     if (net.try_inject(n, pkt, now)) {
       queue.pop_front();
       --queued_[static_cast<std::size_t>(n)];
@@ -106,16 +105,8 @@ Cycle Nodes::consume(const Packet& pkt, Cycle now) {
   const Cycle completion = now + config_.pipeline_latency + pkt.size;
   nodes_[static_cast<std::size_t>(pkt.dst)]
       .consume_busy_until[static_cast<int>(pkt.cls)] = now + pkt.size;
-  if (consume_spawns_reply(pkt)) {
-    Packet reply;
-    reply.src = pkt.dst;
-    reply.dst = pkt.src;
-    reply.size = config_.effective_packet_phits();
-    reply.cls = MsgClass::kReply;
-    reply.created = completion;
-    reply.vc_position = kInjectionPosition;
-    enqueue(pkt.dst, reply);
-  }
+  if (consume_spawns_reply(pkt))
+    enqueue(pkt.dst, MsgClass::kReply, pkt.src, completion);
   return completion;
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "buffers/packet.hpp"
+#include "common/types.hpp"
 #include "common/event_lane.hpp"
 #include "common/rng.hpp"
 #include "sim/config.hpp"
@@ -73,13 +74,22 @@ class Nodes {
   }
 
  private:
+  /// A packet waiting in a source queue: everything else about it follows
+  /// from its node, its queue's class and the configuration (inject()
+  /// builds the Packet). A quarter of a Packet, so saturated runs whose
+  /// queues grow without bound hold four times as many per byte.
+  struct Queued {
+    NodeId dst = kInvalidNode;
+    Cycle created = 0;
+  };
+
   /// Source queues and consumption-port timers of one node.
   struct Node {
-    EventLane<Packet> source[kNumMsgClasses];
+    EventLane<Queued> source[kNumMsgClasses];
     Cycle consume_busy_until[kNumMsgClasses] = {0, 0};
   };
 
-  void enqueue(NodeId n, const Packet& pkt);
+  void enqueue(NodeId n, MsgClass cls, NodeId dst, Cycle created);
   void inject(NodeId n, Cycle now, Network& net);
 
   const SimConfig& config_;
