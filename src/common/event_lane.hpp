@@ -1,8 +1,9 @@
 // Flat containers of the active-set simulation core.
 //
-// EventLane<T> is a growable power-of-two ring buffer used for every
-// time-ordered FIFO on the hot path: per-link in-flight packet and credit
-// lanes, per-VC input queues, and the router output pipelines. Events are
+// EventLane<T> is a growable power-of-two ring buffer used for the
+// time-ordered FIFOs on the hot path: per-link in-flight packet and credit
+// lanes, node source queues, and the router output pipelines (per-VC input
+// queues keep their rings in one block per port, see InputBuffer). Events are
 // pushed with non-decreasing readiness cycles (the simulation clock is
 // monotone and each lane's latency is fixed), so a lane is drained by
 // popping from the head while due — no sorting, no per-node allocation,

@@ -289,7 +289,7 @@ class Network final : public CongestionOracle {
 
   void build();
   /// Charges the time since the previous lap to phase p (telemetry on).
-  void lap(StepPhase p) {
+  void lap([[maybe_unused]] StepPhase p) {
     FLEXNET_TELEM(if (telem_.enabled()) phases_.lap(p));
   }
   void deliver_data(int d, Cycle now);

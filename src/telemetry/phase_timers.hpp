@@ -53,11 +53,6 @@ class PhaseTimers {
   double seconds(StepPhase p) const {
     return seconds_[static_cast<std::size_t>(p)];
   }
-  double total_seconds() const {
-    double t = 0.0;
-    for (const double s : seconds_) t += s;
-    return t;
-  }
 
  private:
   using Clock = std::chrono::steady_clock;
