@@ -2,11 +2,12 @@
 // separate request/reply consumption ports, and reply generation for
 // reactive (request-reply) traffic.
 //
-// All nodes live in one Nodes object, struct-of-arrays: the per-node RNG
-// streams, injection-process states and burst destinations that the
-// generation pass reads every cycle sit in flat arrays of their own, and
-// the source queues and port timers sit in a by-value node array that only
-// backlogged nodes touch.
+// All nodes live in one Nodes object, struct-of-arrays: what the node
+// phase reads for every node every cycle (RNG streams, injection-process
+// states, burst destinations, queued counts, injection-channel timers)
+// sits in flat arrays of its own, and the source queues and consumption-
+// port timers sit in a by-value node array that only backlogged nodes and
+// ejections touch.
 #pragma once
 
 #include <cstdint>
@@ -14,9 +15,9 @@
 #include <vector>
 
 #include "buffers/packet.hpp"
-#include "common/types.hpp"
 #include "common/event_lane.hpp"
 #include "common/rng.hpp"
+#include "common/types.hpp"
 #include "sim/config.hpp"
 #include "topology/topology.hpp"
 #include "traffic/traffic.hpp"
