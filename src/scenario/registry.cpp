@@ -1,5 +1,6 @@
 #include "scenario/registry.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -75,18 +76,39 @@ void validate_config(const SimConfig& cfg) {
           " VCs on a network port; at most " +
           std::to_string(CreditLedger::kMaxVcs) + " are supported");
   }
-  // Timing: the engine's event wheels file every flit and credit at least
-  // one cycle after the phase that pushes it, so links take >= 1 cycle; a
-  // zero-cycle router pipeline is allowed (sent the cycle it is granted).
-  const auto require_at_least = [](const char* key, int value, int floor) {
+  const auto require_at_least = [](const char* key, std::int64_t value,
+                                   std::int64_t floor) {
     if (value < floor)
       throw std::invalid_argument(std::string(key) + " must be >= " +
                                   std::to_string(floor) + " (got " +
                                   std::to_string(value) + ")");
   };
+  // Timing: the engine's event wheels file every flit and credit at least
+  // one cycle after the phase that pushes it, so links take >= 1 cycle; a
+  // zero-cycle router pipeline is allowed (sent the cycle it is granted).
   require_at_least("local_latency", cfg.local_latency, 1);
   require_at_least("global_latency", cfg.global_latency, 1);
   require_at_least("pipeline_latency", cfg.pipeline_latency, 0);
+  // Microarchitecture and sizes: a zero here either moves no packet at all
+  // (speedup, alloc_iters, output_buffer), makes every packet weightless
+  // (packet_size) or leaves a buffer with no room, so the run would report
+  // garbage or trip an internal check. phits_per_packet = 0 inherits
+  // packet_size.
+  require_at_least("speedup", cfg.speedup, 1);
+  require_at_least("alloc_iters", cfg.alloc_iters, 1);
+  require_at_least("packet_size", cfg.packet_size, 1);
+  require_at_least("phits_per_packet", cfg.phits_per_packet, 0);
+  require_at_least("output_buffer", cfg.output_buffer, 1);
+  require_at_least("injection_vcs", cfg.injection_vcs, 1);
+  require_at_least("local_buffer", cfg.local_buffer_per_vc, 1);
+  require_at_least("global_buffer", cfg.global_buffer_per_vc, 1);
+  require_at_least("injection_buffer", cfg.injection_buffer_per_vc, 1);
+  require_at_least("watchdog", cfg.watchdog, 1);
+  if (cfg.sim_domains != 1)
+    throw std::invalid_argument(
+        "sim_domains must be 1 (got " + std::to_string(cfg.sim_domains) +
+        "): a simulation runs on one thread; run jobs in parallel with "
+        "--jobs instead");
 }
 
 std::vector<RegistryListing> list_registries() {

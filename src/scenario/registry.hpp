@@ -174,8 +174,9 @@ Registry<BufferMgmtFactory>& buffer_mgmt_registry();
 
 /// Checks every component name in `cfg` against its registry (unknown
 /// names enumerate the alternatives), runs each entry's validate hook,
-/// parses the VC arrangement string, and range-checks the link and
-/// pipeline latencies (naming the key). Throws std::invalid_argument
+/// parses the VC arrangement string, and range-checks the latencies,
+/// buffer and packet sizes, allocator settings, watchdog and sim_domains
+/// (naming the key). Throws std::invalid_argument
 /// (RegistryError for name lookups) on the first failure.
 void validate_config(const SimConfig& cfg);
 

@@ -75,9 +75,10 @@ struct SimConfig {
   int packet_size = 8;
 
   // --- Run control.
-  /// Deterministic intra-sim parallel domains Network::step sweeps with.
-  /// Purely an execution knob: results are byte-identical at any value
-  /// (tests/test_domains.cpp pins the no-perturb contract at {1,2,4}).
+  /// Retired execution knob: Network::step is one serial sweep, and a
+  /// sweep's parallelism comes from running jobs on SweepRunner workers
+  /// (`--jobs`). Kept so suites and journals that pin `sim_domains: 1`
+  /// stay valid; validate_config rejects any other value.
   int sim_domains = 1;
   Cycle warmup = 10000;
   Cycle measure = 30000;

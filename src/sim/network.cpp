@@ -217,31 +217,10 @@ void Network::build() {
   wait_link_.assign(commits_.size(), -1);
   link_waiters_.assign(static_cast<std::size_t>(total_links), {});
 
-  // Parallel domains: contiguous ascending router ranges so the ascending-
-  // domain merge of staged effects reproduces the serial ascending-router
-  // order exactly. sim_domains is an execution knob only — results are
-  // byte-identical at any value.
-  domains_ = std::max(1, std::min(config_.sim_domains, num_routers));
-  router_domain_.resize(static_cast<std::size_t>(num_routers));
-  for (int d = 0; d < domains_; ++d) {
-    const int begin = static_cast<int>(
-        static_cast<std::int64_t>(num_routers) * d / domains_);
-    const int end = static_cast<int>(
-        static_cast<std::int64_t>(num_routers) * (d + 1) / domains_);
-    for (RouterId r = begin; r < end; ++r)
-      router_domain_[static_cast<std::size_t>(r)] = d;
-  }
   link_owner_.resize(static_cast<std::size_t>(total_links));
-  link_owner_domain_.resize(static_cast<std::size_t>(total_links));
-  link_to_domain_.resize(static_cast<std::size_t>(total_links));
   for (RouterId r = 0; r < num_routers; ++r) {
-    for (PortIndex p = 0; p < topo_->num_network_ports(r); ++p) {
-      const auto li = static_cast<std::size_t>(link_at(r, p));
-      link_owner_[li] = r;
-      link_owner_domain_[li] = router_domain_[static_cast<std::size_t>(r)];
-      link_to_domain_[li] =
-          router_domain_[static_cast<std::size_t>(links_[li].to)];
-    }
+    for (PortIndex p = 0; p < topo_->num_network_ports(r); ++p)
+      link_owner_[static_cast<std::size_t>(link_at(r, p))] = r;
   }
   // Wheel horizons: a data event is due latency + 1 cycles after its send
   // and a credit latency cycles after its push; a serializer is due when
@@ -252,31 +231,15 @@ void Network::build() {
   const Cycle lane_horizon =
       std::max(config_.local_latency, config_.global_latency) + 1;
   const Cycle send_horizon = std::max(config_.pipeline_latency, max_phits);
-  data_wheel_.resize(static_cast<std::size_t>(domains_));
-  credit_wheel_.resize(static_cast<std::size_t>(domains_));
-  send_wheel_.resize(static_cast<std::size_t>(domains_));
-  alloc_sets_.resize(static_cast<std::size_t>(domains_));
-  for (int d = 0; d < domains_; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    data_wheel_[di].resize(static_cast<std::size_t>(total_links),
-                           lane_horizon);
-    credit_wheel_[di].resize(static_cast<std::size_t>(total_links),
-                             lane_horizon);
-    send_wheel_[di].resize(static_cast<std::size_t>(total_links),
-                           send_horizon);
-    alloc_sets_[di].resize(static_cast<std::size_t>(num_routers));
-  }
+  data_wheel_.resize(static_cast<std::size_t>(total_links), lane_horizon);
+  credit_wheel_.resize(static_cast<std::size_t>(total_links), lane_horizon);
+  send_wheel_.resize(static_cast<std::size_t>(total_links), send_horizon);
+  alloc_set_.resize(static_cast<std::size_t>(num_routers));
   int max_outputs = 0;
   for (RouterId r = 0; r < num_routers; ++r)
     max_outputs = std::max(max_outputs, num_outputs(r));
-  scratch_.resize(static_cast<std::size_t>(domains_));
-  for (int d = 0; d < domains_; ++d) {
-    DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-    ds.domain = d;
-    ds.lanes.resize(static_cast<std::size_t>(max_outputs));
-    ds.out_matched.assign(static_cast<std::size_t>(max_outputs), 0);
-  }
-  team_ = std::make_unique<DomainTeam>(domains_);
+  lanes_.resize(static_cast<std::size_t>(max_outputs));
+  out_matched_.assign(static_cast<std::size_t>(max_outputs), 0);
 
   // Ejection wake calendar: a consumption port blocks for exactly the
   // packet's phit count, so the ring only needs to span the largest
@@ -294,10 +257,7 @@ void Network::build() {
   // consumes no randomness (kRandom reservoir-samples per feasible VC).
   fresh_prune_ok_ =
       routing_->draw_free() && selection_ != VcSelection::kRandom;
-  eject_wake_.assign(
-      static_cast<std::size_t>(domains_),
-      std::vector<std::vector<std::int32_t>>(
-          static_cast<std::size_t>(wake_ring_)));
+  eject_wake_.assign(static_cast<std::size_t>(wake_ring_), {});
 
   // Telemetry: the registry is always shaped (cheap, one-time) so render()
   // and merge() work even when counting is off; updates happen only when
@@ -418,69 +378,45 @@ void Network::trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const {
 
 void Network::step(Cycle now) {
   FLEXNET_TELEM(if (telem_.enabled()) {
-    telem_.on_step(pending_lane_work(), pending_alloc_work(),
-                   pending_send_work(), pool_.live());
+    telem_.on_step(static_cast<std::int64_t>(data_wheel_.size() +
+                                             credit_wheel_.size()),
+                   static_cast<std::int64_t>(alloc_set_.size()),
+                   send_routers_, pool_.live());
     phases_.start();
   });
-  // Phases run one at a time across all domains with a full barrier in
-  // between (DomainTeam::run); staged cross-domain effects merge serially
-  // at the barrier. Data lanes are swept by receiver domain, credit lanes
-  // by owner domain, allocation and sending by the router's own domain —
-  // every array element has exactly one writer per phase. The caller runs
-  // domain 0 and laps each phase when its own share is done.
-  team_->run([this, now](int d) {
-    deliver_data(d, now);
-    if (d == 0) lap(StepPhase::kDeliverData);
-  });
-  flush_lane_adds();  // cut-through credits may cross domains
-  lap(StepPhase::kBarrier);
-  team_->run([this, now](int d) {
-    deliver_credits(d, now);
-    if (d == 0) lap(StepPhase::kDeliverCredits);
-  });
-  lap(StepPhase::kBarrier);
+  deliver_data(now);
+  lap(StepPhase::kDeliverData);
+  deliver_credits(now);
+  lap(StepPhase::kDeliverCredits);
   routing_->update(now);
   lap(StepPhase::kAllocate);
   nodes_->step(now, *this, metrics_);
   lap(StepPhase::kNodes);
-  team_->run([this, now](int d) {
-    DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-    // Fire the ejection wakes due this cycle before sweeping: the slots
-    // they arm (and their routers) must arbitrate in this allocation pass.
-    auto& due = eject_wake_[static_cast<std::size_t>(d)][static_cast<
-        std::size_t>(now % static_cast<Cycle>(wake_ring_))];
-    for (const std::int32_t e : due) {
-      const int gi = e >> 6;
-      const RouterId r = input_router_[static_cast<std::size_t>(gi)];
-      arm_slot(r, gi, static_cast<VcIndex>(e & 63));
-      alloc_sets_[static_cast<std::size_t>(d)].add(r);
-    }
-    due.clear();
-    alloc_sets_[static_cast<std::size_t>(d)].sweep([&](std::int32_t r) {
-      allocate(r, now, ds);
-      return router_armed_[static_cast<std::size_t>(r)] > 0;
-    });
-    if (d == 0) lap(StepPhase::kAllocate);
+  // Fire the ejection wakes due this cycle before sweeping: the slots they
+  // arm (and their routers) must arbitrate in this allocation pass.
+  auto& due = eject_wake_[static_cast<std::size_t>(
+      now % static_cast<Cycle>(wake_ring_))];
+  for (const std::int32_t e : due) {
+    const int gi = e >> 6;
+    const RouterId r = input_router_[static_cast<std::size_t>(gi)];
+    arm_slot(r, gi, static_cast<VcIndex>(e & 63));
+    alloc_set_.add(r);
+  }
+  due.clear();
+  alloc_set_.sweep([&](std::int32_t r) {
+    allocate(r, now);
+    return router_armed_[static_cast<std::size_t>(r)] > 0;
   });
-  lap(StepPhase::kBarrier);
-  commit_allocate(now);
-  lap(StepPhase::kCommit);
-  team_->run([this, now](int d) {
-    DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-    // Ascending link id is the old router-major, port-ascending order.
-    send_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
-      return send_link(link_owner_[static_cast<std::size_t>(li)], li, now,
-                       ds);
-    });
-    if (d == 0) lap(StepPhase::kSend);
+  lap(StepPhase::kAllocate);
+  // Ascending link id is the old router-major, port-ascending order.
+  send_wheel_.sweep(now, [&](std::int32_t li) {
+    return send_link(link_owner_[static_cast<std::size_t>(li)], li, now);
   });
-  flush_lane_adds();  // sent data may land in another domain
-  lap(StepPhase::kBarrier);
+  lap(StepPhase::kSend);
 }
 
-void Network::deliver_data(int d, Cycle now) {
-  DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-  data_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
+void Network::deliver_data(Cycle now) {
+  data_wheel_.sweep(now, [&](std::int32_t li) {
     DirLink& link = links_[static_cast<std::size_t>(li)];
     while (!link.data.empty() && link.data.front().arrive <= now) {
       const FlyingPacket fp = link.data.front();
@@ -493,7 +429,7 @@ void Network::deliver_data(int d, Cycle now) {
                           telem_.on_delivery(li, pool_[fp.ref].size));
         ++router_buffered_[static_cast<std::size_t>(link.to)];
         arm_slot(link.to, gi, fp.vc);
-        alloc_sets_[static_cast<std::size_t>(d)].add(link.to);
+        alloc_set_.add(link.to);
         continue;
       }
       // Flit-level flow control: one event per flit. The head claims a
@@ -507,16 +443,15 @@ void Network::deliver_data(int d, Cycle now) {
         in_[static_cast<std::size_t>(gi)].push(fp.vc, fp.ref, 1);
         ++router_buffered_[static_cast<std::size_t>(link.to)];
         arm_slot(link.to, gi, fp.vc);
-        alloc_sets_[static_cast<std::size_t>(d)].add(link.to);
+        alloc_set_.add(link.to);
         continue;
       }
       TransitTail& tail = transit_[static_cast<std::size_t>(li)];
       if (tail.ref == fp.ref && tail.remaining > 0) {
-        // The freed upstream slot travels back per flit. The credit lane
-        // belongs to this link's owner domain, which sweeps it in the
-        // credits phase — push_credit files it there.
-        push_credit(li, FlyingCredit{fp.vc, 1, tail.kind, now + link.latency},
-                    ds);
+        // The freed upstream slot travels back per flit, drained in the
+        // credits phase.
+        push_credit(li,
+                    FlyingCredit{fp.vc, 1, tail.kind, now + link.latency});
         --tail.remaining;
         if (tail.remaining == 0) tail = TransitTail{};
         FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_transit(li));
@@ -529,14 +464,14 @@ void Network::deliver_data(int d, Cycle now) {
       in_[static_cast<std::size_t>(gi)].add_phit(fp.vc, fp.ref);
       if (in_[static_cast<std::size_t>(gi)].front(fp.vc) == fp.ref) {
         arm_slot(link.to, gi, fp.vc);
-        alloc_sets_[static_cast<std::size_t>(d)].add(link.to);
+        alloc_set_.add(link.to);
       }
     }
     return link.data.empty() ? TimingWheel::kIdle : link.data.front().arrive;
   });
 }
 
-void Network::deliver_credits(int d, Cycle now) {
+void Network::deliver_credits(Cycle now) {
   // Credits travel on the reverse channel back to the sender's ledger.
   // Ledgers are link-indexed, so the owning ledger of link li *is*
   // ledger_[li]: build() bakes the link→(owner, port) mapping into the
@@ -544,7 +479,7 @@ void Network::deliver_credits(int d, Cycle now) {
   // pushed at least one cycle ahead of their arrival, so draining them in
   // a separate phase after all data movement is byte-identical to the old
   // per-link data-then-credits interleave.
-  credit_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
+  credit_wheel_.sweep(now, [&](std::int32_t li) {
     DirLink& link = links_[static_cast<std::size_t>(li)];
     CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
     bool drained = false;
@@ -573,61 +508,7 @@ void Network::fire_waiters(RouterId r, int li) {
     arm_slot(r, gi, vc);
   }
   waiters.clear();
-  alloc_sets_[static_cast<std::size_t>(
-                  router_domain_[static_cast<std::size_t>(r)])]
-      .add(r);
-}
-
-void Network::flush_lane_adds() {
-  // Ascending-domain merge of the cross-domain outboxes: each entry is a
-  // lane a push made non-empty, filed under its head's arrival. Filing is
-  // idempotent and sweeps visit in id order, so the merge order never
-  // shows in results — this loop only needs to be serial, not ordered.
-  for (int d = 0; d < domains_; ++d) {
-    DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-    for (const std::int32_t li : ds.credit_adds)
-      credit_wheel_[static_cast<std::size_t>(
-                        link_owner_domain_[static_cast<std::size_t>(li)])]
-          .add(li, links_[static_cast<std::size_t>(li)].credits.front().arrive);
-    ds.credit_adds.clear();
-    for (const std::int32_t li : ds.data_adds)
-      data_wheel_[static_cast<std::size_t>(
-                      link_to_domain_[static_cast<std::size_t>(li)])]
-          .add(li, links_[static_cast<std::size_t>(li)].data.front().arrive);
-    ds.data_adds.clear();
-  }
-}
-
-void Network::commit_allocate(Cycle now) {
-  // Barrier after the allocation phase: fold per-domain counters and apply
-  // the staged global consume effects in ascending domain order — over
-  // contiguous router ranges that is exactly the serial ascending-router
-  // grant order, so metrics accumulate in the same sequence (Welford means
-  // are floating-point-order sensitive) and pool slots free in the same
-  // LIFO order.
-  for (int d = 0; d < domains_; ++d) {
-    DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-    if (ds.granted) {
-      last_grant_ = now;
-      ds.granted = false;
-    }
-    total_grants_ += ds.grants;
-    escape_grants_ += ds.escapes;
-    overflow_picks_ += ds.overflow;
-    lowest_picks_ += ds.lowest;
-    re_requests_ += ds.re_requests;
-    ds.grants = ds.escapes = ds.overflow = ds.lowest = ds.re_requests = 0;
-    for (const StagedConsume& sc : ds.consumed) {
-      const Packet& pkt = pool_[sc.ref];
-      if (trace_ != nullptr) trace_packet(pkt, sc.ref, now);
-      metrics_.on_consumed(pkt, sc.completion);
-      if (nodes_->consume_spawns_reply(pkt))
-        metrics_.on_generated(config_.effective_packet_phits());
-      pool_.release(sc.ref);
-    }
-    ds.consumed.clear();
-  }
-  flush_lane_adds();  // grants push upstream credits across domains
+  alloc_set_.add(r);
 }
 
 bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
@@ -666,23 +547,20 @@ bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
       traces_.resize(static_cast<std::size_t>(ref) + 1);
     traces_[static_cast<std::size_t>(ref)].clear();
   }
-  // Every pool slot enters the network here (serial node phase), so
-  // growing the flit side store now keeps the parallel grant phase free of
-  // resizes.
+  // Every pool slot enters the network here, so growing the flit side
+  // store now keeps grants free of resizes.
   if (flit_ && flit_src_link_.size() <= static_cast<std::size_t>(ref))
     flit_src_link_.resize(static_cast<std::size_t>(ref) + 1, -1);
   buf.push(best, ref, pkt.size);
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_injection(r));
   ++router_buffered_[static_cast<std::size_t>(r)];
   arm_slot(r, input_at(r, ip), best);
-  alloc_sets_[static_cast<std::size_t>(
-                  router_domain_[static_cast<std::size_t>(r)])]
-      .add(r);
+  alloc_set_.add(r);
   return true;
 }
 
 bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
-                          Request& req, DomainScratch& ds) {
+                          Request& req) {
   const int gi = input_at(r, ip);
   InputBuffer& buf = in_[static_cast<std::size_t>(gi)];
   const PacketRef href = buf.front(vc);
@@ -730,7 +608,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
   // credits this cycle). Every entry here is a repeat arbitration attempt
   // for an already-committed packet — the work pruning exists to remove.
   if (commit.pkt == head.id) {
-    ++ds.re_requests;
+    ++re_requests_;
     if (commit.ejection) {
       if (flit_ && buf.front_phits(vc) < head.size) {
         disarm_slot(r, gi, vc);  // re-armed per arriving body flit
@@ -738,13 +616,13 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
       }
       const int out =
           eject_output_index(r, head.dst % topo_->concentration(), head.cls);
-      if (ds.out_matched[static_cast<std::size_t>(out)]) return false;
+      if (out_matched_[static_cast<std::size_t>(out)]) return false;
       if (!nodes_->can_consume(head.dst, head.cls, now)) {
         // Consumption is the safe sink: wait. A port-busy block clears at
         // a known cycle — park in the wake calendar instead of retrying;
         // a reply-queue block (reactive) has no timer, so stay armed.
         const Cycle free_at = nodes_->consume_free_at(head.dst, head.cls);
-        if (free_at > now) schedule_eject_wake(ds, r, gi, vc, free_at, now);
+        if (free_at > now) schedule_eject_wake(r, gi, vc, free_at, now);
         return false;
       }
       fill_request(out);
@@ -757,7 +635,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
                                                        ledger_need);
     const bool feasible =
         resource_ok &&
-        !ds.out_matched[static_cast<std::size_t>(commit.out_port)];
+        !out_matched_[static_cast<std::size_t>(commit.out_port)];
     if (feasible) {
       fill_request(commit.out_port);
       return true;
@@ -782,9 +660,9 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
   bool transient = false;
   int block_li[4];
   int blocks = 0;
-  ds.options.clear();
-  routing_->route(head, r, rng_[static_cast<std::size_t>(r)], ds.options);
-  for (const RouteOption& opt : ds.options) {
+  options_.clear();
+  routing_->route(head, r, rng_[static_cast<std::size_t>(r)], options_);
+  for (const RouteOption& opt : options_) {
     if (opt.ejection) {
       if (flit_ && buf.front_phits(vc) < head.size) {
         // No commitment yet: with a pure pass the head can sleep until
@@ -796,12 +674,12 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
       const int out =
           eject_output_index(r, head.dst % topo_->concentration(), head.cls);
       commit_to(commit, head.id, opt, kInvalidVc, -1, /*safe=*/true);
-      if (ds.out_matched[static_cast<std::size_t>(out)]) return false;
+      if (out_matched_[static_cast<std::size_t>(out)]) return false;
       if (!nodes_->can_consume(head.dst, head.cls, now)) {
         // Freshly committed (safe): revalidation is RNG-free from here on,
         // so a port-busy block can park in the wake calendar too.
         const Cycle free_at = nodes_->consume_free_at(head.dst, head.cls);
-        if (free_at > now) schedule_eject_wake(ds, r, gi, vc, free_at, now);
+        if (free_at > now) schedule_eject_wake(r, gi, vc, free_at, now);
         return false;
       }
       fill_request(out);
@@ -819,9 +697,9 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     ctx.floors = {head.type_floors[0], head.type_floors[1]};
     ctx.intended_after = opt.intended_after;
     ctx.escape_after = opt.escape_after;
-    ds.cands.clear();
-    policy_->candidates(ctx, ds.cands);
-    if (ds.cands.empty()) continue;  // hop inadmissible: next option
+    cands_.clear();
+    policy_->candidates(ctx, cands_);
+    if (cands_.empty()) continue;  // hop inadmissible: next option
 
     // An on/off ledger signalling "stop" blocks the whole port (the
     // select_vc filter below only sees per-VC free space, so the
@@ -830,24 +708,24 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     // while the others clear on link wake edges — the sleep decision
     // below needs to know which kind blocked.
     const bool out_is_matched =
-        ds.out_matched[static_cast<std::size_t>(opt.out_port)];
+        out_matched_[static_cast<std::size_t>(opt.out_port)];
     const bool output_free =
         !out_is_matched && ou.can_reserve(head.size) &&
         !(ledger.on_off_enabled() && ledger.is_off());
     // Prefer a candidate that can move right now.
     if (output_free) {
       const int sel = select_vc(
-          selection_, ds.cands,
+          selection_, cands_,
           [&ledger](VcIndex v) { return ledger.free_for(v); }, ledger_need,
           rng_[static_cast<std::size_t>(r)]);
       if (sel >= 0) {
-        const VcCandidate& cand = ds.cands[static_cast<std::size_t>(sel)];
+        const VcCandidate& cand = cands_[static_cast<std::size_t>(sel)];
         commit_to(commit, head.id, opt, cand.phys, cand.position, cand.safe);
         fill_request(opt.out_port);
-        if (cand.position > ds.cands.front().position)
-          ++ds.overflow;
+        if (cand.position > cands_.front().position)
+          ++overflow_picks_;
         else
-          ++ds.lowest;
+          ++lowest_picks_;
         return true;
       }
     }
@@ -856,14 +734,14 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     // credits return first by the template-order induction, and the choice
     // preserving the most headroom for the remaining hops.
     int best = -1;
-    for (std::size_t i = 0; i < ds.cands.size(); ++i) {
-      if (ds.cands[i].safe) {
+    for (std::size_t i = 0; i < cands_.size(); ++i) {
+      if (cands_[i].safe) {
         best = static_cast<int>(i);
         break;
       }
     }
     if (best >= 0) {
-      const VcCandidate& cand = ds.cands[static_cast<std::size_t>(best)];
+      const VcCandidate& cand = cands_[static_cast<std::size_t>(best)];
       commit_to(commit, head.id, opt, cand.phys, cand.position,
                 /*safe=*/true);
       // Wait for the committed VC's credits. A safe commitment is
@@ -911,8 +789,8 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
   return false;  // armed unless pruned: a re-run may re-draw routing RNG
 }
 
-bool Network::stage1_pick(RouterId r, PortIndex ip, Cycle now, Request& req,
-                          DomainScratch& ds) {
+bool Network::stage1_pick(RouterId r, PortIndex ip, Cycle now,
+                          Request& req) {
   const int gi = input_at(r, ip);
   if (armed_[static_cast<std::size_t>(gi)] == 0) return false;
   RoundRobinArbiter& arb = in_arb_[static_cast<std::size_t>(gi)];
@@ -924,12 +802,12 @@ bool Network::stage1_pick(RouterId r, PortIndex ip, Cycle now, Request& req,
     // false with no side effects and no RNG draw — skipping them is
     // byte-identical to evaluating them.
     if ((armed_[static_cast<std::size_t>(gi)] >> vc & 1) == 0) continue;
-    if (find_action(r, ip, vc, now, req, ds)) return true;
+    if (find_action(r, ip, vc, now, req)) return true;
   }
   return false;
 }
 
-void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
+void Network::allocate(RouterId r, Cycle now) {
   // Pruning fast-path: a router whose every input slot is asleep would run
   // stage 1 to completion with zero proposals and zero side effects.
   if (router_armed_[static_cast<std::size_t>(r)] == 0) return;
@@ -953,7 +831,7 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
     // no side effects, no RNG — so the scan skips them. Cleared with the
     // matched bits when the next pass resets out_matched.
     std::uint64_t lost_in = 0;
-    std::fill_n(ds.out_matched.begin(), outputs, static_cast<char>(0));
+    std::fill_n(out_matched_.begin(), outputs, static_cast<char>(0));
     // With a pure allocation pass (draw-free routing, draw-free VC
     // selection) every blocking condition is monotone while the pass
     // runs: outputs only get matched, buffers only fill, credits only
@@ -966,10 +844,10 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
     std::uint64_t retry = ~std::uint64_t{0};
     for (int iter = 0; iter < alloc_iters; ++iter) {
       // Stage 1: every armed unmatched input proposes one (VC, option,
-      // output), lowest port first. Requests batch into the domain's
-      // router-local output lanes; `touched` tracks which lanes are live
-      // so stage 2 visits only those, in ascending output order.
-      ds.touched.clear();
+      // output), lowest port first. Requests batch into the router-local
+      // output lanes; `touched_` tracks which lanes are live so stage 2
+      // visits only those, in ascending output order.
+      touched_.clear();
       std::uint64_t proposed = 0;
       std::uint64_t pend = armed_inputs_[static_cast<std::size_t>(r)] &
                            ~matched_in & ~lost_in;
@@ -978,20 +856,20 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
         const auto ip = static_cast<PortIndex>(__builtin_ctzll(pend));
         pend &= pend - 1;
         Request req;
-        if (stage1_pick(r, ip, now, req, ds)) {
-          auto& lane = ds.lanes[static_cast<std::size_t>(req.output)];
+        if (stage1_pick(r, ip, now, req)) {
+          auto& lane = lanes_[static_cast<std::size_t>(req.output)];
           if (lane.empty())
-            ds.touched.push_back(static_cast<std::int32_t>(req.output));
+            touched_.push_back(static_cast<std::int32_t>(req.output));
           lane.push_back(req);
           proposed |= std::uint64_t{1} << ip;
         }
       }
-      if (ds.touched.empty()) break;
-      std::sort(ds.touched.begin(), ds.touched.end());
+      if (touched_.empty()) break;
+      std::sort(touched_.begin(), touched_.end());
       // Stage 2: every requested output grants one input (round-robin).
-      for (const std::int32_t o : ds.touched) {
-        auto& reqs = ds.lanes[static_cast<std::size_t>(o)];
-        if (!ds.out_matched[static_cast<std::size_t>(o)]) {
+      for (const std::int32_t o : touched_) {
+        auto& reqs = lanes_[static_cast<std::size_t>(o)];
+        if (!out_matched_[static_cast<std::size_t>(o)]) {
           RoundRobinArbiter& arb = out_arb_[static_cast<std::size_t>(out0 + o)];
           const Request* chosen = nullptr;
           int best_rank = inputs;
@@ -1002,7 +880,7 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
               chosen = &req;
             }
           }
-          grant(r, *chosen, now, ds);
+          grant(r, *chosen, now);
           // Allocator contention: every proposal this output saw is a
           // request; all but the granted one are conflicts (a proposal never
           // targets an already-matched output, so requests = grants +
@@ -1031,7 +909,7 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
               if (lc.safe) lost_in |= std::uint64_t{1} << q.in_port;
             }
           }
-          ds.out_matched[static_cast<std::size_t>(o)] = true;
+          out_matched_[static_cast<std::size_t>(o)] = true;
           in_arb_[static_cast<std::size_t>(input_at(r, chosen->in_port))]
               .advance_past(chosen->in_vc);
           arb.advance_past(chosen->in_port);
@@ -1043,8 +921,7 @@ void Network::allocate(RouterId r, Cycle now, DomainScratch& ds) {
   }
 }
 
-void Network::grant(RouterId r, const Request& req, Cycle now,
-                    DomainScratch& ds) {
+void Network::grant(RouterId r, const Request& req, Cycle now) {
   const int gi = input_at(r, req.in_port);
   // The proposal names only the slot; the option and VC granted are those
   // the slot committed to when it proposed (immutable since: commitments
@@ -1054,12 +931,12 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
   const BufferSlot slot = in_[static_cast<std::size_t>(gi)].pop(req.in_vc);
   --router_buffered_[static_cast<std::size_t>(r)];
   Packet& pkt = pool_[slot.ref];
-  ds.granted = true;
-  ++ds.grants;
+  last_grant_ = now;
+  ++total_grants_;
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_grant(r));
   if (cmt.is_escape && pkt.valiant != kInvalidRouter &&
       !pkt.valiant_reached) {
-    ++ds.escapes;
+    ++escape_grants_;
   }
   // The VC's next head (if any) carries a fresh, uncommitted packet that
   // must arbitrate; an emptied VC sleeps until the next push.
@@ -1075,10 +952,8 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
   const int uli = upstream_link_[static_cast<std::size_t>(gi)];
   if (uli >= 0) {
     const int latency = links_[static_cast<std::size_t>(uli)].latency;
-    push_credit(
-        uli,
-        FlyingCredit{req.in_vc, slot.phits, pkt.credited_kind, now + latency},
-        ds);
+    push_credit(uli, FlyingCredit{req.in_vc, slot.phits, pkt.credited_kind,
+                                  now + latency});
     if (flit_ && slot.phits < pkt.size) {
       TransitTail& tail = transit_[static_cast<std::size_t>(uli)];
       FLEXNET_CHECK(tail.ref == kInvalidPacketRef);
@@ -1090,20 +965,21 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
     // Where the outbound stream finds this packet's TransitTail (or -1:
     // fully arrived / injected — injection buffers hold whole packets).
     // flit_src_link_ was presized at injection (every ref is injected
-    // before it can be granted), so this is a plain store — no resize
-    // racing with concurrent domains.
+    // before it can be granted), so this is a plain store.
     flit_src_link_[static_cast<std::size_t>(slot.ref)] =
         slot.phits < pkt.size ? uli : -1;
   }
 
   if (cmt.ejection) {
-    // Node-local effects apply now (the destination node belongs to this
-    // router, hence this domain); global effects — trace, metrics, reply
-    // generation accounting, pool release — are staged and flushed in
-    // ascending-domain (= ascending-router) order at commit_allocate so
-    // parallel domains reproduce the serial order byte for byte.
+    // Grants run in ascending router order, so metrics accumulate (Welford
+    // means are floating-point-order sensitive) and pool slots free (LIFO)
+    // in that order.
     const Cycle completion = nodes_->consume(pkt, now);
-    ds.consumed.push_back(StagedConsume{slot.ref, completion});
+    if (trace_ != nullptr) trace_packet(pkt, slot.ref, now);
+    metrics_.on_consumed(pkt, completion);
+    if (nodes_->consume_spawns_reply(pkt))
+      metrics_.on_generated(config_.effective_packet_phits());
+    pool_.release(slot.ref);
     return;
   }
 
@@ -1144,13 +1020,11 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
   const bool wake = ou.idle() && (!flit_ || streams_[static_cast<std::size_t>(
                                                 li)].ref == kInvalidPacketRef);
   ou.accept(slot.ref, pkt.size, cmt.out_vc, now);
-  add_send_work(r, 1, ds);
-  if (wake)
-    send_wheel_[static_cast<std::size_t>(ds.domain)].add(
-        li, send_due(ou, now, now));
+  add_send_work(r, 1);
+  if (wake) send_wheel_.add(li, send_due(ou, now, now));
 }
 
-Cycle Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
+Cycle Network::send_link(RouterId r, int li, Cycle now) {
   OutputUnit& ou = out_[static_cast<std::size_t>(li)];
   const int link_latency = links_[static_cast<std::size_t>(li)].latency;
   // Between packets the link is next due when its head can start; an
@@ -1167,8 +1041,8 @@ Cycle Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
     fire_waiters(r, li);
     // The packet is eligible downstream one cycle after its head
     // arrives; its phits keep streaming behind it.
-    push_data(li, FlyingPacket{ref, vc, now + link_latency + 1, 0}, ds);
-    add_send_work(r, -1, ds);
+    push_data(li, FlyingPacket{ref, vc, now + link_latency + 1, 0});
+    add_send_work(r, -1);
     return next_start();
   }
   // Flit-level flow control: the link serializes one packet at a time,
@@ -1221,13 +1095,12 @@ Cycle Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
     }
     ledger.on_send(st.vc, 1, st.kind);
   }
-  push_data(li, FlyingPacket{st.ref, st.vc, now + link_latency + 1, st.next},
-            ds);
+  push_data(li, FlyingPacket{st.ref, st.vc, now + link_latency + 1, st.next});
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit(li));
   ++st.next;
   if (st.next == st.total) {
     st = LinkStream{};
-    add_send_work(r, -1, ds);
+    add_send_work(r, -1);
     return next_start();
   }
   return now + 1;

@@ -13,7 +13,7 @@
 //     (`in_index_` / `link_index_` / `output_index_`, each with a sentinel).
 //     A port's per-VC state is one allocation (InputBuffer) or inline
 //     (CreditLedger); commitments hold scalars only; the allocator's
-//     request lanes are per-domain scratch indexed by router-local output.
+//     request lanes are scratch indexed by router-local output.
 //   * Packets live in a PacketPool slab from injection to consumption;
 //     queues and link lanes move 4-byte PacketRefs, never whole packets.
 //   * In-flight traffic sits in per-link ring-buffer event lanes
@@ -32,11 +32,9 @@
 //     stops re-arbitrating every cycle. Slots blocked on transient or
 //     time-varying conditions (allocator matching, consumption ports) stay
 //     armed and retry, preserving byte-identical results.
-//   * step() runs in `sim_domains` deterministic parallel domains:
-//     contiguous ascending router ranges, one phase at a time with a full
-//     barrier between phases, cross-domain effects staged per domain and
-//     merged in ascending domain order — so any domain count produces
-//     byte-identical reports (tests/test_domains.cpp).
+//   * step() is one serial sweep on the calling thread. Parallelism lives
+//     a level up: SweepRunner runs independent (series, load, seed) jobs
+//     on its worker pool, one Network per job.
 // Determinism invariants are spelled out in README "Engine architecture";
 // tests/test_core_equivalence.cpp enforces them against golden reports.
 #pragma once
@@ -58,7 +56,6 @@
 #include "router/output_unit.hpp"
 #include "routing/routing.hpp"
 #include "sim/config.hpp"
-#include "sim/domains.hpp"
 #include "sim/metrics.hpp"
 #include "sim/node.hpp"
 #include "telemetry/phase_timers.hpp"
@@ -242,48 +239,6 @@ class Network final : public CongestionOracle {
     int output = -1;  ///< router-local output (network port or ejection)
   };
 
-  /// Ejection staged at grant time: node-local consumption state advances
-  /// immediately (the destination node belongs to the granting router's
-  /// domain), while the global effects — trace span, metrics, pool release
-  /// — are applied at the cycle barrier in ascending domain order, which
-  /// over contiguous router ranges is exactly the serial ascending-router
-  /// order the single-domain engine produced.
-  struct StagedConsume {
-    PacketRef ref = kInvalidPacketRef;
-    Cycle completion = 0;
-  };
-
-  /// Per-domain hot-path scratch plus the staging lanes that make the
-  /// parallel sweep deterministic: counters accumulate thread-locally and
-  /// fold into the Network totals at the barrier; lanes a push made
-  /// non-empty in another domain's wheel queue here and are filed serially
-  /// (filing is idempotent and sweeps visit in id order, so merge order
-  /// never shows in results).
-  struct DomainScratch {
-    int domain = 0;
-    std::vector<RouteOption> options;
-    std::vector<VcCandidate> cands;
-    /// Allocator request lanes and matched flags of the router being
-    /// allocated, indexed by router-local output: sized once for the
-    /// widest router, so one router's lanes stay in cache and domains
-    /// never share a line.
-    std::vector<std::vector<Request>> lanes;
-    std::vector<char> out_matched;
-    std::vector<std::int32_t> touched;      ///< lanes filled this iteration
-    std::vector<StagedConsume> consumed;    ///< ejections for the barrier
-    std::vector<std::int32_t> credit_adds;  ///< cross-domain credit-lane ids
-    std::vector<std::int32_t> data_adds;    ///< cross-domain data-lane ids
-    std::int64_t grants = 0;
-    std::int64_t escapes = 0;
-    std::int64_t overflow = 0;
-    std::int64_t lowest = 0;
-    std::int64_t re_requests = 0;
-    /// Routers of this domain with output-side work (never reset: a gauge
-    /// the telemetry on_step hook reads, not a per-cycle counter).
-    std::int64_t send_routers = 0;
-    bool granted = false;
-  };
-
   int num_outputs(RouterId r) const;  // network ports + p*2 eject channels
   int eject_output_index(RouterId r, int node_local, MsgClass cls) const;
 
@@ -292,15 +247,13 @@ class Network final : public CongestionOracle {
   void lap([[maybe_unused]] StepPhase p) {
     FLEXNET_TELEM(if (telem_.enabled()) phases_.lap(p));
   }
-  void deliver_data(int d, Cycle now);
-  void deliver_credits(int d, Cycle now);
-  void allocate(RouterId r, Cycle now, DomainScratch& ds);
-  void commit_allocate(Cycle now);
+  void deliver_data(Cycle now);
+  void deliver_credits(Cycle now);
+  void allocate(RouterId r, Cycle now);
   void trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const;
-  bool stage1_pick(RouterId r, PortIndex ip, Cycle now, Request& req,
-                   DomainScratch& ds);
+  bool stage1_pick(RouterId r, PortIndex ip, Cycle now, Request& req);
   bool find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
-                   Request& req, DomainScratch& ds);
+                   Request& req);
   static void commit_to(Commitment& c, PacketId pkt, const RouteOption& opt,
                         VcIndex out_vc, int out_position, bool safe) {
     c.pkt = pkt;
@@ -314,26 +267,26 @@ class Network final : public CongestionOracle {
     c.valiant_reached_after = opt.valiant_reached_after;
     c.safe = safe;
   }
-  void grant(RouterId r, const Request& req, Cycle now, DomainScratch& ds);
+  void grant(RouterId r, const Request& req, Cycle now);
   /// One output link's serializer turn; returns the cycle the link is next
   /// due in the serializer wheel, or TimingWheel::kIdle when it has no
   /// queued or streaming work left.
-  Cycle send_link(RouterId r, int li, Cycle now, DomainScratch& ds);
+  Cycle send_link(RouterId r, int li, Cycle now);
   /// Serializer wheel due of a non-idle output unit: when its head can
   /// start, no earlier than `earliest`, clamped inside the ring — a start
   /// beyond the ring (an oversized packet) gets an early no-op visit that
   /// reschedules, never a late one.
   Cycle send_due(const OutputUnit& ou, Cycle earliest, Cycle now) const {
     return std::min(std::max(ou.next_ready(), earliest),
-                    now + send_wheel_.front().span() - 1);
+                    now + send_wheel_.span() - 1);
   }
   /// Output-side work count of router r (packets in its output units plus
   /// live link streams) moved by `delta`; keeps the busy-router gauge.
-  void add_send_work(RouterId r, int delta, DomainScratch& ds) {
+  void add_send_work(RouterId r, int delta) {
     std::int32_t& n = router_sends_[static_cast<std::size_t>(r)];
     const int was_busy = n > 0 ? 1 : 0;
     n += delta;
-    ds.send_routers += (n > 0 ? 1 : 0) - was_busy;
+    send_routers_ += (n > 0 ? 1 : 0) - was_busy;
   }
 
   // --- Re-request pruning. A slot is (global input, VC); armed means
@@ -377,73 +330,34 @@ class Network final : public CongestionOracle {
   // Sleeps an ejection-blocked slot until the consumption port frees: the
   // blocking edge is a *timer* (Node::consume_free_at), so instead of
   // re-arbitrating every cycle the slot parks in the wake calendar — a
-  // per-domain ring of per-cycle buckets — and re-arms exactly when
-  // can_consume's busy condition clears. Slots whose wake lies beyond the
-  // ring (oversized hand-injected packets) simply stay armed. Returns
-  // whether the slot went to sleep.
-  bool schedule_eject_wake(DomainScratch& ds, RouterId r, int gi, VcIndex vc,
-                           Cycle free_at, Cycle now) {
+  // ring of per-cycle buckets — and re-arms exactly when can_consume's
+  // busy condition clears. Slots whose wake lies beyond the ring
+  // (oversized hand-injected packets) simply stay armed. Returns whether
+  // the slot went to sleep.
+  bool schedule_eject_wake(RouterId r, int gi, VcIndex vc, Cycle free_at,
+                           Cycle now) {
     if (free_at - now >= static_cast<Cycle>(wake_ring_)) return false;
     disarm_slot(r, gi, vc);
-    eject_wake_[static_cast<std::size_t>(ds.domain)]
-               [static_cast<std::size_t>(free_at %
+    eject_wake_[static_cast<std::size_t>(free_at %
                                          static_cast<Cycle>(wake_ring_))]
-                   .push_back((static_cast<std::int32_t>(gi) << 6) | vc);
+        .push_back((static_cast<std::int32_t>(gi) << 6) | vc);
     return true;
   }
 
-  // Lane pushes. A push that makes a lane non-empty files the link in the
-  // sweeping domain's wheel under the new head's arrival: directly when
-  // that domain is the caller's own (its wheel is never mid-sweep in the
-  // pushing phase), through the domain outbox otherwise. A lane that was
-  // already non-empty is filed under its older head.
-  void push_credit(int li, const FlyingCredit& fc, DomainScratch& ds) {
+  // Lane pushes. A push that makes a lane non-empty files the link in its
+  // phase's wheel under the new head's arrival (no phase pushes into the
+  // wheel it is sweeping); a lane that was already non-empty is filed
+  // under its older head.
+  void push_credit(int li, const FlyingCredit& fc) {
     EventLane<FlyingCredit>& lane =
         links_[static_cast<std::size_t>(li)].credits;
     lane.push_back(fc);
-    if (lane.size() > 1) return;
-    const int d = link_owner_domain_[static_cast<std::size_t>(li)];
-    if (d == ds.domain)
-      credit_wheel_[static_cast<std::size_t>(d)].add(li, fc.arrive);
-    else
-      ds.credit_adds.push_back(li);
+    if (lane.size() == 1) credit_wheel_.add(li, fc.arrive);
   }
-  void push_data(int li, const FlyingPacket& fp, DomainScratch& ds) {
+  void push_data(int li, const FlyingPacket& fp) {
     EventLane<FlyingPacket>& lane = links_[static_cast<std::size_t>(li)].data;
     lane.push_back(fp);
-    if (lane.size() > 1) return;
-    const int d = link_to_domain_[static_cast<std::size_t>(li)];
-    if (d == ds.domain)
-      data_wheel_[static_cast<std::size_t>(d)].add(li, fp.arrive);
-    else
-      ds.data_adds.push_back(li);
-  }
-  void flush_lane_adds();
-
-  // Read-only pending-work gauges summed across domains, kept as helpers
-  // so the telemetry on_step hook stays a pure expression (lint L5).
-  // Links with queued lane events: every non-empty lane is filed in
-  // exactly one wheel bucket once the outboxes are flushed.
-  std::int64_t pending_lane_work() const {
-    std::int64_t n = 0;
-    for (int d = 0; d < domains_; ++d)
-      n += static_cast<std::int64_t>(
-          data_wheel_[static_cast<std::size_t>(d)].size() +
-          credit_wheel_[static_cast<std::size_t>(d)].size());
-    return n;
-  }
-  std::int64_t pending_alloc_work() const {
-    std::int64_t n = 0;
-    for (int d = 0; d < domains_; ++d)
-      n += static_cast<std::int64_t>(
-          alloc_sets_[static_cast<std::size_t>(d)].size());
-    return n;
-  }
-  // Routers with occupied output units or live link streams.
-  std::int64_t pending_send_work() const {
-    std::int64_t n = 0;
-    for (const DomainScratch& ds : scratch_) n += ds.send_routers;
-    return n;
+    if (lane.size() == 1) data_wheel_.add(li, fp.arrive);
   }
 
   // Flat-index helpers over the per-router offset tables (all carry a
@@ -503,27 +417,29 @@ class Network final : public CongestionOracle {
   /// injected), recorded at grant so the outbound stream can find its
   /// TransitTail without a search. Grown lazily like traces_.
   std::vector<std::int32_t> flit_src_link_;
-  // --- Deterministic parallel domains: contiguous ascending router ranges
-  // (`begin[d] = R * d / D`), one allocation set and three timing wheels
-  // per domain. Data lanes are swept by the link's *receiver* domain,
-  // credit lanes and serializers by the link's *owner* domain — every
-  // array element then has exactly one writer per phase. A team of one
-  // (`sim_domains=1`) runs everything inline on the caller with no thread
-  // machinery at all.
-  int domains_ = 1;
-  std::vector<std::int32_t> router_domain_;     // per router
-  std::vector<RouterId> link_owner_;            // per link: (owner, port) inverse
-  std::vector<std::int32_t> link_owner_domain_; // per link
-  std::vector<std::int32_t> link_to_domain_;    // per link: receiver's domain
+
+  // --- Event-driven link phases and the allocation worklist.
+  std::vector<RouterId> link_owner_;  // per link: (owner, port) inverse
   // Wheels file links under the cycle they are next due: a data lane at
   // its head's arrival, a credit lane likewise, a serializer when its head
   // packet can start (or every cycle while a flit stream is live).
-  std::vector<TimingWheel> data_wheel_;    // per domain: inbound data lanes
-  std::vector<TimingWheel> credit_wheel_;  // per domain: credit lanes
-  std::vector<TimingWheel> send_wheel_;    // per domain: output serializers
-  std::vector<ActiveSet> alloc_sets_;    // per domain: routers with armed slots
-  std::vector<DomainScratch> scratch_;   // per domain
-  std::unique_ptr<DomainTeam> team_;
+  TimingWheel data_wheel_;    // inbound data lanes
+  TimingWheel credit_wheel_;  // credit lanes
+  TimingWheel send_wheel_;    // output serializers
+  ActiveSet alloc_set_;       // routers with armed slots
+  /// Routers with occupied output units or live link streams (a gauge the
+  /// telemetry on_step hook reads).
+  std::int64_t send_routers_ = 0;
+
+  // --- Allocator scratch, sized once in build(). The request lanes and
+  // matched flags of the router being allocated are indexed by router-
+  // local output and sized for the widest router, so one router's lanes
+  // stay in cache.
+  std::vector<RouteOption> options_;
+  std::vector<VcCandidate> cands_;
+  std::vector<std::vector<Request>> lanes_;
+  std::vector<char> out_matched_;
+  std::vector<std::int32_t> touched_;  // lanes filled this iteration
 
   // --- Pruned-arbitration state (see arm_slot/disarm_slot above).
   std::vector<std::uint64_t> armed_;        // per global input: VC bitmask
@@ -543,8 +459,8 @@ class Network final : public CongestionOracle {
   // router RNG every cycle, and byte-equality pins that stream.
   bool fresh_prune_ok_ = false;
   int wake_ring_ = 1;  // wake-calendar span (max packet phits + margin)
-  // Per domain: ring of per-cycle wake buckets, entries (gi<<6)|vc.
-  std::vector<std::vector<std::vector<std::int32_t>>> eject_wake_;
+  // Ring of per-cycle wake buckets, entries (gi<<6)|vc.
+  std::vector<std::vector<std::int32_t>> eject_wake_;
 
   std::unique_ptr<Nodes> nodes_;
 

@@ -54,13 +54,13 @@ class Nodes {
   /// Accepts a packet at node `pkt.dst`'s consumption port (called on an
   /// ejection grant); returns the completion cycle of the transfer.
   /// Touches only that node's state (consumption ports, the reply source
-  /// queue) — the global side effects (metrics, pool release, trace) are
-  /// staged by the Network so ejections in parallel allocation domains
-  /// apply them in a deterministic serial order at the cycle barrier.
+  /// queue) — the grant applies the global side effects (trace, metrics,
+  /// pool release) right after.
   Cycle consume(const Packet& pkt, Cycle now);
 
-  /// Whether consuming `pkt` enqueues a reply (reactive request): Network
-  /// stages the generation metric for it alongside on_consumed.
+  /// Whether consuming `pkt` enqueues a reply (reactive request): the
+  /// ejection grant counts the generation metric for it alongside
+  /// on_consumed.
   bool consume_spawns_reply(const Packet& pkt) const {
     return config_.reactive && pkt.cls == MsgClass::kRequest;
   }

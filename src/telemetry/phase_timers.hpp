@@ -6,11 +6,9 @@
 // telemetry is enabled, so untraced runs pay one predictable branch per
 // phase and no clock reads.
 //
-// Accounting is lap-based on the calling thread: start() stamps the
-// clock, and each lap(p) charges the time since the previous stamp to
-// phase p. Under parallel domains the caller runs domain 0 and laps when
-// its own share of a phase is done; the wait for the other domains is
-// lapped as kBarrier.
+// Accounting is lap-based: start() stamps the clock, and each lap(p)
+// charges the time since the previous stamp to phase p. Network::step is
+// one serial sweep, so the phases partition its wall time.
 #pragma once
 
 #include <array>
@@ -23,10 +21,8 @@ enum class StepPhase : std::uint8_t {
   kDeliverData,     ///< data lanes into input buffers
   kDeliverCredits,  ///< credit lanes into ledgers
   kNodes,           ///< node generation and injection
-  kAllocate,        ///< routing update, wake calendar, VC/switch allocation
-  kCommit,          ///< serial fold of per-domain grants and ejections
+  kAllocate,        ///< routing update, wake calendar, allocation, ejection
   kSend,            ///< output serializers onto links
-  kBarrier,         ///< waiting for other domains plus cross-domain merges
   kCount,
 };
 
@@ -36,8 +32,7 @@ class PhaseTimers {
 
   static const char* name(StepPhase p) {
     static constexpr const char* kNames[kPhases] = {
-        "deliver_data", "deliver_credits", "nodes", "allocate",
-        "commit",       "send",            "barrier"};
+        "deliver_data", "deliver_credits", "nodes", "allocate", "send"};
     return kNames[static_cast<int>(p)];
   }
 

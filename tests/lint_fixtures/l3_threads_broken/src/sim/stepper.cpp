@@ -1,5 +1,5 @@
 // Lint fixture (L3, violating): a thread primitive in a simulation-core TU
-// that is not the sanctioned src/sim/domains.* barrier.
+// (anywhere under src/sim/).
 #include <mutex>
 
 namespace flexnet {

