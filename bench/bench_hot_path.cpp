@@ -20,6 +20,11 @@
 // step time. `paper_scale=1` runs the cases on the paper's 2064-router
 // Dragonfly (pass a small --cycles: a cycle there costs ~100x smoke).
 //
+// Each case also reports where its network's bytes live, read at the end
+// of the telemetry-off pass: `arena_mb` is what the network's arena holds
+// from the OS (common/arena.hpp), `huge_mb` the process's AnonHugePages
+// from /proc/self/smaps_rollup (0 where that file is unreadable).
+//
 // The JSON report is a "microbench" document (not a sweep report);
 // tools/bench_trajectory folds it into BENCH_sweeps.json alongside the
 // sweep entries so the engine's cycles/sec is tracked commit over commit.
@@ -30,6 +35,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -84,7 +90,26 @@ struct CaseResult {
   double re_requests_per_grant = 0.0;
   /// Seconds per step phase in the telemetry-on pass, by StepPhase.
   double phase_seconds[PhaseTimers::kPhases] = {};
+  double arena_mb = 0.0;  ///< bytes the network's arena holds from the OS
+  double huge_mb = 0.0;   ///< process AnonHugePages (0 when unreadable)
 };
+
+constexpr double kMiB = 1024.0 * 1024.0;
+
+/// AnonHugePages of this process in MiB, or 0 when smaps_rollup is
+/// unreadable (non-Linux hosts, restricted /proc).
+double anon_huge_mb() {
+  std::ifstream in("/proc/self/smaps_rollup");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("AnonHugePages:", 0) != 0) continue;
+    std::istringstream fields(line.substr(14));
+    double kb = 0.0;
+    fields >> kb;
+    return kb / 1024.0;
+  }
+  return 0.0;
+}
 
 double time_case(const Case& c, const SimConfig& base, Cycle cycles,
                  bool telemetry_on, CaseResult* out) {
@@ -110,6 +135,8 @@ double time_case(const Case& c, const SimConfig& base, Cycle cycles,
     out->consumed = net.metrics().consumed_packets();
     out->grants = net.total_grants();
     out->re_requests = net.re_requests();
+    out->arena_mb = static_cast<double>(net.arena().os_bytes()) / kMiB;
+    out->huge_mb = anon_huge_mb();
     out->re_requests_per_grant =
         out->grants > 0 ? static_cast<double>(out->re_requests) /
                               static_cast<double>(out->grants)
@@ -186,9 +213,10 @@ int main(int argc, char** argv) {
               "per case\n",
               base.dragonfly.p, base.dragonfly.a, base.dragonfly.h,
               static_cast<long long>(cycles));
-  std::printf("%-30s %9s %8s %12s %12s %9s %9s %10s %11s %8s\n", "case",
-              "cycles", "wall_s", "cycles/sec", "cps(telem)", "overhead",
-              "consumed", "grants", "re_request", "rr/grant");
+  std::printf("%-30s %9s %8s %12s %12s %9s %9s %10s %11s %8s %9s %8s\n",
+              "case", "cycles", "wall_s", "cycles/sec", "cps(telem)",
+              "overhead", "consumed", "grants", "re_request", "rr/grant",
+              "arena_mb", "huge_mb");
 
   std::vector<CaseResult> results;
   double log_sum = 0.0;
@@ -198,12 +226,14 @@ int main(int argc, char** argv) {
       continue;
     const CaseResult r = run_case(c, base, cycles);
     std::printf(
-        "%-30s %9lld %8.3f %12.0f %12.0f %8.3fx %9lld %10lld %11lld %8.3f\n",
+        "%-30s %9lld %8.3f %12.0f %12.0f %8.3fx %9lld %10lld %11lld %8.3f "
+        "%9.1f %8.1f\n",
         r.name.c_str(), static_cast<long long>(r.cycles), r.wall_seconds,
         r.cycles_per_sec, r.cycles_per_sec_telemetry, r.telemetry_overhead,
         static_cast<long long>(r.consumed),
         static_cast<long long>(r.grants),
-        static_cast<long long>(r.re_requests), r.re_requests_per_grant);
+        static_cast<long long>(r.re_requests), r.re_requests_per_grant,
+        r.arena_mb, r.huge_mb);
     log_sum += std::log(r.cycles_per_sec);
     telem_log_sum += std::log(r.telemetry_overhead);
     results.push_back(r);
@@ -258,6 +288,8 @@ int main(int argc, char** argv) {
             JsonValue::make_number(static_cast<double>(r.re_requests)));
       c.set("re_requests_per_grant",
             JsonValue::make_number(r.re_requests_per_grant));
+      c.set("arena_mb", JsonValue::make_number(r.arena_mb));
+      c.set("huge_mb", JsonValue::make_number(r.huge_mb));
       JsonValue phases = JsonValue::make_object();
       for (int p = 0; p < PhaseTimers::kPhases; ++p)
         phases.set(PhaseTimers::name(static_cast<StepPhase>(p)),

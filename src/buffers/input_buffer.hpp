@@ -21,6 +21,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "buffers/packet_pool.hpp"
@@ -37,15 +39,24 @@ struct BufferSlot {
 
 class InputBuffer final {
  public:
+  /// Allocator-aware: inside a pmr container the word block comes from the
+  /// container's resource (the Network's arena); standalone buffers use the
+  /// default resource.
+  using allocator_type = std::pmr::polymorphic_allocator<std::int32_t>;
+
   /// `shared_capacity` == 0 builds a statically partitioned buffer;
   /// > 0 builds a DAMQ with `private_per_vc` reserved per VC.
   InputBuffer(int num_vcs, int private_per_vc, int shared_capacity = 0)
+      : InputBuffer(std::allocator_arg, allocator_type{}, num_vcs,
+                    private_per_vc, shared_capacity) {}
+  InputBuffer(std::allocator_arg_t, const allocator_type& alloc, int num_vcs,
+              int private_per_vc, int shared_capacity = 0)
       : num_vcs_(num_vcs),
         private_per_vc_(private_per_vc),
         shared_capacity_(shared_capacity),
         words_(static_cast<std::size_t>(num_vcs) *
                    (kHeader + kSlotWords * kInitialSlots),
-               0) {
+               0, alloc) {
     FLEXNET_CHECK(num_vcs >= 1);
     for (VcIndex vc = 0; vc < num_vcs; ++vc) {
       std::int32_t* h = header(vc);
@@ -53,6 +64,14 @@ class InputBuffer final {
       h[kBase] = num_vcs * kHeader + vc * kSlotWords * kInitialSlots;
     }
   }
+  InputBuffer(std::allocator_arg_t, const allocator_type& alloc,
+              InputBuffer&& o)
+      : num_vcs_(o.num_vcs_),
+        private_per_vc_(o.private_per_vc_),
+        shared_capacity_(o.shared_capacity_),
+        shared_used_(o.shared_used_),
+        total_occupancy_(o.total_occupancy_),
+        words_(std::move(o.words_), alloc) {}
 
   int num_vcs() const { return num_vcs_; }
   bool is_damq() const { return shared_capacity_ > 0; }
@@ -177,10 +196,10 @@ class InputBuffer final {
   /// Doubles `vc`'s full ring: rebuilds the block with every ring
   /// unwrapped to head 0 at its new base, other VCs' capacities unchanged.
   void grow(VcIndex vc) {
-    std::vector<std::int32_t> next(
+    std::pmr::vector<std::int32_t> next(
         words_.size() +
             static_cast<std::size_t>(header(vc)[kMask] + 1) * kSlotWords,
-        0);
+        0, words_.get_allocator());
     int base = num_vcs_ * kHeader;
     for (VcIndex v = 0; v < num_vcs_; ++v) {
       const std::int32_t* h = header(v);
@@ -207,7 +226,7 @@ class InputBuffer final {
   int shared_capacity_;
   int shared_used_ = 0;
   int total_occupancy_ = 0;
-  std::vector<std::int32_t> words_;
+  std::pmr::vector<std::int32_t> words_;
 };
 
 }  // namespace flexnet

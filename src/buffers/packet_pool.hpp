@@ -12,6 +12,7 @@
 // commitments) keys on the monotone PacketId, never on the slot index.
 #pragma once
 
+#include <memory_resource>
 #include <vector>
 
 #include "buffers/packet.hpp"
@@ -25,6 +26,10 @@ inline constexpr PacketRef kInvalidPacketRef = -1;
 
 class PacketPool {
  public:
+  explicit PacketPool(
+      std::pmr::memory_resource* mr = std::pmr::get_default_resource())
+      : slab_(mr), free_(mr) {}
+
   PacketRef alloc(const Packet& pkt) {
     PacketRef ref;
     if (!free_.empty()) {
@@ -75,10 +80,11 @@ class PacketPool {
   std::size_t slots() const { return slab_.size(); }
 
  private:
-  std::vector<Packet> slab_;
-  std::vector<PacketRef> free_;
+  std::pmr::vector<Packet> slab_;
+  std::pmr::vector<PacketRef> free_;
 #ifndef NDEBUG
-  std::vector<std::uint8_t> freed_;  ///< per-slot freed flag (debug only)
+  /// Per-slot freed flag (debug only).
+  std::pmr::vector<std::uint8_t> freed_{free_.get_allocator()};
 #endif
   std::int64_t live_ = 0;
 };

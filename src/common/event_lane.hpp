@@ -24,6 +24,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory_resource>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -33,7 +36,42 @@ namespace flexnet {
 
 template <typename T>
 class EventLane {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "lanes move events as raw bytes");
+
  public:
+  /// Allocator-aware: a lane inside a pmr container draws its ring from
+  /// the container's resource (the Network's arena); a standalone lane
+  /// uses the default resource.
+  using allocator_type = std::pmr::polymorphic_allocator<T>;
+
+  EventLane() = default;
+  explicit EventLane(const allocator_type& alloc) : alloc_(alloc) {}
+  EventLane(EventLane&& o) noexcept
+      : alloc_(o.alloc_),
+        buf_(std::exchange(o.buf_, nullptr)),
+        head_(std::exchange(o.head_, 0)),
+        size_(std::exchange(o.size_, 0)),
+        mask_(std::exchange(o.mask_, 0)),
+        cap_(std::exchange(o.cap_, 0)) {}
+  EventLane(EventLane&& o, const allocator_type& alloc) : alloc_(alloc) {
+    if (alloc_ == o.alloc_) {
+      std::swap(buf_, o.buf_);
+      std::swap(head_, o.head_);
+      std::swap(size_, o.size_);
+      std::swap(mask_, o.mask_);
+      std::swap(cap_, o.cap_);
+    } else {
+      for (std::size_t i = 0; i < o.size(); ++i) push_back(o.at(i));
+    }
+  }
+  EventLane(const EventLane&) = delete;
+  EventLane& operator=(const EventLane&) = delete;
+  EventLane& operator=(EventLane&&) = delete;
+  ~EventLane() {
+    if (buf_ != nullptr) alloc_.deallocate(buf_, cap_);
+  }
+
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
@@ -52,11 +90,11 @@ class EventLane {
   /// i-th element from the head (diagnostics / tests only).
   const T& at(std::size_t i) const {
     FLEXNET_DCHECK(i < size_);
-    return buf_[(head_ + i) & mask_];
+    return buf_[(head_ + static_cast<std::uint32_t>(i)) & mask_];
   }
 
   void push_back(const T& v) {
-    if (size_ == buf_.size()) grow();
+    if (size_ == cap_) grow();
     buf_[(head_ + size_) & mask_] = v;
     ++size_;
   }
@@ -74,23 +112,31 @@ class EventLane {
 
  private:
   void grow() {
-    const std::size_t cap = buf_.empty() ? 8 : buf_.size() * 2;
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i)
+    const std::uint32_t cap = cap_ == 0 ? 8 : cap_ * 2;
+    T* next = alloc_.allocate(cap);
+    for (std::uint32_t i = 0; i < size_; ++i)
       next[i] = buf_[(head_ + i) & mask_];
-    buf_ = std::move(next);
+    if (buf_ != nullptr) alloc_.deallocate(buf_, cap_);
+    buf_ = next;
     head_ = 0;
     mask_ = cap - 1;
+    cap_ = cap;
   }
 
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
+  allocator_type alloc_;
+  T* buf_ = nullptr;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  std::uint32_t mask_ = 0;
+  std::uint32_t cap_ = 0;
 };
 
 class ActiveSet {
  public:
+  explicit ActiveSet(
+      std::pmr::memory_resource* mr = std::pmr::get_default_resource())
+      : words_(mr) {}
+
   void resize(std::size_t n) {
     words_.assign((n + 63) / 64, 0);
     size_ = 0;
@@ -129,7 +175,7 @@ class ActiveSet {
   }
 
  private:
-  std::vector<std::uint64_t> words_;
+  std::pmr::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
 };
 
@@ -149,6 +195,10 @@ class TimingWheel {
  public:
   /// Returned by a visit to leave the id unscheduled.
   static constexpr Cycle kIdle = -1;
+
+  explicit TimingWheel(
+      std::pmr::memory_resource* mr = std::pmr::get_default_resource())
+      : bits_(mr) {}
 
   /// Sizes the wheel for ids [0, ids) due at most `horizon` cycles ahead;
   /// span() becomes the smallest power of two above `horizon`. Empties it.
@@ -202,7 +252,7 @@ class TimingWheel {
            static_cast<std::size_t>(c & (span_ - 1)) * words_;
   }
 
-  std::vector<std::uint64_t> bits_;
+  std::pmr::vector<std::uint64_t> bits_;
   std::size_t words_ = 0;
   Cycle span_ = 1;
   std::size_t size_ = 0;

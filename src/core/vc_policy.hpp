@@ -59,16 +59,6 @@ class VcPolicy {
   virtual void candidates(const HopContext& ctx,
                           std::vector<VcCandidate>& out) const = 0;
 
-  /// True when a packet may wait indefinitely on this hop (some candidate is
-  /// safe), used for route validation and statistics.
-  bool has_safe_candidate(const HopContext& ctx) const {
-    std::vector<VcCandidate> cands;
-    candidates(ctx, cands);
-    for (const auto& c : cands)
-      if (c.safe) return true;
-    return false;
-  }
-
   const VcTemplate& tmpl() const { return tmpl_; }
 
  protected:

@@ -14,6 +14,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <memory_resource>
+#include <utility>
 
 #include "buffers/packet_pool.hpp"
 #include "common/check.hpp"
@@ -24,8 +27,21 @@ namespace flexnet {
 
 class OutputUnit final {
  public:
-  OutputUnit(int buffer_capacity, int pipeline_latency)
-      : capacity_(buffer_capacity), pipeline_latency_(pipeline_latency) {}
+  /// Allocator-aware: the pipeline ring draws from the container's
+  /// resource (the Network's arena) or, standalone, the default one.
+  using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
+
+  OutputUnit(int buffer_capacity, int pipeline_latency,
+             const allocator_type& alloc = {})
+      : capacity_(buffer_capacity),
+        pipeline_latency_(pipeline_latency),
+        pipeline_(alloc) {}
+  OutputUnit(OutputUnit&& o, const allocator_type& alloc)
+      : capacity_(o.capacity_),
+        pipeline_latency_(o.pipeline_latency_),
+        occupancy_(o.occupancy_),
+        link_busy_until_(o.link_busy_until_),
+        pipeline_(std::move(o.pipeline_), alloc) {}
 
   /// Space check used by the allocator before granting.
   bool can_reserve(int phits) const { return occupancy_ + phits <= capacity_; }

@@ -74,7 +74,8 @@ Network::Network(const SimConfig& config) : config_(config) {
   build();
 }
 
-Network::~Network() = default;
+// The containers free into a dying arena: skip its recycling.
+Network::~Network() { arena_.retire(); }
 
 int Network::num_outputs(RouterId r) const {
   return topo_->num_network_ports(r) + topo_->concentration() * kNumMsgClasses;
@@ -151,7 +152,7 @@ void Network::build() {
       const int total = port_cap > 0 ? port_cap : per_vc * vcs;
       const BufferGeometry geom =
           make_geometry(org, vcs, total, config_.damq_private_fraction);
-      in_.push_back(make_buffer(geom));
+      in_.emplace_back(geom.num_vcs, geom.private_per_vc, geom.shared);
       out_.emplace_back(config_.output_buffer, config_.pipeline_latency);
       ledger_.emplace_back(geom.num_vcs, geom.private_per_vc, geom.shared);
       if (buffer_mgmt_ == BufferMgmt::kOnOff) {
@@ -199,7 +200,7 @@ void Network::build() {
     }
   }
 
-  nodes_ = std::make_unique<Nodes>(config_, *topo_, base);
+  nodes_ = std::make_unique<Nodes>(config_, *topo_, base, &arena_);
 
   // Active-set bookkeeping and hot-path scratch, sized once here (the
   // allocator never resizes anything per cycle).

@@ -32,6 +32,10 @@
 //     stops re-arbitrating every cycle. Slots blocked on transient or
 //     time-varying conditions (allocator matching, consumption ports) stay
 //     armed and retry, preserving byte-identical results.
+//   * Every container above draws from the network's own Arena
+//     (common/arena.hpp) through std::pmr allocators: a paper-scale
+//     network's state sits on 2 MB pages, a smoke-scale one stays on base
+//     pages, and results never depend on where the bytes live.
 //   * step() is one serial sweep on the calling thread. Parallelism lives
 //     a level up: SweepRunner runs independent (series, load, seed) jobs
 //     on its worker pool, one Network per job.
@@ -40,7 +44,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <memory_resource>
+#include <utility>
 #include <vector>
 
 #include "buffers/buffer_mgmt.hpp"
@@ -49,6 +56,7 @@
 #include "buffers/flow_control.hpp"
 #include "buffers/input_buffer.hpp"
 #include "buffers/packet_pool.hpp"
+#include "common/arena.hpp"
 #include "common/event_lane.hpp"
 #include "core/flexvc_policy.hpp"
 #include "core/vc_selection.hpp"
@@ -96,6 +104,8 @@ class Network final : public CongestionOracle {
   /// Wall-clock seconds per Network::step phase, accumulated only while
   /// telemetry is enabled (telemetry/phase_timers.hpp).
   const PhaseTimers& phase_times() const { return phases_; }
+  /// The memory resource all engine state draws from (common/arena.hpp).
+  const Arena& arena() const { return arena_; }
   void set_telemetry_enabled(bool on) {
     telem_.set_enabled(on && FLEXNET_TELEMETRY != 0);
   }
@@ -175,7 +185,18 @@ class Network final : public CongestionOracle {
 
   /// One directed network link plus its credit backchannel. Both lanes are
   /// rings ordered by arrival cycle (fixed latency, monotone clock).
+  /// Allocator-aware, so the lanes draw from links_'s resource.
   struct DirLink {
+    using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
+    explicit DirLink(const allocator_type& alloc)
+        : data(alloc), credits(alloc) {}
+    DirLink(DirLink&& o, const allocator_type& alloc)
+        : to(o.to),
+          to_input(o.to_input),
+          latency(o.latency),
+          data(std::move(o.data), alloc),
+          credits(std::move(o.credits), alloc) {}
+
     RouterId to = kInvalidRouter;
     int to_input = -1;  ///< global input index the link feeds
     int latency = 1;
@@ -377,6 +398,11 @@ class Network final : public CongestionOracle {
            in_index_[static_cast<std::size_t>(r)];
   }
 
+  // Owns every container below (declared first, so it outlives them).
+  Arena arena_;
+  template <typename T>
+  using Vec = std::pmr::vector<T>;  // draws from arena_
+
   SimConfig config_;
   std::unique_ptr<Topology> topo_;
   std::unique_ptr<VcPolicy> policy_;
@@ -391,42 +417,42 @@ class Network final : public CongestionOracle {
   // build() time: link i *is* (owner, port) = the pair link_at inverts,
   // and out_/ledger_ share that index — so the owning ledger of link i is
   // ledger_[i], with no per-cycle owner recovery.
-  std::vector<DirLink> links_;      // by link index (router, network port)
-  std::vector<OutputUnit> out_;        // by link index
-  std::vector<CreditLedger> ledger_;   // by link index
-  std::vector<int> link_index_;        // per router + sentinel
-  std::vector<InputBuffer> in_;        // by global input index
-  std::vector<RoundRobinArbiter> in_arb_;  // by global input index
-  std::vector<Commitment> commits_;        // flat (input, vc) slots
-  std::vector<int> commit_index_;  // per global input: first commit slot
-  std::vector<int> in_index_;      // per router + sentinel
-  std::vector<std::int32_t> upstream_link_;  // per global input (-1: inject)
-  std::vector<RoundRobinArbiter> out_arb_;  // by global output index
-  std::vector<int> output_index_;           // per router + sentinel
-  std::vector<Rng> rng_;                    // per router
+  Vec<DirLink> links_{&arena_};  // by link index (router, network port)
+  Vec<OutputUnit> out_{&arena_};  // by link index
+  Vec<CreditLedger> ledger_{&arena_};  // by link index
+  Vec<int> link_index_{&arena_};  // per router + sentinel
+  Vec<InputBuffer> in_{&arena_};  // by global input index
+  Vec<RoundRobinArbiter> in_arb_{&arena_};  // by global input index
+  Vec<Commitment> commits_{&arena_};  // flat (input, vc) slots
+  Vec<int> commit_index_{&arena_};  // per global input: first commit slot
+  Vec<int> in_index_{&arena_};  // per router + sentinel
+  Vec<std::int32_t> upstream_link_{&arena_};  // per global input (-1: inject)
+  Vec<RoundRobinArbiter> out_arb_{&arena_};  // by global output index
+  Vec<int> output_index_{&arena_};  // per router + sentinel
+  Vec<Rng> rng_{&arena_};  // per router
 
   // --- Pending-work bookkeeping, per router.
-  PacketPool pool_;
-  std::vector<std::int32_t> router_buffered_;  // packets in input buffers
-  std::vector<std::int32_t> router_sends_;  // output-unit packets + streams
+  PacketPool pool_{&arena_};
+  Vec<std::int32_t> router_buffered_{&arena_};  // packets in input buffers
+  Vec<std::int32_t> router_sends_{&arena_};  // output-unit packets + streams
 
   // --- Flit-level flow control state (empty in packet mode).
-  std::vector<TransitTail> transit_;  // by inbound link index
-  std::vector<LinkStream> streams_;   // by outbound link index
+  Vec<TransitTail> transit_{&arena_};  // by inbound link index
+  Vec<LinkStream> streams_{&arena_};  // by outbound link index
   /// Inbound link a pool slot's tail streams in on (-1 = fully arrived or
   /// injected), recorded at grant so the outbound stream can find its
   /// TransitTail without a search. Grown lazily like traces_.
-  std::vector<std::int32_t> flit_src_link_;
+  Vec<std::int32_t> flit_src_link_{&arena_};
 
   // --- Event-driven link phases and the allocation worklist.
-  std::vector<RouterId> link_owner_;  // per link: (owner, port) inverse
+  Vec<RouterId> link_owner_{&arena_};  // per link: (owner, port) inverse
   // Wheels file links under the cycle they are next due: a data lane at
   // its head's arrival, a credit lane likewise, a serializer when its head
   // packet can start (or every cycle while a flit stream is live).
-  TimingWheel data_wheel_;    // inbound data lanes
-  TimingWheel credit_wheel_;  // credit lanes
-  TimingWheel send_wheel_;    // output serializers
-  ActiveSet alloc_set_;       // routers with armed slots
+  TimingWheel data_wheel_{&arena_};  // inbound data lanes
+  TimingWheel credit_wheel_{&arena_};  // credit lanes
+  TimingWheel send_wheel_{&arena_};  // output serializers
+  ActiveSet alloc_set_{&arena_};  // routers with armed slots
   /// Routers with occupied output units or live link streams (a gauge the
   /// telemetry on_step hook reads).
   std::int64_t send_routers_ = 0;
@@ -437,20 +463,20 @@ class Network final : public CongestionOracle {
   // stay in cache.
   std::vector<RouteOption> options_;
   std::vector<VcCandidate> cands_;
-  std::vector<std::vector<Request>> lanes_;
-  std::vector<char> out_matched_;
-  std::vector<std::int32_t> touched_;  // lanes filled this iteration
+  Vec<Vec<Request>> lanes_{&arena_};
+  Vec<char> out_matched_{&arena_};
+  Vec<std::int32_t> touched_{&arena_};  // lanes filled this iteration
 
   // --- Pruned-arbitration state (see arm_slot/disarm_slot above).
-  std::vector<std::uint64_t> armed_;        // per global input: VC bitmask
-  std::vector<std::int32_t> router_armed_;  // per router: armed slot count
-  std::vector<std::int32_t> wait_link_;     // per (input, VC) commit slot
-  std::vector<std::vector<std::int32_t>> link_waiters_;  // per link: (gi<<6)|vc
-  std::vector<std::int32_t> input_router_;  // per global input: owning router
+  Vec<std::uint64_t> armed_{&arena_};  // per global input: VC bitmask
+  Vec<std::int32_t> router_armed_{&arena_};  // per router: armed slot count
+  Vec<std::int32_t> wait_link_{&arena_};  // per (input, VC) commit slot
+  Vec<Vec<std::int32_t>> link_waiters_{&arena_};  // per link: (gi<<6)|vc
+  Vec<std::int32_t> input_router_{&arena_};  // per global input: owning router
   // armed_inputs_[r] holds the input ports with any armed VC — stage 1
   // iterates set bits instead of scanning every port. One word per router:
   // the constructor rejects topologies with more than 64 inputs a router.
-  std::vector<std::uint64_t> armed_inputs_;  // per router
+  Vec<std::uint64_t> armed_inputs_{&arena_};  // per router
   // Uncommitted heads may sleep on their blocking resource's wake edges
   // only when re-running VC allocation is pure: a draw-free routing
   // algorithm (options are a function of packet and router alone) and a
@@ -460,7 +486,7 @@ class Network final : public CongestionOracle {
   bool fresh_prune_ok_ = false;
   int wake_ring_ = 1;  // wake-calendar span (max packet phits + margin)
   // Ring of per-cycle wake buckets, entries (gi<<6)|vc.
-  std::vector<std::vector<std::int32_t>> eject_wake_;
+  Vec<Vec<std::int32_t>> eject_wake_{&arena_};
 
   std::unique_ptr<Nodes> nodes_;
 
@@ -478,11 +504,11 @@ class Network final : public CongestionOracle {
   // stalled-traffic dump or the per-packet trace spans (set_trace).
   bool debug_stuck_ = false;
   bool record_routes_ = false;
-  std::vector<std::vector<std::int16_t>> traces_;  // by pool slot
+  Vec<Vec<std::int16_t>> traces_{&arena_};  // by pool slot
 
   // Per-network telemetry counters; hot-path updates are compiled away
   // when FLEXNET_TELEMETRY is 0 and branch-gated on enabled() otherwise.
-  TelemetryCounters telem_;
+  TelemetryCounters telem_{&arena_};
   PhaseTimers phases_;
   TraceWriter* trace_ = nullptr;
   int trace_pid_ = 0;

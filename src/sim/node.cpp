@@ -18,12 +18,20 @@ double request_load(const SimConfig& config) {
 
 }  // namespace
 
-Nodes::Nodes(const SimConfig& config, const Topology& topo, const Rng& base)
+Nodes::Nodes(const SimConfig& config, const Topology& topo, const Rng& base,
+             std::pmr::memory_resource* mr)
     : config_(config),
       pattern_(traffic_registry().at(config.traffic).make.pattern(topo,
                                                                   config)),
       process_(traffic_registry().at(config.traffic).make.process(
-          config, request_load(config))) {
+          config, request_load(config))),
+      rng_(mr),
+      state_(mr),
+      burst_dst_(mr),
+      queued_(mr),
+      inject_busy_until_(mr),
+      nodes_(mr),
+      backlog_(mr) {
   const auto n = static_cast<std::size_t>(topo.num_nodes());
   rng_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
+#include <utility>
 #include <vector>
 
 #include "buffers/packet.hpp"
@@ -29,8 +31,10 @@ class Network;
 
 class Nodes {
  public:
-  /// Node n draws from `base.split(0x100000 + n)`.
-  Nodes(const SimConfig& config, const Topology& topo, const Rng& base);
+  /// Node n draws from `base.split(0x100000 + n)`. Every per-node array
+  /// and source queue draws from `mr` (the owning Network's arena).
+  Nodes(const SimConfig& config, const Topology& topo, const Rng& base,
+        std::pmr::memory_resource* mr);
 
   int size() const { return static_cast<int>(nodes_.size()); }
 
@@ -84,11 +88,22 @@ class Nodes {
     Cycle created = 0;
   };
 
-  /// Source queues and consumption-port timers of one node.
+  /// Source queues and consumption-port timers of one node. Allocator-
+  /// aware, so the queues draw from the node array's resource.
   struct Node {
+    using allocator_type = std::pmr::polymorphic_allocator<Queued>;
+    explicit Node(const allocator_type& alloc)
+        : source{EventLane<Queued>(alloc), EventLane<Queued>(alloc)} {}
+    Node(Node&& o, const allocator_type& alloc)
+        : source{EventLane<Queued>(std::move(o.source[0]), alloc),
+                 EventLane<Queued>(std::move(o.source[1]), alloc)},
+          consume_busy_until{o.consume_busy_until[0],
+                             o.consume_busy_until[1]} {}
+
     EventLane<Queued> source[kNumMsgClasses];
     Cycle consume_busy_until[kNumMsgClasses] = {0, 0};
   };
+  static_assert(kNumMsgClasses == 2, "Node spells out one queue per class");
 
   void enqueue(NodeId n, MsgClass cls, NodeId dst, Cycle created);
   void inject(NodeId n, Cycle now, Network& net);
@@ -97,15 +112,15 @@ class Nodes {
   std::unique_ptr<TrafficPattern> pattern_;
   InjectionProcess process_;
   // Generation state, per node.
-  std::vector<Rng> rng_;
-  std::vector<InjectionState> state_;
-  std::vector<NodeId> burst_dst_;
+  std::pmr::vector<Rng> rng_;
+  std::pmr::vector<InjectionState> state_;
+  std::pmr::vector<NodeId> burst_dst_;
   // The injection pass's filter, per node: packets in both source queues,
   // and the first cycle the injection channel is free.
-  std::vector<std::int32_t> queued_;
-  std::vector<Cycle> inject_busy_until_;
-  std::vector<Node> nodes_;
-  std::vector<NodeId> backlog_;  ///< injection-pass scratch
+  std::pmr::vector<std::int32_t> queued_;
+  std::pmr::vector<Cycle> inject_busy_until_;
+  std::pmr::vector<Node> nodes_;
+  std::pmr::vector<NodeId> backlog_;  ///< injection-pass scratch
 };
 
 }  // namespace flexnet

@@ -9,6 +9,23 @@
 
 namespace flexnet {
 
+TelemetryCounters::TelemetryCounters(std::pmr::memory_resource* mr)
+    : vc_index_(mr),
+      router_requests_(mr),
+      router_conflicts_(mr),
+      router_grants_(mr),
+      router_injections_(mr),
+      link_delivered_packets_(mr),
+      link_delivered_phits_(mr),
+      link_sent_phits_(mr),
+      link_credit_phits_(mr),
+      link_occupancy_sum_(mr),
+      link_flits_(mr),
+      link_flit_stalls_(mr),
+      link_transit_flits_(mr),
+      vc_sends_(mr),
+      vc_occupancy_sum_(mr) {}
+
 void TelemetryCounters::configure(int routers,
                                   const std::vector<int>& link_vcs) {
   routers_ = routers;
@@ -21,7 +38,7 @@ void TelemetryCounters::configure(int routers,
   }
   vc_index_[static_cast<std::size_t>(links_)] = total_vcs;
 
-  const auto zero = [](std::vector<std::int64_t>& v, int n) {
+  const auto zero = [](std::pmr::vector<std::int64_t>& v, int n) {
     v.assign(static_cast<std::size_t>(n), 0);
   };
   zero(router_requests_, routers_);
@@ -49,7 +66,7 @@ void TelemetryCounters::expand_to(int routers,
                                   const std::vector<int>& link_vcs) {
   // Grow in place to a superset shape, keeping every existing value at its
   // (router, link, vc) id and zero-filling the new slots.
-  TelemetryCounters wider;
+  TelemetryCounters wider(vc_index_.get_allocator().resource());
   wider.configure(routers, link_vcs);
   wider.enabled_ = enabled_;
   for (int r = 0; r < routers_; ++r) {

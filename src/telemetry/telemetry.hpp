@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,11 @@ namespace flexnet {
 ///   link.<l>.vc.<v>.sends|...          per-VC sends and credit occupancy
 class TelemetryCounters {
  public:
+  /// The counter vectors draw from `mr` (a Network passes its arena);
+  /// copies use the default resource.
+  explicit TelemetryCounters(
+      std::pmr::memory_resource* mr = std::pmr::get_default_resource());
+
   /// Sizes every counter vector for a network of `routers` routers and
   /// `link_vcs.size()` directed links with link_vcs[l] VCs each. Resets
   /// all values. Must be called before any update hook.
@@ -178,24 +184,24 @@ class TelemetryCounters {
   bool enabled_ = false;
   int routers_ = 0;
   int links_ = 0;
-  std::vector<int> vc_index_;  // per link + sentinel -> per-VC slot
+  std::pmr::vector<int> vc_index_;  // per link + sentinel -> per-VC slot
 
-  std::vector<std::int64_t> router_requests_;
-  std::vector<std::int64_t> router_conflicts_;
-  std::vector<std::int64_t> router_grants_;
-  std::vector<std::int64_t> router_injections_;
+  std::pmr::vector<std::int64_t> router_requests_;
+  std::pmr::vector<std::int64_t> router_conflicts_;
+  std::pmr::vector<std::int64_t> router_grants_;
+  std::pmr::vector<std::int64_t> router_injections_;
 
-  std::vector<std::int64_t> link_delivered_packets_;
-  std::vector<std::int64_t> link_delivered_phits_;
-  std::vector<std::int64_t> link_sent_phits_;
-  std::vector<std::int64_t> link_credit_phits_;
-  std::vector<std::int64_t> link_occupancy_sum_;
-  std::vector<std::int64_t> link_flits_;
-  std::vector<std::int64_t> link_flit_stalls_;
-  std::vector<std::int64_t> link_transit_flits_;
+  std::pmr::vector<std::int64_t> link_delivered_packets_;
+  std::pmr::vector<std::int64_t> link_delivered_phits_;
+  std::pmr::vector<std::int64_t> link_sent_phits_;
+  std::pmr::vector<std::int64_t> link_credit_phits_;
+  std::pmr::vector<std::int64_t> link_occupancy_sum_;
+  std::pmr::vector<std::int64_t> link_flits_;
+  std::pmr::vector<std::int64_t> link_flit_stalls_;
+  std::pmr::vector<std::int64_t> link_transit_flits_;
 
-  std::vector<std::int64_t> vc_sends_;
-  std::vector<std::int64_t> vc_occupancy_sum_;
+  std::pmr::vector<std::int64_t> vc_sends_;
+  std::pmr::vector<std::int64_t> vc_occupancy_sum_;
 
   std::int64_t steps_ = 0;
   std::int64_t active_links_sum_ = 0;

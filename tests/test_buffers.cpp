@@ -7,15 +7,46 @@
 // the buffer never dereferences them.
 #include <gtest/gtest.h>
 
+#include <memory_resource>
+#include <string>
 #include <vector>
 
 #include "buffers/buffer_org.hpp"
 #include "buffers/credit_ledger.hpp"
 #include "buffers/input_buffer.hpp"
+#include "common/arena.hpp"
 #include "common/rng.hpp"
 
 namespace flexnet {
 namespace {
+
+// The ring-growth tests run twice: on the default heap resource, and with
+// an Arena installed as the default resource, so the buffers draw their
+// word blocks from it exactly as a Network's buffers do.
+class OnResource : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam()) previous_ = std::pmr::set_default_resource(&arena_);
+  }
+  void TearDown() override {
+    if (GetParam()) std::pmr::set_default_resource(previous_);
+  }
+
+ private:
+  Arena arena_;
+  std::pmr::memory_resource* previous_ = nullptr;
+};
+
+std::string resource_name(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "arena" : "heap";
+}
+
+using StaticInputBufferGrowth = OnResource;
+using DamqInputBufferGrowth = OnResource;
+INSTANTIATE_TEST_SUITE_P(Resources, StaticInputBufferGrowth,
+                         ::testing::Bool(), resource_name);
+INSTANTIATE_TEST_SUITE_P(Resources, DamqInputBufferGrowth, ::testing::Bool(),
+                         resource_name);
 
 // --- Statically partitioned (shared == 0).
 
@@ -60,7 +91,7 @@ TEST(StaticInputBuffer, OccupancyTracksPhits) {
   EXPECT_EQ(buf.occupancy(), 16);
 }
 
-TEST(StaticInputBuffer, LongFifoSurvivesRingGrowth) {
+TEST_P(StaticInputBufferGrowth, LongFifoSurvivesRingGrowth) {
   // Push far past the ring's initial capacity to exercise growth/unwrap.
   InputBuffer buf(1, 8 * 1024);
   for (int i = 0; i < 500; ++i) buf.push(0, i, 8);
@@ -74,7 +105,7 @@ TEST(StaticInputBuffer, LongFifoSurvivesRingGrowth) {
 // Every VC's ring lives in one block per port; a full ring doubles by
 // rebuilding the block, so growth must carry the other VCs' live entries
 // (and a wrapped head) over unchanged.
-TEST(StaticInputBuffer, RingWrapAndGrowthWhileOtherVcsHoldEntries) {
+TEST_P(StaticInputBufferGrowth, RingWrapAndGrowthWhileOtherVcsHoldEntries) {
   InputBuffer buf(3, 1024);
   buf.push(0, 100, 1);
   buf.push(0, 101, 2);
@@ -105,7 +136,7 @@ TEST(StaticInputBuffer, RingWrapAndGrowthWhileOtherVcsHoldEntries) {
   for (VcIndex vc = 0; vc < 3; ++vc) EXPECT_TRUE(buf.empty(vc));
 }
 
-TEST(StaticInputBuffer, AddPhitOnWrappedTail) {
+TEST_P(StaticInputBufferGrowth, AddPhitOnWrappedTail) {
   InputBuffer buf(2, 64);
   buf.push(1, 50, 4);  // a live neighbour VC
   for (int i = 0; i < 3; ++i) {
@@ -212,7 +243,7 @@ TEST(DamqInputBuffer, IncrementalSharedUseMatchesScanUnderRandomTraffic) {
   }
 }
 
-TEST(DamqInputBuffer, FlitArrivalsKeepSharedAccountingUnderGrowth) {
+TEST_P(DamqInputBufferGrowth, FlitArrivalsKeepSharedAccountingUnderGrowth) {
   // Flit-level traffic: 1-phit heads that grow by add_phit, many packets
   // per VC (so rings wrap and grow). Checked against a per-VC model after
   // every operation: FIFO heads, packet counts, occupancies and the
