@@ -44,16 +44,4 @@ std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {
   return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
 }
 
-double Options::get_double(const std::string& key, double def) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
-}
-
-bool Options::get_bool(const std::string& key, bool def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  return it->second == "1" || it->second == "true" || it->second == "yes" ||
-         it->second == "on";
-}
-
 }  // namespace flexnet

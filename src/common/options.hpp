@@ -24,8 +24,6 @@ class Options {
 
   std::string get(const std::string& key, const std::string& def) const;
   std::int64_t get_int(const std::string& key, std::int64_t def) const;
-  double get_double(const std::string& key, double def) const;
-  bool get_bool(const std::string& key, bool def) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

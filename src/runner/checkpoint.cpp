@@ -105,31 +105,46 @@ bool parse_i64(const std::string& s, long long* out) {
   return errno == 0 && end == s.c_str() + s.size() && !s.empty();
 }
 
+/// Parses one journal field into `out` by its type (the inverse of
+/// append_field).
+bool parse_field(const std::string& s, double* out) {
+  return parse_double(s, out);
+}
+
+bool parse_field(const std::string& s, std::int64_t* out) {
+  long long v = 0;
+  if (!parse_i64(s, &v)) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_field(const std::string& s, bool* out) {
+  if (s != "0" && s != "1") return false;
+  *out = s == "1";
+  return true;
+}
+
+/// Appends one journal field: doubles as exact hexfloats, flags as 0/1.
+void append_field(std::string* out, double v) { *out += hex_double(v); }
+void append_field(std::string* out, std::int64_t v) {
+  *out += std::to_string(v);
+}
+void append_field(std::string* out, bool v) { *out += v ? '1' : '0'; }
+
 /// Parses a checksum-stripped "R ..." body; false on malformed fields.
 bool parse_record_body(const std::string& body, CheckpointRecord* rec) {
   const std::vector<std::string> f = split_fields(body);
-  if (f.size() != 15 || f[0] != "R") return false;
-  long long point = 0, seed = 0, consumed = 0, deadlock = 0, cycles = 0;
+  if (f.size() != 3 + kResultFieldCount || f[0] != "R") return false;
+  long long point = 0, seed = 0;
   if (!parse_i64(f[1], &point) || point < 0) return false;
   if (!parse_i64(f[2], &seed) || seed < 0) return false;
   SimResult r;
-  if (!parse_double(f[3], &r.offered) || !parse_double(f[4], &r.accepted) ||
-      !parse_double(f[5], &r.avg_latency) ||
-      !parse_double(f[6], &r.avg_hops) ||
-      !parse_double(f[7], &r.request_latency) ||
-      !parse_double(f[8], &r.reply_latency) ||
-      !parse_double(f[9], &r.latency_p50) ||
-      !parse_double(f[10], &r.latency_p99) ||
-      !parse_double(f[11], &r.latency_max)) {
-    return false;
-  }
-  if (!parse_i64(f[12], &consumed)) return false;
-  if (!parse_i64(f[13], &deadlock) || (deadlock != 0 && deadlock != 1))
-    return false;
-  if (!parse_i64(f[14], &cycles)) return false;
-  r.consumed_packets = consumed;
-  r.deadlock = deadlock != 0;
-  r.cycles = cycles;
+  std::size_t next = 3;
+  bool ok = true;
+  for_each_result_field([&](const auto& field) {
+    ok = ok && parse_field(f[next++], &(r.*field.member));
+  });
+  if (!ok) return false;
   rec->point = static_cast<std::size_t>(point);
   rec->seed = static_cast<int>(seed);
   rec->result = r;
@@ -332,18 +347,13 @@ std::vector<CheckpointRecord> CheckpointJournal::open(
 }
 
 bool result_bits_equal(const SimResult& a, const SimResult& b) {
-  const auto deq = [](double x, double y) {
-    return std::memcmp(&x, &y, sizeof(double)) == 0;
-  };
-  return deq(a.offered, b.offered) && deq(a.accepted, b.accepted) &&
-         deq(a.avg_latency, b.avg_latency) && deq(a.avg_hops, b.avg_hops) &&
-         deq(a.request_latency, b.request_latency) &&
-         deq(a.reply_latency, b.reply_latency) &&
-         deq(a.latency_p50, b.latency_p50) &&
-         deq(a.latency_p99, b.latency_p99) &&
-         deq(a.latency_max, b.latency_max) &&
-         a.consumed_packets == b.consumed_packets &&
-         a.deadlock == b.deadlock && a.cycles == b.cycles;
+  bool equal = true;
+  for_each_result_field([&](const auto& field) {
+    const auto& x = a.*field.member;
+    const auto& y = b.*field.member;
+    equal = equal && std::memcmp(&x, &y, sizeof(x)) == 0;
+  });
+  return equal;
 }
 
 JournalContents read_journal(const std::string& path) {
@@ -442,16 +452,12 @@ void CheckpointJournal::append(std::size_t point, int seed,
                                const SimResult& r) {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr || failed_) return;
-  std::ostringstream body;
-  body << "R " << point << ' ' << seed << ' ' << hex_double(r.offered) << ' '
-       << hex_double(r.accepted) << ' ' << hex_double(r.avg_latency) << ' '
-       << hex_double(r.avg_hops) << ' ' << hex_double(r.request_latency)
-       << ' ' << hex_double(r.reply_latency) << ' '
-       << hex_double(r.latency_p50) << ' ' << hex_double(r.latency_p99)
-       << ' ' << hex_double(r.latency_max) << ' ' << r.consumed_packets
-       << ' ' << (r.deadlock ? 1 : 0) << ' '
-       << static_cast<long long>(r.cycles);
-  write_line(body.str());
+  std::string body = "R " + std::to_string(point) + ' ' + std::to_string(seed);
+  for_each_result_field([&](const auto& field) {
+    body += ' ';
+    append_field(&body, r.*field.member);
+  });
+  write_line(body);
   if (++unsynced_ >= kFsyncBatch) flush_locked();
 }
 

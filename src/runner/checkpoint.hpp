@@ -10,11 +10,11 @@
 // ending in an FNV-1a checksum of the preceding bytes):
 //
 //   flexnet-checkpoint v2 fp=<16-hex> points=<N> seeds=<K> <crc>
-//   R <point> <seed> <offered> <accepted> <latency> <hops> <req_latency>
-//     <reply_latency> <p50> <p99> <max> <consumed> <deadlock> <cycles> <crc>
+//   R <point> <seed> <field>... <crc>
 //
-// Doubles are rendered as C hexfloats (%a) so reloaded results are
-// bit-exact. The header fingerprints the full grid — every SimConfig field
+// A record carries one field per kResultFields entry (sim/simulator.hpp),
+// in table order. Doubles are rendered as C hexfloats (%a) so reloaded
+// results are bit-exact; integers are decimal and flags 0/1. The header fingerprints the full grid — every SimConfig field
 // (SimConfig::canonical), series labels, exact load values, and seed count.
 // A journal whose header does not match the grid being run is a hard error
 // (CheckpointError), never silent reuse of stale results. A torn trailing

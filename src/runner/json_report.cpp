@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 namespace flexnet {
 
@@ -77,21 +78,22 @@ void JsonReport::add_sweep(const std::string& title,
 
 namespace {
 
+std::string json_value(double v) { return json_number(v); }
+std::string json_value(std::int64_t v) { return std::to_string(v); }
+std::string json_value(bool v) { return v ? "true" : "false"; }
+
+/// One report row: the load, then every kResultFields entry under its
+/// JSON name — numeric fields in table order, then the flags.
 void append_row(std::ostringstream& out, const SweepRow& row) {
-  const SimResult& r = row.result;
-  out << "{\"load\": " << json_number(row.load)
-      << ", \"offered\": " << json_number(r.offered)
-      << ", \"accepted\": " << json_number(r.accepted)
-      << ", \"latency\": " << json_number(r.avg_latency)
-      << ", \"hops\": " << json_number(r.avg_hops)
-      << ", \"request_latency\": " << json_number(r.request_latency)
-      << ", \"reply_latency\": " << json_number(r.reply_latency)
-      << ", \"latency_p50\": " << json_number(r.latency_p50)
-      << ", \"latency_p99\": " << json_number(r.latency_p99)
-      << ", \"latency_max\": " << json_number(r.latency_max)
-      << ", \"consumed_packets\": " << r.consumed_packets
-      << ", \"cycles\": " << r.cycles
-      << ", \"deadlock\": " << (r.deadlock ? "true" : "false") << "}";
+  out << "{\"load\": " << json_number(row.load);
+  for (const bool flags : {false, true}) {
+    for_each_result_field([&](const auto& field) {
+      const auto& v = row.result.*field.member;
+      if (std::is_same_v<std::decay_t<decltype(v)>, bool> != flags) return;
+      out << ", \"" << field.name << "\": " << json_value(v);
+    });
+  }
+  out << "}";
 }
 
 }  // namespace

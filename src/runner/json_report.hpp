@@ -37,9 +37,9 @@ class JsonReport {
 
   /// The whole report as a JSON document:
   /// {"meta": {...}, "sweeps": [{"title", "wall_seconds", "series":
-  ///   [{"label", "rows": [{"load", "offered", "accepted", "latency",
-  ///     "hops", "request_latency", "reply_latency", "consumed_packets",
-  ///     "cycles", "deadlock"}]}]}]}
+  ///   [{"label", "max_accepted", "rows": [{"load", <result fields>}]}]}]}
+  /// where a row's result fields are the kResultFields entries
+  /// (sim/simulator.hpp) under their JSON names.
   std::string to_json() const;
 
   /// Writes to_json() to `path`; returns false on I/O failure.

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 
 #include "runner/checkpoint.hpp"
 #include "runner/thread_pool.hpp"
@@ -53,30 +54,46 @@ SimConfig SweepRunner::job_config(const SimConfig& base, double load,
   return cfg;
 }
 
+namespace {
+
+/// Folds one seed's value `v` of a field into the point's `acc` under
+/// `rule`, in seed order.
+template <typename T>
+void fold_seed(SeedRule rule, T& acc, T v, bool survivor, int survivors) {
+  if constexpr (std::is_same_v<T, bool>) {
+    acc = acc || v;  // kAny, the one rule for flags (simulator.hpp)
+  } else {
+    switch (rule) {
+      case SeedRule::kMean:
+        if (survivor) acc += v / survivors;
+        break;
+      case SeedRule::kMax:
+        if (survivor) acc = std::max(acc, v);
+        break;
+      case SeedRule::kSum:
+        if (survivor) acc += v;
+        break;
+      case SeedRule::kSumAll:
+        acc += v;
+        break;
+      case SeedRule::kAny:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 SimResult SweepRunner::aggregate_seeds(const std::vector<SimResult>& per_seed) {
   SimResult avg;
   int survivors = 0;
   for (const auto& r : per_seed)
     if (!r.deadlock) ++survivors;
-  for (const auto& r : per_seed) {
-    avg.cycles += r.cycles;
-    if (r.deadlock) {
-      avg.deadlock = true;
-      continue;
-    }
-    avg.offered += r.offered / survivors;
-    avg.accepted += r.accepted / survivors;
-    avg.avg_latency += r.avg_latency / survivors;
-    avg.avg_hops += r.avg_hops / survivors;
-    avg.request_latency += r.request_latency / survivors;
-    avg.reply_latency += r.reply_latency / survivors;
-    avg.latency_p50 += r.latency_p50 / survivors;
-    avg.latency_p99 += r.latency_p99 / survivors;
-    // The max stays a max: the worst observed latency over all surviving
-    // seeds (averaging a maximum would report a latency no run saw).
-    avg.latency_max = std::max(avg.latency_max, r.latency_max);
-    avg.consumed_packets += r.consumed_packets;
-  }
+  for_each_result_field([&](const auto& field) {
+    for (const SimResult& r : per_seed)
+      fold_seed(field.rule, avg.*field.member, r.*field.member, !r.deadlock,
+                survivors);
+  });
   return avg;
 }
 

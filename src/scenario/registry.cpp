@@ -104,6 +104,10 @@ void validate_config(const SimConfig& cfg) {
   require_at_least("global_buffer", cfg.global_buffer_per_vc, 1);
   require_at_least("injection_buffer", cfg.injection_buffer_per_vc, 1);
   require_at_least("watchdog", cfg.watchdog, 1);
+  // Run window: an empty measurement window reports zero accepted load on
+  // every row, and a negative warmup starts measuring a cold network.
+  require_at_least("warmup", cfg.warmup, 0);
+  require_at_least("measure", cfg.measure, 1);
   if (cfg.sim_domains != 1)
     throw std::invalid_argument(
         "sim_domains must be 1 (got " + std::to_string(cfg.sim_domains) +

@@ -1,7 +1,6 @@
 #include "scenario/suite.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -28,35 +27,40 @@ std::string join(const std::vector<std::string>& names) {
 
 /// Renders a JSON scalar as the string SimConfig::apply would have seen on
 /// a command line ("vcs": "4/2" / "load": 0.7 / "reactive": true become
-/// vcs=4/2 / load=0.7 / reactive=true), rejecting values apply() would
-/// silently misparse — speedup=1.5 truncating to 1, topology=3,
-/// reactive=0.5. JSON strings always pass through unchecked (they are
-/// exactly what a command line would have carried).
+/// vcs=4/2 / load=0.7 / reactive=true) and checks it as apply() will,
+/// so a suite rejects exactly the values a command line would ("speedup":
+/// 1.5 or "1.5", "reactive": "maybe"). A JSON type that does not fit the
+/// key's kind (topology=3, reactive=0.5, load=true) fails as well.
 std::string render_override(const std::string& key, const JsonValue& v,
                             const std::string& origin,
                             const std::string& context) {
   const SimConfig::KeyKind kind = SimConfig::key_kind(key);
+  std::string text;
   switch (v.type) {
     case JsonValue::Type::String:
-      return v.string;
+      text = v.string;
+      break;
     case JsonValue::Type::Number:
       if (kind == SimConfig::KeyKind::kString)
         fail(origin, context + ": takes a string value");
       if (kind == SimConfig::KeyKind::kBool)
         fail(origin, context + ": takes true or false");
-      if (kind == SimConfig::KeyKind::kInt &&
-          (v.number != std::floor(v.number) ||
-           std::abs(v.number) > 9.0e18))
-        fail(origin, context + ": must be an integer, got " +
-                         json_number(v.number));
-      return json_number(v.number);
+      text = json_number(v.number);
+      break;
     case JsonValue::Type::Bool:
       if (kind != SimConfig::KeyKind::kBool)
         fail(origin, context + ": does not take a boolean");
-      return v.boolean ? "true" : "false";
+      text = v.boolean ? "true" : "false";
+      break;
     default:
       fail(origin, context + ": values must be strings, numbers, or booleans");
   }
+  try {
+    SimConfig{}.set(key, text);
+  } catch (const std::invalid_argument& e) {
+    fail(origin, context + ": " + e.what());
+  }
+  return text;
 }
 
 /// Builds Options from a JSON object of overrides, rejecting keys

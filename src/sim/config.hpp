@@ -89,16 +89,22 @@ struct SimConfig {
 
   /// Applies "key=value" overrides (load=0.6 vcs=4/2 policy=flexvc ...).
   /// Exactly the keys in known_keys() are honored; others are ignored.
+  /// Each value must parse fully as its key's kind (an int key also within
+  /// its field's range; a bool key as true/false/1/0/yes/no/on/off), or
+  /// std::invalid_argument names the key and the value.
   void apply(const Options& opts);
 
-  /// Every override key apply() accepts, in application order. Suite files
-  /// validate their override keys against this list, and the round-trip
-  /// test asserts each key perturbs canonical() — so a new config field
-  /// must land in apply(), canonical(), and the key-spec table together.
+  /// Sets the one known key `key` from `value`, checked exactly as apply()
+  /// checks it; throws std::invalid_argument for an unknown key too.
+  void set(const std::string& key, const std::string& value);
+
+  /// Every override key apply() accepts, in application order. Keys,
+  /// kinds, apply(), and canonical() all come from one table in
+  /// config.cpp: a new field is one entry there plus its name in the
+  /// arity pin beside it.
   static const std::vector<std::string>& known_keys();
 
-  /// Value shape of a known key, so the suite layer can reject values
-  /// apply() would silently misparse (e.g. speedup=1.5 truncating to 1).
+  /// Value shape of a known key, from its field's C++ type.
   enum class KeyKind { kString, kInt, kDouble, kBool };
 
   /// Kind of `key`; throws std::invalid_argument for unknown keys.
@@ -112,11 +118,10 @@ struct SimConfig {
 
   std::string summary() const;
 
-  /// Canonical serialization of *every* field in a fixed order, with
-  /// doubles rendered exactly (hexfloat). Two configs with equal canonical
-  /// strings run identical simulations; the checkpoint journal fingerprints
-  /// sweep grids over this string, so any new SimConfig field must be
-  /// appended here or resumed sweeps could silently reuse stale results.
+  /// Canonical serialization of every field: "key=value;" per key-table
+  /// entry, in table order, with doubles rendered exactly (hexfloat). Two
+  /// configs with equal canonical strings run identical simulations; the
+  /// checkpoint journal fingerprints sweep grids over this string.
   std::string canonical() const;
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "runner/checkpoint.hpp"
+#include "runner/json_report.hpp"
 #include "runner/sweep_runner.hpp"
 
 namespace flexnet {
@@ -262,6 +264,140 @@ TEST(CheckpointJournal, NonJournalFileRefusedAndLeftIntact) {
     EXPECT_EQ(read_file(path), precious) << "file must be left untouched";
     std::remove(path.c_str());
   }
+}
+
+// --- On-disk formats, pinned byte for byte. The journal record and the
+// JSON row are derived from kResultFields; existing journals and reports
+// use exactly these bytes, so any drift in the table (order, names,
+// encodings) fails here.
+
+SimResult distinct_result() {
+  SimResult r;
+  r.offered = 0.1;  // not exact in binary: exercises %a and %.17g
+  r.accepted = 0.25;
+  r.avg_latency = 123.5;
+  r.avg_hops = 3.125;
+  r.request_latency = 100.75;
+  r.reply_latency = 22.5;
+  r.latency_p50 = 96.0;
+  r.latency_p99 = 480.0;
+  r.latency_max = 4503599627370497.0;  // 2^52 + 1: integral, full mantissa
+  r.consumed_packets = 1234567;
+  r.deadlock = true;
+  r.cycles = 30000;
+  return r;
+}
+
+TEST(OnDiskFormat, JournalRecordLineIsPinned) {
+  const std::string path = temp_path("ck_format.journal");
+  std::remove(path.c_str());
+  {
+    CheckpointJournal journal(path);
+    journal.open(7, 4, 2);
+    journal.append(3, 1, distinct_result());
+  }
+  EXPECT_EQ(read_file(path),
+            journal_line("flexnet-checkpoint v2 fp=0000000000000007 "
+                         "points=4 seeds=2") +
+                journal_line("R 3 1 0x1.999999999999ap-4 0x1p-2 0x1.eep+6 "
+                             "0x1.9p+1 0x1.93p+6 0x1.68p+4 0x1.8p+6 "
+                             "0x1.ep+8 0x1.0000000000001p+52 1234567 1 "
+                             "30000"));
+
+  const JournalContents contents = read_journal(path);
+  ASSERT_EQ(contents.records.size(), 1u);
+  EXPECT_EQ(contents.records[0].point, 3u);
+  EXPECT_EQ(contents.records[0].seed, 1);
+  EXPECT_TRUE(result_bits_equal(contents.records[0].result,
+                                distinct_result()));
+  EXPECT_TRUE(identical(contents.records[0].result, distinct_result()));
+  std::remove(path.c_str());
+}
+
+TEST(OnDiskFormat, JsonReportRowIsPinned) {
+  SweepResult sweep;
+  sweep.label = "s";
+  sweep.rows.push_back(SweepRow{0.7, distinct_result()});
+  JsonReport report;
+  report.add_sweep("t", {sweep}, 1.0);
+  const std::string row =
+      R"({"load": 0.69999999999999996, "offered": 0.10000000000000001, )"
+      R"("accepted": 0.25, "latency": 123.5, "hops": 3.125, )"
+      R"("request_latency": 100.75, "reply_latency": 22.5, )"
+      R"("latency_p50": 96, "latency_p99": 480, )"
+      R"("latency_max": 4503599627370497, "consumed_packets": 1234567, )"
+      R"("cycles": 30000, "deadlock": true})";
+  EXPECT_NE(report.to_json().find("\n        " + row + "]}"),
+            std::string::npos)
+      << report.to_json();
+}
+
+TEST(OnDiskFormat, BitEqualityCoversEveryField) {
+  const SimResult base = distinct_result();
+  const std::vector<void (*)(SimResult&)> perturb = {
+      // One ulp is a difference.
+      [](SimResult& r) { r.offered = std::nextafter(r.offered, 1.0); },
+      [](SimResult& r) { r.accepted = std::nextafter(r.accepted, 0.0); },
+      [](SimResult& r) { r.avg_latency += 1; },
+      [](SimResult& r) { r.avg_hops += 1; },
+      [](SimResult& r) { r.request_latency += 1; },
+      [](SimResult& r) { r.reply_latency += 1; },
+      [](SimResult& r) { r.latency_p50 += 1; },
+      [](SimResult& r) { r.latency_p99 += 1; },
+      [](SimResult& r) { r.latency_max += 1; },
+      [](SimResult& r) { r.consumed_packets += 1; },
+      [](SimResult& r) { r.deadlock = false; },
+      [](SimResult& r) { r.cycles += 1; },
+  };
+  ASSERT_EQ(perturb.size(), kResultFieldCount);
+  EXPECT_TRUE(result_bits_equal(base, base));
+  for (std::size_t i = 0; i < perturb.size(); ++i) {
+    SimResult changed = base;
+    perturb[i](changed);
+    EXPECT_FALSE(result_bits_equal(base, changed)) << "field " << i;
+  }
+}
+
+TEST(OnDiskFormat, DefaultCanonicalConfigIsPinned) {
+  EXPECT_EQ(SimConfig{}.canonical(),
+            "topology=dragonfly;df_p=2;df_a=4;df_h=2;fb_p=2;fb_a=4;sf_p=2;"
+            "sf_q=5;vcs=2/1;policy=baseline;vc_selection=jsq;"
+            "local_buffer=32;global_buffer=256;injection_buffer=256;"
+            "output_buffer=32;local_port_capacity=0;global_port_capacity=0;"
+            "buffer_org=static;damq_private_fraction=0x1.8p-1;speedup=2;"
+            "alloc_iters=2;pipeline_latency=5;injection_vcs=3;"
+            "local_latency=10;global_latency=100;routing=min;pb_per_vc=0;"
+            "mincred=0;threshold=3;flow_control=packet;phits_per_packet=0;"
+            "buffer_mgmt=credit;traffic=uniform;reactive=0;load=0x1p-1;"
+            "burst_length=0x1.4p+2;adv_offset=1;reply_queue=8;"
+            "packet_size=8;sim_domains=1;warmup=10000;measure=30000;seed=1;"
+            "watchdog=20000;");
+}
+
+TEST(OnDiskFormat, JournalWithAnotherFingerprintIsRefused) {
+  // A journal in the current record format whose header fingerprints a
+  // different grid (here, a build whose canonical() rendered the config
+  // differently) is refused, never reused.
+  const std::string path = temp_path("ck_old_fp.journal");
+  write_file(path,
+             journal_line("flexnet-checkpoint v2 fp=098ce792f4a78fa9 "
+                          "points=4 seeds=2") +
+                 journal_line("R 0 0 0x1.25d4c3b2a1908p-1 "
+                              "0x1.28acf13579bep-1 0x1.2a6a08585c4a3p+7 "
+                              "0x1.29f8a2f9dd25p+1 0x1.2a6a08585c4a3p+7 "
+                              "0x0p+0 0x1.5f556d3bf050bp+7 "
+                              "0x1.db731db074843p+7 0x1.dcp+7 1388 0 400"));
+  const std::uint64_t fp = grid_fingerprint(tiny_series(), kLoads, kSeeds);
+  ASSERT_NE(fp, 0x098ce792f4a78fa9ull);
+  try {
+    CheckpointJournal(path).open(fp, 4, kSeeds);
+    FAIL() << "a journal for another grid must not open";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("does not match this sweep grid"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointFingerprint, SensitiveToEveryGridComponent) {

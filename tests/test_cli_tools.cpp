@@ -115,6 +115,12 @@ TEST(FlexnetRunCli, SuiteConfigAndStaleCheckpointErrorsExit2) {
   EXPECT_NE(r.output.find("unknown config key"), std::string::npos)
       << r.output;
 
+  // A value that does not parse as its key's kind.
+  r = run_cmd(bin("flexnet_run") + " " + shipped_suite("smoke_tiny.json") +
+              " speedup=1.5");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("'speedup'"), std::string::npos) << r.output;
+
   // A checkpoint journal for a different grid: rerunning repeats the
   // mismatch forever, so it must be permanent, not retried.
   const std::string ck = temp_path("cli_stale_ck.journal");
@@ -327,6 +333,9 @@ TEST(FlexnetOrchestrateCli, UsageErrorsExit2) {
   EXPECT_EQ(run_cmd(bin("flexnet_orchestrate") + " " + suite +
                     " --shards 2 --prefix x warmupp=1").exit_code, 2)
       << "the config-key typo guard must fire before any launch";
+  EXPECT_EQ(run_cmd(bin("flexnet_orchestrate") + " " + suite +
+                    " --shards 2 --prefix x reactive=maybe").exit_code, 2)
+      << "a value that does not parse must fail before any launch";
 }
 
 TEST(FlexnetOrchestrateCli, EmitCommandsPrintsDispatchableShardLines) {

@@ -6,12 +6,15 @@
 //
 // The test applies each known key in isolation with a value different
 // from the default and asserts canonical() changes. The value table must
-// cover known_keys() exactly, so adding a config field without extending
-// apply(), canonical(), and this table together fails here.
+// cover known_keys() exactly, so a new key table entry needs a mutation
+// here too.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sim/config.hpp"
 
@@ -76,11 +79,11 @@ TEST(ConfigRoundTrip, KnownKeysAreUniqueAndCovered) {
   EXPECT_EQ(unique.size(), keys.size()) << "duplicate keys in known_keys()";
 
   // The mutation table and known_keys() must describe the same key set —
-  // a new apply() key needs a mutation here (and a canonical() field).
+  // a new key table entry needs a mutation here.
   for (const auto& key : keys)
     EXPECT_TRUE(mutations().count(key) > 0)
         << "known key '" << key << "' has no mutation in this test; add it "
-        << "and make sure it is represented in canonical()";
+        << "here";
   for (const auto& [key, value] : mutations())
     EXPECT_TRUE(unique.count(key) > 0)
         << "mutation key '" << key << "' is not in SimConfig::known_keys()";
@@ -111,6 +114,58 @@ TEST(ConfigRoundTrip, ApplyIsIdempotentPerKey) {
   twice.apply(all);
   twice.apply(all);
   EXPECT_EQ(once.canonical(), twice.canonical());
+}
+
+TEST(ConfigRoundTrip, ApplyRejectsValuesThatDoNotParseAsTheKeysKind) {
+  const auto error_of = [](const std::string& key, const std::string& value) {
+    Options o;
+    o.set(key, value);
+    SimConfig cfg;
+    try {
+      cfg.apply(o);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  for (const auto& key : SimConfig::known_keys()) {
+    std::vector<std::string> bad;
+    switch (SimConfig::key_kind(key)) {
+      case SimConfig::KeyKind::kInt:
+        bad = {"1.5", "abc", "", "7x", " 7"};
+        break;
+      case SimConfig::KeyKind::kDouble:
+        bad = {"abc", "", "0.5x"};
+        break;
+      case SimConfig::KeyKind::kBool:
+        bad = {"maybe", "", "2", "TRUE"};
+        break;
+      case SimConfig::KeyKind::kString:
+        break;  // any text is a string; the registries judge it later
+    }
+    for (const std::string& value : bad) {
+      const std::string msg = error_of(key, value);
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos)
+          << key << "=" << value << " accepted or unnamed: " << msg;
+      EXPECT_NE(msg.find("'" + value + "'"), std::string::npos) << msg;
+    }
+  }
+  // int fields must fit an int, the seed must not be negative, and Cycle
+  // fields take 64-bit values.
+  EXPECT_NE(error_of("local_buffer", "4294967328"), "");
+  EXPECT_NE(error_of("seed", "-1"), "");
+  EXPECT_EQ(error_of("warmup", "4294967328"), "");
+  for (const char* yes : {"true", "1", "yes", "on"})
+    EXPECT_EQ(error_of("reactive", yes), "") << yes;
+  for (const char* no : {"false", "0", "no", "off"})
+    EXPECT_EQ(error_of("reactive", no), "") << no;
+
+  // set() is the one-key form of apply() and checks values the same way.
+  SimConfig one;
+  one.set("speedup", "3");
+  EXPECT_EQ(one.speedup, 3);
+  EXPECT_THROW(one.set("speedup", "1.5"), std::invalid_argument);
+  EXPECT_THROW(one.set("speedupp", "3"), std::invalid_argument);
 }
 
 TEST(ConfigRoundTrip, CanonicalDistinguishesDefaults) {

@@ -1,5 +1,5 @@
 // flexnet_lint's own contract, pinned against the fixture corpus under
-// tests/lint_fixtures/: each rule L1–L5 has at least one violating fixture
+// tests/lint_fixtures/: each rule L3–L5 has at least one violating fixture
 // (nonzero exit, file:line diagnostic naming the rule) and one clean
 // fixture (exit 0), the `flexnet-lint: allow(RULE)` escape hatch
 // suppresses without hiding the suppression count, the --json report
@@ -56,8 +56,6 @@ struct RuleCase {
 };
 
 const RuleCase kRuleCases[] = {
-    {"L1", "l1_broken", "l1_clean", "mystery_knob", "src/sim/config.hpp:17:"},
-    {"L2", "l2_broken", "l2_clean", "jitter", "src/sim/simulator.hpp:14:"},
     {"L3", "l3_broken", "l3_clean", "rand()", "src/sim/hot_path.cpp:21:"},
     // Thread primitives in the simulation core: banned everywhere under
     // src/sim/; parallelism lives in src/runner/.
@@ -111,7 +109,7 @@ TEST(FlexnetLint, FlowControlAxisRegistrationsAreChecked) {
 TEST(FlexnetLint, RuleFilterRunsOnlySelectedRules) {
   // The L3-broken tree is clean under every other rule.
   const CmdResult r = lint("--root " + fixture("l3_broken") +
-                           " --rules L1,L2,L4,L5");
+                           " --rules L4,L5");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   const CmdResult only = lint("--root " + fixture("l3_broken") + " --rules L3");
   EXPECT_EQ(only.exit_code, 1) << only.output;
@@ -194,12 +192,14 @@ TEST(FlexnetLint, JsonReportParsesAndMirrorsDiagnostics) {
 TEST(FlexnetLint, ListRulesPrintsTheCatalog) {
   const CmdResult r = lint("--list-rules");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  for (const char* rule : {"L1", "L2", "L3", "L4", "L5"})
+  for (const char* rule : {"L3", "L4", "L5"})
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
 }
 
 TEST(FlexnetLint, UnknownRuleAndMissingRootAreUsageErrors) {
   EXPECT_EQ(lint("--rules L9").exit_code, 2);
+  // Schema completeness is the compiler's job; there is no L1 rule.
+  EXPECT_EQ(lint("--rules L1").exit_code, 2);
   EXPECT_EQ(lint("--root /nonexistent/lint/root").exit_code, 2);
   EXPECT_EQ(lint("--frobnicate").exit_code, 2);
 }

@@ -9,7 +9,7 @@ TEST(Options, ParsesKeyValuesAndPositional) {
   const char* argv[] = {"prog", "load=0.6", "seed=3", "--verbose", "vcs=4/2"};
   const auto opts = Options::parse(5, argv);
   EXPECT_TRUE(opts.has("load"));
-  EXPECT_DOUBLE_EQ(opts.get_double("load", 0.0), 0.6);
+  EXPECT_EQ(opts.get("load", ""), "0.6");
   EXPECT_EQ(opts.get_int("seed", 0), 3);
   EXPECT_EQ(opts.get("vcs", ""), "4/2");
   ASSERT_EQ(opts.positional().size(), 1u);
@@ -21,17 +21,6 @@ TEST(Options, DefaultsWhenMissing) {
   EXPECT_FALSE(opts.has("x"));
   EXPECT_EQ(opts.get("x", "d"), "d");
   EXPECT_EQ(opts.get_int("x", 7), 7);
-  EXPECT_DOUBLE_EQ(opts.get_double("x", 1.5), 1.5);
-  EXPECT_TRUE(opts.get_bool("x", true));
-}
-
-TEST(Options, ParsesBooleans) {
-  const auto opts = Options::parse_string("a=1 b=true c=off d=no e=on");
-  EXPECT_TRUE(opts.get_bool("a", false));
-  EXPECT_TRUE(opts.get_bool("b", false));
-  EXPECT_FALSE(opts.get_bool("c", true));
-  EXPECT_FALSE(opts.get_bool("d", true));
-  EXPECT_TRUE(opts.get_bool("e", false));
 }
 
 TEST(Options, SetOverrides) {

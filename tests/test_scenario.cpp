@@ -156,7 +156,8 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeValues) {
   // Links take at least one cycle (a flit or credit is never due in the
   // cycle that pushes it); a router pipeline may take zero. Sizes and
   // allocator settings of zero would run and report garbage (or trip an
-  // internal check), and a simulation runs on exactly one thread.
+  // internal check), a simulation runs on exactly one thread, and a run
+  // measures at least one cycle after a non-negative warmup.
   struct Bad {
     const char* key;
     void (*set)(SimConfig&);
@@ -177,6 +178,8 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeValues) {
       {"injection_buffer",
        [](SimConfig& c) { c.injection_buffer_per_vc = 0; }},
       {"watchdog", [](SimConfig& c) { c.watchdog = 0; }},
+      {"measure", [](SimConfig& c) { c.measure = 0; }},
+      {"warmup", [](SimConfig& c) { c.warmup = -100; }},
       {"sim_domains", [](SimConfig& c) { c.sim_domains = 4; }},
       {"sim_domains", [](SimConfig& c) { c.sim_domains = 0; }},
   };
@@ -208,6 +211,8 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeValues) {
   edge.injection_buffer_per_vc = 1;
   edge.watchdog = 1;
   edge.sim_domains = 1;
+  edge.warmup = 0;
+  edge.measure = 1;
   EXPECT_NO_THROW(validate_config(edge));
 }
 
@@ -363,8 +368,13 @@ TEST(SuiteSpec, RejectsValuesApplyWouldMisparse) {
                            overrides + "}]}", "doc");
     });
   };
-  // speedup=1.5 would silently truncate to 1 through strtoll.
+  // An int key takes only integers.
   EXPECT_NE(error_of(R"({"speedup": 1.5})").find("must be an integer"),
+            std::string::npos);
+  // A JSON string is checked exactly like the same text on a command line.
+  EXPECT_NE(error_of(R"({"speedup": "1.5"})").find("must be an integer"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"reactive": "maybe"})").find("'maybe'"),
             std::string::npos);
   // Bool keys take JSON booleans, string keys take strings.
   EXPECT_NE(error_of(R"({"reactive": 1})").find("takes true or false"),

@@ -1,13 +1,14 @@
 // Argument-parsing helpers shared by the suite tools (flexnet_run,
-// flexnet_merge). Keeping these in one place matters beyond tidiness: the
-// two tools must interpret flags and key=value overrides identically, or
-// a shard run and the merge that follows could materialize different
-// grids.
+// flexnet_merge, flexnet_orchestrate). Keeping these in one place matters
+// beyond tidiness: the tools must interpret flags and key=value overrides
+// identically, or a shard run and the merge that follows could
+// materialize different grids.
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "scenario/suite.hpp"
@@ -37,17 +38,26 @@ inline bool flag_value(int argc, char** argv, int* i, const char* name,
   return false;
 }
 
-/// Typo guard for key=value config overrides: a key SimConfig::apply
-/// would silently ignore is rejected with the full known-key list
-/// (running the wrong experiment silently is worse than an error).
-/// Returns true — after printing the diagnostic — when `key` is unknown.
-inline bool reject_unknown_config_key(const std::string& key) {
+/// Guard for key=value config overrides: a key SimConfig::apply would
+/// silently ignore is rejected with the full known-key list (running the
+/// wrong experiment silently is worse than an error), and a value apply()
+/// cannot parse as its key's kind is rejected naming both. Returns true —
+/// after printing the diagnostic — when the override is bad.
+inline bool reject_bad_config_override(const std::string& key,
+                                       const std::string& value) {
   const auto& known = SimConfig::known_keys();
-  if (std::find(known.begin(), known.end(), key) != known.end())
-    return false;
-  std::fprintf(stderr, "error: unknown config key '%s' — known keys: %s\n",
-               key.c_str(), known_config_keys_list().c_str());
-  return true;
+  if (std::find(known.begin(), known.end(), key) == known.end()) {
+    std::fprintf(stderr, "error: unknown config key '%s' — known keys: %s\n",
+                 key.c_str(), known_config_keys_list().c_str());
+    return true;
+  }
+  try {
+    SimConfig{}.set(key, value);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return true;
+  }
+  return false;
 }
 
 }  // namespace flexnet::cli

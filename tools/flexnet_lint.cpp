@@ -2,15 +2,6 @@
 // contract this repo's results rest on (ROADMAP standing constraints) is
 // enforced here mechanically instead of by reviewer vigilance:
 //
-//   L1  config-triple   every SimConfig field must be wired into the
-//                       apply()/known_keys() key table AND canonical()
-//                       (a field outside the triple silently breaks
-//                       checkpoint fingerprints and suite overrides)
-//   L2  result-mirror   every SimResult field must be mirrored in the
-//                       journal record writer (CheckpointJournal::append),
-//                       the reader (parse_record_body), and
-//                       result_bits_equal (otherwise shard merges and
-//                       resume equivalence silently stop covering it)
 //   L3  determinism     banned nondeterminism sources in src/ hot paths
 //                       (everything outside src/runner/ and
 //                       src/telemetry/): unordered_map/unordered_set,
@@ -27,6 +18,10 @@
 //                       respect to simulation state: no non-const
 //                       references / address-of, no assignment, increment
 //                       or compound mutation of non-telemetry lvalues
+//
+// Rules are numbered from L3: schema completeness (every SimConfig field
+// in the config key table, every SimResult field in kResultFields) is
+// checked by the compiler through the arity pins beside those tables.
 //
 // Diagnostics are file:line so CI output is clickable; `--json FILE`
 // additionally writes a machine-readable report. A finding can be
@@ -70,7 +65,7 @@ namespace {
 struct Diagnostic {
   std::string file;  ///< root-relative path
   int line = 0;      ///< 1-based
-  std::string rule;  ///< "L1".."L5"
+  std::string rule;  ///< "L3".."L5"
   std::string message;
 };
 
@@ -80,10 +75,6 @@ struct RuleInfo {
 };
 
 constexpr RuleInfo kRules[] = {
-    {"L1", "every SimConfig field wired into apply()/known_keys() table "
-           "and canonical()"},
-    {"L2", "every SimResult field mirrored in journal writer, reader, and "
-           "result_bits_equal"},
     {"L3", "no nondeterminism in src/ hot paths (unordered containers, "
            "rand/time/random_device/chrono, pointer-keyed map/set; thread "
            "primitives under src/sim/)"},
@@ -188,7 +179,7 @@ int line_of(const SourceFile& f, std::size_t offset) {
   return static_cast<int>(it - f.line_starts.begin());
 }
 
-/// Parses `flexnet-lint: allow(L1,L3)` / `allow-file(L4)` annotations out
+/// Parses `flexnet-lint: allow(L3,L4)` / `allow-file(L4)` annotations out
 /// of the raw text (they live in comments, which the scrub blanks).
 void collect_allows(SourceFile* f) {
   static const std::string kTag = "flexnet-lint:";
@@ -262,97 +253,6 @@ bool contains_word(const std::string& text, const std::string& word) {
   return find_word(text, word) != std::string::npos;
 }
 
-/// Byte offset just past the matching `}` for the `{` at `open` (which
-/// must point at a `{`); npos when unbalanced.
-std::size_t match_brace(const std::string& scrubbed, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < scrubbed.size(); ++i) {
-    if (scrubbed[i] == '{') ++depth;
-    if (scrubbed[i] == '}' && --depth == 0) return i + 1;
-  }
-  return std::string::npos;
-}
-
-/// Body (including braces) of the first occurrence of `signature` in `f`,
-/// plus its start offset via *at. Empty when absent.
-std::string extract_block(const SourceFile& f, const std::string& signature,
-                          std::size_t* at = nullptr) {
-  const std::size_t sig = f.scrubbed.find(signature);
-  if (sig == std::string::npos) return {};
-  const std::size_t open = f.scrubbed.find('{', sig);
-  if (open == std::string::npos) return {};
-  const std::size_t end = match_brace(f.scrubbed, open);
-  if (end == std::string::npos) return {};
-  if (at != nullptr) *at = sig;
-  return f.scrubbed.substr(open, end - open);
-}
-
-// ---------------------------------------------------------------------------
-// Struct field extraction (L1/L2). Heuristic declaration matcher tuned to
-// this project's struct style: one `Type name [= init|{init}];` per line,
-// methods and nested types skipped.
-
-struct Field {
-  std::string name;
-  int line = 0;
-};
-
-std::vector<Field> struct_fields(const SourceFile& f,
-                                 const std::string& struct_name) {
-  std::vector<Field> fields;
-  std::size_t decl_at = 0;
-  const std::string body =
-      extract_block(f, "struct " + struct_name, &decl_at);
-  if (body.empty()) return fields;
-  const std::size_t body_open = f.scrubbed.find('{', decl_at);
-
-  // Walk the struct body at depth 1 only: nested braces (default member
-  // initializers, inline methods, nested types) never declare fields of
-  // the struct itself.
-  int depth = 0;
-  std::string stmt;
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    const char c = body[i];
-    const int depth_before = depth;
-    if (c == '{' || c == '(') ++depth;
-    if (c == '}' || c == ')') --depth;
-    // Keep depth-1 text plus opening parens entered from depth 1, so a
-    // method declaration still shows its `(` and is recognized as a
-    // non-field.
-    if ((depth == 1 && c != '{' && c != '}') ||
-        (c == '(' && depth_before == 1)) {
-      stmt += c;
-    }
-    if ((c == ';' && depth == 1) || (c == '}' && depth == 1)) {
-      // `stmt` is one member declaration (braces of init-lists removed).
-      std::string head = stmt;
-      const std::size_t eq = head.find('=');
-      if (eq != std::string::npos) head = head.substr(0, eq);
-      // Drop trailing ';' and whitespace, then read the last identifier.
-      while (!head.empty() &&
-             (head.back() == ';' || std::isspace(static_cast<unsigned char>(
-                                        head.back())) != 0)) {
-        head.pop_back();
-      }
-      std::size_t name_end = head.size();
-      std::size_t name_begin = name_end;
-      while (name_begin > 0 && ident_char(head[name_begin - 1])) --name_begin;
-      const std::string name = head.substr(name_begin, name_end - name_begin);
-      const bool is_decl =
-          !name.empty() && !std::isdigit(static_cast<unsigned char>(name[0])) &&
-          stmt.find('(') == std::string::npos &&
-          !contains_word(stmt, "using") && !contains_word(stmt, "typedef") &&
-          !contains_word(stmt, "enum") && !contains_word(stmt, "static") &&
-          !contains_word(stmt, "struct") && !contains_word(stmt, "class") &&
-          !contains_word(stmt, "friend") && name_begin > 0;
-      if (is_decl)
-        fields.push_back({name, line_of(f, body_open + 1 + i)});
-      stmt.clear();
-    }
-  }
-  return fields;
-}
-
 // ---------------------------------------------------------------------------
 // The lint driver.
 
@@ -368,8 +268,6 @@ class Linter {
 
   void run() {
     load_tree();
-    if (enabled("L1")) check_config_triple();
-    if (enabled("L2")) check_result_mirror();
     if (enabled("L3")) check_determinism();
     if (enabled("L4")) check_registry();
     if (enabled("L5")) check_telem_hooks();
@@ -430,98 +328,6 @@ class Linter {
     for (const SourceFile& f : files_)
       if (f.rel == rel) return &f;
     return nullptr;
-  }
-
-  // --- L1 -----------------------------------------------------------------
-  void check_config_triple() {
-    const SourceFile* hpp = file("src/sim/config.hpp");
-    const SourceFile* cpp = file("src/sim/config.cpp");
-    if (hpp == nullptr || cpp == nullptr) {
-      if (hpp != nullptr || cpp != nullptr)
-        warn("L1: need both src/sim/config.hpp and src/sim/config.cpp; "
-             "rule skipped");
-      return;
-    }
-    const std::vector<Field> fields = struct_fields(*hpp, "SimConfig");
-    if (fields.empty()) {
-      warn("L1: no SimConfig fields found in src/sim/config.hpp; "
-           "rule skipped");
-      return;
-    }
-    // The key table drives apply() and known_keys() together when present
-    // (this repo's idiom); otherwise fall back to the function bodies so
-    // fixture trees with split implementations are still checked.
-    std::string table = extract_block(*cpp, "kKeySpecs[]");
-    const std::string apply_region =
-        !table.empty() ? table : extract_block(*cpp, "::apply(");
-    const std::string keys_region =
-        !table.empty() ? table : extract_block(*cpp, "known_keys(");
-    const std::string canon_region = extract_block(*cpp, "canonical(");
-    if (apply_region.empty() || keys_region.empty() || canon_region.empty()) {
-      warn("L1: could not locate the key table / apply() / known_keys() / "
-           "canonical() in src/sim/config.cpp; rule skipped");
-      return;
-    }
-    for (const Field& field : fields) {
-      if (!contains_word(apply_region, field.name))
-        report(*hpp, field.line, "L1",
-               "SimConfig field '" + field.name +
-                   "' has no apply() override in the key-spec table "
-                   "(suite files cannot set it)");
-      else if (!contains_word(keys_region, field.name))
-        report(*hpp, field.line, "L1",
-               "SimConfig field '" + field.name +
-                   "' is missing from known_keys() (the typo guard will "
-                   "reject its override key)");
-      if (!contains_word(canon_region, field.name))
-        report(*hpp, field.line, "L1",
-               "SimConfig field '" + field.name +
-                   "' is not serialized in canonical() — checkpoint "
-                   "fingerprints would not see it and resumed sweeps could "
-                   "silently reuse stale results");
-    }
-  }
-
-  // --- L2 -----------------------------------------------------------------
-  void check_result_mirror() {
-    const SourceFile* hpp = file("src/sim/simulator.hpp");
-    const SourceFile* cpp = file("src/runner/checkpoint.cpp");
-    if (hpp == nullptr || cpp == nullptr) {
-      if (hpp != nullptr || cpp != nullptr)
-        warn("L2: need both src/sim/simulator.hpp and "
-             "src/runner/checkpoint.cpp; rule skipped");
-      return;
-    }
-    const std::vector<Field> fields = struct_fields(*hpp, "SimResult");
-    if (fields.empty()) {
-      warn("L2: no SimResult fields found in src/sim/simulator.hpp; "
-           "rule skipped");
-      return;
-    }
-    const struct {
-      const char* signature;
-      const char* what;
-    } mirrors[] = {
-        {"::append(", "the journal record writer (CheckpointJournal::append)"},
-        {"parse_record_body(", "the journal record reader (parse_record_body)"},
-        {"result_bits_equal(", "result_bits_equal"},
-    };
-    for (const auto& mirror : mirrors) {
-      const std::string body = extract_block(*cpp, mirror.signature);
-      if (body.empty()) {
-        warn(std::string("L2: could not locate ") + mirror.what +
-             " in src/runner/checkpoint.cpp; that mirror is unchecked");
-        continue;
-      }
-      for (const Field& field : fields) {
-        if (!contains_word(body, field.name))
-          report(*hpp, field.line, "L2",
-                 "SimResult field '" + field.name + "' is not mirrored in " +
-                     mirror.what +
-                     " — resume/merge equivalence silently stops covering "
-                     "it");
-      }
-    }
   }
 
   // --- L3 -----------------------------------------------------------------
@@ -859,7 +665,7 @@ class Linter {
 void usage(std::FILE* to) {
   std::fprintf(
       to,
-      "usage: flexnet_lint [--root DIR] [--json FILE] [--rules L1,L2,...]\n"
+      "usage: flexnet_lint [--root DIR] [--json FILE] [--rules L3,L4,...]\n"
       "                    [--list-rules] [--quiet]\n"
       "\n"
       "Checks the project invariants the determinism contract rests on\n"

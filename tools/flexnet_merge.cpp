@@ -127,9 +127,9 @@ int main(int argc, char** argv) {
       } else if (key == "json") {
         json_path = val;
       } else {
-        // Same typo guard as flexnet_run: an unknown override key would
-        // rebuild a different grid and reject every journal confusingly.
-        if (cli::reject_unknown_config_key(key)) return 2;
+        // Same guard as flexnet_run: a bad override would rebuild a
+        // different grid and reject every journal confusingly.
+        if (cli::reject_bad_config_override(key, val)) return 2;
         overrides.push_back(argv[i]);
       }
     } else if (suite_path.empty()) {

@@ -212,9 +212,10 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     } else if (tok.find('=') != std::string::npos) {
       const std::string key = tok.substr(0, tok.find('='));
-      // Same typo guard as flexnet_run: a key the shards would reject
+      // Same guard as flexnet_run: an override the shards would reject
       // should die here, before N processes are launched to fail.
-      if (cli::reject_unknown_config_key(key)) return 2;
+      if (cli::reject_bad_config_override(key, tok.substr(tok.find('=') + 1)))
+        return 2;
       override_tokens.push_back(tok);
       overrides.push_back(argv[i]);
     } else if (suite_path.empty()) {

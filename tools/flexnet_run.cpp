@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
         heartbeat_path = value;
         heartbeat_set = true;
       } else {
-        if (cli::reject_unknown_config_key(key)) return 2;
+        if (cli::reject_bad_config_override(key, value)) return 2;
         overrides.push_back(argv[i]);
       }
     } else if (suite_path.empty()) {
