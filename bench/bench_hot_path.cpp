@@ -17,8 +17,11 @@
 //
 // The telemetry-on pass also times every phase of Network::step
 // (telemetry/phase_timers.hpp); the report gives each phase's share of the
-// step time. `paper_scale=1` runs the cases on the paper's 2064-router
-// Dragonfly (pass a small --cycles: a cycle there costs ~100x smoke).
+// step time, and `alloc_ns/grant` (JSON `alloc_ns_per_grant`) divides its
+// allocate time by its grants: run once at smoke scale and once with
+// `paper_scale=1` (the paper's 2064-router Dragonfly; pass a small
+// --cycles, a cycle there costs ~100x smoke) to read how much more a grant
+// costs at paper scale.
 //
 // Each case also reports where its network's bytes live, read at the end
 // of the telemetry-off pass: `arena_mb` is what the network's arena holds
@@ -90,6 +93,8 @@ struct CaseResult {
   double re_requests_per_grant = 0.0;
   /// Seconds per step phase in the telemetry-on pass, by StepPhase.
   double phase_seconds[PhaseTimers::kPhases] = {};
+  /// The telemetry-on pass's allocate time per grant, in nanoseconds.
+  double alloc_ns_per_grant = 0.0;
   double arena_mb = 0.0;  ///< bytes the network's arena holds from the OS
   double huge_mb = 0.0;   ///< process AnonHugePages (0 when unreadable)
 };
@@ -130,6 +135,12 @@ double time_case(const Case& c, const SimConfig& base, Cycle cycles,
     for (int p = 0; p < PhaseTimers::kPhases; ++p)
       out->phase_seconds[p] =
           net.phase_times().seconds(static_cast<StepPhase>(p));
+    const std::int64_t grants = net.total_grants();
+    out->alloc_ns_per_grant =
+        grants > 0 ? 1e9 *
+                         net.phase_times().seconds(StepPhase::kAllocate) /
+                         static_cast<double>(grants)
+                   : 0.0;
   }
   if (!telemetry_on && out != nullptr) {
     out->consumed = net.metrics().consumed_packets();
@@ -213,10 +224,11 @@ int main(int argc, char** argv) {
               "per case\n",
               base.dragonfly.p, base.dragonfly.a, base.dragonfly.h,
               static_cast<long long>(cycles));
-  std::printf("%-30s %9s %8s %12s %12s %9s %9s %10s %11s %8s %9s %8s\n",
-              "case", "cycles", "wall_s", "cycles/sec", "cps(telem)",
-              "overhead", "consumed", "grants", "re_request", "rr/grant",
-              "arena_mb", "huge_mb");
+  std::printf(
+      "%-30s %9s %8s %12s %12s %9s %9s %10s %11s %8s %14s %9s %8s\n",
+      "case", "cycles", "wall_s", "cycles/sec", "cps(telem)", "overhead",
+      "consumed", "grants", "re_request", "rr/grant", "alloc_ns/grant",
+      "arena_mb", "huge_mb");
 
   std::vector<CaseResult> results;
   double log_sum = 0.0;
@@ -227,13 +239,13 @@ int main(int argc, char** argv) {
     const CaseResult r = run_case(c, base, cycles);
     std::printf(
         "%-30s %9lld %8.3f %12.0f %12.0f %8.3fx %9lld %10lld %11lld %8.3f "
-        "%9.1f %8.1f\n",
+        "%14.1f %9.1f %8.1f\n",
         r.name.c_str(), static_cast<long long>(r.cycles), r.wall_seconds,
         r.cycles_per_sec, r.cycles_per_sec_telemetry, r.telemetry_overhead,
         static_cast<long long>(r.consumed),
         static_cast<long long>(r.grants),
         static_cast<long long>(r.re_requests), r.re_requests_per_grant,
-        r.arena_mb, r.huge_mb);
+        r.alloc_ns_per_grant, r.arena_mb, r.huge_mb);
     log_sum += std::log(r.cycles_per_sec);
     telem_log_sum += std::log(r.telemetry_overhead);
     results.push_back(r);
@@ -288,6 +300,8 @@ int main(int argc, char** argv) {
             JsonValue::make_number(static_cast<double>(r.re_requests)));
       c.set("re_requests_per_grant",
             JsonValue::make_number(r.re_requests_per_grant));
+      c.set("alloc_ns_per_grant",
+            JsonValue::make_number(r.alloc_ns_per_grant));
       c.set("arena_mb", JsonValue::make_number(r.arena_mb));
       c.set("huge_mb", JsonValue::make_number(r.huge_mb));
       JsonValue phases = JsonValue::make_object();

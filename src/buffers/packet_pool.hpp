@@ -73,6 +73,12 @@ class PacketPool {
     return slab_[static_cast<std::size_t>(ref)];
   }
 
+  /// Starts loading a packet's line (a hint: the allocator issues it for
+  /// every armed head of a router before evaluating any of them).
+  void prefetch(PacketRef ref) const {
+    __builtin_prefetch(slab_.data() + ref);
+  }
+
   /// Packets currently allocated (injected but not yet consumed).
   std::int64_t live() const { return live_; }
 

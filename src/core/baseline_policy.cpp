@@ -4,8 +4,8 @@
 
 namespace flexnet {
 
-void BaselinePolicy::candidates(const HopContext& ctx,
-                                std::vector<VcCandidate>& out) const {
+void BaselinePolicy::compute_candidates(const HopContext& ctx,
+                                        std::vector<VcCandidate>& out) const {
   // The baseline follows the reference path: each hop takes the lowest slot
   // of its link type strictly after the packet's current template position,
   // within the packet's own class segment (Fig 1: minimal traffic uses the

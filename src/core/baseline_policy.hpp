@@ -17,8 +17,9 @@ class BaselinePolicy : public VcPolicy {
  public:
   using VcPolicy::VcPolicy;
 
-  void candidates(const HopContext& ctx,
-                  std::vector<VcCandidate>& out) const override;
+ protected:
+  void compute_candidates(const HopContext& ctx,
+                          std::vector<VcCandidate>& out) const override;
 };
 
 }  // namespace flexnet

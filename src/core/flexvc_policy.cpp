@@ -4,8 +4,8 @@
 
 namespace flexnet {
 
-void FlexVcPolicy::candidates(const HopContext& ctx,
-                              std::vector<VcCandidate>& out) const {
+void FlexVcPolicy::compute_candidates(const HopContext& ctx,
+                                      std::vector<VcCandidate>& out) const {
   // The routing function R specifies the highest VC ck allowed for the hop
   // and the selection function picks any cj with 0 <= j <= k (SIII-A):
   //  * Safe hop (the intended path embeds as a safe path): k derives from
@@ -61,10 +61,13 @@ void FlexVcPolicy::candidates(const HopContext& ctx,
     }
   };
 
+  // Each phase runs only while the earlier ones appended nothing.
+  const std::size_t start = out.size();
+  const auto none = [&] { return out.size() == start; };
   consider(/*intended_mode=*/true, /*own_segment_only=*/true);
-  if (out.empty()) consider(/*intended_mode=*/true, /*own_segment_only=*/false);
-  if (out.empty()) consider(/*intended_mode=*/false, /*own_segment_only=*/true);
-  if (out.empty()) consider(/*intended_mode=*/false, /*own_segment_only=*/false);
+  if (none()) consider(/*intended_mode=*/true, /*own_segment_only=*/false);
+  if (none()) consider(/*intended_mode=*/false, /*own_segment_only=*/true);
+  if (none()) consider(/*intended_mode=*/false, /*own_segment_only=*/false);
 }
 
 FLEXNET_REGISTER_VC_POLICY({

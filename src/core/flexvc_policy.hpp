@@ -18,8 +18,9 @@ class FlexVcPolicy : public VcPolicy {
  public:
   using VcPolicy::VcPolicy;
 
-  void candidates(const HopContext& ctx,
-                  std::vector<VcCandidate>& out) const override;
+ protected:
+  void compute_candidates(const HopContext& ctx,
+                          std::vector<VcCandidate>& out) const override;
 };
 
 }  // namespace flexnet

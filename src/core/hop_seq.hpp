@@ -72,6 +72,23 @@ class HopSeq {
     return true;
   }
 
+  /// Bits a code() occupies: the length in the low kCodeLengthBits, then
+  /// one bit per hop (set for a global hop).
+  static constexpr int kCodeLengthBits = 5;
+  static constexpr int kCodeBits = kCodeLengthBits + kCapacity;
+
+  /// Length plus type bits in one integer: equal codes mean equal
+  /// sequences of network hops (the VC policy keys its table on it).
+  std::uint32_t code() const {
+    std::uint32_t bits = 0;
+    for (int i = 0; i < size_; ++i) {
+      const LinkType t = types_[static_cast<std::size_t>(i)];
+      FLEXNET_DCHECK(t == LinkType::kLocal || t == LinkType::kGlobal);
+      if (t == LinkType::kGlobal) bits |= std::uint32_t{1} << i;
+    }
+    return static_cast<std::uint32_t>(size_) | bits << kCodeLengthBits;
+  }
+
   /// Compact form such as "lgllgl" (l=local, g=global).
   std::string to_string() const {
     std::string out;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "core/vc_policy.hpp"
@@ -33,7 +32,7 @@ const char* to_string(VcSelection s);
 /// type-erased std::function it replaced was a measurable slice of the
 /// saturated-path profile.
 template <typename FreePhitsFn>
-int select_vc(VcSelection policy, const std::vector<VcCandidate>& cands,
+int select_vc(VcSelection policy, CandidateSpan cands,
               const FreePhitsFn& free_phits, int needed, Rng& rng) {
   int best = -1;
   int best_free = -1;

@@ -61,16 +61,22 @@ class OutputUnit final {
            link_busy_until_ <= now;
   }
 
+  /// A packet leaving for the link: its ref, size and downstream VC.
+  struct Departure {
+    PacketRef ref = kInvalidPacketRef;
+    std::int32_t phits = 0;
+    VcIndex vc = kInvalidVc;
+  };
+
   /// Starts transmitting the head packet; the link stays busy for the
-  /// packet's serialization time. Returns the packet ref and its target VC.
-  PacketRef start_send(Cycle now, VcIndex& downstream_vc) {
+  /// packet's serialization time.
+  Departure start_send(Cycle now) {
     FLEXNET_DCHECK(ready_to_send(now));
     const Entry e = pipeline_.front();
     pipeline_.pop_front();
     occupancy_ -= e.phits;
     link_busy_until_ = now + e.phits;
-    downstream_vc = e.vc;
-    return e.ref;
+    return {e.ref, e.phits, e.vc};
   }
 
   /// Earliest cycle ready_to_send can hold while the buffered packets stay

@@ -15,6 +15,22 @@
 
 namespace flexnet {
 
+namespace {
+
+/// The policy's question for `pkt` taking `opt` from its current buffer.
+HopContext hop_context(const Packet& pkt, const RouteOption& opt) {
+  HopContext ctx;
+  ctx.cls = pkt.cls;
+  ctx.hop_type = opt.hop_type;
+  ctx.position = pkt.vc_position;
+  ctx.floors = {pkt.type_floors[0], pkt.type_floors[1]};
+  ctx.intended_after = opt.intended_after;
+  ctx.escape_after = opt.escape_after;
+  return ctx;
+}
+
+}  // namespace
+
 Network::Network(const SimConfig& config) : config_(config) {
   // Registry-driven construction: unknown component names fail here with
   // an error enumerating the registered alternatives, and each component's
@@ -317,15 +333,8 @@ void Network::debug_dump_stuck(Cycle now, Cycle min_age) const {
                    " intended=" + opt.intended_after.to_string() +
                    " escape=" + opt.escape_after.to_string() + ":";
             if (!opt.ejection) {
-              std::vector<VcCandidate> cands;
-              HopContext ctx;
-              ctx.cls = head.cls;
-              ctx.hop_type = opt.hop_type;
-              ctx.position = head.vc_position;
-              ctx.floors = {head.type_floors[0], head.type_floors[1]};
-              ctx.intended_after = opt.intended_after;
-              ctx.escape_after = opt.escape_after;
-              policy_->candidates(ctx, cands);
+              const CandidateSpan cands =
+                  policy_->candidates(hop_context(head, opt));
               const auto& lg = ledger_[static_cast<std::size_t>(link_at(r, opt.out_port))];
               const auto& ou = out_[static_cast<std::size_t>(link_at(r, opt.out_port))];
               why += "obuf=" + std::to_string(ou.occupancy()) + "/" +
@@ -423,25 +432,16 @@ void Network::deliver_data(Cycle now) {
       const FlyingPacket fp = link.data.front();
       link.data.pop_front();
       const int gi = link.to_input;
-      if (!flit_) {
-        in_[static_cast<std::size_t>(gi)].push(fp.vc, fp.ref,
-                                               pool_[fp.ref].size);
-        FLEXNET_TELEM(if (telem_.enabled())
-                          telem_.on_delivery(li, pool_[fp.ref].size));
-        ++router_buffered_[static_cast<std::size_t>(link.to)];
-        arm_slot(link.to, gi, fp.vc);
-        alloc_set_.add(link.to);
-        continue;
-      }
-      // Flit-level flow control: one event per flit. The head claims a
-      // buffer slot and becomes routable (cut-through: the tail may still
-      // be in flight); body flits either join their head in the buffer or
-      // — when the packet was already granted onward — cut through the
+      // The event carries its phits, so delivery reads no packet. A whole
+      // packet (packet mode) or a head flit claims a buffer slot and
+      // becomes routable (cut-through: a flit-mode tail may still be in
+      // flight); body flits either join their head in the buffer or —
+      // when the packet was already granted onward — cut through the
       // router entirely, crediting the upstream sender right away and
       // advancing the outbound stream's availability count.
-      FLEXNET_TELEM(if (telem_.enabled()) telem_.on_delivery(li, 1));
+      FLEXNET_TELEM(if (telem_.enabled()) telem_.on_delivery(li, fp.phits));
       if (fp.seq == 0) {
-        in_[static_cast<std::size_t>(gi)].push(fp.vc, fp.ref, 1);
+        in_[static_cast<std::size_t>(gi)].push(fp.vc, fp.ref, fp.phits);
         ++router_buffered_[static_cast<std::size_t>(link.to)];
         arm_slot(link.to, gi, fp.vc);
         alloc_set_.add(link.to);
@@ -691,16 +691,9 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     OutputUnit& ou = out_[static_cast<std::size_t>(li)];
     CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
 
-    HopContext ctx;
-    ctx.cls = head.cls;
-    ctx.hop_type = opt.hop_type;
-    ctx.position = head.vc_position;
-    ctx.floors = {head.type_floors[0], head.type_floors[1]};
-    ctx.intended_after = opt.intended_after;
-    ctx.escape_after = opt.escape_after;
-    cands_.clear();
-    policy_->candidates(ctx, cands_);
-    if (cands_.empty()) continue;  // hop inadmissible: next option
+    // Valid until the next lookup: this option's evaluation only.
+    const CandidateSpan cands = policy_->candidates(hop_context(head, opt));
+    if (cands.empty()) continue;  // hop inadmissible: next option
 
     // An on/off ledger signalling "stop" blocks the whole port (the
     // select_vc filter below only sees per-VC free space, so the
@@ -716,14 +709,14 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     // Prefer a candidate that can move right now.
     if (output_free) {
       const int sel = select_vc(
-          selection_, cands_,
+          selection_, cands,
           [&ledger](VcIndex v) { return ledger.free_for(v); }, ledger_need,
           rng_[static_cast<std::size_t>(r)]);
       if (sel >= 0) {
-        const VcCandidate& cand = cands_[static_cast<std::size_t>(sel)];
+        const VcCandidate& cand = cands[static_cast<std::size_t>(sel)];
         commit_to(commit, head.id, opt, cand.phys, cand.position, cand.safe);
         fill_request(opt.out_port);
-        if (cand.position > cands_.front().position)
+        if (cand.position > cands.front().position)
           ++overflow_picks_;
         else
           ++lowest_picks_;
@@ -735,14 +728,14 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     // credits return first by the template-order induction, and the choice
     // preserving the most headroom for the remaining hops.
     int best = -1;
-    for (std::size_t i = 0; i < cands_.size(); ++i) {
-      if (cands_[i].safe) {
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (cands[i].safe) {
         best = static_cast<int>(i);
         break;
       }
     }
     if (best >= 0) {
-      const VcCandidate& cand = cands_[static_cast<std::size_t>(best)];
+      const VcCandidate& cand = cands[static_cast<std::size_t>(best)];
       commit_to(commit, head.id, opt, cand.phys, cand.position,
                 /*safe=*/true);
       // Wait for the committed VC's credits. A safe commitment is
@@ -817,12 +810,23 @@ void Network::allocate(RouterId r, Cycle now) {
   const int outputs = output_index_[static_cast<std::size_t>(r) + 1] - out0;
   const int speedup = config_.speedup;
   const int alloc_iters = config_.alloc_iters;
-  // Each proposal is a chain of dependent loads starting at its input's VC
-  // block; start those first loads together rather than one per proposal.
+  // Each proposal is a chain of dependent loads: its input's VC block, then
+  // the head packet at a random pool slot. Start every armed input's block
+  // load together, then every armed head's line, before stage 1 waits on
+  // any of them.
   const int in0 = in_index_[static_cast<std::size_t>(r)];
-  for (std::uint64_t m = armed_inputs_[static_cast<std::size_t>(r)]; m != 0;
-       m &= m - 1)
+  const std::uint64_t armed_in = armed_inputs_[static_cast<std::size_t>(r)];
+  for (std::uint64_t m = armed_in; m != 0; m &= m - 1)
     in_[static_cast<std::size_t>(in0 + __builtin_ctzll(m))].prefetch();
+  for (std::uint64_t m = armed_in; m != 0; m &= m - 1) {
+    const int gi = in0 + __builtin_ctzll(m);
+    const InputBuffer& buf = in_[static_cast<std::size_t>(gi)];
+    for (std::uint64_t v = armed_[static_cast<std::size_t>(gi)]; v != 0;
+         v &= v - 1) {
+      const PacketRef ref = buf.front(__builtin_ctzll(v));
+      if (ref != kInvalidPacketRef) pool_.prefetch(ref);
+    }
+  }
 
   for (int pass = 0; pass < speedup; ++pass) {
     std::uint64_t matched_in = 0;
@@ -1035,14 +1039,14 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
   };
   if (!flit_) {
     if (!ou.ready_to_send(now)) return next_start();
-    VcIndex vc = kInvalidVc;
-    const PacketRef ref = ou.start_send(now, vc);
+    const OutputUnit::Departure d = ou.start_send(now);
     // The departure freed output-buffer space: wake the slots sleeping
     // on this link's can_reserve edge.
     fire_waiters(r, li);
     // The packet is eligible downstream one cycle after its head
     // arrives; its phits keep streaming behind it.
-    push_data(li, FlyingPacket{ref, vc, now + link_latency + 1, 0});
+    push_data(li,
+              FlyingPacket{d.ref, d.vc, now + link_latency + 1, 0, d.phits});
     add_send_work(r, -1);
     return next_start();
   }
@@ -1053,22 +1057,20 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
   LinkStream& st = streams_[static_cast<std::size_t>(li)];
   if (st.ref == kInvalidPacketRef) {
     if (!ou.ready_to_send(now)) return next_start();
-    VcIndex vc = kInvalidVc;
     // The packet moves from the output unit into the stream: the router's
     // send-work count is unchanged.
-    const PacketRef ref = ou.start_send(now, vc);
+    const OutputUnit::Departure d = ou.start_send(now);
     fire_waiters(r, li);
-    const Packet& pkt = pool_[ref];
-    st.ref = ref;
-    st.vc = vc;
+    st.ref = d.ref;
+    st.vc = d.vc;
     st.next = 0;
-    st.total = pkt.size;
-    st.in_link = static_cast<std::size_t>(ref) < flit_src_link_.size()
-                     ? flit_src_link_[static_cast<std::size_t>(ref)]
+    st.total = d.phits;
+    st.in_link = static_cast<std::size_t>(d.ref) < flit_src_link_.size()
+                     ? flit_src_link_[static_cast<std::size_t>(d.ref)]
                      : -1;
-    // Captured now: a later grant downstream rewrites pkt.route_kind
-    // while body flits are still claiming space at this ledger.
-    st.kind = pkt.route_kind;
+    // Captured now: a later grant downstream rewrites the packet's
+    // route_kind while body flits are still claiming space at this ledger.
+    st.kind = pool_[d.ref].route_kind;
   }
   // Availability: a flit can only leave once it has arrived here. The
   // TransitTail on the inbound link counts the flits still in flight.
@@ -1096,7 +1098,8 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
     }
     ledger.on_send(st.vc, 1, st.kind);
   }
-  push_data(li, FlyingPacket{st.ref, st.vc, now + link_latency + 1, st.next});
+  push_data(li,
+            FlyingPacket{st.ref, st.vc, now + link_latency + 1, st.next, 1});
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit(li));
   ++st.next;
   if (st.next == st.total) {

@@ -17,7 +17,10 @@
 //   * Packets live in a PacketPool slab from injection to consumption;
 //     queues and link lanes move 4-byte PacketRefs, never whole packets.
 //   * In-flight traffic sits in per-link ring-buffer event lanes
-//     (EventLane) ordered by arrival cycle.
+//     (EventLane) ordered by arrival cycle. Each event carries the phits
+//     it delivers, so delivery never reads the pool; a head's pool line is
+//     first touched by its allocation, which prefetches every armed head
+//     of the router before evaluating any (the per-router head gather).
 //   * Link phases are event-driven: data lanes, credit lanes and output
 //     serializers sit in per-phase timing wheels (TimingWheel) under the
 //     cycle their next event is due, so a cycle visits only the links with
@@ -169,13 +172,18 @@ class Network final : public CongestionOracle {
   /// A packet in flight on a link (payload in the pool slab). Under
   /// flit-level flow control one event per flit travels the lane; `seq` is
   /// the flit's index within its packet (0 = head). Packet mode keeps one
-  /// event per packet with seq 0.
+  /// event per packet with seq 0. `phits` is what the event adds to the
+  /// downstream buffer — the packet's size in packet mode, 1 per flit — so
+  /// delivery never reads the packet itself.
   struct FlyingPacket {
     PacketRef ref = kInvalidPacketRef;
     VcIndex vc = kInvalidVc;
     Cycle arrive = 0;
     std::int32_t seq = 0;
+    std::int32_t phits = 0;
   };
+  static_assert(sizeof(FlyingPacket) == 24,
+                "phits fills the padding after seq");
   struct FlyingCredit {
     VcIndex vc = kInvalidVc;
     int phits = 0;
@@ -462,7 +470,6 @@ class Network final : public CongestionOracle {
   // local output and sized for the widest router, so one router's lanes
   // stay in cache.
   std::vector<RouteOption> options_;
-  std::vector<VcCandidate> cands_;
   Vec<Vec<Request>> lanes_{&arena_};
   Vec<char> out_matched_{&arena_};
   Vec<std::int32_t> touched_{&arena_};  // lanes filled this iteration

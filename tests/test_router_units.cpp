@@ -73,8 +73,7 @@ TEST(OutputUnit, ReservationAndRelease) {
   ou.accept(3, 8, 0, 0);
   ou.accept(4, 8, 0, 0);
   EXPECT_FALSE(ou.can_reserve(8));  // full: 4 x 8 = 32
-  VcIndex vc = kInvalidVc;
-  ou.start_send(5, vc);
+  ou.start_send(5);
   EXPECT_EQ(ou.occupancy(), 24);
   EXPECT_TRUE(ou.can_reserve(8));
 }
@@ -83,15 +82,12 @@ TEST(OutputUnit, LinkSerializationBlocksNextSend) {
   OutputUnit ou(32, 1);
   ou.accept(1, 8, 0, 0);
   ou.accept(2, 8, 1, 0);
-  VcIndex vc = kInvalidVc;
   ASSERT_TRUE(ou.ready_to_send(1));
-  ou.start_send(1, vc);
-  EXPECT_EQ(vc, 0);
+  EXPECT_EQ(ou.start_send(1).vc, 0);
   // The link is busy for 8 cycles (1 phit/cycle).
   for (Cycle t = 1; t < 9; ++t) EXPECT_FALSE(ou.ready_to_send(t)) << t;
   ASSERT_TRUE(ou.ready_to_send(9));
-  ou.start_send(9, vc);
-  EXPECT_EQ(vc, 1);
+  EXPECT_EQ(ou.start_send(9).vc, 1);
 }
 
 TEST(OutputUnit, FifoOrderPreserved) {
@@ -101,18 +97,18 @@ TEST(OutputUnit, FifoOrderPreserved) {
   Cycle now = 0;
   for (int i = 0; i < 4; ++i) {
     while (!ou.ready_to_send(now)) ++now;
-    VcIndex vc = kInvalidVc;
-    EXPECT_EQ(ou.start_send(now, vc), i);
-    EXPECT_EQ(vc, i);
+    const OutputUnit::Departure d = ou.start_send(now);
+    EXPECT_EQ(d.ref, i);
+    EXPECT_EQ(d.phits, 8);
+    EXPECT_EQ(d.vc, i);
   }
 }
 
 TEST(OutputUnit, NextReadyIsTheEarliestStart) {
   OutputUnit ou(64, 5);
-  VcIndex vc = kInvalidVc;
   ou.accept(/*ref=*/1, /*phits=*/8, /*vc=*/0, /*now=*/0);
   EXPECT_EQ(ou.next_ready(), 5);  // pipeline exit
-  ou.start_send(5, vc);
+  ou.start_send(5);
   ou.accept(/*ref=*/2, /*phits=*/8, /*vc=*/0, /*now=*/6);
   EXPECT_EQ(ou.next_ready(), 13);  // previous packet still serializing
   for (Cycle t = 6; t < 13; ++t) EXPECT_FALSE(ou.ready_to_send(t)) << t;
