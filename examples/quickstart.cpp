@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace flexnet;
 
-  SimConfig config;                  // Table V defaults at bench scale
+  SimConfig config;                  // Table V defaults
   config.dragonfly = {2, 4, 2};      // p=2 nodes/router, a=4, h=2 (36 routers)
   config.policy = "flexvc";          // the paper's mechanism ("baseline" to compare)
   config.vcs = "4/2";                // 4 local / 2 global VCs per input port

@@ -1,5 +1,5 @@
 // Minimal JSON parser + serializer, the read-side counterpart of
-// JsonReport: enough JSON to load the reports the benches emit (and any
+// JsonReport: enough JSON to load the reports the tools emit (and any
 // document made of objects/arrays/strings/numbers/bools/null) without an
 // external dependency. Used by tools/bench_trajectory to fold sweep
 // reports into the BENCH_sweeps.json perf trajectory, and by the tests to

@@ -1,4 +1,4 @@
-// JSON sweep report: machine-readable record of the sweeps a bench runs,
+// JSON sweep report: machine-readable record of the sweeps a run executes,
 // emitted next to the console tables so downstream tooling (plotting,
 // regression tracking, BENCH_*.json trajectories) can consume the exact
 // numbers without scraping stdout. No external JSON dependency — the

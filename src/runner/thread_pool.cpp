@@ -1,7 +1,6 @@
 #include "runner/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace flexnet {
 
@@ -63,12 +62,6 @@ void ThreadPool::worker_loop() {
     }
     idle_cv_.notify_all();
   }
-}
-
-int ThreadPool::default_jobs() {
-  if (const char* env = std::getenv("FLEXNET_JOBS"))
-    return std::max(1, std::atoi(env));
-  return 1;
 }
 
 }  // namespace flexnet

@@ -34,10 +34,6 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Worker count from the FLEXNET_JOBS environment variable (clamped to
-  /// >= 1); defaults to 1 — the serial path — when unset.
-  static int default_jobs();
-
   /// Index of the calling thread within its pool: workers are 1..size(),
   /// any thread outside a pool (the serial path, main) is 0. Used to give
   /// trace spans a stable per-worker track; never used for scheduling.

@@ -1,7 +1,9 @@
 #include "scenario/suite.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -81,6 +83,18 @@ Options parse_overrides(const JsonValue& obj, const std::string& origin,
   return out;
 }
 
+/// The value of a JSON number that is a whole number in [1, INT_MAX], or 0
+/// for anything else. The range is checked on the double: casting an
+/// out-of-range double (1e10, -1e10) to int is undefined behaviour.
+int positive_int(const JsonValue& v) {
+  if (v.type != JsonValue::Type::Number) return 0;
+  const double d = v.number;
+  if (!(d >= 1.0 && d <= std::numeric_limits<int>::max()) ||
+      d != std::floor(d))
+    return 0;
+  return static_cast<int>(d);
+}
+
 std::vector<double> parse_loads(const JsonValue& v, const std::string& origin) {
   std::vector<double> loads;
   if (v.is_array()) {
@@ -105,9 +119,8 @@ std::vector<double> parse_loads(const JsonValue& v, const std::string& origin) {
         to->type != JsonValue::Type::Number ||
         count->type != JsonValue::Type::Number)
       fail(origin, "'loads' range values must be numbers");
-    const int n = static_cast<int>(count->number_or(0));
-    if (n < 1 || count->number_or(0) != n)
-      fail(origin, "'loads' count must be a positive integer");
+    const int n = positive_int(*count);
+    if (n == 0) fail(origin, "'loads' count must be a positive integer");
     if (from->number_or(0) > to->number_or(0))
       fail(origin, "'loads' range needs from <= to");
     loads = load_points(from->number_or(0), to->number_or(0), n);
@@ -192,11 +205,8 @@ SuiteSpec SuiteSpec::parse(const std::string& json_text,
   spec.loads = parse_loads(*loads, origin);
 
   if (const JsonValue* seeds = doc.find("seeds")) {
-    const int n = static_cast<int>(seeds->number_or(0));
-    if (seeds->type != JsonValue::Type::Number || n < 1 ||
-        seeds->number_or(0) != n)
-      fail(origin, "'seeds' must be a positive integer");
-    spec.seeds = n;
+    spec.seeds = positive_int(*seeds);
+    if (spec.seeds == 0) fail(origin, "'seeds' must be a positive integer");
   }
   return spec;
 }
@@ -222,16 +232,8 @@ MaterializedSuite materialize_for_run(const std::string& path,
   MaterializedSuite out;
   out.spec = SuiteSpec::load(path);
 
-  // Bench defaults: Table V at the FLEXNET_SCALE system so suite files
-  // reproduce the figure benches bit-identically (see bench_util.hpp).
-  const BenchScale scale = bench_scale();
-  SimConfig defaults;
-  defaults.dragonfly = scale.dragonfly;
-  defaults.warmup = scale.warmup;
-  defaults.measure = scale.measure;
-
-  out.grid = out.spec.materialize(defaults, extra);
-  out.seeds = out.spec.seeds_or(scale.seeds);
+  out.grid = out.spec.materialize(SimConfig{}, extra);
+  out.seeds = out.spec.seeds_or(1);
   out.fingerprint = grid_fingerprint(out.grid, out.spec.loads, out.seeds);
   return out;
 }

@@ -1,5 +1,7 @@
-// Declarative scenario suites: an experiment grid as a JSON data file
-// instead of a recompiled bench main.
+// Declarative scenario suites: an experiment grid as a JSON data file.
+// Every figure the project reproduces ships as one suite per panel under
+// examples/suites/, run by flexnet_run (or split across processes by
+// flexnet_orchestrate and joined by flexnet_merge).
 //
 // A suite file describes one sweep — named series (config overrides using
 // exactly the SimConfig::apply keys), a load grid, and a seed count:
@@ -15,7 +17,7 @@
 //     ],
 //     "loads": [1.0],                                  // explicit list, or
 //     "loads": {"from": 0.05, "to": 1.0, "count": 20}, // an even grid
-//     "seeds": 5                                       // optional
+//     "seeds": 5                                       // optional (1)
 //   }
 //
 // Override values may be JSON strings, numbers, or booleans; they are
@@ -25,8 +27,10 @@
 // every series against the component registries — an unknown component
 // name fails with the series label and the list of registered names.
 //
-// Execution order of overrides: caller defaults -> suite "base" ->
-// caller extras (e.g. flexnet_run's command line) -> per-series overrides.
+// Execution order of overrides: caller defaults (SimConfig{} for the
+// tools) -> suite "base" -> caller extras (e.g. flexnet_run's command
+// line) -> per-series overrides. Scale is a key like any other
+// (paper_scale=1, or df_p/df_a/df_h), as are warmup= and measure=.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +79,7 @@ struct SuiteSpec {
   /// Loads one of the suite files shipped under examples/suites/ by bare
   /// filename (e.g. "fig9_vc_selection.json"). The directory is resolved
   /// from the build-time FLEXNET_SUITE_DIR definition, falling back to the
-  /// relative "examples/suites". The single resolver for benches,
-  /// examples, and tests.
+  /// relative "examples/suites". The single resolver for tests.
   static SuiteSpec load_shipped(const std::string& filename);
 
   int seeds_or(int fallback) const { return seeds > 0 ? seeds : fallback; }
@@ -90,10 +93,10 @@ struct SuiteSpec {
       const;
 };
 
-/// A suite materialized exactly as `flexnet_run` executes it: bench-scale
-/// defaults (FLEXNET_SCALE / FLEXNET_SEEDS / FLEXNET_MEASURE) + suite base
-/// + `extra` CLI overrides + per-series overrides, with the seed count
-/// resolved and the checkpoint grid fingerprint computed.
+/// A suite materialized exactly as `flexnet_run` executes it: SimConfig{}
+/// + suite base + `extra` CLI overrides + per-series overrides, with the
+/// seed count resolved (1 when the suite names none) and the checkpoint
+/// grid fingerprint computed.
 struct MaterializedSuite {
   SuiteSpec spec;
   std::vector<ExperimentSeries> grid;
@@ -101,7 +104,7 @@ struct MaterializedSuite {
   std::uint64_t fingerprint = 0;  ///< grid_fingerprint(grid, loads, seeds)
 };
 
-/// Loads `path` and materializes it with the bench defaults. The single
+/// Loads `path` and materializes it from SimConfig{}. The single
 /// grid constructor shared by `flexnet_run` (which executes the grid) and
 /// `flexnet_merge` (which validates shard journals against the same
 /// fingerprint and aggregates them) — sharing it keeps the two tools'

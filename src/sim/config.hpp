@@ -81,7 +81,7 @@ struct SimConfig {
   /// stay valid; validate_config rejects any other value.
   int sim_domains = 1;
   Cycle warmup = 10000;
-  Cycle measure = 30000;
+  Cycle measure = 20000;
   std::uint64_t seed = 1;
   /// Cycles without any packet movement (with packets inside the network)
   /// before the run is declared deadlocked.

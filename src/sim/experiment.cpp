@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
-#include "runner/sweep_runner.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace flexnet {
 
@@ -22,15 +17,6 @@ double SweepResult::max_accepted() const {
 double SweepResult::saturation_accepted() const {
   if (rows.empty() || rows.back().result.deadlock) return 0.0;
   return rows.back().result.accepted;
-}
-
-std::vector<SweepResult> run_load_sweep(
-    const std::vector<ExperimentSeries>& series,
-    const std::vector<double>& loads, int seeds,
-    const std::function<void(const std::string&, double, const SimResult&)>&
-        progress) {
-  return SweepRunner(ThreadPool::default_jobs())
-      .run(series, loads, seeds, progress);
 }
 
 std::vector<double> load_points(double lo, double hi, int count) {
@@ -78,24 +64,6 @@ void print_throughput_summary(const std::string& title,
                 base > 0 ? 100.0 * (acc / base - 1.0) : 0.0,
                 sweeps.front().label.c_str());
   }
-}
-
-BenchScale bench_scale() {
-  BenchScale scale;
-  scale.dragonfly = DragonflyParams{2, 4, 2};
-  const char* env = std::getenv("FLEXNET_SCALE");
-  if (env != nullptr) {
-    if (std::strcmp(env, "h4") == 0) {
-      scale.dragonfly = DragonflyParams{4, 8, 4};
-    } else if (std::strcmp(env, "h8") == 0 || std::strcmp(env, "paper") == 0) {
-      scale.dragonfly = DragonflyParams::paper_scale();
-    }
-  }
-  if (const char* seeds = std::getenv("FLEXNET_SEEDS"))
-    scale.seeds = std::max(1, std::atoi(seeds));
-  if (const char* measure = std::getenv("FLEXNET_MEASURE"))
-    scale.measure = std::max<Cycle>(1000, std::atoll(measure));
-  return scale;
 }
 
 }  // namespace flexnet

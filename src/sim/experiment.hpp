@@ -1,8 +1,8 @@
-// Experiment harness: named configurations swept over offered load, with
-// the console table output the benches print for each paper figure.
+// Experiment vocabulary shared by the sweep runner and its tools: a
+// labeled configuration, the per-load rows a sweep produces, the load
+// grid, and the console tables flexnet_run prints for every suite.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,17 +36,6 @@ struct SweepResult {
   double saturation_accepted() const;
 };
 
-/// Runs `series` over the offered loads, averaging `seeds` seeds per point.
-/// The grid is sharded per (series, load, seed) across FLEXNET_JOBS worker
-/// threads (default 1 — serial); results are bit-identical for any worker
-/// count. `progress` (optional) is invoked after each point for console
-/// feedback; invocations are serialised by the runner.
-std::vector<SweepResult> run_load_sweep(
-    const std::vector<ExperimentSeries>& series,
-    const std::vector<double>& loads, int seeds,
-    const std::function<void(const std::string&, double, const SimResult&)>&
-        progress = nullptr);
-
 /// Evenly spaced loads in [lo, hi].
 std::vector<double> load_points(double lo, double hi, int count);
 
@@ -60,16 +49,5 @@ void print_sweep_table(const std::string& title,
 /// charts of Figs 6/9/11), with relative improvement over the first series.
 void print_throughput_summary(const std::string& title,
                               const std::vector<SweepResult>& sweeps);
-
-/// Reads the bench scale from FLEXNET_SCALE (h2 | h4 | h8/paper); defaults
-/// to the 36-router h=2 system. Also honors FLEXNET_SEEDS and
-/// FLEXNET_MEASURE overrides.
-struct BenchScale {
-  DragonflyParams dragonfly;
-  int seeds = 1;
-  Cycle warmup = 10000;
-  Cycle measure = 20000;
-};
-BenchScale bench_scale();
 
 }  // namespace flexnet

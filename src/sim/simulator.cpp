@@ -1,8 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include "common/log.hpp"
-#include "runner/sweep_runner.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace flexnet {
 
@@ -55,10 +53,6 @@ SimResult Simulator::run() {
   result.consumed_packets = m.consumed_packets();
   result.cycles = now;
   return result;
-}
-
-SimResult run_averaged(const SimConfig& config, int seeds) {
-  return SweepRunner(ThreadPool::default_jobs()).run_point(config, seeds);
 }
 
 }  // namespace flexnet

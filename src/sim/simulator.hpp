@@ -147,10 +147,4 @@ class Simulator {
   std::unique_ptr<Network> network_;
 };
 
-/// Averages `seeds` independent runs (seeds seed, seed+1, ...), sharded
-/// over FLEXNET_JOBS workers via the sweep runner. A deadlock in any run
-/// marks the average deadlocked; deadlocked seeds are excluded from the
-/// load/latency/hops averages (taken over the surviving seeds only).
-SimResult run_averaged(const SimConfig& config, int seeds);
-
 }  // namespace flexnet

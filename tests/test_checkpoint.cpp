@@ -370,7 +370,7 @@ TEST(OnDiskFormat, DefaultCanonicalConfigIsPinned) {
             "mincred=0;threshold=3;flow_control=packet;phits_per_packet=0;"
             "buffer_mgmt=credit;traffic=uniform;reactive=0;load=0x1p-1;"
             "burst_length=0x1.4p+2;adv_offset=1;reply_queue=8;"
-            "packet_size=8;sim_domains=1;warmup=10000;measure=30000;seed=1;"
+            "packet_size=8;sim_domains=1;warmup=10000;measure=20000;seed=1;"
             "watchdog=20000;");
 }
 

@@ -77,12 +77,34 @@ TEST(FlexnetRunCli, MalformedShardSpecExitsNonZeroWithClearMessage) {
     EXPECT_NE(r.output.find("expected i/N"), std::string::npos)
         << bad << "\n" << r.output;
   }
-  // The key=value spelling goes through the same validation.
-  const CmdResult r = run_cmd(bin("flexnet_run") + " " +
-                              shipped_suite("smoke_tiny.json") + " shard=0/3");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("invalid shard spec"), std::string::npos)
-      << r.output;
+}
+
+// Numeric flags parse the whole value or exit 2 naming the flag: a
+// misread "--jobs abc" or "--jobs 0" must not silently run one worker.
+TEST(FlexnetRunCli, NumericFlagsAreParsedStrictly) {
+  for (const char* bad : {"abc", "0", "2x", "-1", "1.5", ""}) {
+    const CmdResult r = run_cmd(bin("flexnet_run") + " " +
+                                shipped_suite("smoke_tiny.json") +
+                                " --jobs '" + bad + "' warmup=50 measure=100");
+    EXPECT_EQ(r.exit_code, 2) << bad << "\n" << r.output;
+    EXPECT_NE(r.output.find("--jobs takes a whole number >= 1"),
+              std::string::npos)
+        << bad << "\n" << r.output;
+  }
+}
+
+// --jobs/--json/--checkpoint/--shard/--heartbeat are the only spellings:
+// their key=value forms are unknown config keys, not runner flags.
+TEST(FlexnetRunCli, RunnerFlagsHaveNoKeyValueSpelling) {
+  for (const char* alias : {"jobs=2", "json=r.json", "checkpoint=c.journal",
+                            "shard=1/3", "heartbeat=h.hb"}) {
+    const CmdResult r = run_cmd(bin("flexnet_run") + " " +
+                                shipped_suite("smoke_tiny.json") + " " +
+                                alias + " warmup=50 measure=100");
+    EXPECT_EQ(r.exit_code, 2) << alias << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown config key"), std::string::npos)
+        << alias << "\n" << r.output;
+  }
 }
 
 TEST(FlexnetRunCli, ValidShardRunsItsSubsetAndWarnsWithoutCheckpoint) {
@@ -313,6 +335,25 @@ TEST_F(MergeWatchCli, HonestPartialTicksThenFinalByteIdenticalToOneShot) {
   std::remove(traj.c_str());
 }
 
+TEST(FlexnetMergeCli, NumericFlagsAreParsedStrictly) {
+  // --watch-ticks 1 bounds the run should "abc" ever be read as 0.
+  const std::string cmd = bin("flexnet_merge") + " " +
+                          shipped_suite("smoke_tiny.json") + " --json " +
+                          temp_path("cli_numeric.json") + " ";
+  const std::string journal = " " + temp_path("cli_numeric_absent.journal");
+  CmdResult r = run_cmd(cmd + "--watch abc --watch-ticks 1" + journal);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--watch takes a number >= 0, got 'abc'"),
+            std::string::npos)
+      << r.output;
+  r = run_cmd(cmd + "--watch 0 --watch-ticks 2x" + journal);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--watch-ticks takes a whole number >= 0"),
+            std::string::npos)
+      << r.output;
+  std::remove(temp_path("cli_numeric.json").c_str());
+}
+
 // ---------------------------------------------------------------------------
 // flexnet_orchestrate: the CLI surface (the supervision loop itself is
 // drilled in tests/test_orchestrator.cpp).
@@ -336,6 +377,33 @@ TEST(FlexnetOrchestrateCli, UsageErrorsExit2) {
   EXPECT_EQ(run_cmd(bin("flexnet_orchestrate") + " " + suite +
                     " --shards 2 --prefix x reactive=maybe").exit_code, 2)
       << "a value that does not parse must fail before any launch";
+}
+
+TEST(FlexnetOrchestrateCli, NumericFlagsAreParsedStrictly) {
+  // --emit-commands: even a misread flag launches nothing.
+  const std::string cmd = bin("flexnet_orchestrate") + " " +
+                          shipped_suite("smoke_tiny.json") +
+                          " --prefix x --emit-commands ";
+  const struct {
+    const char* args;
+    const char* message;
+  } rows[] = {
+      {"--shards 2x", "--shards takes a whole number >= 1, got '2x'"},
+      {"--shards 2 --jobs abc", "--jobs takes a whole number >= 1"},
+      {"--shards 2 --jobs 0", "--jobs takes a whole number >= 1"},
+      {"--shards 2 --retries abc", "--retries takes a whole number >= 0"},
+      {"--shards 2 --backoff 1s", "--backoff takes a number >= 0"},
+      {"--shards 2 --stale-timeout abc", "--stale-timeout takes a number"},
+      {"--shards 2 --poll x", "--poll takes a number >= 0"},
+      {"--shards 2 --fault-crash-after 1:2x",
+       "--fault-crash-after takes a whole number >= 1, got '2x'"},
+  };
+  for (const auto& row : rows) {
+    const CmdResult r = run_cmd(cmd + row.args);
+    EXPECT_EQ(r.exit_code, 2) << row.args << "\n" << r.output;
+    EXPECT_NE(r.output.find(row.message), std::string::npos)
+        << row.args << "\n" << r.output;
+  }
 }
 
 TEST(FlexnetOrchestrateCli, EmitCommandsPrintsDispatchableShardLines) {

@@ -55,7 +55,7 @@ bool read_file(const std::string& path, std::string* out) {
 /// Renders the canonical report of one shipped suite: the experiment grid
 /// is pinned here (explicit defaults, warmup/measure, seeds) so the bytes
 /// depend on nothing but the suite file and the simulation core — no
-/// FLEXNET_SCALE/FLEXNET_SEEDS environment, no wall-clock, no worker count.
+/// wall-clock, no worker count.
 std::string render_suite_report(const std::string& suite_file, int jobs,
                                 int* seeds_out = nullptr) {
   const SuiteSpec spec = SuiteSpec::load_shipped(suite_file);

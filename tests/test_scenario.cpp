@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 
 #include "scenario/registry.hpp"
@@ -353,6 +354,20 @@ TEST(SuiteSpec, RejectsMalformedDocuments) {
                          "series": [{"label": "s"}]})")
                 .find("'seeds'"),
             std::string::npos);
+  // Counts beyond int range are rejected on the double, before any cast
+  // (a cast of 1e10 to int is undefined behaviour).
+  for (const char* n : {"1e10", "-1e10", "2.5"}) {
+    SCOPED_TRACE(n);
+    EXPECT_NE(error_of(std::string(R"({"title": "t", "loads": [1], "seeds": )") +
+                       n + R"(, "series": [{"label": "s"}]})")
+                  .find("'seeds' must be a positive integer"),
+              std::string::npos);
+    EXPECT_NE(error_of(std::string(R"({"title": "t", "series": [{"label": "s"}],
+                         "loads": {"from": 0.1, "to": 1.0, "count": )") +
+                       n + "}}")
+                  .find("'loads' count must be a positive integer"),
+              std::string::npos);
+  }
   // Range bounds must be numbers, not number-looking strings.
   EXPECT_NE(error_of(R"({"title": "t", "series": [{"label": "s"}],
                          "loads": {"from": "0.1", "to": 1.0, "count": 3}})")
@@ -455,10 +470,14 @@ TEST(SuiteSpec, ValidateHookFailuresSurfaceSeriesLabel) {
 }
 
 // ---------------------------------------------------------------------------
-// Shipped suite files: the fig9 grid they replaced, rebuilt by hand, must
-// materialize to identical canonical configs (the bit-identity guarantee
-// behind `flexnet_run examples/suites/fig9_vc_selection.json`).
+// Shipped suite files: each figure grid, rebuilt by hand exactly as the
+// bench main that used to run it built it, must materialize from
+// SimConfig{} (as flexnet_run does) to identical labels, loads and
+// canonical configs — the bit-identity guarantee behind
+// `flexnet_run examples/suites/<figure>.json`.
 
+/// The config every figure main started from: Table V on the (2,4,2)
+/// Dragonfly, warmup 10,000, measure 20,000.
 SimConfig bench_defaults() {
   SimConfig cfg;
   cfg.dragonfly = DragonflyParams{2, 4, 2};
@@ -467,12 +486,23 @@ SimConfig bench_defaults() {
   return cfg;
 }
 
-TEST(ShippedSuites, Fig9MatchesTheBenchGridItReplaced) {
-  const SuiteSpec spec =
-      SuiteSpec::load_shipped("fig9_vc_selection.json");
-  EXPECT_EQ(spec.loads, (std::vector<double>{1.0}));
-  const auto grid = spec.materialize(bench_defaults());
+void expect_suite_matches(const std::string& file,
+                          const std::vector<double>& loads,
+                          const std::vector<ExperimentSeries>& expected) {
+  SCOPED_TRACE(file);
+  const SuiteSpec spec = SuiteSpec::load_shipped(file);
+  EXPECT_EQ(spec.loads, loads);
+  EXPECT_EQ(spec.seeds_or(1), 1);
+  const auto grid = spec.materialize(SimConfig{});
+  ASSERT_EQ(grid.size(), expected.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(grid[i].label, expected[i].label) << i;
+    EXPECT_EQ(grid[i].config.canonical(), expected[i].config.canonical())
+        << "series '" << grid[i].label << "' diverges from the bench grid";
+  }
+}
 
+TEST(ShippedSuites, Fig9MatchesTheBenchGridItReplaced) {
   // The grid exactly as bench_fig9_vc_selection.cpp used to build it.
   SimConfig base = bench_defaults();
   base.reactive = true;
@@ -500,30 +530,219 @@ TEST(ShippedSuites, Fig9MatchesTheBenchGridItReplaced) {
       expected.push_back({std::string(arr) + " " + sel, cfg});
     }
   }
+  expect_suite_matches("fig9_vc_selection.json", {1.0}, expected);
+}
 
-  ASSERT_EQ(grid.size(), expected.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(grid[i].label, expected[i].label) << i;
-    EXPECT_EQ(grid[i].config.canonical(), expected[i].config.canonical())
-        << "series '" << grid[i].label << "' diverges from the bench grid";
+TEST(ShippedSuites, Fig5MatchesTheBenchGridItReplaced) {
+  // bench_fig5_oblivious.cpp: panel_series() for (a) and (b), an inline
+  // list for (c), all over load_points(0.1, 1.0, 7).
+  const auto panel = [](SimConfig cfg, const std::string& min_vcs) {
+    std::vector<ExperimentSeries> out;
+    cfg.vcs = min_vcs;
+    cfg.policy = "baseline";
+    out.push_back({"Baseline", cfg});
+    cfg.buffer_org = "damq";
+    out.push_back({"DAMQ 75%", cfg});
+    cfg.buffer_org = "static";
+    cfg.policy = "flexvc";
+    out.push_back({"FlexVC " + min_vcs + "VCs", cfg});
+    cfg.vcs = "4/2";
+    out.push_back({"FlexVC 4/2VCs", cfg});
+    cfg.vcs = "8/4";
+    out.push_back({"FlexVC 8/4VCs", cfg});
+    return out;
+  };
+  const auto loads = load_points(0.1, 1.0, 7);
+  SimConfig cfg = bench_defaults();
+  cfg.routing = "min";
+  cfg.traffic = "uniform";
+  expect_suite_matches("fig5a_uniform_min.json", loads, panel(cfg, "2/1"));
+  cfg.traffic = "bursty";
+  expect_suite_matches("fig5b_bursty_min.json", loads, panel(cfg, "2/1"));
+
+  cfg.traffic = "adversarial";
+  cfg.routing = "val";
+  std::vector<ExperimentSeries> c;
+  cfg.vcs = "4/2";
+  cfg.policy = "baseline";
+  c.push_back({"Baseline", cfg});
+  cfg.buffer_org = "damq";
+  c.push_back({"DAMQ 75%", cfg});
+  cfg.buffer_org = "static";
+  cfg.policy = "flexvc";
+  c.push_back({"FlexVC 4/2VCs", cfg});
+  cfg.vcs = "8/4";
+  c.push_back({"FlexVC 8/4VCs", cfg});
+  expect_suite_matches("fig5c_adversarial_val.json", loads, c);
+}
+
+TEST(ShippedSuites, Fig7MatchesTheBenchGridItReplaced) {
+  // bench_fig7_request_reply.cpp: min_series()/val_series() over
+  // reactive traffic and load_points(0.2, 1.0, 6).
+  const auto series = [](SimConfig cfg, const char* base_vcs,
+                         std::vector<const char*> flex) {
+    std::vector<ExperimentSeries> out;
+    cfg.vcs = base_vcs;
+    cfg.policy = "baseline";
+    out.push_back({"Baseline", cfg});
+    cfg.buffer_org = "damq";
+    out.push_back({"DAMQ", cfg});
+    cfg.buffer_org = "static";
+    cfg.policy = "flexvc";
+    for (const char* vcs : flex) {
+      cfg.vcs = vcs;
+      out.push_back({std::string("FlexVC ") + vcs, cfg});
+    }
+    return out;
+  };
+  const std::vector<const char*> min_sets = {
+      "2/1+2/1", "2/1+3/2", "3/2+2/1", "2/1+4/3", "3/2+3/2", "4/3+2/1"};
+  const auto loads = load_points(0.2, 1.0, 6);
+  SimConfig cfg = bench_defaults();
+  cfg.reactive = true;
+  cfg.routing = "min";
+  cfg.traffic = "uniform";
+  expect_suite_matches("fig7a_uniform_min.json", loads,
+                       series(cfg, "2/1+2/1", min_sets));
+  cfg.traffic = "bursty";
+  expect_suite_matches("fig7b_bursty_min.json", loads,
+                       series(cfg, "2/1+2/1", min_sets));
+  cfg.traffic = "adversarial";
+  cfg.routing = "val";
+  expect_suite_matches("fig7c_adversarial_val.json", loads,
+                       series(cfg, "4/2+4/2",
+                              {"4/2+4/2", "5/3+5/3", "6/4+4/2"}));
+}
+
+TEST(ShippedSuites, Fig8MatchesTheBenchGridItReplaced) {
+  // bench_fig8_adaptive.cpp: pb_series() over reactive traffic and
+  // load_points(0.2, 1.0, 6); later series inherit earlier assignments.
+  const auto pb_series = [](SimConfig cfg, const std::string& reference) {
+    std::vector<ExperimentSeries> out;
+    cfg.routing = reference;
+    cfg.policy = "baseline";
+    cfg.vcs = reference == "min" ? "2/1+2/1" : "4/2+4/2";
+    out.push_back({reference == "min" ? "MIN" : "VAL", cfg});
+    cfg.routing = "pb";
+    cfg.vcs = "4/2+4/2";
+    cfg.pb_per_vc = true;
+    out.push_back({"PB - per VC", cfg});
+    cfg.pb_per_vc = false;
+    out.push_back({"PB - per port", cfg});
+    cfg.policy = "flexvc";
+    cfg.vcs = "4/2+2/1";
+    cfg.pb_per_vc = true;
+    out.push_back({"PB FlexVC - per VC", cfg});
+    cfg.pb_per_vc = false;
+    out.push_back({"PB FlexVC - per port", cfg});
+    cfg.mincred = true;
+    cfg.pb_per_vc = true;
+    out.push_back({"PB FlexVC - per VC min", cfg});
+    cfg.pb_per_vc = false;
+    out.push_back({"PB FlexVC - per port min", cfg});
+    return out;
+  };
+  const auto loads = load_points(0.2, 1.0, 6);
+  SimConfig cfg = bench_defaults();
+  cfg.reactive = true;
+  cfg.traffic = "uniform";
+  expect_suite_matches("fig8a_uniform_pb.json", loads, pb_series(cfg, "min"));
+  cfg.traffic = "bursty";
+  expect_suite_matches("fig8b_bursty_pb.json", loads, pb_series(cfg, "min"));
+  cfg.traffic = "adversarial";
+  expect_suite_matches("fig8c_adversarial_pb.json", loads,
+                       pb_series(cfg, "val"));
+}
+
+TEST(ShippedSuites, Fig10MatchesTheBenchGridItReplaced) {
+  // bench_fig10_damq_reservation.cpp: one series per private fraction.
+  SimConfig base = bench_defaults();
+  base.traffic = "uniform";
+  base.routing = "min";
+  base.vcs = "2/1";
+  base.policy = "baseline";
+  base.buffer_org = "damq";
+  base.watchdog = 5000;
+  std::vector<ExperimentSeries> expected;
+  for (double frac : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    SimConfig cfg = base;
+    cfg.damq_private_fraction = frac;
+    expected.push_back(
+        {std::to_string(static_cast<int>(frac * 100)) + "% private", cfg});
+  }
+  expect_suite_matches("fig10_damq_reservation.json",
+                       load_points(0.2, 1.0, 6), expected);
+}
+
+TEST(ShippedSuites, ExtParMatchesTheBenchGridItReplaced) {
+  // bench_ext_par_intransit.cpp: one sweep per traffic pattern.
+  for (const char* traffic : {"uniform", "adversarial"}) {
+    std::vector<ExperimentSeries> s;
+    SimConfig cfg = bench_defaults();
+    cfg.traffic = traffic;
+    cfg.routing = "min";
+    cfg.vcs = "2/1";
+    cfg.policy = "baseline";
+    s.push_back({"MIN 2/1", cfg});
+    cfg.routing = "val";
+    cfg.vcs = "4/2";
+    s.push_back({"VAL 4/2", cfg});
+    cfg.routing = "par";
+    cfg.vcs = "5/2";
+    s.push_back({"PAR baseline 5/2", cfg});
+    cfg.policy = "flexvc";
+    s.push_back({"PAR FlexVC 5/2", cfg});
+    cfg.vcs = "3/2";
+    s.push_back({"PAR FlexVC 3/2", cfg});
+    expect_suite_matches(std::string("ext_par_") + traffic + ".json",
+                         load_points(0.1, 1.0, 6), s);
+  }
+}
+
+TEST(ShippedSuites, ExtSlimFlyMatchesTheBenchGridItReplaced) {
+  // bench_ext_slimfly_adaptive.cpp: MMS(q=5) with p=2, per traffic.
+  for (const char* traffic : {"uniform", "adversarial"}) {
+    std::vector<ExperimentSeries> s;
+    SimConfig cfg = bench_defaults();
+    cfg.topology = "slimfly";
+    cfg.slimfly = {2, 5};
+    cfg.traffic = traffic;
+    cfg.routing = "min";
+    cfg.vcs = "2";
+    cfg.policy = "baseline";
+    s.push_back({"MIN baseline 2VC", cfg});
+    cfg.routing = "val";
+    cfg.vcs = "4";
+    s.push_back({"VAL baseline 4VC", cfg});
+    cfg.policy = "flexvc";
+    s.push_back({"VAL FlexVC 4VC", cfg});
+    cfg.vcs = "3";
+    s.push_back({"VAL FlexVC 3VC opport.", cfg});
+    cfg.routing = "ugal";
+    cfg.vcs = "4";
+    s.push_back({"UGAL FlexVC 4VC", cfg});
+    cfg.mincred = true;
+    s.push_back({"UGAL FlexVC 4VC minCred", cfg});
+    expect_suite_matches(std::string("ext_slimfly_") + traffic + ".json",
+                         load_points(0.1, 1.0, 6), s);
   }
 }
 
 TEST(ShippedSuites, AllShippedSuitesMaterialize) {
-  const char* files[] = {
-      "fig9_vc_selection.json",     "fig6a_uniform_min.json",
-      "fig6b_bursty_min.json",      "fig6c_adversarial_val.json",
-      "fig11a_uniform_min.json",    "fig11b_bursty_min.json",
-      "fig11c_adversarial_val.json", "adaptive_routing_study.json",
-      "bursty_datacenter.json",     "smoke_tiny.json",
-  };
-  for (const char* file : files) {
+  // Every file in the suites directory, so a new suite cannot be missed.
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(FLEXNET_SUITE_DIR))
+    if (entry.path().extension() == ".json")
+      files.push_back(entry.path().filename().string());
+  std::sort(files.begin(), files.end());
+  EXPECT_GE(files.size(), 25u);
+  for (const std::string& file : files) {
     SCOPED_TRACE(file);
-    const SuiteSpec spec =
-        SuiteSpec::load_shipped(file);
+    const SuiteSpec spec = SuiteSpec::load_shipped(file);
     EXPECT_FALSE(spec.title.empty());
     EXPECT_FALSE(spec.description.empty());
-    const auto grid = spec.materialize(bench_defaults());
+    const auto grid = spec.materialize(SimConfig{});
     EXPECT_FALSE(grid.empty());
   }
 }

@@ -1,8 +1,9 @@
 // Supporting machinery: HopSeq, Metrics windows, SimConfig overrides, and
-// the experiment-harness helpers the benches are built on.
+// the experiment-harness helpers flexnet_run is built on.
 #include <gtest/gtest.h>
 
 #include "core/hop_seq.hpp"
+#include "runner/sweep_runner.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 
@@ -125,7 +126,7 @@ TEST(Experiment, RunLoadSweepFillsRows) {
   SimConfig cfg;
   cfg.warmup = 500;
   cfg.measure = 1000;
-  auto sweeps = run_load_sweep({{"test", cfg}}, {0.1, 0.3}, 1);
+  auto sweeps = SweepRunner(1).run({{"test", cfg}}, {0.1, 0.3}, 1);
   ASSERT_EQ(sweeps.size(), 1u);
   ASSERT_EQ(sweeps[0].rows.size(), 2u);
   EXPECT_NEAR(sweeps[0].rows[0].result.accepted, 0.1, 0.03);
@@ -137,7 +138,7 @@ TEST(Experiment, RunAveragedUsesDistinctSeeds) {
   cfg.warmup = 500;
   cfg.measure = 1000;
   cfg.load = 0.4;
-  const SimResult avg = run_averaged(cfg, 2);
+  const SimResult avg = SweepRunner(1).run_point(cfg, 2);
   EXPECT_NEAR(avg.accepted, 0.4, 0.03);
   EXPECT_GT(avg.consumed_packets, 0);
 }

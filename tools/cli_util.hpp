@@ -6,10 +6,16 @@
 #pragma once
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "scenario/suite.hpp"
 #include "sim/config.hpp"
@@ -36,6 +42,40 @@ inline bool flag_value(int argc, char** argv, int* i, const char* name,
     return true;
   }
   return false;
+}
+
+/// Parses the value of --NAME as a whole number (integral T) or a finite
+/// number (floating T), at least `min`. Anything else — empty, "abc",
+/// "2x", out of T's range, below `min` — is a usage error naming the flag
+/// (exit 2): atoi/atof would read it as 0 or as a prefix and run what
+/// nobody asked for.
+template <typename T>
+T numeric_flag(const char* name, const std::string& value, T min) {
+  static_assert(std::is_arithmetic_v<T>, "numeric flags only");
+  const char* text = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  bool ok = !value.empty() &&
+            !std::isspace(static_cast<unsigned char>(value.front()));
+  T v{};
+  if constexpr (std::is_integral_v<T>) {
+    const long long n = std::strtoll(text, &end, 10);
+    ok = ok && n >= static_cast<long long>(std::numeric_limits<T>::min()) &&
+         n <= static_cast<long long>(std::numeric_limits<T>::max());
+    v = static_cast<T>(n);
+  } else {
+    v = static_cast<T>(std::strtod(text, &end));
+    ok = ok && std::isfinite(v);
+  }
+  if (!ok || errno != 0 || *end != '\0' || v < min) {
+    std::ostringstream bound;
+    bound << min;
+    std::fprintf(stderr, "error: --%s takes %s >= %s, got '%s'\n", name,
+                 std::is_integral_v<T> ? "a whole number" : "a number",
+                 bound.str().c_str(), value.c_str());
+    std::exit(2);
+  }
+  return v;
 }
 
 /// Guard for key=value config overrides: a key SimConfig::apply would

@@ -101,37 +101,19 @@ int main(int argc, char** argv) {
     } else if (flag_value("json", &value)) {
       json_path = value;
     } else if (flag_value("watch", &value)) {
-      watch_interval = std::atof(value.c_str());
-      if (watch_interval < 0.0) {
-        std::fprintf(stderr, "error: --watch needs a non-negative interval "
-                             "in seconds, got '%s'\n",
-                     value.c_str());
-        return usage(argv[0]);
-      }
+      watch_interval = cli::numeric_flag("watch", value, 0.0);
     } else if (flag_value("watch-ticks", &value)) {
-      watch_ticks = std::atol(value.c_str());
-      if (watch_ticks < 0) {
-        std::fprintf(stderr, "error: --watch-ticks must be >= 0\n");
-        return usage(argv[0]);
-      }
+      watch_ticks = cli::numeric_flag("watch-ticks", value, 0L);
     } else if (tok.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", tok.c_str());
       return usage(argv[0]);
     } else if (tok.find('=') != std::string::npos) {
       const std::string key = tok.substr(0, tok.find('='));
-      const std::string val = tok.substr(tok.find('=') + 1);
-      // The key=value spellings flexnet_run accepts for its runner flags
-      // work here too (the two CLIs must read the same command lines).
-      if (key == "out") {
-        out_path = val;
-      } else if (key == "json") {
-        json_path = val;
-      } else {
-        // Same guard as flexnet_run: a bad override would rebuild a
-        // different grid and reject every journal confusingly.
-        if (cli::reject_bad_config_override(key, val)) return 2;
-        overrides.push_back(argv[i]);
-      }
+      // Same guard as flexnet_run: a bad override would rebuild a
+      // different grid and reject every journal confusingly.
+      if (cli::reject_bad_config_override(key, tok.substr(tok.find('=') + 1)))
+        return 2;
+      overrides.push_back(argv[i]);
     } else if (suite_path.empty()) {
       suite_path = tok;
     } else {

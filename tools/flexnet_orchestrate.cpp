@@ -37,7 +37,6 @@
 // supervision loop. The fault-injection battery and CI drill the
 // restart path with it; it is useless (and harmless) in real sweeps.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -152,7 +151,7 @@ int main(int argc, char** argv) {
     if (tok == "--help" || tok == "-h") {
       return usage(argv[0], stdout, 0);
     } else if (flag_value("shards", &value)) {
-      shards = std::atoi(value.c_str());
+      shards = cli::numeric_flag("shards", value, 1);
     } else if (flag_value("prefix", &value)) {
       prefix = value;
     } else if (flag_value("json", &value)) {
@@ -160,31 +159,19 @@ int main(int argc, char** argv) {
     } else if (flag_value("out", &value)) {
       out_path = value;
     } else if (flag_value("jobs", &value)) {
-      jobs = std::max(1, std::atoi(value.c_str()));
+      jobs = cli::numeric_flag("jobs", value, 1);
     } else if (flag_value("retries", &value)) {
-      opt.max_restarts = std::atoi(value.c_str());
-      if (opt.max_restarts < 0) {
-        std::fprintf(stderr, "error: --retries must be >= 0\n");
-        return usage(argv[0]);
-      }
+      opt.max_restarts = cli::numeric_flag("retries", value, 0);
     } else if (flag_value("backoff", &value)) {
-      opt.backoff_initial_s = std::atof(value.c_str());
-      if (opt.backoff_initial_s < 0.0) {
-        std::fprintf(stderr, "error: --backoff must be >= 0\n");
-        return usage(argv[0]);
-      }
+      opt.backoff_initial_s = cli::numeric_flag("backoff", value, 0.0);
     } else if (flag_value("stale-timeout", &value)) {
-      opt.stale_timeout_s = std::atof(value.c_str());
+      opt.stale_timeout_s = cli::numeric_flag("stale-timeout", value, 0.0);
       if (opt.stale_timeout_s <= 0.0) {
         std::fprintf(stderr, "error: --stale-timeout must be > 0\n");
         return usage(argv[0]);
       }
     } else if (flag_value("poll", &value)) {
-      opt.poll_interval_s = std::atof(value.c_str());
-      if (opt.poll_interval_s < 0.0) {
-        std::fprintf(stderr, "error: --poll must be >= 0\n");
-        return usage(argv[0]);
-      }
+      opt.poll_interval_s = cli::numeric_flag("poll", value, 0.0);
     } else if (flag_value("run-binary", &value)) {
       run_binary = value;
     } else if (tok == "--emit-commands") {
@@ -193,20 +180,17 @@ int main(int argc, char** argv) {
       opt.quiet = true;
     } else if (flag_value("fault-crash-after", &value)) {
       const std::size_t colon = value.find(':');
-      const int shard_1 =
-          colon == std::string::npos ? 0
-                                     : std::atoi(value.substr(0, colon).c_str());
-      fault_after =
-          colon == std::string::npos ? 0
-                                     : std::atol(value.substr(colon + 1).c_str());
-      if (shard_1 < 1 || fault_after < 1) {
+      if (colon == std::string::npos) {
         std::fprintf(stderr,
                      "error: --fault-crash-after wants I:K with 1-based "
                      "shard I and job count K >= 1, got '%s'\n",
                      value.c_str());
         return usage(argv[0]);
       }
-      fault_shard = shard_1 - 1;
+      fault_shard = cli::numeric_flag("fault-crash-after",
+                                      value.substr(0, colon), 1) - 1;
+      fault_after = cli::numeric_flag("fault-crash-after",
+                                      value.substr(colon + 1), 1L);
     } else if (tok.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", tok.c_str());
       return usage(argv[0]);

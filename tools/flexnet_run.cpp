@@ -19,14 +19,17 @@
 //   4  I/O failure writing an output (journal, report, counters, trace)
 //      — the sweep itself ran; a retry on healthy storage can resume
 //
-// The base configuration is the bench default (Table V at the FLEXNET_SCALE
-// system, FLEXNET_SEEDS seeds) so a suite file reproduces the corresponding
-// figure bench bit-identically for any worker count; trailing key=value
-// tokens override it after the suite's "base" block (the series overrides
-// always win). --checkpoint journals every completed job and resumes an
-// interrupted run; --shard i/N runs only the i-th of N disjoint job subsets
-// (one process per shard, merged back by tools/flexnet_merge); --list
-// prints every component registered with the scenario registries and exits.
+// Every figure panel is one suite file under examples/suites/. The base
+// configuration is SimConfig{} (Table V on the 36-router Dragonfly(2,4,2));
+// trailing key=value tokens override it after the suite's "base" block
+// (the series overrides always win), so scale and windows are keys too:
+// paper_scale=1 or df_p=4 df_a=8 df_h=4, warmup=, measure=. The seed count
+// is the suite's "seeds" (default 1). Results are bit-identical for any
+// --jobs count (default 1). --checkpoint journals every completed job and
+// resumes an interrupted run; --shard i/N runs only the i-th of N disjoint
+// job subsets (one process per shard, merged back by tools/flexnet_merge);
+// --list prints every component registered with the scenario registries
+// and exits.
 //
 // Observability (README "Observability"): --counters aggregates the
 // deterministic telemetry counters over every job and writes the snapshot
@@ -36,7 +39,6 @@
 // sidecar a checkpointed run appends to (<checkpoint>.hb) and exits.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -49,7 +51,6 @@
 #include "runner/json_report.hpp"
 #include "runner/shard.hpp"
 #include "runner/sweep_runner.hpp"
-#include "runner/thread_pool.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/suite.hpp"
 #include "sim/config.hpp"
@@ -73,7 +74,7 @@ int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
       "\n"
       "Runs the scenario suite described by SUITE.json on the parallel\n"
       "sweep runner. Results are bit-identical for any --jobs count.\n"
-      "  --jobs N          worker threads (default: FLEXNET_JOBS or 1)\n"
+      "  --jobs N          worker threads (default 1)\n"
       "  --json PATH       write a machine-readable sweep report to PATH\n"
       "  --checkpoint PATH journal completed jobs to PATH and resume from it\n"
       "  --shard i/N       run only the i-th of N disjoint job subsets\n"
@@ -145,17 +146,9 @@ int main(int argc, char** argv) {
   bool heartbeat_set = false;
   bool trace_packets = false;
   ShardSpec shard;
-  int jobs = ThreadPool::default_jobs();
+  int jobs = 1;
   bool list = false;
   std::vector<const char*> overrides{argv[0]};
-
-  const auto parse_shard_or_die = [&](const std::string& value) {
-    std::string error;
-    if (!parse_shard_spec(value, &shard, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      std::exit(2);
-    }
-  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string tok = argv[i];
@@ -168,13 +161,17 @@ int main(int argc, char** argv) {
     } else if (tok == "--help" || tok == "-h") {
       return usage(argv[0], stdout, 0);  // asked-for help is not an error
     } else if (flag_value("jobs", &value)) {
-      jobs = std::max(1, std::atoi(value.c_str()));
+      jobs = cli::numeric_flag("jobs", value, 1);
     } else if (flag_value("json", &value)) {
       json_path = value;
     } else if (flag_value("checkpoint", &value)) {
       checkpoint_path = value;
     } else if (flag_value("shard", &value)) {
-      parse_shard_or_die(value);
+      std::string error;
+      if (!parse_shard_spec(value, &shard, &error)) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return exit_code::kConfig;
+      }
     } else if (flag_value("heartbeat", &value)) {
       heartbeat_path = value;
       heartbeat_set = true;
@@ -191,23 +188,9 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     } else if (tok.find('=') != std::string::npos) {
       const std::string key = tok.substr(0, tok.find('='));
-      const std::string value = tok.substr(tok.find('=') + 1);
-      // The key=value spellings the benches accept for the runner flags.
-      if (key == "jobs") {
-        jobs = std::max(1, std::atoi(value.c_str()));
-      } else if (key == "json") {
-        json_path = value;
-      } else if (key == "checkpoint") {
-        checkpoint_path = value;
-      } else if (key == "shard") {
-        parse_shard_or_die(value);
-      } else if (key == "heartbeat") {
-        heartbeat_path = value;
-        heartbeat_set = true;
-      } else {
-        if (cli::reject_bad_config_override(key, value)) return 2;
-        overrides.push_back(argv[i]);
-      }
+      if (cli::reject_bad_config_override(key, tok.substr(tok.find('=') + 1)))
+        return exit_code::kConfig;
+      overrides.push_back(argv[i]);
     } else if (suite_path.empty()) {
       suite_path = tok;
     } else {
@@ -232,7 +215,7 @@ int main(int argc, char** argv) {
 #endif
 
   try {
-    // The same bench-default + suite + CLI-override grid flexnet_merge
+    // The same SimConfig{} + suite + CLI-override grid flexnet_merge
     // rebuilds to validate and aggregate shard journals.
     const Options cli = Options::parse(static_cast<int>(overrides.size()),
                                        overrides.data());
