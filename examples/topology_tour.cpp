@@ -1,15 +1,13 @@
-// Topology tour: the three low-diameter networks in the library and how
+// Topology tour: the two low-diameter networks in the library and how
 // FlexVC's VC templates adapt to them.
 //
 //  * Dragonfly — typed links (local/global), the paper's evaluation network;
-//  * Flattened Butterfly (adaptive mode) — untyped generic diameter-2;
-//  * Slim Fly MMS(q) — untyped diameter-2 at near-optimal cost.
+//  * Slim Fly MMS(q) — untyped generic diameter-2 at near-optimal cost.
 #include <cstdio>
 
 #include "core/vc_template.hpp"
 #include "sim/simulator.hpp"
 #include "topology/dragonfly.hpp"
-#include "topology/flattened_butterfly.hpp"
 #include "topology/slimfly.hpp"
 
 namespace {
@@ -42,7 +40,6 @@ int main() {
 
   std::printf("== The networks ==\n");
   describe(Dragonfly({2, 4, 2}));
-  describe(FlattenedButterfly({2, 4}));
   describe(SlimFly({2, 5}));
 
   std::printf("\n== VC templates (the deadlock-avoidance order) ==\n");
@@ -61,7 +58,6 @@ int main() {
 
   std::printf("== Minimal routing under FlexVC on each topology ==\n");
   run("dragonfly", "4/2");
-  run("fb", "4");
   run("slimfly", "4");
   return 0;
 }

@@ -57,7 +57,9 @@ FLEXNET_REGISTER_BUFFER_ORG({
     "DAMQ: shared pool with a per-VC private reservation",
     [] { return BufferOrg::kDamq; },
     [](const SimConfig& cfg) {
-      if (cfg.damq_private_fraction < 0.0 || cfg.damq_private_fraction > 1.0)
+      // Written so NaN, which compares false both ways, is rejected too.
+      if (!(cfg.damq_private_fraction >= 0.0 &&
+            cfg.damq_private_fraction <= 1.0))
         throw std::invalid_argument(
             "buffer_org 'damq' needs damq_private_fraction in [0, 1]");
     }})

@@ -34,8 +34,8 @@ inline constexpr VcIndex kInvalidVc = -1;
 
 /// Classification of a physical link. Low-diameter networks with
 /// topology-induced path restrictions (Dragonfly, OFT) traverse link types in
-/// a fixed order; untyped networks (Slim Fly, adaptive Flattened Butterfly)
-/// use kLocal for every network link.
+/// a fixed order; untyped networks (Slim Fly) use kLocal for every network
+/// link.
 enum class LinkType : std::uint8_t {
   kLocal = 0,   ///< intra-group (or generic network) link
   kGlobal = 1,  ///< inter-group link

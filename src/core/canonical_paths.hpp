@@ -33,8 +33,8 @@ struct CanonicalRouting {
   std::vector<CanonicalPath> variants;  // does not include `full`
 };
 
-/// Generic diameter-2 network without link-type restrictions (Slim Fly,
-/// adaptive Flattened Butterfly) — paper SIII-A, Tables I and II.
+/// Generic diameter-2 network without link-type restrictions (Slim Fly) —
+/// paper SIII-A, Tables I and II.
 CanonicalRouting generic_d2_min();
 CanonicalRouting generic_d2_valiant();
 CanonicalRouting generic_d2_par();

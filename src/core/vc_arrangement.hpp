@@ -3,8 +3,8 @@
 // A typed arrangement "4/2" means 4 VCs on every local input port and 2 on
 // every global input port. Request-reply arrangements concatenate two of
 // them: "4/2+2/1" gives requests 4/2 and replies 2/1 (paper SIII-B / SIII-C).
-// Untyped networks (generic diameter-2 such as Slim Fly or adaptive
-// Flattened Butterfly) use a single count: "3" or "3+2".
+// Untyped networks (generic diameter-2 such as Slim Fly) use a single
+// count: "3" or "3+2".
 #pragma once
 
 #include <string>

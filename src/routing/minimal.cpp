@@ -13,20 +13,21 @@ void MinimalRouting::route(const Packet& pkt, RouterId router, Rng& rng,
   out.push_back(continue_option(pkt, router, rng));
 }
 
-HopSeq MinimalRouting::reference_path() const {
-  if (topo_.typed())
+HopSeq MinimalRouting::reference_path(const TopologyShape& shape) {
+  if (shape.typed)
     return {LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal};
   HopSeq seq;
-  for (int i = 0; i < topo_.diameter(); ++i) seq.push_back(LinkType::kLocal);
+  for (int i = 0; i < shape.diameter; ++i) seq.push_back(LinkType::kLocal);
   return seq;
 }
 
 FLEXNET_REGISTER_ROUTING({
     "min",
     "minimal routing (l-g-l on Dragonfly, direct on diameter-2 networks)",
-    [](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-      return std::make_unique<MinimalRouting>(ctx.topo);
-    },
+    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+       return std::make_unique<MinimalRouting>(ctx.topo);
+     },
+     &MinimalRouting::reference_path},
     nullptr})
 
 }  // namespace flexnet

@@ -15,7 +15,9 @@ class MinimalRouting final : public RoutingAlgorithm {
   void route(const Packet& pkt, RouterId router, Rng& rng,
              std::vector<RouteOption>& out) const override;
 
-  HopSeq reference_path() const override;
+  /// Worst-case path on a topology of `shape`: the VC arrangement must
+  /// hold it (validate_config).
+  static HopSeq reference_path(const TopologyShape& shape);
 
   /// Minimal options depend only on (router, destination) whenever the
   /// topology's minimal first hop is unique; on topologies with minimal

@@ -39,15 +39,15 @@ void ParRouting::route(const Packet& pkt, RouterId router, Rng& rng,
   append_escape(pkt, router, rng, out);
 }
 
-HopSeq ParRouting::reference_path() const {
+HopSeq ParRouting::reference_path(const TopologyShape& shape) {
   HopSeq seq;
-  if (topo_.typed()) {
+  if (shape.typed) {
     // l l g l l g l (SII: PAR needs 5/2).
     seq = {LinkType::kLocal,  LinkType::kLocal, LinkType::kGlobal,
            LinkType::kLocal,  LinkType::kLocal, LinkType::kGlobal,
            LinkType::kLocal};
   } else {
-    for (int i = 0; i < 2 * topo_.diameter() + 1; ++i)
+    for (int i = 0; i < 2 * shape.diameter + 1; ++i)
       seq.push_back(LinkType::kLocal);
   }
   return seq;
@@ -57,11 +57,12 @@ FLEXNET_REGISTER_ROUTING({
     "par",
     "PAR: progressive adaptive — re-decides MIN vs VAL while in the source "
     "group",
-    [](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-      return std::make_unique<ParRouting>(
-          ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
-          ParConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
-    },
+    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+       return std::make_unique<ParRouting>(
+           ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
+           ParConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
+     },
+     &ParRouting::reference_path},
     nullptr})
 
 }  // namespace flexnet

@@ -107,7 +107,7 @@ void PiggybackRouting::route(const Packet& pkt, RouterId router, Rng& rng,
   append_escape(pkt, router, rng, out);
 }
 
-HopSeq PiggybackRouting::reference_path() const {
+HopSeq PiggybackRouting::reference_path(const TopologyShape& /*shape*/) {
   return {LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal,
           LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal};
 }
@@ -115,23 +115,24 @@ HopSeq PiggybackRouting::reference_path() const {
 FLEXNET_REGISTER_ROUTING({
     "pb",
     "Piggyback: UGAL-L plus broadcast saturation bits (Dragonfly only)",
-    [](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-      auto* df = dynamic_cast<const Dragonfly*>(&ctx.topo);
-      FLEXNET_CHECK_MSG(df != nullptr,
-                        "Piggyback routing requires a Dragonfly");
-      // Minimal traffic uses the first global VC of its class segment — the
-      // VC the per-VC variant senses.
-      std::array<VcIndex, kNumMsgClasses> first_vc{0, kInvalidVc};
-      if (ctx.arrangement.has_reply())
-        first_vc[1] =
-            ctx.arrangement.count(MsgClass::kRequest, LinkType::kGlobal);
-      PiggybackConfig pb;
-      pb.per_vc = ctx.config.pb_per_vc;
-      pb.min_only = ctx.config.mincred;
-      pb.threshold_packets = ctx.config.adaptive_threshold;
-      return std::make_unique<PiggybackRouting>(
-          *df, ctx.oracle, ctx.config.effective_packet_phits(), pb, first_vc);
-    },
+    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+       auto* df = dynamic_cast<const Dragonfly*>(&ctx.topo);
+       FLEXNET_CHECK_MSG(df != nullptr,
+                         "Piggyback routing requires a Dragonfly");
+       // Minimal traffic uses the first global VC of its class segment — the
+       // VC the per-VC variant senses.
+       std::array<VcIndex, kNumMsgClasses> first_vc{0, kInvalidVc};
+       if (ctx.arrangement.has_reply())
+         first_vc[1] =
+             ctx.arrangement.count(MsgClass::kRequest, LinkType::kGlobal);
+       PiggybackConfig pb;
+       pb.per_vc = ctx.config.pb_per_vc;
+       pb.min_only = ctx.config.mincred;
+       pb.threshold_packets = ctx.config.adaptive_threshold;
+       return std::make_unique<PiggybackRouting>(
+           *df, ctx.oracle, ctx.config.effective_packet_phits(), pb, first_vc);
+     },
+     &PiggybackRouting::reference_path},
     [](const SimConfig& cfg) {
       if (cfg.topology != "dragonfly")
         throw std::invalid_argument(

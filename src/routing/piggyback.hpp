@@ -51,7 +51,9 @@ class PiggybackRouting final : public RoutingAlgorithm {
   /// idealized as immediate (the paper piggybacks them on regular traffic).
   void update(Cycle now) override;
 
-  HopSeq reference_path() const override;
+  /// Worst-case path on a topology of `shape`: the VC arrangement must
+  /// hold it (validate_config).
+  static HopSeq reference_path(const TopologyShape& shape);
 
   /// Exposed for tests: saturation bit of a router's global port.
   bool saturated(RouterId router, PortIndex global_port, MsgClass cls) const;

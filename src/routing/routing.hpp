@@ -77,10 +77,6 @@ class RoutingAlgorithm {
   /// keep the default.
   virtual bool draw_free() const { return false; }
 
-  /// Worst-case reference path of this mechanism, used to validate that the
-  /// configured VC arrangement supports it.
-  virtual HopSeq reference_path() const = 0;
-
  protected:
   RouterId dst_router(const Packet& pkt) const {
     return topo_.router_of_node(pkt.dst);

@@ -37,13 +37,13 @@ void UgalRouting::route(const Packet& pkt, RouterId router, Rng& rng,
   append_escape(pkt, router, rng, out);
 }
 
-HopSeq UgalRouting::reference_path() const {
+HopSeq UgalRouting::reference_path(const TopologyShape& shape) {
   HopSeq seq;
-  if (topo_.typed()) {
+  if (shape.typed) {
     seq = {LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal,
            LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal};
   } else {
-    for (int i = 0; i < 2 * topo_.diameter(); ++i)
+    for (int i = 0; i < 2 * shape.diameter; ++i)
       seq.push_back(LinkType::kLocal);
   }
   return seq;
@@ -52,11 +52,12 @@ HopSeq UgalRouting::reference_path() const {
 FLEXNET_REGISTER_ROUTING({
     "ugal",
     "UGAL-L: source-adaptive MIN vs VAL by local credit occupancy",
-    [](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-      return std::make_unique<UgalRouting>(
-          ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
-          UgalConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
-    },
+    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+       return std::make_unique<UgalRouting>(
+           ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
+           UgalConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
+     },
+     &UgalRouting::reference_path},
     nullptr})
 
 }  // namespace flexnet

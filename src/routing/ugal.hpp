@@ -27,7 +27,9 @@ class UgalRouting final : public RoutingAlgorithm {
   void route(const Packet& pkt, RouterId router, Rng& rng,
              std::vector<RouteOption>& out) const override;
 
-  HopSeq reference_path() const override;
+  /// Worst-case path on a topology of `shape`: the VC arrangement must
+  /// hold it (validate_config).
+  static HopSeq reference_path(const TopologyShape& shape);
 
  private:
   const CongestionOracle& oracle_;

@@ -24,14 +24,14 @@ void ValiantRouting::route(const Packet& pkt, RouterId router, Rng& rng,
   append_escape(pkt, router, rng, out);
 }
 
-HopSeq ValiantRouting::reference_path() const {
+HopSeq ValiantRouting::reference_path(const TopologyShape& shape) {
   HopSeq seq;
-  if (topo_.typed()) {
+  if (shape.typed) {
     // l g l + l g l (SII: Valiant-node needs 4/2).
     seq = {LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal,
            LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal};
   } else {
-    for (int i = 0; i < 2 * topo_.diameter(); ++i)
+    for (int i = 0; i < 2 * shape.diameter; ++i)
       seq.push_back(LinkType::kLocal);
   }
   return seq;
@@ -40,9 +40,10 @@ HopSeq ValiantRouting::reference_path() const {
 FLEXNET_REGISTER_ROUTING({
     "val",
     "Valiant: nonminimal oblivious via a uniform-random intermediate router",
-    [](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-      return std::make_unique<ValiantRouting>(ctx.topo);
-    },
+    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+       return std::make_unique<ValiantRouting>(ctx.topo);
+     },
+     &ValiantRouting::reference_path},
     nullptr})
 
 }  // namespace flexnet

@@ -6,6 +6,8 @@
 
 #include "buffers/credit_ledger.hpp"
 #include "core/vc_arrangement.hpp"
+#include "core/vc_template.hpp"
+#include "routing/minimal.hpp"
 
 namespace flexnet {
 
@@ -113,6 +115,39 @@ void validate_config(const SimConfig& cfg) {
         "sim_domains must be 1 (got " + std::to_string(cfg.sim_domains) +
         "): a simulation runs on one thread; run jobs in parallel with "
         "--jobs instead");
+
+  // The arrangement must suit the topology, the traffic and the routing.
+  const TopologyShape& shape = topology_registry().at(cfg.topology).make.shape;
+  if (arrangement.typed != shape.typed)
+    throw std::invalid_argument(
+        "typed/untyped VC arrangement does not match topology");
+  if (arrangement.has_reply() != cfg.reactive)
+    throw std::invalid_argument(
+        "request-reply arrangements require reactive traffic and vice versa");
+  // Under the baseline the routing's full reference path must embed;
+  // FlexVC also accepts opportunistic arrangements (Tables I-IV) as long
+  // as a minimal escape fits.
+  const HopSeq ref =
+      routing_registry().at(cfg.routing).make.reference_path(shape);
+  const VcTemplate tmpl(arrangement);
+  for (int c = 0; c < (arrangement.has_reply() ? 2 : 1); ++c) {
+    const auto cls = static_cast<MsgClass>(c);
+    const bool safe =
+        tmpl.embed_safe(ref, kInjectionPosition, cls) >= 0 ||
+        (cls == MsgClass::kReply &&
+         tmpl.embed(ref, kInjectionPosition, tmpl.num_positions()) >= 0);
+    if (safe) continue;
+    if (cfg.policy == "baseline")
+      throw std::invalid_argument(
+          "baseline VC management cannot support this routing with the "
+          "configured arrangement");
+    if (tmpl.embed_safe(MinimalRouting::reference_path(shape),
+                        kInjectionPosition, cls) < 0)
+      throw std::invalid_argument(
+          "arrangement cannot even hold minimal paths");
+  }
+  if (cfg.reactive && cfg.injection_vcs < 2)
+    throw std::invalid_argument("reactive traffic needs >= 2 injection VCs");
 }
 
 std::vector<RegistryListing> list_registries() {

@@ -152,12 +152,33 @@ struct TrafficFactories {
       process;
 };
 
-using TopologyFactory =
-    std::function<std::unique_ptr<Topology>(const SimConfig&)>;
+/// Builds a topology, called like the plain factory it wraps. `shape` is
+/// what every topology it builds reports, known without building one.
+struct TopologyFactory {
+  std::function<std::unique_ptr<Topology>(const SimConfig&)> build;
+  TopologyShape shape;
+
+  std::unique_ptr<Topology> operator()(const SimConfig& cfg) const {
+    return build(cfg);
+  }
+};
+
+/// Builds a routing algorithm, called like the plain factory it wraps.
+/// `reference_path` is the routing's worst-case path on a topology of a
+/// given shape; validate_config checks that the VC arrangement holds it.
+struct RoutingFactory {
+  std::function<std::unique_ptr<RoutingAlgorithm>(const RoutingContext&)>
+      build;
+  HopSeq (*reference_path)(const TopologyShape&) = nullptr;
+
+  std::unique_ptr<RoutingAlgorithm> operator()(
+      const RoutingContext& ctx) const {
+    return build(ctx);
+  }
+};
+
 using VcPolicyFactory =
     std::function<std::unique_ptr<VcPolicy>(const VcArrangement&)>;
-using RoutingFactory =
-    std::function<std::unique_ptr<RoutingAlgorithm>(const RoutingContext&)>;
 using VcSelectionFactory = std::function<VcSelection()>;
 using BufferOrgFactory = std::function<BufferOrg()>;
 using FlowControlFactory = std::function<FlowControl()>;
@@ -174,10 +195,12 @@ Registry<BufferMgmtFactory>& buffer_mgmt_registry();
 
 /// Checks every component name in `cfg` against its registry (unknown
 /// names enumerate the alternatives), runs each entry's validate hook,
-/// parses the VC arrangement string, and range-checks the latencies,
-/// buffer and packet sizes, allocator settings, watchdog and sim_domains
-/// (naming the key). Throws std::invalid_argument
-/// (RegistryError for name lookups) on the first failure.
+/// parses the VC arrangement string, range-checks the latencies, buffer
+/// and packet sizes, allocator settings, watchdog and sim_domains (naming
+/// the key), and checks the arrangement against the topology's shape, the
+/// traffic's reply class and the routing's reference path. Throws
+/// std::invalid_argument (RegistryError for name lookups) on the first
+/// failure. Builds no topology: everything here is decided by `cfg`.
 void validate_config(const SimConfig& cfg);
 
 /// Introspection snapshot of every registry, for --list and the docs.

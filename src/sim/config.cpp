@@ -149,8 +149,6 @@ constexpr KeySpec kKeySpecs[] = {
          c.dragonfly = DragonflyParams::paper_scale();
      },
      nullptr},
-    field<&SimConfig::fb, &FlattenedButterflyParams::p>("fb_p"),
-    field<&SimConfig::fb, &FlattenedButterflyParams::a>("fb_a"),
     field<&SimConfig::slimfly, &SlimFlyParams::p>("sf_p"),
     field<&SimConfig::slimfly, &SlimFlyParams::q>("sf_q"),
     field<&SimConfig::vcs>("vcs"),
@@ -196,7 +194,7 @@ constexpr KeySpec kKeySpecs[] = {
 // its name here, and a bump of the key count below.
 [[maybe_unused]] void pin_config_fields(const SimConfig& c) {
   [[maybe_unused]] const auto& [
-      topology, dragonfly, fb, slimfly, vcs, policy, vc_selection,
+      topology, dragonfly, slimfly, vcs, policy, vc_selection,
       local_buffer_per_vc, global_buffer_per_vc, injection_buffer_per_vc,
       output_buffer, local_port_capacity, global_port_capacity, buffer_org,
       damq_private_fraction, speedup, alloc_iters, pipeline_latency,
@@ -205,9 +203,9 @@ constexpr KeySpec kKeySpecs[] = {
       buffer_mgmt, traffic, reactive, load, burst_length, adversarial_offset,
       reply_queue_capacity, packet_size, sim_domains, warmup, measure, seed,
       watchdog] = c;
-  // 40 fields, 45 keys: the nested dragonfly/fb/slimfly parameters take
-  // one key each (3 + 2 + 2) and paper_scale has no field of its own.
-  static_assert(std::size(kKeySpecs) == 45, "one kKeySpecs entry per key");
+  // 39 fields, 43 keys: the nested dragonfly/slimfly parameters take
+  // one key each (3 + 2) and paper_scale has no field of its own.
+  static_assert(std::size(kKeySpecs) == 43, "one kKeySpecs entry per key");
 }
 
 const KeySpec& spec_of(const std::string& key) {

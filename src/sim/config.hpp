@@ -7,7 +7,6 @@
 #include "common/options.hpp"
 #include "common/types.hpp"
 #include "topology/dragonfly.hpp"
-#include "topology/flattened_butterfly.hpp"
 #include "topology/slimfly.hpp"
 
 namespace flexnet {
@@ -16,9 +15,8 @@ struct SimConfig {
   // --- Topology. The paper's system is dragonfly (8,16,8); the default
   // here is a scaled-down (2,4,2) instance with identical microarchitecture
   // parameters so experiment suites run on one core.
-  std::string topology = "dragonfly";  // dragonfly | fb | slimfly
+  std::string topology = "dragonfly";  // dragonfly | slimfly
   DragonflyParams dragonfly{2, 4, 2};
-  FlattenedButterflyParams fb{2, 4};
   SlimFlyParams slimfly{2, 5};
 
   // --- VC management (the subject of the paper).

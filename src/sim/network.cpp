@@ -9,7 +9,6 @@
 
 #include "common/check.hpp"
 #include "core/admissibility.hpp"
-#include "routing/minimal.hpp"
 #include "scenario/registry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -33,9 +32,10 @@ HopContext hop_context(const Packet& pkt, const RouteOption& opt) {
 
 Network::Network(const SimConfig& config) : config_(config) {
   // Registry-driven construction: unknown component names fail here with
-  // an error enumerating the registered alternatives, and each component's
-  // validate hook rejects configurations it cannot serve before any
-  // simulation state is built.
+  // an error enumerating the registered alternatives, and validate_config
+  // rejects configurations the components cannot serve (a VC arrangement
+  // that does not fit the topology, traffic or routing included) before
+  // any simulation state is built.
   validate_config(config_);
   topo_ = topology_registry().at(config_.topology).make(config_);
   // Stage 1 of the allocator walks one 64-bit word of armed input ports
@@ -48,44 +48,11 @@ Network::Network(const SimConfig& config) : config_(config) {
         " input ports (network + injection); at most 64 are supported");
 
   const VcArrangement arrangement = VcArrangement::parse(config_.vcs);
-  FLEXNET_CHECK_MSG(arrangement.typed == topo_->typed(),
-                    "typed/untyped VC arrangement does not match topology");
-  FLEXNET_CHECK_MSG(arrangement.has_reply() == config_.reactive,
-                    "request-reply arrangements require reactive traffic "
-                    "and vice versa");
   policy_ = vc_policy_registry().at(config_.policy).make(arrangement);
   selection_ = vc_selection_registry().at(config_.vc_selection).make();
   routing_ = routing_registry()
                  .at(config_.routing)
                  .make(RoutingContext{*topo_, *this, config_, arrangement});
-
-  // Validate that the arrangement supports the routing mechanism: under the
-  // baseline the full reference must embed; FlexVC also accepts
-  // opportunistic arrangements (Tables I-IV).
-  {
-    const HopSeq ref = routing_->reference_path();
-    const VcTemplate& tmpl = policy_->tmpl();
-    for (int c = 0; c < (arrangement.has_reply() ? 2 : 1); ++c) {
-      const auto cls = static_cast<MsgClass>(c);
-      const bool safe =
-          tmpl.embed_safe(ref, kInjectionPosition, cls) >= 0 ||
-          (cls == MsgClass::kReply &&
-           tmpl.embed(ref, kInjectionPosition, tmpl.num_positions()) >= 0);
-      if (config_.policy == "baseline") {
-        FLEXNET_CHECK_MSG(safe,
-                          "baseline VC management cannot support this "
-                          "routing with the configured arrangement");
-      } else if (!safe) {
-        // FlexVC: a minimal escape must fit so opportunistic routing works.
-        const HopSeq min_ref = MinimalRouting(*topo_).reference_path();
-        FLEXNET_CHECK_MSG(tmpl.embed_safe(min_ref, kInjectionPosition, cls) >= 0,
-                          "arrangement cannot even hold minimal paths");
-      }
-    }
-  }
-
-  FLEXNET_CHECK_MSG(!config_.reactive || config_.injection_vcs >= 2,
-                    "reactive traffic needs >= 2 injection VCs");
 
   build();
 }

@@ -7,7 +7,7 @@
 namespace flexnet {
 
 Dragonfly::Dragonfly(const DragonflyParams& params)
-    : Topology(params.p), params_(params) {
+    : Topology(params.p, kShape), params_(params) {
   FLEXNET_CHECK_MSG(params_.p >= 1 && params_.a >= 2 && params_.h >= 1,
                     "dragonfly needs p>=1, a>=2, h>=1");
   const int groups = params_.num_groups();
@@ -104,9 +104,10 @@ FLEXNET_REGISTER_TOPOLOGY({
     "dragonfly",
     "Dragonfly (p,a,h) with palmtree global wiring; typed l/g links — the "
     "paper's evaluation network",
-    [](const SimConfig& cfg) -> std::unique_ptr<Topology> {
-      return std::make_unique<Dragonfly>(cfg.dragonfly);
-    },
+    {[](const SimConfig& cfg) -> std::unique_ptr<Topology> {
+       return std::make_unique<Dragonfly>(cfg.dragonfly);
+     },
+     Dragonfly::kShape},
     [](const SimConfig& cfg) {
       const DragonflyParams& d = cfg.dragonfly;
       if (d.p < 1 || d.a < 2 || d.h < 1)

@@ -31,11 +31,11 @@ struct DragonflyParams {
 
 class Dragonfly final : public Topology {
  public:
+  static constexpr TopologyShape kShape{/*typed=*/true, /*diameter=*/3};
+
   explicit Dragonfly(const DragonflyParams& params);
 
   std::string name() const override;
-  bool typed() const override { return true; }
-  int diameter() const override { return 3; }
   // Palmtree wiring gives every (router, destination) pair a single
   // minimal first hop — the routing tie-break RNG is never consumed.
   bool min_port_unique() const override { return true; }

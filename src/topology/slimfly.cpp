@@ -19,7 +19,7 @@ bool is_prime(int q) {
 }  // namespace
 
 SlimFly::SlimFly(const SlimFlyParams& params)
-    : Topology(params.p), params_(params) {
+    : Topology(params.p, kShape), params_(params) {
   FLEXNET_CHECK_MSG(is_prime(params_.q) && params_.q % 4 == 1,
                     "SlimFly MMS construction here requires prime q = 1 mod 4");
   FLEXNET_CHECK_MSG(params_.q <= 37, "routing tables sized for q <= 37");
@@ -154,9 +154,10 @@ HopSeq SlimFly::min_hop_types(RouterId from, RouterId to) const {
 FLEXNET_REGISTER_TOPOLOGY({
     "slimfly",
     "Slim Fly MMS(q) diameter-2 network, untyped links (Besta & Hoefler)",
-    [](const SimConfig& cfg) -> std::unique_ptr<Topology> {
-      return std::make_unique<SlimFly>(cfg.slimfly);
-    },
+    {[](const SimConfig& cfg) -> std::unique_ptr<Topology> {
+       return std::make_unique<SlimFly>(cfg.slimfly);
+     },
+     SlimFly::kShape},
     [](const SimConfig& cfg) {
       const SlimFlyParams& s = cfg.slimfly;
       if (s.p < 1 || !is_prime(s.q) || s.q % 4 != 1 || s.q > 37)

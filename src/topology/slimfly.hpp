@@ -28,11 +28,11 @@ struct SlimFlyParams {
 
 class SlimFly final : public Topology {
  public:
+  static constexpr TopologyShape kShape{/*typed=*/false, /*diameter=*/2};
+
   explicit SlimFly(const SlimFlyParams& params);
 
   std::string name() const override;
-  bool typed() const override { return false; }
-  int diameter() const override { return 2; }
 
   const SlimFlyParams& params() const { return params_; }
 

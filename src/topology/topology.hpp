@@ -17,6 +17,15 @@
 
 namespace flexnet {
 
+/// What a topology family fixes before any instance is built: whether its
+/// links are typed (Dragonfly local/global) or all untyped, and its
+/// diameter in router hops. validate_config checks the VC arrangement
+/// against the routing's reference path on this shape.
+struct TopologyShape {
+  bool typed = false;
+  int diameter = 0;
+};
+
 /// One network port of a router.
 struct PortDesc {
   LinkType type = LinkType::kLocal;
@@ -58,9 +67,9 @@ class Topology {
 
   /// True when the network has topology-induced link-type restrictions
   /// (Dragonfly local/global); untyped networks report every link as local.
-  virtual bool typed() const = 0;
+  bool typed() const { return shape_.typed; }
 
-  virtual int diameter() const = 0;
+  int diameter() const { return shape_.diameter; }
 
   /// Group of a router — the unit the adversarial traffic pattern shifts by
   /// one (Dragonfly groups; for ungrouped networks each router is its own
@@ -69,8 +78,8 @@ class Topology {
   virtual int num_groups() const { return num_routers(); }
 
   /// Port of the first hop of a minimal route from `from` to `to`.
-  /// Topologies with equal-length minimal alternatives (e.g. dimension order
-  /// in a Flattened Butterfly) break ties with `rng` when provided.
+  /// Topologies with equal-length minimal alternatives (e.g. the 2-hop
+  /// routes of a Slim Fly MMS(13)) break ties with `rng` when provided.
   virtual PortIndex min_next_port(RouterId from, RouterId to,
                                   Rng* rng = nullptr) const = 0;
 
@@ -97,7 +106,8 @@ class Topology {
   }
 
  protected:
-  explicit Topology(int concentration) : concentration_(concentration) {}
+  Topology(int concentration, const TopologyShape& shape)
+      : concentration_(concentration), shape_(shape) {}
 
   /// Subclasses size the wiring here, then fill it via set_port.
   void resize_routers(int n, int ports_per_router) {
@@ -121,6 +131,7 @@ class Topology {
 
  private:
   int concentration_;
+  TopologyShape shape_;
   // Every router's ports in one flat array: router r owns
   // [port_index_[r], port_index_[r + 1]) (the table carries a sentinel).
   std::vector<PortDesc> ports_;

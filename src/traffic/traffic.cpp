@@ -84,7 +84,7 @@ FLEXNET_REGISTER_TRAFFIC({
               request_load, cfg.effective_packet_phits(), cfg.burst_length);
         }},
     [](const SimConfig& cfg) {
-      if (cfg.burst_length < 1.0)
+      if (!(cfg.burst_length >= 1.0))  // NaN fails this too
         throw std::invalid_argument(
             "traffic 'bursty' needs burst_length >= 1 packet");
     }})

@@ -360,8 +360,8 @@ TEST(OnDiskFormat, BitEqualityCoversEveryField) {
 
 TEST(OnDiskFormat, DefaultCanonicalConfigIsPinned) {
   EXPECT_EQ(SimConfig{}.canonical(),
-            "topology=dragonfly;df_p=2;df_a=4;df_h=2;fb_p=2;fb_a=4;sf_p=2;"
-            "sf_q=5;vcs=2/1;policy=baseline;vc_selection=jsq;"
+            "topology=dragonfly;df_p=2;df_a=4;df_h=2;sf_p=2;sf_q=5;"
+            "vcs=2/1;policy=baseline;vc_selection=jsq;"
             "local_buffer=32;global_buffer=256;injection_buffer=256;"
             "output_buffer=32;local_port_capacity=0;global_port_capacity=0;"
             "buffer_org=static;damq_private_fraction=0x1.8p-1;speedup=2;"

@@ -107,6 +107,33 @@ TEST(FlexnetRunCli, RunnerFlagsHaveNoKeyValueSpelling) {
   }
 }
 
+// A config no network can run is a permanent error found while the suite
+// materializes: exit 2 naming the series and the reason, before any job
+// runs, never an abort mid-sweep.
+TEST(FlexnetRunCli, ConfigsNoNetworkCanRunExitTwoBeforeAnyJob) {
+  struct Bad {
+    const char* overrides;
+    const char* fragment;
+  };
+  const Bad bad[] = {
+      {"routing=val", "baseline VC management cannot support this routing"},
+      {"reactive=1", "request-reply arrangements require reactive traffic"},
+      {"buffer_org=damq damq_private_fraction=nan",
+       "damq_private_fraction in [0, 1]"},
+      {"traffic=bursty burst_length=nan", "burst_length >= 1"},
+  };
+  for (const Bad& b : bad) {
+    const CmdResult r = run_cmd(bin("flexnet_run") + " " +
+                                shipped_suite("smoke_tiny.json") + " " +
+                                b.overrides + " warmup=50 measure=100");
+    EXPECT_EQ(r.exit_code, 2) << b.overrides << "\n" << r.output;
+    EXPECT_NE(r.output.find("series '"), std::string::npos)
+        << b.overrides << "\n" << r.output;
+    EXPECT_NE(r.output.find(b.fragment), std::string::npos)
+        << b.overrides << "\n" << r.output;
+  }
+}
+
 TEST(FlexnetRunCli, ValidShardRunsItsSubsetAndWarnsWithoutCheckpoint) {
   // Shard 1/12 of the 12-job smoke grid is a single tiny job — fast, and
   // enough to pin the happy path plus the lost-results warning.

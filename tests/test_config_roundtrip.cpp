@@ -24,13 +24,11 @@ namespace {
 // One non-default value per known key.
 const std::map<std::string, std::string>& mutations() {
   static const std::map<std::string, std::string> m = {
-      {"topology", "fb"},
+      {"topology", "slimfly"},
       {"df_p", "3"},
       {"df_a", "5"},
       {"df_h", "3"},
       {"paper_scale", "true"},
-      {"fb_p", "3"},
-      {"fb_a", "5"},
       {"sf_p", "3"},
       {"sf_q", "13"},
       {"vcs", "4/2"},

@@ -1,11 +1,14 @@
-// Core-equivalence gate for the active-set simulation engine.
+// Core-equivalence gate for the simulation engine.
 //
-// The per-cycle engine (Network::step and everything under it) may be
-// refactored for speed only if the results stay bit-identical. This suite
-// enforces that with golden-report fixtures: the canonical JSON report of
-// the shipped smoke_tiny and fig9_vc_selection suites was recorded against
-// the pre-refactor core (commit df27f50) and every run since must
-// reproduce it byte for byte, at 1 and at 4 workers.
+// The engine (Network::step and everything under it) and every component
+// it runs may be refactored only if the results stay bit-identical. This
+// suite enforces that with golden-report fixtures: the canonical JSON
+// report of each shipped suite in kGoldenSuites is recorded under
+// tests/golden/, and every run must reproduce it byte for byte, at 1 and
+// at 4 workers. A registry walk keeps the table complete: every
+// registered component, and both values of every bool config key, must
+// be reached by some golden suite, so a new component cannot land
+// unguarded and one no golden reaches is dead code to delete.
 //
 // Regenerating the fixtures (only when a change *intends* to alter
 // results, e.g. a new config default) is explicit:
@@ -19,15 +22,19 @@
 // re-derived by a per-cycle scan.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "runner/json_report.hpp"
 #include "runner/sweep_runner.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/suite.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -52,20 +59,36 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Renders the canonical report of one shipped suite: the experiment grid
-/// is pinned here (explicit defaults, warmup/measure, seeds) so the bytes
-/// depend on nothing but the suite file and the simulation core — no
-/// wall-clock, no worker count.
-std::string render_suite_report(const std::string& suite_file, int jobs,
-                                int* seeds_out = nullptr) {
-  const SuiteSpec spec = SuiteSpec::load_shipped(suite_file);
+/// The shipped suites (examples/suites/NAME.json) whose reports are pinned
+/// as tests/golden/NAME.golden.json.
+const char* const kGoldenSuites[] = {
+    "smoke_tiny",
+    "fig9_vc_selection",
+    "fig6_flow_control",
+    // ON/OFF (bursty) injection: per-burst destinations and the two-state
+    // process pin the node phase's generation order.
+    "fig6b_bursty_min",
+    // Every registered name and bool value the others leave unreached.
+    "coverage_tiny",
+};
+
+/// The grid of one shipped suite with the golden windows pinned (explicit
+/// defaults, warmup/measure), so its configs depend on nothing but the
+/// suite file.
+std::vector<ExperimentSeries> golden_grid(const SuiteSpec& spec) {
   Options pinned;
   pinned.set("warmup", "2000");
   pinned.set("measure", "4000");
-  const std::vector<ExperimentSeries> grid =
-      spec.materialize(SimConfig{}, &pinned);
+  return spec.materialize(SimConfig{}, &pinned);
+}
+
+/// Renders the canonical report of one shipped suite: the bytes depend on
+/// nothing but the suite file and the simulation core — no wall-clock, no
+/// worker count.
+std::string render_suite_report(const std::string& suite_file, int jobs) {
+  const SuiteSpec spec = SuiteSpec::load_shipped(suite_file);
+  const std::vector<ExperimentSeries> grid = golden_grid(spec);
   const int seeds = spec.seeds_or(1);
-  if (seeds_out != nullptr) *seeds_out = seeds;
 
   SweepRunner runner(jobs);
   const std::vector<SweepResult> sweeps = runner.run(grid, spec.loads, seeds);
@@ -79,9 +102,12 @@ std::string render_suite_report(const std::string& suite_file, int jobs,
   return report.to_json();
 }
 
-void check_against_golden(const std::string& suite_file,
-                          const std::string& golden_name) {
-  const std::string path = golden_path(golden_name);
+class GoldenReport : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenReport, ByteIdentical) {
+  const std::string name = GetParam();
+  const std::string suite_file = name + ".json";
+  const std::string path = golden_path(name + ".golden.json");
   if (std::getenv("FLEXNET_UPDATE_GOLDEN") != nullptr) {
     const std::string rendered = render_suite_report(suite_file, /*jobs=*/1);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -102,29 +128,59 @@ void check_against_golden(const std::string& suite_file,
     const std::string rendered = render_suite_report(suite_file, jobs);
     ASSERT_EQ(rendered, golden)
         << "canonical report of " << suite_file << " at " << jobs
-        << " worker(s) differs from the pre-refactor golden " << path;
+        << " worker(s) differs from the golden " << path;
   }
 }
 
-TEST(CoreEquivalence, SmokeTinyGoldenReportByteIdentical) {
-  check_against_golden("smoke_tiny.json", "smoke_tiny.golden.json");
-}
+INSTANTIATE_TEST_SUITE_P(
+    CoreEquivalence, GoldenReport, ::testing::ValuesIn(kGoldenSuites),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      // "fig9_vc_selection" -> "Fig9VcSelection".
+      std::string name;
+      bool upper = true;
+      for (const char* c = info.param; *c != '\0'; ++c) {
+        if (*c == '_') {
+          upper = true;
+        } else {
+          name += upper ? static_cast<char>(std::toupper(*c)) : *c;
+          upper = false;
+        }
+      }
+      return name;
+    });
 
-TEST(CoreEquivalence, Fig9VcSelectionGoldenReportByteIdentical) {
-  check_against_golden("fig9_vc_selection.json",
-                       "fig9_vc_selection.golden.json");
-}
-
-TEST(CoreEquivalence, Fig6FlowControlGoldenReportByteIdentical) {
-  check_against_golden("fig6_flow_control.json",
-                       "fig6_flow_control.golden.json");
-}
-
-// The only golden with ON/OFF (bursty) injection: per-burst destinations
-// and the two-state process pin the node phase's generation order.
-TEST(CoreEquivalence, Fig6bBurstyGoldenReportByteIdentical) {
-  check_against_golden("fig6b_bursty_min.json",
-                       "fig6b_bursty_min.golden.json");
+// Every registry kind is a config key, so the names the golden suites
+// reach are the values canonical() renders for those keys. A registered
+// name no golden suite reaches fails here, as does a bool key some golden
+// config never flips: each must get a golden series or be deleted.
+TEST(CoreEquivalence, EveryRegisteredComponentReachesAGolden) {
+  std::map<std::string, std::set<std::string>> reached;  // key -> values
+  for (const char* suite : kGoldenSuites) {
+    for (const ExperimentSeries& series :
+         golden_grid(SuiteSpec::load_shipped(std::string(suite) + ".json"))) {
+      const std::string canonical = series.config.canonical();
+      for (std::size_t at = 0; at < canonical.size();) {
+        const std::size_t eq = canonical.find('=', at);
+        const std::size_t end = canonical.find(';', eq);
+        reached[canonical.substr(at, eq - at)].insert(
+            canonical.substr(eq + 1, end - eq - 1));
+        at = end + 1;
+      }
+    }
+  }
+  for (const RegistryListing& listing : list_registries()) {
+    ASSERT_EQ(reached.count(listing.kind), 1u)
+        << "registry '" << listing.kind << "' is not a config key";
+    for (const ComponentInfo& component : listing.components)
+      EXPECT_EQ(reached[listing.kind].count(component.name), 1u)
+          << listing.kind << " '" << component.name
+          << "' is reached by no golden suite";
+  }
+  for (const auto& [key, values] : reached) {
+    if (SimConfig::key_kind(key) != SimConfig::KeyKind::kBool) continue;
+    EXPECT_EQ(values, (std::set<std::string>{"0", "1"}))
+        << "bool key '" << key << "' takes one value in every golden suite";
+  }
 }
 
 // --- Credit-owner regression (Network::deliver).

@@ -11,6 +11,7 @@
 #include "routing/ugal.hpp"
 #include "routing/valiant.hpp"
 #include "topology/dragonfly.hpp"
+#include "topology/slimfly.hpp"
 
 namespace flexnet {
 namespace {
@@ -309,12 +310,15 @@ TEST_F(PiggybackTest, NamesEncodeVariant) {
 }
 
 TEST(RoutingReferences, ReferencePathsMatchPaperRequirements) {
-  const Dragonfly topo({2, 4, 2});
-  EXPECT_EQ(MinimalRouting(topo).reference_path().to_string(), "lgl");
-  EXPECT_EQ(ValiantRouting(topo).reference_path().to_string(), "lgllgl");
-  FakeOracle oracle;
-  EXPECT_EQ(ParRouting(topo, oracle, 8, ParConfig{}).reference_path().to_string(),
-            "llgllgl");
+  const TopologyShape df = Dragonfly::kShape;
+  EXPECT_EQ(MinimalRouting::reference_path(df).to_string(), "lgl");
+  EXPECT_EQ(ValiantRouting::reference_path(df).to_string(), "lgllgl");
+  EXPECT_EQ(ParRouting::reference_path(df).to_string(), "llgllgl");
+  // Generic diameter-2 (Tables I/II): MIN 2 hops, VAL 4, PAR 5.
+  const TopologyShape sf = SlimFly::kShape;
+  EXPECT_EQ(MinimalRouting::reference_path(sf).to_string(), "ll");
+  EXPECT_EQ(ValiantRouting::reference_path(sf).to_string(), "llll");
+  EXPECT_EQ(ParRouting::reference_path(sf).to_string(), "lllll");
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(Registry, UnknownNameEnumeratesAlternatives) {
 TEST(BuiltinRegistries, AllComponentsRegistered) {
   using Names = std::vector<std::string>;
   EXPECT_EQ(topology_registry().names(),
-            (Names{"dragonfly", "fb", "slimfly"}));
+            (Names{"dragonfly", "slimfly"}));
   EXPECT_EQ(routing_registry().names(),
             (Names{"min", "par", "pb", "ugal", "val"}));
   EXPECT_EQ(vc_policy_registry().names(), (Names{"baseline", "flexvc"}));
@@ -85,6 +85,18 @@ TEST(BuiltinRegistries, AllComponentsRegistered) {
     for (const ComponentInfo& info : listing.components)
       EXPECT_FALSE(info.description.empty())
           << listing.kind << " '" << info.name << "' has no description";
+}
+
+// validate_config checks VC arrangements against the registered shape,
+// without building: it must be what every built topology reports.
+TEST(BuiltinRegistries, TopologyShapesMatchBuiltTopologies) {
+  for (const auto& entry : topology_registry().entries()) {
+    SimConfig cfg;
+    cfg.topology = entry.name;
+    const std::unique_ptr<Topology> topo = entry.make(cfg);
+    EXPECT_EQ(topo->typed(), entry.make.shape.typed) << entry.name;
+    EXPECT_EQ(topo->diameter(), entry.make.shape.diameter) << entry.name;
+  }
 }
 
 TEST(BuiltinRegistries, UnknownRoutingMessageListsRegisteredNames) {
@@ -122,7 +134,7 @@ TEST(BuiltinRegistries, NetworkConstructionErrorsEnumerateNames) {
     cfg.topology = "torus";
     const std::string msg = thrown_message([&] { Network net(cfg); });
     EXPECT_NE(msg.find("unknown topology 'torus'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("registered: dragonfly, fb, slimfly"),
+    EXPECT_NE(msg.find("registered: dragonfly, slimfly"),
               std::string::npos)
         << msg;
   }
@@ -131,7 +143,7 @@ TEST(BuiltinRegistries, NetworkConstructionErrorsEnumerateNames) {
 TEST(BuiltinRegistries, ValidateHooksRejectBadConfigs) {
   {
     SimConfig cfg;  // pb off-Dragonfly
-    cfg.topology = "fb";
+    cfg.topology = "slimfly";
     cfg.routing = "pb";
     cfg.vcs = "2";
     const std::string msg = thrown_message([&] { validate_config(cfg); });
@@ -459,7 +471,7 @@ TEST(SuiteSpec, UnknownComponentNamesSurfaceSeriesLabel) {
 TEST(SuiteSpec, ValidateHookFailuresSurfaceSeriesLabel) {
   const SuiteSpec spec = SuiteSpec::parse(R"json({
     "title": "t",
-    "base": {"topology": "fb", "vcs": "2"},
+    "base": {"topology": "slimfly", "vcs": "2"},
     "series": [{"label": "PB off-Dragonfly", "overrides": {"routing": "pb"}}],
     "loads": [1.0]
   })json");

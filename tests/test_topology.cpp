@@ -1,8 +1,10 @@
-// Structural invariants of the three topologies, checked against BFS.
+// Structural invariants of the two topologies, checked against BFS.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "topology/dragonfly.hpp"
-#include "topology/flattened_butterfly.hpp"
 #include "topology/slimfly.hpp"
 
 namespace flexnet {
@@ -215,61 +217,6 @@ TEST(Dragonfly, GlobalLinkOwnerOwnsTheLink) {
   }
 }
 
-// --- Flattened Butterfly.
-
-TEST(FlattenedButterfly, SizesAndDegree) {
-  const FlattenedButterfly topo({2, 4});
-  EXPECT_EQ(topo.num_routers(), 16);
-  EXPECT_EQ(topo.num_nodes(), 32);
-  EXPECT_EQ(topo.num_network_ports(0), 6);
-  EXPECT_FALSE(topo.typed());
-}
-
-TEST(FlattenedButterfly, DiameterTwoByBfs) {
-  const FlattenedButterfly topo({2, 4});
-  for (RouterId from = 0; from < topo.num_routers(); ++from) {
-    const auto dist = bfs_distances(topo, from);
-    for (RouterId to = 0; to < topo.num_routers(); ++to) {
-      EXPECT_LE(dist[static_cast<std::size_t>(to)], 2);
-      EXPECT_EQ(topo.min_distance(from, to), dist[static_cast<std::size_t>(to)]);
-    }
-  }
-}
-
-TEST(FlattenedButterfly, MinRoutesReachDestination) {
-  const FlattenedButterfly topo({2, 4});
-  Rng rng(7);
-  for (RouterId from = 0; from < topo.num_routers(); ++from) {
-    for (RouterId to = 0; to < topo.num_routers(); ++to) {
-      if (from == to) continue;
-      RouterId cur = from;
-      int hops = 0;
-      while (cur != to) {
-        ASSERT_LE(++hops, 2);
-        cur = topo.port(cur, topo.min_next_port(cur, to, &rng)).neighbor;
-      }
-      EXPECT_EQ(hops, topo.min_distance(from, to));
-    }
-  }
-}
-
-TEST(FlattenedButterfly, TieBreakUsesBothDimensionOrders) {
-  const FlattenedButterfly topo({2, 4});
-  Rng rng(11);
-  const RouterId from = topo.router_id(0, 0);
-  const RouterId to = topo.router_id(2, 2);
-  bool row_first = false;
-  bool col_first = false;
-  for (int i = 0; i < 64; ++i) {
-    const PortIndex p = topo.min_next_port(from, to, &rng);
-    const RouterId nb = topo.port(from, p).neighbor;
-    if (topo.row_of(nb) == topo.row_of(from)) row_first = true;
-    if (topo.col_of(nb) == topo.col_of(from)) col_first = true;
-  }
-  EXPECT_TRUE(row_first);
-  EXPECT_TRUE(col_first);
-}
-
 // --- Slim Fly.
 
 TEST(SlimFly, SizesAndDegree) {
@@ -312,6 +259,37 @@ TEST(SlimFly, MinRoutesReachDestination) {
       }
     }
   }
+}
+
+// The only test of min_next_port's RNG tie-break on non-unique minimal
+// paths: every minimal next hop of a pair with several must be drawn.
+// MMS(5) has a unique minimal first hop for every pair; MMS(13) does not.
+TEST(SlimFly, TieBreakReachesEveryMinimalNextHop) {
+  for (const int q : {5, 13}) {
+    const SlimFly topo({1, q});
+    for (RouterId from = 0; from < topo.num_routers(); ++from) {
+      const std::vector<int> dist_from = bfs_distances(topo, from);
+      for (RouterId to = 0; to < topo.num_routers(); ++to) {
+        if (to == from) continue;
+        const std::vector<int> dist_to = bfs_distances(topo, to);
+        std::set<PortIndex> minimal;
+        for (PortIndex p = 0; p < topo.num_network_ports(from); ++p) {
+          const RouterId nb = topo.port(from, p).neighbor;
+          if (dist_to[static_cast<std::size_t>(nb)] + 1 ==
+              dist_from[static_cast<std::size_t>(to)])
+            minimal.insert(p);
+        }
+        if (minimal.size() < 2) continue;
+        Rng rng(11);
+        std::set<PortIndex> drawn;
+        for (int i = 0; i < 64 * static_cast<int>(minimal.size()); ++i)
+          drawn.insert(topo.min_next_port(from, to, &rng));
+        EXPECT_EQ(drawn, minimal) << "q=" << q << " " << from << "->" << to;
+        return;
+      }
+    }
+  }
+  FAIL() << "no router pair with two minimal next hops at q = 5 or 13";
 }
 
 TEST(SlimFly, RejectsNonPrimeOrWrongResidueClass) {

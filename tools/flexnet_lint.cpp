@@ -11,9 +11,7 @@
 //                       primitives anywhere under src/sim/
 //   L4  registry        a TU defining a component (class deriving from
 //                       Topology/RoutingAlgorithm/TrafficPattern/VcPolicy)
-//                       must hold a FLEXNET_REGISTER_* block, and every
-//                       registered name must appear in a shipped suite
-//                       (examples/suites/*.json) or a test (tests/*.cpp)
+//                       must hold a FLEXNET_REGISTER_* block
 //   L5  telem-readonly  FLEXNET_TELEM hook bodies must be read-only with
 //                       respect to simulation state: no non-const
 //                       references / address-of, no assignment, increment
@@ -21,7 +19,9 @@
 //
 // Rules are numbered from L3: schema completeness (every SimConfig field
 // in the config key table, every SimResult field in kResultFields) is
-// checked by the compiler through the arity pins beside those tables.
+// checked by the compiler through the arity pins beside those tables, and
+// that every registered component is reached by a golden suite is checked
+// by tests/test_core_equivalence.cpp walking the registries themselves.
 //
 // Diagnostics are file:line so CI output is clickable; `--json FILE`
 // additionally writes a machine-readable report. A finding can be
@@ -78,8 +78,7 @@ constexpr RuleInfo kRules[] = {
     {"L3", "no nondeterminism in src/ hot paths (unordered containers, "
            "rand/time/random_device/chrono, pointer-keyed map/set; thread "
            "primitives under src/sim/)"},
-    {"L4", "component TUs carry FLEXNET_REGISTER_* and every registered "
-           "name is exercised by a suite or test"},
+    {"L4", "component TUs carry FLEXNET_REGISTER_*"},
     {"L5", "FLEXNET_TELEM hooks are read-only (no non-const refs, no "
            "mutation of non-telemetry state)"},
 };
@@ -440,7 +439,7 @@ class Linter {
 
   // --- L4 -----------------------------------------------------------------
   void check_registry() {
-    // (a) Component-defining TUs must register. A "component" is a class
+    // Component-defining TUs must register. A "component" is a class
     // deriving from one of the registry base types; its registering TU is
     // the .cpp it was declared in, or the paired .cpp of its header.
     static const char* kBases[] = {"Topology", "RoutingAlgorithm",
@@ -478,66 +477,6 @@ class Linter {
                      " has no FLEXNET_REGISTER_* block in " + tu_rel +
                      " — it is unreachable from suites and `flexnet_run "
                      "--list`");
-      }
-    }
-
-    // (b) Every registered name must be exercised somewhere shipped.
-    std::string corpus;
-    int corpus_files = 0;
-    const auto ingest = [&](const fs::path& dir, const char* ext) {
-      if (!fs::exists(dir)) return;
-      for (const auto& entry : fs::directory_iterator(dir)) {
-        if (!entry.is_regular_file() ||
-            entry.path().extension() != ext) {
-          continue;
-        }
-        std::ifstream in(entry.path(), std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        corpus += buf.str();
-        corpus += '\n';
-        ++corpus_files;
-      }
-    };
-    ingest(root_ / "examples" / "suites", ".json");
-    ingest(root_ / "tests", ".cpp");
-    if (corpus_files == 0) {
-      // A tree with no suites and no tests (minimal fixture) cannot
-      // exercise anything; every registered name is then a finding.
-      corpus.clear();
-    }
-    for (const SourceFile& f : files_) {
-      std::size_t pos = 0;
-      while ((pos = f.scrubbed.find("FLEXNET_REGISTER_", pos)) !=
-             std::string::npos) {
-        // Skip the macro definitions themselves (registry.hpp) — only
-        // invocation sites carry a braced entry with a name literal.
-        const std::size_t line_start = f.text.rfind('\n', pos);
-        const std::string line_head = f.text.substr(
-            line_start == std::string::npos ? 0 : line_start + 1,
-            pos - (line_start == std::string::npos ? 0 : line_start + 1));
-        if (line_head.find("#define") != std::string::npos ||
-            f.rel == "src/scenario/registry.hpp") {
-          pos += 1;
-          continue;
-        }
-        // First string literal after the macro name is the component name.
-        const std::size_t quote = f.text.find('"', pos);
-        const std::size_t close =
-            quote == std::string::npos ? std::string::npos
-                                       : f.text.find('"', quote + 1);
-        if (close == std::string::npos) {
-          pos += 1;
-          continue;
-        }
-        const std::string name = f.text.substr(quote + 1, close - quote - 1);
-        if (!name.empty() && !contains_word(corpus, name))
-          report(f, line_of(f, pos), "L4",
-                 "registered component '" + name +
-                     "' does not appear in any shipped suite "
-                     "(examples/suites/*.json) or test (tests/*.cpp) — "
-                     "dead registrations rot silently");
-        pos = close;
       }
     }
   }
