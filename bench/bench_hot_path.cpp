@@ -23,10 +23,14 @@
 // --cycles, a cycle there costs ~100x smoke) to read how much more a grant
 // costs at paper scale.
 //
-// Each case also reports where its network's bytes live, read at the end
-// of the telemetry-off pass: `arena_mb` is what the network's arena holds
-// from the OS (common/arena.hpp), `huge_mb` the process's AnonHugePages
-// from /proc/self/smaps_rollup (0 where that file is unreadable).
+// Each case also reports which allocation path it measured: `gather` is
+// whether the network selected the state gather (Network::state_gather,
+// on once the per-router allocation state outgrows L2), so every
+// alloc_ns/grant comparison names the path behind it. And it reports
+// where its network's bytes live, read at the end of the telemetry-off
+// pass: `arena_mb` is what the network's arena holds from the OS
+// (common/arena.hpp), `huge_mb` the process's AnonHugePages from
+// /proc/self/smaps_rollup (0 where that file is unreadable).
 //
 // The JSON report is a "microbench" document (not a sweep report);
 // tools/bench_trajectory folds it into BENCH_sweeps.json alongside the
@@ -95,6 +99,7 @@ struct CaseResult {
   double phase_seconds[PhaseTimers::kPhases] = {};
   /// The telemetry-on pass's allocate time per grant, in nanoseconds.
   double alloc_ns_per_grant = 0.0;
+  bool state_gather = false;  ///< the allocation path the network selected
   double arena_mb = 0.0;  ///< bytes the network's arena holds from the OS
   double huge_mb = 0.0;   ///< process AnonHugePages (0 when unreadable)
 };
@@ -146,6 +151,7 @@ double time_case(const Case& c, const SimConfig& base, Cycle cycles,
     out->consumed = net.metrics().consumed_packets();
     out->grants = net.total_grants();
     out->re_requests = net.re_requests();
+    out->state_gather = net.state_gather();
     out->arena_mb = static_cast<double>(net.arena().os_bytes()) / kMiB;
     out->huge_mb = anon_huge_mb();
     out->re_requests_per_grant =
@@ -225,10 +231,10 @@ int main(int argc, char** argv) {
               base.dragonfly.p, base.dragonfly.a, base.dragonfly.h,
               static_cast<long long>(cycles));
   std::printf(
-      "%-30s %9s %8s %12s %12s %9s %9s %10s %11s %8s %14s %9s %8s\n",
+      "%-30s %9s %8s %12s %12s %9s %9s %10s %11s %8s %14s %6s %9s %8s\n",
       "case", "cycles", "wall_s", "cycles/sec", "cps(telem)", "overhead",
       "consumed", "grants", "re_request", "rr/grant", "alloc_ns/grant",
-      "arena_mb", "huge_mb");
+      "gather", "arena_mb", "huge_mb");
 
   std::vector<CaseResult> results;
   double log_sum = 0.0;
@@ -239,13 +245,14 @@ int main(int argc, char** argv) {
     const CaseResult r = run_case(c, base, cycles);
     std::printf(
         "%-30s %9lld %8.3f %12.0f %12.0f %8.3fx %9lld %10lld %11lld %8.3f "
-        "%14.1f %9.1f %8.1f\n",
+        "%14.1f %6s %9.1f %8.1f\n",
         r.name.c_str(), static_cast<long long>(r.cycles), r.wall_seconds,
         r.cycles_per_sec, r.cycles_per_sec_telemetry, r.telemetry_overhead,
         static_cast<long long>(r.consumed),
         static_cast<long long>(r.grants),
         static_cast<long long>(r.re_requests), r.re_requests_per_grant,
-        r.alloc_ns_per_grant, r.arena_mb, r.huge_mb);
+        r.alloc_ns_per_grant, r.state_gather ? "on" : "off", r.arena_mb,
+        r.huge_mb);
     log_sum += std::log(r.cycles_per_sec);
     telem_log_sum += std::log(r.telemetry_overhead);
     results.push_back(r);
@@ -302,6 +309,7 @@ int main(int argc, char** argv) {
             JsonValue::make_number(r.re_requests_per_grant));
       c.set("alloc_ns_per_grant",
             JsonValue::make_number(r.alloc_ns_per_grant));
+      c.set("state_gather", JsonValue::make_bool(r.state_gather));
       c.set("arena_mb", JsonValue::make_number(r.arena_mb));
       c.set("huge_mb", JsonValue::make_number(r.huge_mb));
       JsonValue phases = JsonValue::make_object();

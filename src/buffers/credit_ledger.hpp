@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "common/check.hpp"
+#include "common/prefetch.hpp"
 #include "common/types.hpp"
 
 namespace flexnet {
@@ -40,6 +41,11 @@ class CreditLedger {
   }
 
   int num_vcs() const { return num_vcs_; }
+
+  /// Starts loading the lines that hold the header and the first `vcs`
+  /// counters. The caller passes the count: reading num_vcs() here would
+  /// wait on the very line being prefetched.
+  void prefetch(int vcs) const { prefetch_lines(this, vc_.data() + vcs); }
 
   /// Switches the ledger to on/off backpressure (buffer_mgmt=on_off): the
   /// downstream port is modeled by a single stop/go bit with hysteresis —

@@ -27,6 +27,7 @@
 
 #include "buffers/packet_pool.hpp"
 #include "common/check.hpp"
+#include "common/prefetch.hpp"
 
 namespace flexnet {
 
@@ -163,6 +164,11 @@ class InputBuffer final {
   /// Starts loading the VC headers (a hint: the allocator issues it for
   /// every armed input of a router before evaluating any of them).
   void prefetch() const { __builtin_prefetch(words_.data()); }
+  /// Starts loading the whole block, headers and rings (the allocator's
+  /// state gather: a VC's front slot lies anywhere in the block).
+  void prefetch_block() const {
+    prefetch_lines(words_.data(), words_.data() + words_.size());
+  }
 
  private:
   // Per-VC header words, then per-slot words.

@@ -99,6 +99,11 @@ class EventLane {
     ++size_;
   }
 
+  /// Starts loading the slot the next push_back writes (a hint).
+  void prefetch_back() const {
+    if (buf_ != nullptr) __builtin_prefetch(buf_ + ((head_ + size_) & mask_));
+  }
+
   void pop_front() {
     FLEXNET_DCHECK(size_ > 0);
     head_ = (head_ + 1) & mask_;

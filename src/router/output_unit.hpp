@@ -90,6 +90,9 @@ class OutputUnit final {
   int occupancy() const { return occupancy_; }
   int capacity() const { return capacity_; }
   bool idle() const { return pipeline_.empty(); }
+
+  /// Starts loading the pipeline slot the next accept writes (a hint).
+  void prefetch_tail() const { pipeline_.prefetch_back(); }
   Cycle link_busy_until() const { return link_busy_until_; }
 
  private:

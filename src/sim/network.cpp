@@ -7,7 +7,10 @@
 #include <stdexcept>
 #include <string>
 
+#include <unistd.h>
+
 #include "common/check.hpp"
+#include "common/prefetch.hpp"
 #include "core/admissibility.hpp"
 #include "scenario/registry.hpp"
 #include "telemetry/trace.hpp"
@@ -26,6 +29,23 @@ HopContext hop_context(const Packet& pkt, const RouteOption& opt) {
   ctx.intended_after = opt.intended_after;
   ctx.escape_after = opt.escape_after;
   return ctx;
+}
+
+}  // namespace
+
+bool state_gather_wanted(std::size_t state_bytes, long l2_bytes) {
+  return l2_bytes > 0 && state_bytes > static_cast<std::size_t>(l2_bytes);
+}
+
+namespace {
+
+/// The L2 size the host reports, or 0 where it has no way to say.
+long reported_l2_bytes() {
+#ifdef _SC_LEVEL2_CACHE_SIZE
+  return sysconf(_SC_LEVEL2_CACHE_SIZE);
+#else
+  return 0;
+#endif
 }
 
 }  // namespace
@@ -149,6 +169,7 @@ void Network::build() {
                                      std::min(2 * eff, cap));
       }
       link_vcs[static_cast<std::size_t>(link_at(r, p))] = geom.num_vcs;
+      max_ledger_vcs_ = std::max(max_ledger_vcs_, geom.num_vcs);
 
       DirLink& link = links_[static_cast<std::size_t>(link_at(r, p))];
       link.to = desc.neighbor;
@@ -242,6 +263,15 @@ void Network::build() {
   fresh_prune_ok_ =
       routing_->draw_free() && selection_ != VcSelection::kRandom;
   eject_wake_.assign(static_cast<std::size_t>(wake_ring_), {});
+
+  // The state gather pays only when what it covers misses in L2.
+  state_gather_bytes_ =
+      links_.size() * sizeof(DirLink) + out_.size() * sizeof(OutputUnit) +
+      ledger_.size() * sizeof(CreditLedger) +
+      commits_.size() * sizeof(Commitment) +
+      (in_arb_.size() + out_arb_.size()) * sizeof(RoundRobinArbiter) +
+      nodes_->consumer_bytes();
+  state_gather_ = state_gather_wanted(state_gather_bytes_, reported_l2_bytes());
 
   // Telemetry: the registry is always shaped (cheap, one-time) so render()
   // and merge() work even when counting is off; updates happen only when
@@ -780,11 +810,19 @@ void Network::allocate(RouterId r, Cycle now) {
   // Each proposal is a chain of dependent loads: its input's VC block, then
   // the head packet at a random pool slot. Start every armed input's block
   // load together, then every armed head's line, before stage 1 waits on
-  // any of them.
+  // any of them. Past L2 the state gather widens both rounds to the rest
+  // of the router's allocation state.
   const int in0 = in_index_[static_cast<std::size_t>(r)];
   const std::uint64_t armed_in = armed_inputs_[static_cast<std::size_t>(r)];
-  for (std::uint64_t m = armed_in; m != 0; m &= m - 1)
-    in_[static_cast<std::size_t>(in0 + __builtin_ctzll(m))].prefetch();
+  for (std::uint64_t m = armed_in; m != 0; m &= m - 1) {
+    const InputBuffer& buf =
+        in_[static_cast<std::size_t>(in0 + __builtin_ctzll(m))];
+    if (state_gather_)
+      buf.prefetch_block();
+    else
+      buf.prefetch();
+  }
+  if (state_gather_) gather_state(r);
   for (std::uint64_t m = armed_in; m != 0; m &= m - 1) {
     const int gi = in0 + __builtin_ctzll(m);
     const InputBuffer& buf = in_[static_cast<std::size_t>(gi)];
@@ -794,6 +832,7 @@ void Network::allocate(RouterId r, Cycle now) {
       if (ref != kInvalidPacketRef) pool_.prefetch(ref);
     }
   }
+  if (state_gather_) gather_targets(r);
 
   for (int pass = 0; pass < speedup; ++pass) {
     std::uint64_t matched_in = 0;
@@ -891,6 +930,62 @@ void Network::allocate(RouterId r, Cycle now) {
       retry = proposed & ~matched_in;  // this iteration's losers
     }
   }
+}
+
+// A function that only loads and prefetches looks pure to the optimizer,
+// which then deletes every call to it: the empty volatile asm in each
+// gather function is the side effect that keeps its calls.
+void Network::gather_state(RouterId r) const {
+  asm volatile("");
+  const auto ri = static_cast<std::size_t>(r);
+  const int in0 = in_index_[ri];
+  for (std::uint64_t m = armed_inputs_[ri]; m != 0; m &= m - 1) {
+    const auto gi = static_cast<std::size_t>(in0 + __builtin_ctzll(m));
+    // The armed slots' commitments, and the link whose credit lane a
+    // grant on this input pays back.
+    const Commitment* slots = commits_.data() + commit_index_[gi];
+    for (std::uint64_t v = armed_[gi]; v != 0; v &= v - 1) {
+      const Commitment* slot = slots + __builtin_ctzll(v);
+      prefetch_lines(slot, slot + 1);
+    }
+    if (upstream_link_[gi] >= 0) {
+      const DirLink* link = links_.data() + upstream_link_[gi];
+      prefetch_lines(link, link + 1);
+    }
+  }
+  prefetch_lines(in_arb_.data() + in0, in_arb_.data() + in_index_[ri + 1]);
+  prefetch_lines(out_arb_.data() + output_index_[ri],
+                 out_arb_.data() + output_index_[ri + 1]);
+  prefetch_lines(out_.data() + link_index_[ri],
+                 out_.data() + link_index_[ri + 1]);
+  topo_->prefetch_ports(r);
+  nodes_->prefetch_consumers(topo_->first_node_of_router(r),
+                             topo_->concentration());
+}
+
+void Network::gather_targets(RouterId r) const {
+  asm volatile("");
+  const auto ri = static_cast<std::size_t>(r);
+  const int in0 = in_index_[ri];
+  const int l0 = link_index_[ri];
+  for (std::uint64_t m = armed_inputs_[ri]; m != 0; m &= m - 1) {
+    const auto gi = static_cast<std::size_t>(in0 + __builtin_ctzll(m));
+    // The ledger of each committed output: the line revalidation reads.
+    const Commitment* slots = commits_.data() + commit_index_[gi];
+    for (std::uint64_t v = armed_[gi]; v != 0; v &= v - 1) {
+      const Commitment& c = slots[__builtin_ctzll(v)];
+      if (c.pkt >= 0 && !c.ejection)
+        ledger_[static_cast<std::size_t>(l0 + c.out_port)].prefetch(
+            max_ledger_vcs_);
+    }
+    // The credit slot a grant on this input pushes.
+    if (upstream_link_[gi] >= 0)
+      links_[static_cast<std::size_t>(upstream_link_[gi])]
+          .credits.prefetch_back();
+  }
+  // The pipeline slot a grant to each output writes.
+  for (int li = l0; li < link_index_[ri + 1]; ++li)
+    out_[static_cast<std::size_t>(li)].prefetch_tail();
 }
 
 void Network::grant(RouterId r, const Request& req, Cycle now) {

@@ -10,6 +10,7 @@
 // ejections touch.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
@@ -18,6 +19,7 @@
 
 #include "buffers/packet.hpp"
 #include "common/event_lane.hpp"
+#include "common/prefetch.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/config.hpp"
@@ -77,6 +79,17 @@ class Nodes {
     return nodes_[static_cast<std::size_t>(n)]
         .consume_busy_until[static_cast<int>(cls)];
   }
+
+  /// Starts loading the consumption-port state (what can_consume and
+  /// consume read) of nodes [first, first + count): the allocator's state
+  /// gather starts it for a router's nodes before evaluating any head.
+  void prefetch_consumers(NodeId first, int count) const {
+    const Node* from = nodes_.data() + first;
+    prefetch_lines(from, from + count);
+  }
+
+  /// Bytes of the consumption-port state of every node.
+  std::size_t consumer_bytes() const { return nodes_.size() * sizeof(Node); }
 
  private:
   /// A packet waiting in a source queue: everything else about it follows

@@ -9,6 +9,8 @@ SimResult Simulator::run() {
   Network& net = *network_;
   if (telemetry_override_ >= 0)
     net.set_telemetry_enabled(telemetry_override_ != 0);
+  if (state_gather_override_ >= 0)
+    net.set_state_gather(state_gather_override_ != 0);
   if (trace_ != nullptr) net.set_trace(trace_, trace_pid_);
   const int nodes = net.topology().num_nodes();
 

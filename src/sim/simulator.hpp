@@ -128,6 +128,13 @@ class Simulator {
     return *this;
   }
 
+  /// Forces the network's state gather on or off for this run (tests;
+  /// default: build() selects it by size, see state_gather_wanted).
+  Simulator& set_state_gather(bool on) {
+    state_gather_override_ = on ? 1 : 0;
+    return *this;
+  }
+
   /// Emits per-packet lifetime spans of this run into `trace` under
   /// process id `pid` (see telemetry/trace.hpp). Null disables.
   Simulator& set_trace(TraceWriter* trace, int pid) {
@@ -142,6 +149,7 @@ class Simulator {
  private:
   SimConfig config_;
   int telemetry_override_ = -1;
+  int state_gather_override_ = -1;
   TraceWriter* trace_ = nullptr;
   int trace_pid_ = 0;
   std::unique_ptr<Network> network_;

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/prefetch.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/hop_seq.hpp"
@@ -59,6 +60,14 @@ class Topology {
   /// network layer uses for its flat link arrays and hot-path scratch.
   int total_network_ports() const;
   int max_network_ports() const;
+
+  /// Starts loading router r's port table (a hint: the allocator's state
+  /// gather starts it before routing any of r's heads).
+  void prefetch_ports(RouterId r) const {
+    const PortDesc* first =
+        ports_.data() + port_index_[static_cast<std::size_t>(r)];
+    prefetch_lines(first, first + num_network_ports(r));
+  }
 
   const PortDesc& port(RouterId r, PortIndex p) const {
     return ports_[static_cast<std::size_t>(

@@ -10,6 +10,12 @@
 // be reached by some golden suite, so a new component cannot land
 // unguarded and one no golden reaches is dead code to delete.
 //
+// The allocator's state gather (Network::state_gather) is a prefetch
+// selected by network size, so most hosts never run it on the goldens.
+// The same reports are therefore rendered with the gather forced on and
+// forced off, and a paper-scale network, the size it is selected for,
+// must move exactly the same packets either way.
+//
 // Regenerating the fixtures (only when a change *intends* to alter
 // results, e.g. a new config default) is explicit:
 //
@@ -26,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -34,6 +41,7 @@
 
 #include "runner/json_report.hpp"
 #include "runner/sweep_runner.hpp"
+#include "runner/thread_pool.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/suite.hpp"
 #include "sim/network.hpp"
@@ -82,16 +90,54 @@ std::vector<ExperimentSeries> golden_grid(const SuiteSpec& spec) {
   return spec.materialize(SimConfig{}, &pinned);
 }
 
+/// Runs a (series x load x seed) grid into sweep rows.
+using GridRun = std::function<std::vector<SweepResult>(
+    const std::vector<ExperimentSeries>&, const std::vector<double>&, int)>;
+
+/// The grid through SweepRunner at `jobs` workers.
+GridRun runner_run(int jobs) {
+  return [jobs](const std::vector<ExperimentSeries>& grid,
+                const std::vector<double>& loads, int seeds) {
+    return SweepRunner(jobs).run(grid, loads, seeds);
+  };
+}
+
+/// The grid on 4 workers, every job with the state gather forced `on`,
+/// each result in its pre-sized slot and reduced through the runner's own
+/// slot reduction.
+GridRun gather_forced_run(bool on) {
+  return [on](const std::vector<ExperimentSeries>& grid,
+              const std::vector<double>& loads, int seeds) {
+    std::vector<std::vector<SimResult>> per_seed(
+        grid.size() * loads.size(),
+        std::vector<SimResult>(static_cast<std::size_t>(seeds)));
+    ThreadPool pool(4);
+    for (std::size_t s = 0; s < grid.size(); ++s) {
+      for (std::size_t l = 0; l < loads.size(); ++l) {
+        for (int k = 0; k < seeds; ++k) {
+          pool.submit([&, s, l, k] {
+            per_seed[s * loads.size() + l][static_cast<std::size_t>(k)] =
+                Simulator(SweepRunner::job_config(grid[s].config, loads[l], k))
+                    .set_state_gather(on)
+                    .run();
+          });
+        }
+      }
+    }
+    pool.wait_idle();
+    return SweepRunner::reduce_slots(grid, loads, per_seed);
+  };
+}
+
 /// Renders the canonical report of one shipped suite: the bytes depend on
 /// nothing but the suite file and the simulation core — no wall-clock, no
 /// worker count.
-std::string render_suite_report(const std::string& suite_file, int jobs) {
+std::string render_suite_report(const std::string& suite_file,
+                                const GridRun& run) {
   const SuiteSpec spec = SuiteSpec::load_shipped(suite_file);
   const std::vector<ExperimentSeries> grid = golden_grid(spec);
   const int seeds = spec.seeds_or(1);
-
-  SweepRunner runner(jobs);
-  const std::vector<SweepResult> sweeps = runner.run(grid, spec.loads, seeds);
+  const std::vector<SweepResult> sweeps = run(grid, spec.loads, seeds);
 
   JsonReport report;
   report.set_meta("suite", suite_file);
@@ -109,7 +155,7 @@ TEST_P(GoldenReport, ByteIdentical) {
   const std::string suite_file = name + ".json";
   const std::string path = golden_path(name + ".golden.json");
   if (std::getenv("FLEXNET_UPDATE_GOLDEN") != nullptr) {
-    const std::string rendered = render_suite_report(suite_file, /*jobs=*/1);
+    const std::string rendered = render_suite_report(suite_file, runner_run(1));
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << rendered;
@@ -125,10 +171,24 @@ TEST_P(GoldenReport, ByteIdentical) {
       << "missing golden fixture " << path
       << " — record it with FLEXNET_UPDATE_GOLDEN=1";
   for (const int jobs : {1, 4}) {
-    const std::string rendered = render_suite_report(suite_file, jobs);
+    const std::string rendered = render_suite_report(suite_file,
+                                                     runner_run(jobs));
     ASSERT_EQ(rendered, golden)
         << "canonical report of " << suite_file << " at " << jobs
         << " worker(s) differs from the golden " << path;
+  }
+}
+
+TEST_P(GoldenReport, StateGatherForcedOnAndOff) {
+  const std::string name = GetParam();
+  const std::string path = golden_path(name + ".golden.json");
+  std::string golden;
+  ASSERT_TRUE(read_file(path, &golden)) << "missing golden fixture " << path;
+  for (const bool on : {true, false}) {
+    ASSERT_EQ(render_suite_report(name + ".json", gather_forced_run(on)),
+              golden)
+        << "canonical report of " << name << " with the state gather forced "
+        << (on ? "on" : "off") << " differs from the golden " << path;
   }
 }
 
@@ -181,6 +241,61 @@ TEST(CoreEquivalence, EveryRegisteredComponentReachesAGolden) {
     EXPECT_EQ(values, (std::set<std::string>{"0", "1"}))
         << "bool key '" << key << "' takes one value in every golden suite";
   }
+}
+
+// --- State gather selection and paper-scale equivalence.
+
+constexpr long kTwoMiB = 2L << 20;
+
+TEST(StateGather, SelectedOnlyPastTheReportedL2) {
+  // The sizes a 2 MB L2 host weighs: smoke DF(2,4,2), DF(4,8,4), paper.
+  EXPECT_FALSE(state_gather_wanted(std::size_t{85} << 10, kTwoMiB));
+  EXPECT_FALSE(state_gather_wanted(std::size_t{1300} << 10, kTwoMiB));
+  EXPECT_TRUE(state_gather_wanted(std::size_t{22} << 20, kTwoMiB));
+  // No L2 reported: off, whatever the size.
+  EXPECT_FALSE(state_gather_wanted(std::size_t{22} << 20, 0));
+  EXPECT_FALSE(state_gather_wanted(std::size_t{22} << 20, -1));
+
+  // The networks themselves weigh what the literals above say.
+  SimConfig smoke;
+  EXPECT_FALSE(state_gather_wanted(Network(smoke).state_gather_bytes(),
+                                   kTwoMiB));
+  SimConfig mid;
+  mid.dragonfly = {4, 8, 4};
+  EXPECT_FALSE(state_gather_wanted(Network(mid).state_gather_bytes(),
+                                   kTwoMiB));
+}
+
+// A paper-scale network (DF(8,16,8), where the gather is selected on a
+// 2 MB L2 host) moves exactly the same packets with the gather forced on
+// and forced off. PAR routing, so escape grants are exercised too.
+TEST(StateGather, PaperScaleForcedOnAndOffAgree) {
+  SimConfig cfg;
+  cfg.dragonfly = DragonflyParams::paper_scale();
+  cfg.routing = "par";
+  cfg.policy = "flexvc";
+  cfg.vcs = "4/2";
+  cfg.load = 0.6;
+  struct Counts {
+    std::int64_t consumed, grants, re_requests, escape_grants, in_network;
+  };
+  std::vector<Counts> runs;
+  for (const bool on : {true, false}) {
+    Network net(cfg);
+    EXPECT_TRUE(state_gather_wanted(net.state_gather_bytes(), kTwoMiB));
+    net.set_state_gather(on);
+    for (Cycle now = 0; now < 300; ++now) net.step(now);
+    runs.push_back({net.metrics().consumed_packets(), net.total_grants(),
+                    net.re_requests(), net.escape_grants(),
+                    net.packets_in_network()});
+  }
+  EXPECT_GT(runs[0].consumed, 0);
+  EXPECT_GT(runs[0].escape_grants, 0);
+  EXPECT_EQ(runs[0].consumed, runs[1].consumed);
+  EXPECT_EQ(runs[0].grants, runs[1].grants);
+  EXPECT_EQ(runs[0].re_requests, runs[1].re_requests);
+  EXPECT_EQ(runs[0].escape_grants, runs[1].escape_grants);
+  EXPECT_EQ(runs[0].in_network, runs[1].in_network);
 }
 
 // --- Credit-owner regression (Network::deliver).
