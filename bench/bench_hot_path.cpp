@@ -83,8 +83,7 @@ struct CaseResult {
   double wall_seconds = 0.0;
   double cycles_per_sec = 0.0;  ///< telemetry runtime-off (the primary rate)
   /// Same case with telemetry counting runtime-enabled, and the off/on
-  /// throughput ratio (>= 1.0 means counting costs something; ~1.0 in a
-  /// compiled-out build where both passes run without hooks).
+  /// throughput ratio (>= 1.0 means counting costs something).
   double cycles_per_sec_telemetry = 0.0;
   double telemetry_overhead = 1.0;
   std::int64_t consumed = 0;
@@ -130,7 +129,7 @@ double time_case(const Case& c, const SimConfig& base, Cycle cycles,
   cfg.flow_control = c.flow_control;
   cfg.load = c.load;
   Network net(cfg);
-  net.set_telemetry_enabled(telemetry_on);  // pin: ignore the environment
+  net.set_telemetry_enabled(telemetry_on);
   const auto t0 = std::chrono::steady_clock::now();
   for (Cycle now = 0; now < cycles; ++now) net.step(now);
   const double secs =

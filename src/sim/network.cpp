@@ -274,16 +274,10 @@ void Network::build() {
   state_gather_ = state_gather_wanted(state_gather_bytes_, reported_l2_bytes());
 
   // Telemetry: the registry is always shaped (cheap, one-time) so render()
-  // and merge() work even when counting is off; updates happen only when
-  // the build compiles them in AND the run enables them — by environment
-  // variable here, or explicitly via set_telemetry_enabled /
-  // Simulator::set_telemetry.
+  // and merge() work even when counting is off; it counts only once a
+  // caller enables it (set_telemetry_enabled, Simulator::set_telemetry or
+  // SweepRunner::set_telemetry).
   telem_.configure(num_routers, link_vcs);
-  {
-    const char* env = std::getenv("FLEXNET_TELEMETRY");
-    const bool on = env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-    set_telemetry_enabled(on);
-  }
 }
 
 int Network::port_occupancy(RouterId r, PortIndex p, bool min_only) const {
@@ -384,13 +378,7 @@ void Network::trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const {
 }
 
 void Network::step(Cycle now) {
-  FLEXNET_TELEM(if (telem_.enabled()) {
-    telem_.on_step(static_cast<std::int64_t>(data_wheel_.size() +
-                                             credit_wheel_.size()),
-                   static_cast<std::int64_t>(alloc_set_.size()),
-                   send_routers_, pool_.live());
-    phases_.start();
-  });
+  if (telem_.enabled()) observe_step();
   deliver_data(now);
   lap(StepPhase::kDeliverData);
   deliver_credits(now);
@@ -436,7 +424,7 @@ void Network::deliver_data(Cycle now) {
       // when the packet was already granted onward — cut through the
       // router entirely, crediting the upstream sender right away and
       // advancing the outbound stream's availability count.
-      FLEXNET_TELEM(if (telem_.enabled()) telem_.on_delivery(li, fp.phits));
+      if (telem_.enabled()) observe_delivery(li, fp.phits);
       if (fp.seq == 0) {
         in_[static_cast<std::size_t>(gi)].push(fp.vc, fp.ref, fp.phits);
         ++router_buffered_[static_cast<std::size_t>(link.to)];
@@ -452,7 +440,7 @@ void Network::deliver_data(Cycle now) {
                     FlyingCredit{fp.vc, 1, tail.kind, now + link.latency});
         --tail.remaining;
         if (tail.remaining == 0) tail = TransitTail{};
-        FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_transit(li));
+        if (telem_.enabled()) observe_transit(li);
         continue;
       }
       // Body flit joining its buffered head. add_phit pins the no-
@@ -484,7 +472,7 @@ void Network::deliver_credits(Cycle now) {
     while (!link.credits.empty() && link.credits.front().arrive <= now) {
       const FlyingCredit& fc = link.credits.front();
       ledger.on_credit(fc.vc, fc.phits, fc.kind);
-      FLEXNET_TELEM(if (telem_.enabled()) telem_.on_credit(li, fc.phits));
+      if (telem_.enabled()) observe_credit(li, fc.phits);
       link.credits.pop_front();
       drained = true;
     }
@@ -550,7 +538,7 @@ bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
   if (flit_ && flit_src_link_.size() <= static_cast<std::size_t>(ref))
     flit_src_link_.resize(static_cast<std::size_t>(ref) + 1, -1);
   buf.push(best, ref, pkt.size);
-  FLEXNET_TELEM(if (telem_.enabled()) telem_.on_injection(r));
+  if (telem_.enabled()) observe_injection(r);
   ++router_buffered_[static_cast<std::size_t>(r)];
   arm_slot(r, input_at(r, ip), best);
   alloc_set_.add(r);
@@ -892,14 +880,10 @@ void Network::allocate(RouterId r, Cycle now) {
             }
           }
           grant(r, *chosen, now);
-          // Allocator contention: every proposal this output saw is a
-          // request; all but the granted one are conflicts (a proposal never
-          // targets an already-matched output, so requests = grants +
-          // conflicts).
-          FLEXNET_TELEM(if (telem_.enabled()) {
-            telem_.on_requests(r, static_cast<int>(reqs.size()));
-            telem_.on_conflicts(r, static_cast<int>(reqs.size()) - 1);
-          });
+          // Allocator contention: a proposal never targets an already-
+          // matched output, so every one this output saw is a request.
+          if (telem_.enabled())
+            observe_arbitration(r, static_cast<int>(reqs.size()));
           matched_in |= std::uint64_t{1} << chosen->in_port;
           if (iter + 1 < alloc_iters) {
             // A loser re-scanned next iteration finds its committed
@@ -1000,7 +984,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   Packet& pkt = pool_[slot.ref];
   last_grant_ = now;
   ++total_grants_;
-  FLEXNET_TELEM(if (telem_.enabled()) telem_.on_grant(r));
+  if (telem_.enabled()) observe_grant(r);
   if (cmt.is_escape && pkt.valiant != kInvalidRouter &&
       !pkt.valiant_reached) {
     ++escape_grants_;
@@ -1073,13 +1057,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
       flow_control_ == FlowControl::kWormhole ? 1 : pkt.size;
   ledger_[static_cast<std::size_t>(li)].on_send(cmt.out_vc, claim,
                                                 pkt.route_kind);
-  FLEXNET_TELEM(if (telem_.enabled()) {
-    // Occupancy is sampled *after* the send lands in the ledger, so the
-    // sum divided by sends gives mean sender-side occupancy at send time.
-    const CreditLedger& lg = ledger_[static_cast<std::size_t>(li)];
-    telem_.on_send(li, cmt.out_vc, claim, lg.occupied(cmt.out_vc),
-                   lg.occupied_port());
-  });
+  if (telem_.enabled()) observe_send(li, cmt.out_vc, claim);
   // An output with neither queued packets nor a live stream is absent
   // from the serializer wheel: file it under its new head's start. A busy
   // one is already filed no later than that (the new packet queues behind).
@@ -1147,7 +1125,7 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
   }
   // A live stream is due every cycle: a stall retries next cycle.
   if (st.next >= arrived) {
-    FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_stall(li));
+    if (telem_.enabled()) observe_flit_stall(li);
     return now + 1;  // wait for the tail to catch up
   }
   if (flow_control_ == FlowControl::kWormhole && st.next > 0) {
@@ -1155,14 +1133,14 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
     // (or an off backpressure bit) stalls the stream in place.
     CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
     if (!ledger.can_send(st.vc, 1)) {
-      FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_stall(li));
+      if (telem_.enabled()) observe_flit_stall(li);
       return now + 1;
     }
     ledger.on_send(st.vc, 1, st.kind);
   }
   push_data(li,
             FlyingPacket{st.ref, st.vc, now + link_latency + 1, st.next, 1});
-  FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit(li));
+  if (telem_.enabled()) observe_flit(li);
   ++st.next;
   if (st.next == st.total) {
     st = LinkStream{};

@@ -7,8 +7,7 @@ namespace flexnet {
 SimResult Simulator::run() {
   network_ = std::make_unique<Network>(config_);
   Network& net = *network_;
-  if (telemetry_override_ >= 0)
-    net.set_telemetry_enabled(telemetry_override_ != 0);
+  net.set_telemetry_enabled(telemetry_);
   if (state_gather_override_ >= 0)
     net.set_state_gather(state_gather_override_ != 0);
   if (trace_ != nullptr) net.set_trace(trace_, trace_pid_);

@@ -120,11 +120,9 @@ class Simulator {
   /// config.watchdog cycles while packets sit in the network.
   SimResult run();
 
-  /// Overrides the network's telemetry runtime enable for this run
-  /// (default: follow the FLEXNET_TELEMETRY environment variable).
-  /// A no-op when telemetry is compiled out.
+  /// Enables the network's telemetry counting for this run (default off).
   Simulator& set_telemetry(bool on) {
-    telemetry_override_ = on ? 1 : 0;
+    telemetry_ = on;
     return *this;
   }
 
@@ -148,7 +146,7 @@ class Simulator {
 
  private:
   SimConfig config_;
-  int telemetry_override_ = -1;
+  bool telemetry_ = false;
   int state_gather_override_ = -1;
   TraceWriter* trace_ = nullptr;
   int trace_pid_ = 0;

@@ -1,12 +1,13 @@
 // Deterministic counter/gauge registry for the active-set core.
 //
 // One TelemetryCounters instance lives inside each Network and is updated
-// from the hot path behind the FLEXNET_TELEMETRY compile guard (below) plus
-// a runtime enable, so a telemetry-off run pays nothing and a compiled-out
-// build contains no update code at all. Counters are pure observations —
-// they read simulation state, never consume RNG draws or touch buffers —
-// so enabling them cannot perturb results (test_telemetry.cpp asserts
-// SimResult bit-equality on/off).
+// from the hot path by Network's const hook member functions, each behind
+// the runtime enable (off until a caller turns it on), so a telemetry-off
+// run pays one never-taken branch per hook. Counters are pure
+// observations: a hook runs with a const Network, so it reads simulation
+// state and can write nothing but the counters — enabling them cannot
+// perturb results (test_telemetry.cpp asserts SimResult bit-equality
+// on/off).
 //
 // Determinism contract: every counter is an integer updated only by the
 // simulation's own deterministic event order, and merge() is elementwise
@@ -22,27 +23,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-
-// Compile-time guard: CMake -DFLEXNET_TELEMETRY=OFF defines this to 0 and
-// every hot-path update site compiles away; the default (and any build not
-// going through CMake) compiles the hooks in, still gated by the runtime
-// enable (FLEXNET_TELEMETRY environment variable or an explicit setter).
-#ifndef FLEXNET_TELEMETRY
-#define FLEXNET_TELEMETRY 1
-#endif
-
-// Statement wrapper for one-line update sites: expands to nothing when the
-// guard is off, so the hot path carries neither the branch nor the code.
-#if FLEXNET_TELEMETRY
-#define FLEXNET_TELEM(...) \
-  do {                     \
-    __VA_ARGS__;           \
-  } while (0)
-#else
-#define FLEXNET_TELEM(...) \
-  do {                     \
-  } while (0)
-#endif
 
 namespace flexnet {
 

@@ -103,17 +103,10 @@ TEST(AllocatorInvariants, RequestsEqualGrantsPlusConflictsUnderPruning) {
     EXPECT_FALSE(result.deadlock) << context;
     ASSERT_NE(sim.network(), nullptr) << context;
     const TelemetryCounters& telem = sim.network()->telemetry();
-#if FLEXNET_TELEMETRY
     EXPECT_GT(telem.total_requests(), 0) << context;
     EXPECT_EQ(telem.total_requests(),
               telem.total_grants() + telem.total_conflicts())
         << context;
-#else
-    // Compiled-out hooks never count: the identity has nothing to check.
-    EXPECT_EQ(telem.total_requests(), 0) << context;
-    EXPECT_EQ(telem.total_grants(), 0) << context;
-    EXPECT_EQ(telem.total_conflicts(), 0) << context;
-#endif
   }
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -251,17 +252,12 @@ TEST(NetworkTelemetry, AllocatorCountersSatisfyTheStageInvariant) {
   net.set_telemetry_enabled(true);
   for (Cycle now = 0; now < 600; ++now) net.step(now);
   const TelemetryCounters& t = net.telemetry();
-#if FLEXNET_TELEMETRY
   EXPECT_TRUE(t.enabled());
   EXPECT_EQ(t.total_requests(), t.total_grants() + t.total_conflicts());
   EXPECT_EQ(t.total_grants(), net.total_grants());
   EXPECT_GT(t.total_grants(), 0);
   EXPECT_EQ(t.steps(), 600);
   EXPECT_GT(t.live_packets_sum(), 0);
-#else
-  EXPECT_FALSE(t.enabled()) << "compiled-out telemetry can never enable";
-  EXPECT_EQ(t.total_grants(), 0);
-#endif
 }
 
 TEST(NetworkTelemetry, DisabledCountersStayZero) {
@@ -272,6 +268,17 @@ TEST(NetworkTelemetry, DisabledCountersStayZero) {
   EXPECT_EQ(net.telemetry().total_grants(), 0);
   EXPECT_EQ(net.telemetry().steps(), 0);
   EXPECT_GT(net.total_grants(), 0) << "the simulation itself ran";
+}
+
+TEST(NetworkTelemetry, EnvironmentDoesNotEnableCounting) {
+  // Counting is on only when a caller asks for it: no environment
+  // variable reaches Network::build.
+  ASSERT_EQ(setenv("FLEXNET_TELEMETRY", "1", 1), 0);
+  Network net(tiny_config());
+  unsetenv("FLEXNET_TELEMETRY");
+  for (Cycle now = 0; now < 300; ++now) net.step(now);
+  EXPECT_FALSE(net.telemetry().enabled());
+  EXPECT_EQ(net.telemetry().steps(), 0);
 }
 
 TEST(NetworkTelemetry, EnablingTelemetryCannotPerturbResults) {
@@ -312,11 +319,9 @@ TEST(TelemetryDeterminism, AggregateByteIdenticalAcrossWorkerCounts) {
   SweepRunner(1).set_telemetry(&serial).run(grid, kLoads, kSeeds);
   SweepRunner(4).set_telemetry(&parallel).run(grid, kLoads, kSeeds);
   EXPECT_EQ(serial.render(), parallel.render());
-#if FLEXNET_TELEMETRY
   EXPECT_GT(serial.total_grants(), 0);
   EXPECT_EQ(serial.vcs_of_link(0), 4)
       << "the aggregate must carry the union shape (flexvc 4/2)";
-#endif
 }
 
 TEST(TelemetryDeterminism, ShardAggregatesMergeToTheSerialAggregate) {

@@ -12,16 +12,14 @@
 //   L4  registry        a TU defining a component (class deriving from
 //                       Topology/RoutingAlgorithm/TrafficPattern/VcPolicy)
 //                       must hold a FLEXNET_REGISTER_* block
-//   L5  telem-readonly  FLEXNET_TELEM hook bodies must be read-only with
-//                       respect to simulation state: no non-const
-//                       references / address-of, no assignment, increment
-//                       or compound mutation of non-telemetry lvalues
 //
 // Rules are numbered from L3: schema completeness (every SimConfig field
 // in the config key table, every SimResult field in kResultFields) is
 // checked by the compiler through the arity pins beside those tables, and
 // that every registered component is reached by a golden suite is checked
 // by tests/test_core_equivalence.cpp walking the registries themselves.
+// That telemetry hooks are read-only is checked by the compiler too: they
+// are const member functions of Network (src/sim/network.hpp).
 //
 // Diagnostics are file:line so CI output is clickable; `--json FILE`
 // additionally writes a machine-readable report. A finding can be
@@ -65,7 +63,7 @@ namespace {
 struct Diagnostic {
   std::string file;  ///< root-relative path
   int line = 0;      ///< 1-based
-  std::string rule;  ///< "L3".."L5"
+  std::string rule;  ///< "L3" or "L4"
   std::string message;
 };
 
@@ -79,8 +77,6 @@ constexpr RuleInfo kRules[] = {
            "rand/time/random_device/chrono, pointer-keyed map/set; thread "
            "primitives under src/sim/)"},
     {"L4", "component TUs carry FLEXNET_REGISTER_*"},
-    {"L5", "FLEXNET_TELEM hooks are read-only (no non-const refs, no "
-           "mutation of non-telemetry state)"},
 };
 
 // ---------------------------------------------------------------------------
@@ -248,10 +244,6 @@ std::size_t find_word(const std::string& text, const std::string& word,
   return std::string::npos;
 }
 
-bool contains_word(const std::string& text, const std::string& word) {
-  return find_word(text, word) != std::string::npos;
-}
-
 // ---------------------------------------------------------------------------
 // The lint driver.
 
@@ -269,7 +261,6 @@ class Linter {
     load_tree();
     if (enabled("L3")) check_determinism();
     if (enabled("L4")) check_registry();
-    if (enabled("L5")) check_telem_hooks();
     std::sort(diags_.begin(), diags_.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
                 return std::tie(a.file, a.line, a.rule, a.message) <
@@ -477,114 +468,6 @@ class Linter {
                      " has no FLEXNET_REGISTER_* block in " + tu_rel +
                      " — it is unreachable from suites and `flexnet_run "
                      "--list`");
-      }
-    }
-  }
-
-  // --- L5 -----------------------------------------------------------------
-  void check_telem_hooks() {
-    for (const SourceFile& f : files_) {
-      if (f.rel == "src/telemetry/telemetry.hpp") continue;  // the macro def
-      std::size_t pos = 0;
-      while ((pos = f.scrubbed.find("FLEXNET_TELEM", pos)) !=
-             std::string::npos) {
-        const std::size_t after = pos + std::strlen("FLEXNET_TELEM");
-        std::size_t open = after;
-        while (open < f.scrubbed.size() &&
-               std::isspace(static_cast<unsigned char>(f.scrubbed[open])) !=
-                   0) {
-          ++open;
-        }
-        if (open >= f.scrubbed.size() || f.scrubbed[open] != '(') {
-          pos = after;
-          continue;
-        }
-        int depth = 0;
-        std::size_t end = open;
-        for (std::size_t i = open; i < f.scrubbed.size(); ++i) {
-          if (f.scrubbed[i] == '(') ++depth;
-          if (f.scrubbed[i] == ')' && --depth == 0) {
-            end = i;
-            break;
-          }
-        }
-        check_hook_body(f, open + 1, end);
-        pos = end;
-      }
-    }
-  }
-
-  /// Statement head: bytes from the previous `;`, `{` or `}` (within the
-  /// hook body) up to `at` — enough context to see `const` qualifiers and
-  /// the assignment target.
-  static std::string stmt_head(const std::string& text, std::size_t begin,
-                               std::size_t at) {
-    std::size_t s = at;
-    while (s > begin && text[s - 1] != ';' && text[s - 1] != '{' &&
-           text[s - 1] != '}') {
-      --s;
-    }
-    return text.substr(s, at - s);
-  }
-
-  void check_hook_body(const SourceFile& f, std::size_t begin,
-                       std::size_t end) {
-    const std::string& t = f.scrubbed;
-    for (std::size_t i = begin; i < end; ++i) {
-      const char c = t[i];
-      if (c == '&') {
-        if (i + 1 < end && t[i + 1] == '&') {
-          ++i;  // logical && is fine
-          continue;
-        }
-        if (i > begin && t[i - 1] == '&') continue;
-        const std::string head = stmt_head(t, begin, i);
-        if (!contains_word(head, "const"))
-          report(f, line_of(f, i), "L5",
-                 "FLEXNET_TELEM hook takes a non-const reference or "
-                 "address — telemetry must observe simulation state, "
-                 "never expose it for mutation");
-      } else if (c == '=') {
-        const char prev = i > begin ? t[i - 1] : '\0';
-        const char next = i + 1 < end ? t[i + 1] : '\0';
-        if (next == '=' || prev == '=' || prev == '!' || prev == '<' ||
-            prev == '>') {
-          if (next == '=') ++i;
-          continue;  // comparison
-        }
-        const bool compound = prev == '+' || prev == '-' || prev == '*' ||
-                              prev == '/' || prev == '%' || prev == '|' ||
-                              prev == '^' || prev == '&';
-        const std::string head = stmt_head(t, begin, i);
-        const bool telem_target = head.find("telem") != std::string::npos;
-        const bool const_init = !compound && contains_word(head, "const");
-        if (!telem_target && !const_init)
-          report(f, line_of(f, i), "L5",
-                 "FLEXNET_TELEM hook assigns to non-telemetry state — "
-                 "hooks must be read-only so telemetry on/off cannot "
-                 "change results");
-      } else if ((c == '+' && i + 1 < end && t[i + 1] == '+') ||
-                 (c == '-' && i + 1 < end && t[i + 1] == '-')) {
-        // Identifier path adjacent to ++/--: before (x++) or after (++x).
-        std::size_t b = i;
-        while (b > begin &&
-               (ident_char(t[b - 1]) || t[b - 1] == '.' || t[b - 1] == '_' ||
-                t[b - 1] == ']' || t[b - 1] == '[' || t[b - 1] == '>' ||
-                t[b - 1] == '-')) {
-          --b;
-        }
-        std::size_t e = i + 2;
-        while (e < end && (ident_char(t[e]) || t[e] == '.' || t[e] == '[' ||
-                           t[e] == ']' || t[e] == '-' || t[e] == '>')) {
-          ++e;
-        }
-        const std::string target = t.substr(b, e - b);
-        if (target.find("telem") == std::string::npos)
-          report(f, line_of(f, i), "L5",
-                 "FLEXNET_TELEM hook increments/decrements non-telemetry "
-                 "state — hooks must be read-only so telemetry on/off "
-                 "cannot change results");
-        ++i;
       }
     }
   }

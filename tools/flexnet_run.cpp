@@ -207,12 +207,6 @@ int main(int argc, char** argv) {
     log_warn("--trace-packets has no effect without --trace-out");
     trace_packets = false;
   }
-#if !FLEXNET_TELEMETRY
-  if (!counters_path.empty())
-    log_warn("--counters: telemetry hooks are compiled out "
-             "(built with -DFLEXNET_TELEMETRY=OFF); every counter will "
-             "read zero");
-#endif
 
   try {
     // The same SimConfig{} + suite + CLI-override grid flexnet_merge
