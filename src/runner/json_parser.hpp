@@ -1,9 +1,9 @@
 // Minimal JSON parser + serializer, the read-side counterpart of
 // JsonReport: enough JSON to load the reports the tools emit (and any
 // document made of objects/arrays/strings/numbers/bools/null) without an
-// external dependency. Used by tools/bench_trajectory to fold sweep
-// reports into the BENCH_sweeps.json perf trajectory, and by the tests to
-// round-trip JsonReport::to_json().
+// external dependency. Used to read suite files (scenario/suite.cpp) and
+// perfbench's traces, to write flexnet_lint's report, and by the tests to
+// round-trip JsonReport::to_json() and read the tools' outputs.
 #pragma once
 
 #include <cstdint>

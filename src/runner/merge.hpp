@@ -32,7 +32,7 @@ struct MergeOutputs {
   std::string json_path;
 
   /// Publish the report atomically: write to `json_path + ".tmp"`, then
-  /// rename over json_path — a watcher (dashboard, bench_trajectory) never
+  /// rename over json_path — a watcher (a dashboard polling it) never
   /// observes a half-written document. Watch-mode ticks require this.
   bool atomic_json = false;
 

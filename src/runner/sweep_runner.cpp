@@ -11,7 +11,9 @@
 
 #include "runner/checkpoint.hpp"
 #include "runner/thread_pool.hpp"
+#include "sim/network.hpp"
 #include "telemetry/heartbeat.hpp"
+#include "telemetry/phase_timers.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -80,6 +82,23 @@ void fold_seed(SeedRule rule, T& acc, T v, bool survivor, int survivors) {
         break;
     }
   }
+}
+
+/// The args of a job's trace span: the seconds each Network::step phase
+/// took, the job's grants, and whether allocation ran the state gather.
+std::string job_span_args(const Network& net) {
+  std::string out = "{";
+  char buf[96];
+  for (int p = 0; p < PhaseTimers::kPhases; ++p) {
+    const auto phase = static_cast<StepPhase>(p);
+    std::snprintf(buf, sizeof(buf), "\"%s\":%.9g,", PhaseTimers::name(phase),
+                  net.phase_times().seconds(phase));
+    out += buf;
+  }
+  std::snprintf(buf, sizeof(buf), "\"grants\":%lld,\"state_gather\":%s}",
+                static_cast<long long>(net.total_grants()),
+                net.state_gather() ? "true" : "false");
+  return out + buf;
 }
 
 }  // namespace
@@ -182,19 +201,23 @@ std::vector<SweepResult> SweepRunner::run(
   const auto run_job = [&](std::size_t s, std::size_t l, std::size_t p,
                            int k) {
     Simulator sim(job_config(series[s].config, loads[l], k));
-    if (telemetry_ != nullptr) sim.set_telemetry(true);
+    // A traced job's span carries its step phases, which the network
+    // times only while counting; counting never changes a result.
+    if (telemetry_ != nullptr || trace_ != nullptr) sim.set_telemetry(true);
     const int job_pid = 1 + static_cast<int>(p) * n_seeds + k;
     if (trace_ != nullptr && trace_packets_) sim.set_trace(trace_, job_pid);
     SimResult r;
-    {
-      TraceWriter::Span span;
-      if (trace_ != nullptr) {
-        char name[96];
-        std::snprintf(name, sizeof(name), "%s load=%g seed=%d",
-                      series[s].label.c_str(), loads[l], k);
-        span = trace_->span("job", name, ThreadPool::current_worker());
-        if (trace_packets_) trace_->process_name(job_pid, name);
-      }
+    if (trace_ != nullptr) {
+      char name[96];
+      std::snprintf(name, sizeof(name), "%s load=%g seed=%d",
+                    series[s].label.c_str(), loads[l], k);
+      if (trace_packets_) trace_->process_name(job_pid, name);
+      const double start_us = trace_->now_us();
+      r = sim.run();
+      trace_->complete("job", name, /*pid=*/0, ThreadPool::current_worker(),
+                       start_us, trace_->now_us() - start_us,
+                       job_span_args(*sim.network()));
+    } else {
       r = sim.run();
     }
     if (telemetry_ != nullptr) {

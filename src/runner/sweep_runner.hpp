@@ -69,9 +69,13 @@ class SweepRunner {
 
   /// Emits Chrome-trace spans (telemetry/trace.hpp) for subsequent run()
   /// calls: one span per simulation job on its worker's track, plus the
-  /// checkpoint journal's I/O spans. With `packet_spans`, every job also
-  /// records per-packet lifetime spans under its own trace process (pid =
-  /// 1 + global job index; ts in simulation cycles). nullptr disables.
+  /// checkpoint journal's I/O spans. A job span's args carry the seconds
+  /// each Network::step phase took (telemetry/phase_timers.hpp, keyed by
+  /// phase name), the job's `grants` and its `state_gather` path; tracing
+  /// therefore enables counting for the jobs, which changes no result.
+  /// With `packet_spans`, every job also records per-packet lifetime spans
+  /// under its own trace process (pid = 1 + global job index; ts in
+  /// simulation cycles). nullptr disables.
   SweepRunner& set_trace(TraceWriter* trace, bool packet_spans = false);
 
   /// Appends heartbeat progress records to `path` during run() (see

@@ -168,7 +168,7 @@ class Network final : public CongestionOracle {
   std::int64_t lowest_picks() const { return lowest_picks_; }
   /// Arbitration attempts by packets that already held a commitment — the
   /// repeat work re-request pruning removes; re_requests / total_grants is
-  /// the waste ratio bench_hot_path reports.
+  /// the waste ratio perfbench reports as sim.re_requests_per_grant.
   std::int64_t re_requests() const { return re_requests_; }
 
   /// Moves a packet from a node into its router's injection buffer; false

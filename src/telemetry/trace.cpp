@@ -48,7 +48,7 @@ TraceWriter::TraceWriter(std::string path) : path_(std::move(path)) {
              "; the run continues without span output");
     return;
   }
-  std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", file_);
+  put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
 }
 
 TraceWriter::~TraceWriter() { close(); }
@@ -83,20 +83,24 @@ void TraceWriter::process_name(int pid, const std::string& name) {
   write_event_locked(ev.str());
 }
 
+void TraceWriter::put(const char* text) {
+  if (std::fputs(text, file_) == EOF) failed_ = true;
+}
+
 void TraceWriter::write_event_locked(const std::string& rendered) {
   if (file_ == nullptr) return;
-  if (!first_) std::fputs(",", file_);
-  std::fputs("\n", file_);
-  std::fputs(rendered.c_str(), file_);
+  put(first_ ? "\n" : ",\n");
+  put(rendered.c_str());
   first_ = false;
 }
 
-void TraceWriter::close() {
+bool TraceWriter::close() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return;
-  std::fputs("\n]}\n", file_);
-  std::fclose(file_);
+  if (file_ == nullptr) return !failed_;
+  put("\n]}\n");
+  if (std::fclose(file_) != 0) failed_ = true;
   file_ = nullptr;
+  return !failed_;
 }
 
 }  // namespace flexnet

@@ -89,16 +89,21 @@ class TraceWriter {
     return Span(ok() ? this : nullptr, cat, std::move(name), tid);
   }
 
-  /// Writes the epilogue and closes; further events are dropped.
-  void close();
+  /// Writes the epilogue and closes; further events are dropped. False
+  /// when any write since the file opened, or the close itself, failed
+  /// (disk full, yanked mount): the trace on disk is then incomplete.
+  bool close();
 
  private:
   void write_event_locked(const std::string& rendered);
+  /// Writes `text`, remembering a failed write for close().
+  void put(const char* text);
 
   std::string path_;
   std::FILE* file_ = nullptr;
   std::mutex mu_;
   bool first_ = true;
+  bool failed_ = false;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -146,6 +146,19 @@ TEST(Arena, ChunkRuleFollowsNetworkSize) {
   EXPECT_GT(net.arena().advised_chunks(), 0u);
 }
 
+TEST(Arena, EveryFlowControlAndBufferOrgDrawsFromTheArena) {
+  for (const char* flow_control : {"packet", "wormhole", "vct"}) {
+    for (const char* buffer_org : {"static", "damq"}) {
+      SimConfig cfg;
+      cfg.flow_control = flow_control;
+      cfg.buffer_org = buffer_org;
+      const Network net(cfg);
+      EXPECT_GT(net.arena().os_bytes(), 0u)
+          << flow_control << " / " << buffer_org;
+    }
+  }
+}
+
 TEST(Arena, EventLaneGrowthKeepsFifoOrderOnEitherResource) {
   Arena arena;
   for (std::pmr::memory_resource* mr :

@@ -4,17 +4,16 @@
 // policy keys off), flexnet_merge's --out safety and --watch mode
 // (honest partial reports, monotonically shrinking missing_jobs, final
 // tick byte-identical to a one-shot merge), flexnet_orchestrate's
-// --emit-commands and fault-injected supervision, bench_trajectory's
-// skip of empty/half-written/partial reports — the regression a crashed
-// shard (or a mid-sweep --watch report) used to cause in the fold — and
-// flexnet_lint's default-root and usage contract (the rule corpus itself
-// is drilled in tests/test_lint.cpp).
+// --emit-commands and fault-injected supervision, the job spans of
+// flexnet_run --trace-out, and flexnet_lint's default-root and usage
+// contract (the rule corpus itself is drilled in tests/test_lint.cpp).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -202,6 +201,72 @@ TEST(FlexnetRunCli, OutputIoFailuresExit4) {
   EXPECT_EQ(r.exit_code, 4) << r.output;
 }
 
+TEST(FlexnetRunCli, TraceAndCountersWriteFailuresExit4) {
+  // /dev/full opens fine and fails every write: the failure only shows on
+  // a flush or the close, which must still exit 4 like any other output.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string run = bin("flexnet_run") + " " +
+                          shipped_suite("smoke_tiny.json") +
+                          " warmup=50 measure=50 ";
+  CmdResult r = run_cmd(run + "--trace-out /dev/full");
+  EXPECT_EQ(r.exit_code, 4) << r.output;
+  EXPECT_EQ(r.output.find("trace written"), std::string::npos) << r.output;
+  r = run_cmd(run + "--counters /dev/full");
+  EXPECT_EQ(r.exit_code, 4) << r.output;
+}
+
+// Every job span of --trace-out carries the seconds of each Network::step
+// phase, the job's grants and its state-gather path, and tracing (which
+// turns counting on) leaves the report unchanged.
+TEST(FlexnetRunCli, TracedJobSpansCarryStepPhases) {
+  const std::string traced_json = temp_path("cli_traced.json");
+  const std::string plain_json = temp_path("cli_untraced.json");
+  const std::string trace = temp_path("cli_phases_trace.json");
+  const std::string run = bin("flexnet_run") + " " +
+                          shipped_suite("smoke_tiny.json") +
+                          " --jobs 2 warmup=200 measure=400 --json ";
+  CmdResult r = run_cmd(run + traced_json + " --trace-out " + trace);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  r = run_cmd(run + plain_json);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::regex wall("\"wall_seconds\": [^,\n]*");
+  EXPECT_EQ(std::regex_replace(read_file(traced_json), wall, ""),
+            std::regex_replace(read_file(plain_json), wall, ""))
+      << "tracing must not change the report";
+
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(read_file(trace), &doc, &error)) << error;
+  const JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  int jobs = 0;
+  for (const JsonValue& ev : events->array) {
+    if (ev.find("cat") == nullptr || ev.find("cat")->string_or("") != "job")
+      continue;
+    ++jobs;
+    const JsonValue* args = ev.find("args");
+    ASSERT_NE(args, nullptr) << json_serialize(ev);
+    double phases_s = 0.0;
+    for (const char* phase :
+         {"deliver_data", "deliver_credits", "nodes", "allocate", "send"}) {
+      const JsonValue* v = args->find(phase);
+      ASSERT_NE(v, nullptr) << phase << " in " << json_serialize(ev);
+      EXPECT_GE(v->number, 0.0) << phase;
+      phases_s += v->number;
+    }
+    ASSERT_NE(args->find("grants"), nullptr) << json_serialize(ev);
+    EXPECT_GT(args->find("grants")->number, 0.0);
+    ASSERT_NE(args->find("state_gather"), nullptr) << json_serialize(ev);
+    EXPECT_EQ(args->find("state_gather")->type, JsonValue::Type::Bool);
+    // dur is rendered in microseconds at %.3f.
+    EXPECT_LE(phases_s * 1e6, ev.find("dur")->number + 0.001)
+        << json_serialize(ev);
+  }
+  EXPECT_EQ(jobs, 12) << "one span per (series, load) job of smoke_tiny";
+  for (const std::string& path : {traced_json, plain_json, trace})
+    std::remove(path.c_str());
+}
+
 TEST(FlexnetRunCli, DeadlockOnlyGridExits3WithOutputsWritten) {
   // The paper's deadlock lab as a suite: a DAMQ with no private
   // reservation at saturation deadlocks every seed. Exit 3 says so
@@ -332,15 +397,6 @@ TEST_F(MergeWatchCli, HonestPartialTicksThenFinalByteIdenticalToOneShot) {
       << "the partial report must say what it is missing";
   EXPECT_EQ(missing_jobs->number_or(0.0), 4.0);
 
-  // A mid-sweep watch report must be skipped by the trajectory fold, not
-  // silently folded with its zeroed slots.
-  const std::string traj = temp_path("cli_watch_traj.json");
-  std::remove(traj.c_str());
-  r = run_cmd(bin("bench_trajectory") + " --out " + traj + " " + live);
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("skipping report " + live), std::string::npos)
-      << r.output;
-
   // Shard 3 "arrives" (the staged stand-in for its process finishing);
   // coverage can only grow, so missing_jobs shrinks 4 -> 0 and the watch
   // completes. The final published report must equal the one-shot merge
@@ -359,7 +415,6 @@ TEST_F(MergeWatchCli, HonestPartialTicksThenFinalByteIdenticalToOneShot) {
 
   std::remove(once.c_str());
   std::remove(live.c_str());
-  std::remove(traj.c_str());
 }
 
 TEST(FlexnetMergeCli, NumericFlagsAreParsedStrictly) {
@@ -497,152 +552,6 @@ TEST(FlexnetOrchestrateCli, FaultInjectedSweepRecoversAndMerges) {
     std::remove((prefix + "-" + std::to_string(i) + ".journal.log").c_str());
   }
   std::remove(json.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// bench_trajectory: one bad report (crashed shard) must not wedge the fold.
-
-constexpr char kGoodReport[] = R"json({
-  "meta": {"figure": "cli-test", "jobs": 1, "seeds": 1},
-  "sweeps": [
-    {"title": "t", "wall_seconds": 1.5, "series": [
-      {"label": "s", "max_accepted": 0.5, "rows": [
-        {"load": 1.0, "accepted": 0.5, "deadlock": false}]}]}
-  ]
-})json";
-
-TEST(BenchTrajectoryCli, SkipsEmptyAndPartialReportsInsteadOfAborting) {
-  const std::string out = temp_path("cli_traj.json");
-  const std::string good = temp_path("cli_good.json");
-  const std::string empty = temp_path("cli_empty.json");
-  const std::string partial = temp_path("cli_partial.json");
-  const std::string foreign = temp_path("cli_foreign.json");
-  const std::string missing = temp_path("cli_missing.json");
-  std::remove(out.c_str());
-  std::remove(missing.c_str());
-  write_file(good, kGoodReport);
-  write_file(empty, "");
-  write_file(partial, "{\"meta\": {\"figure\": \"cut mid-wri");
-  write_file(foreign, "[1, 2, 3]\n");
-
-  const CmdResult r = run_cmd(bin("bench_trajectory") + " --out " + out +
-                              " " + good + " " + empty + " " + partial +
-                              " " + foreign + " " + missing);
-  EXPECT_EQ(r.exit_code, 0)
-      << "bad inputs must be skipped, not abort the fold\n" << r.output;
-  for (const std::string& skipped : {empty, partial, foreign, missing})
-    EXPECT_NE(r.output.find("skipping report " + skipped), std::string::npos)
-        << r.output;
-
-  // The good report still landed in the trajectory.
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(json_parse(read_file(out), &doc, &error)) << error;
-  const JsonValue* entries = doc.find("entries");
-  ASSERT_NE(entries, nullptr);
-  ASSERT_EQ(entries->array.size(), 1u);
-  EXPECT_EQ(entries->array[0].find("source")->string_or(""), good);
-
-  for (const std::string& path : {out, good, empty, partial, foreign})
-    std::remove(path.c_str());
-}
-
-TEST(BenchTrajectoryCli, PartialReportsAreSkippedNotSilentlyFolded) {
-  // A single shard's report (meta.shard) and an incomplete merge
-  // (meta.missing_jobs) carry zeroed slots for the jobs they lack;
-  // folding them would silently poison the saturation trajectory.
-  const std::string out = temp_path("cli_traj_partial.json");
-  const std::string good = temp_path("cli_whole.json");
-  const std::string shard = temp_path("cli_shard.json");
-  const std::string unmerged = temp_path("cli_unmerged.json");
-  std::remove(out.c_str());
-  write_file(good, kGoodReport);
-  std::string shard_report = kGoodReport;
-  shard_report.replace(shard_report.find("\"jobs\": 1"), 9,
-                       "\"jobs\": 1, \"shard\": \"2/3\"");
-  write_file(shard, shard_report);
-  std::string unmerged_report = kGoodReport;
-  unmerged_report.replace(unmerged_report.find("\"jobs\": 1"), 9,
-                          "\"jobs\": 1, \"missing_jobs\": 4");
-  write_file(unmerged, unmerged_report);
-
-  const CmdResult r = run_cmd(bin("bench_trajectory") + " --out " + out +
-                              " " + good + " " + shard + " " + unmerged);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("skipping report " + shard), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("shard 2/3"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("skipping report " + unmerged), std::string::npos)
-      << r.output;
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(json_parse(read_file(out), &doc, &error)) << error;
-  ASSERT_EQ(doc.find("entries")->array.size(), 1u);
-  EXPECT_EQ(doc.find("entries")->array[0].find("source")->string_or(""),
-            good);
-  for (const std::string& path : {out, good, shard, unmerged})
-    std::remove(path.c_str());
-}
-
-TEST(BenchTrajectoryCli, MicrobenchReportsFoldAlongsideSweeps) {
-  // bench_hot_path emits a "microbench" case array instead of "sweeps";
-  // the fold must carry its cycles/sec (and the geomean) into the
-  // trajectory next to ordinary sweep entries.
-  const std::string out = temp_path("cli_traj_micro.json");
-  const std::string sweep = temp_path("cli_sweep.json");
-  const std::string micro = temp_path("cli_micro.json");
-  std::remove(out.c_str());
-  write_file(sweep, kGoodReport);
-  write_file(micro, R"json({
-    "meta": {"kind": "hot_path_microbench", "config": "cfg"},
-    "microbench": [
-      {"name": "case a", "cycles": 30000, "wall_seconds": 0.5,
-       "cycles_per_sec": 60000, "consumed_packets": 123, "grants": 456}
-    ],
-    "geomean_cycles_per_sec": 60000
-  })json");
-
-  const CmdResult r = run_cmd(bin("bench_trajectory") + " --out " + out +
-                              " " + sweep + " " + micro);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(json_parse(read_file(out), &doc, &error)) << error;
-  const JsonValue* entries = doc.find("entries");
-  ASSERT_NE(entries, nullptr);
-  ASSERT_EQ(entries->array.size(), 2u);
-  const JsonValue& entry = entries->array[1];
-  EXPECT_EQ(entry.find("kind")->string_or(""), "hot_path_microbench");
-  EXPECT_EQ(entry.find("geomean_cycles_per_sec")->number_or(0.0), 60000.0);
-  EXPECT_EQ(entry.find("sim_jobs")->number_or(0.0), 1.0);
-  const JsonValue* cases = entry.find("microbench");
-  ASSERT_NE(cases, nullptr);
-  ASSERT_EQ(cases->array.size(), 1u);
-  EXPECT_EQ(cases->array[0].find("cycles_per_sec")->number_or(0.0), 60000.0);
-  // Both halves of the cross-core checksum must survive the fold.
-  EXPECT_EQ(cases->array[0].find("consumed_packets")->number_or(0.0), 123.0);
-  EXPECT_EQ(cases->array[0].find("grants")->number_or(0.0), 456.0);
-  for (const std::string& path : {out, sweep, micro})
-    std::remove(path.c_str());
-}
-
-TEST(BenchTrajectoryCli, AllInputsSkippedIsAnErrorAndOutIsLeftUntouched) {
-  // Skipping one bad report among good ones is tolerance; producing no
-  // fold at all is a failure — and the existing trajectory must survive.
-  const std::string out = temp_path("cli_traj_allbad.json");
-  const std::string empty = temp_path("cli_only_empty.json");
-  const std::string precious = "{\"version\": 1, \"entries\": []}\n";
-  write_file(out, precious);
-  write_file(empty, "");
-  const CmdResult r =
-      run_cmd(bin("bench_trajectory") + " --out " + out + " " + empty);
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("all 1 input report(s) were skipped"),
-            std::string::npos)
-      << r.output;
-  EXPECT_EQ(read_file(out), precious) << "--out must be left unchanged";
-  std::remove(out.c_str());
-  std::remove(empty.c_str());
 }
 
 // ---------------------------------------------------------------------------

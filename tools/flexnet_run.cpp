@@ -34,8 +34,9 @@
 // Observability (README "Observability"): --counters aggregates the
 // deterministic telemetry counters over every job and writes the snapshot
 // to PATH ("-" for stdout); --trace-out writes a Chrome-trace/Perfetto
-// JSON of the run (suite + job + checkpoint-I/O spans; --trace-packets
-// adds per-packet lifetime spans); --progress renders the heartbeat
+// JSON of the run (suite + job + checkpoint-I/O spans, each job span
+// carrying its step phase seconds; --trace-packets adds per-packet
+// lifetime spans); --progress renders the heartbeat
 // sidecar a checkpointed run appends to (<checkpoint>.hb) and exits.
 #include <chrono>
 #include <cstdio>
@@ -266,7 +267,7 @@ int main(int argc, char** argv) {
       }
       sweeps = runner.run(grid, spec.loads, seeds, progress);
     }
-    trace.close();
+    const bool trace_written = trace.close();
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -282,11 +283,10 @@ int main(int argc, char** argv) {
         std::fwrite(snapshot.data(), 1, snapshot.size(), stdout);
       } else {
         std::FILE* f = std::fopen(counters_path.c_str(), "wb");
-        const bool ok =
-            f != nullptr &&
-            std::fwrite(snapshot.data(), 1, snapshot.size(), f) ==
-                snapshot.size();
-        if (f != nullptr) std::fclose(f);
+        bool ok = f != nullptr &&
+                  std::fwrite(snapshot.data(), 1, snapshot.size(), f) ==
+                      snapshot.size();
+        if (f != nullptr && std::fclose(f) != 0) ok = false;
         if (!ok) {
           log_error("could not write telemetry counters to " + counters_path);
           return exit_code::kIo;
@@ -295,9 +295,14 @@ int main(int argc, char** argv) {
                      counters_path.c_str());
       }
     }
-    if (!trace_path.empty())
+    if (!trace_path.empty()) {
+      if (!trace_written) {
+        log_error("could not write trace to " + trace_path);
+        return exit_code::kIo;
+      }
       std::fprintf(stderr, "trace written to %s (open in ui.perfetto.dev)\n",
                    trace_path.c_str());
+    }
 
     if (!json_path.empty()) {
       JsonReport report;
