@@ -440,12 +440,15 @@ void CheckpointJournal::write_line(const std::string& body) {
       body + " " +
       hex_u64(fnv1a64(body.data(), body.size(), 14695981039346656037ull)) +
       "\n";
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    failed_ = true;
-    log_warn("checkpoint: write to " + path_ + " failed (" +
-             std::strerror(errno) +
-             "); further progress will not be journaled");
-  }
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size())
+    fail_locked("write to");
+}
+
+void CheckpointJournal::fail_locked(const char* op) {
+  if (failed_) return;  // warn once
+  failed_ = true;
+  log_warn("checkpoint: " + std::string(op) + " " + path_ + " failed (" +
+           std::strerror(errno) + "); further progress will not be journaled");
 }
 
 void CheckpointJournal::append(std::size_t point, int seed,
@@ -458,14 +461,19 @@ void CheckpointJournal::append(std::size_t point, int seed,
     append_field(&body, r.*field.member);
   });
   write_line(body);
-  if (++unsynced_ >= kFsyncBatch) flush_locked();
+  // Each record goes to the kernel at once, so the file grows once per
+  // finished job (the orchestrator's liveness signal); fsync stays batched.
+  if (++unsynced_ >= kFsyncBatch)
+    flush_locked();
+  else if (std::fflush(file_) != 0)
+    fail_locked("flush of");
 }
 
 void CheckpointJournal::flush_locked() {
   if (file_ == nullptr) return;
   const TraceWriter::Span span = journal_span(trace_, "journal.fsync");
-  std::fflush(file_);
-  ::fsync(::fileno(file_));
+  if (std::fflush(file_) != 0) fail_locked("flush of");
+  if (::fsync(::fileno(file_)) != 0) fail_locked("fsync of");
   unsynced_ = 0;
 }
 
@@ -479,7 +487,7 @@ void CheckpointJournal::close() {
   if (file_ == nullptr) return;
   const TraceWriter::Span span = journal_span(trace_, "journal.close");
   flush_locked();
-  std::fclose(file_);
+  if (std::fclose(file_) != 0) fail_locked("close of");
   file_ = nullptr;
 }
 

@@ -20,7 +20,8 @@
 // (CheckpointError), never silent reuse of stale results. A torn trailing
 // record (crash mid-write) is detected by its missing newline or failed
 // checksum, truncated away, and re-run; corruption anywhere else is an
-// error. Appends are thread-safe and fsync'd in batches of kFsyncBatch.
+// error. Appends are thread-safe, flushed to the kernel one record at a
+// time and fsync'd in batches of kFsyncBatch.
 #pragma once
 
 #include <cstdint>
@@ -142,10 +143,12 @@ class CheckpointJournal {
   std::vector<CheckpointRecord> open(std::uint64_t fingerprint,
                                      std::size_t points, int seeds);
 
-  /// Appends one job result. Thread-safe; never throws (SweepRunner jobs
-  /// run on pool workers that must not throw) — an I/O failure is reported
-  /// to stderr once and further appends become no-ops, degrading the run
-  /// to "restart from the last good checkpoint".
+  /// Appends one job result and flushes it to the kernel, so the file
+  /// grows once per finished job. Thread-safe; never throws (SweepRunner
+  /// jobs run on pool workers that must not throw) — an I/O failure (a
+  /// write, flush, fsync or close that fails) is reported to stderr once,
+  /// sets failed() and makes further appends no-ops, degrading the run to
+  /// "restart from the last good checkpoint".
   void append(std::size_t point, int seed, const SimResult& result);
 
   /// Flushes buffered records to the OS and fsyncs.
@@ -164,6 +167,7 @@ class CheckpointJournal {
  private:
   void write_line(const std::string& body);  // appends " <crc>\n"
   void flush_locked();                       // requires mu_ held
+  void fail_locked(const char* op);          // sets failed_, warns once
 
   std::string path_;
   std::FILE* file_ = nullptr;

@@ -1,16 +1,17 @@
 #include "runner/orchestrator.hpp"
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "runner/exit_codes.hpp"
-#include "telemetry/heartbeat.hpp"
 
 namespace flexnet {
 
@@ -26,15 +27,12 @@ std::vector<ShardCommand> plan_shard_commands(const OrchestrateSpec& spec) {
     cmd.shard_count = spec.shards;
     cmd.journal = spec.journal_prefix + "-" + std::to_string(i + 1) +
                   ".journal";
-    cmd.heartbeat = cmd.journal + ".hb";
     cmd.argv = {spec.run_binary,
                 spec.suite_path,
                 "--shard",
                 std::to_string(i + 1) + "/" + std::to_string(spec.shards),
                 "--checkpoint",
                 cmd.journal,
-                "--heartbeat",
-                cmd.heartbeat,
                 "--jobs",
                 std::to_string(spec.jobs_per_shard)};
     cmd.argv.insert(cmd.argv.end(), spec.overrides.begin(),
@@ -129,9 +127,34 @@ void ForkExecLauncher::kill(long handle) {
 }
 
 // ---------------------------------------------------------------------------
+// JournalWatch.
+
+void JournalWatch::restart(double now) {
+  last_size_ = -1;
+  last_advance_ = now;
+}
+
+void JournalWatch::poll(double now) {
+  struct stat st {};
+  const long long size = ::stat(path_.c_str(), &st) == 0
+                             ? static_cast<long long>(st.st_size)
+                             : -1;
+  if (size != last_size_) last_advance_ = now;
+  last_size_ = size;
+}
+
+// ---------------------------------------------------------------------------
 // Orchestrator.
 
 namespace {
+
+/// Seconds on the steady clock: the time base of backoff deadlines and of
+/// every JournalWatch.
+double monotonic_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Renders a decoded exit for humans: "exit 2", "signal 9 (SIGKILL)".
 std::string describe_exit(int code) {
@@ -145,7 +168,7 @@ struct Slot {
   enum class State { kRunning, kBackoff, kDone, kFailed };
 
   explicit Slot(const ShardCommand& cmd)
-      : command(&cmd), monitor(cmd.heartbeat) {}
+      : command(&cmd), watch(cmd.journal) {}
 
   const ShardCommand* command;
   State state = State::kBackoff;  // "due to launch now" before first start
@@ -153,7 +176,7 @@ struct Slot {
   double backoff_s = 0.0;
   double restart_at = 0.0;  // monotonic_seconds deadline while kBackoff
   bool stale_killed = false;
-  HeartbeatMonitor monitor;
+  JournalWatch watch;
   ShardOutcome out;
 };
 
@@ -185,15 +208,15 @@ OrchestratorReport Orchestrator::run() {
       std::fprintf(stderr, "orchestrate: %s\n", line.c_str());
   };
 
-  const auto start = [&](Slot& slot) {
+  const auto start = [&](Slot& slot, double now) {
     ++slot.out.attempts;
     slot.stale_killed = false;
-    slot.monitor.reset();
+    slot.watch.restart(now);
     slot.handle = launcher_->launch(*slot.command, slot.out.attempts);
     if (slot.handle <= 0) {
       // Could not even start: consume the attempt as a transient failure.
       slot.state = Slot::State::kBackoff;
-      slot.restart_at = monotonic_seconds() + slot.backoff_s;
+      slot.restart_at = now + slot.backoff_s;
       slot.backoff_s *= opt_.backoff_multiplier;
       note("shard " + shard_tag(slot) + ": launch failed (attempt " +
            std::to_string(slot.out.attempts) + ")");
@@ -228,7 +251,7 @@ OrchestratorReport Orchestrator::run() {
             fatal = "shard " + shard_tag(slot) + ": " + slot.out.failure;
             break;
           }
-          start(slot);
+          start(slot, now);
           break;
         }
         case Slot::State::kRunning: {
@@ -263,7 +286,7 @@ OrchestratorReport Orchestrator::run() {
               slot.restart_at = now + slot.backoff_s;
               note("shard " + shard_tag(slot) + ": died (" +
                    describe_exit(code) +
-                   (slot.stale_killed ? ", killed for a stale heartbeat"
+                   (slot.stale_killed ? ", killed for a stale journal"
                                       : "") +
                    ") — restart with resume in " +
                    std::to_string(slot.backoff_s) + "s");
@@ -271,18 +294,18 @@ OrchestratorReport Orchestrator::run() {
             }
             break;
           }
-          // Still running: is it still alive *inside*? The heartbeat
-          // sidecar is the cheap proxy — no bytes and no records for
-          // longer than the stale timeout means wedged (SIGSTOP, NFS
-          // hang, livelock); kill it and let the exit path restart it.
-          slot.monitor.poll();
+          // Still running: is it still alive *inside*? The journal is
+          // the cheap proxy — no change in its size for longer than the
+          // stale timeout means wedged (SIGSTOP, NFS hang, livelock);
+          // kill it and let the exit path restart it.
+          slot.watch.poll(now);
           if (!slot.stale_killed &&
-              slot.monitor.stale_age() > opt_.stale_timeout_s) {
+              slot.watch.stale_age(now) > opt_.stale_timeout_s) {
             ++slot.out.stale_kills;
             slot.stale_killed = true;
-            note("shard " + shard_tag(slot) + ": heartbeat " +
-                 slot.command->heartbeat + " stale for " +
-                 std::to_string(slot.monitor.stale_age()) +
+            note("shard " + shard_tag(slot) + ": journal " +
+                 slot.command->journal + " stale for " +
+                 std::to_string(slot.watch.stale_age(now)) +
                  "s — killing for restart");
             launcher_->kill(slot.handle);
           }

@@ -6,23 +6,24 @@
 // The design splits "what to run" from "how to run it":
 //
 //  - plan_shard_commands() builds the N shard command lines (suite +
-//    --shard i/N + --checkpoint + --heartbeat + overrides). They are
-//    plain argv vectors, so `flexnet_orchestrate --emit-commands` can
-//    print them for ssh/slurm dispatch instead of executing anything.
+//    --shard i/N + --checkpoint + overrides). They are plain argv
+//    vectors, so `flexnet_orchestrate --emit-commands` can print them
+//    for ssh/slurm dispatch instead of executing anything.
 //  - Launcher is the pluggable execution backend. ForkExecLauncher (local
 //    fork/exec, one child per shard) ships here; a cluster backend only
 //    has to implement launch/poll/kill over its own job handles. Tests
 //    subclass it to inject faults deterministically (crash-after-K-jobs
 //    via the FLEXNET_FAULT_CRASH_AFTER_JOBS hook, SIGSTOP stalls).
 //  - Orchestrator runs the supervision loop: poll each shard's process
-//    state AND its `<journal>.hb` heartbeat sidecar (HeartbeatMonitor —
-//    cheap to tail, torn-line tolerant, no journal parsing). A shard
-//    whose process died, or whose heartbeat stopped advancing past the
-//    stale timeout (it gets SIGKILLed first), is relaunched with the same
-//    --checkpoint so it resumes, up to a per-shard restart budget with
-//    exponential backoff. Exit codes (runner/exit_codes.hpp) separate
-//    permanent failures — exit 2, config/suite/fingerprint problems that
-//    would repeat forever — from transient ones worth the budget.
+//    state AND the size of its checkpoint journal (JournalWatch — one
+//    stat per poll, no parsing; the journal grows by one flushed record
+//    per finished job). A shard whose process died, or whose journal
+//    stopped changing past the stale timeout (it gets SIGKILLed first),
+//    is relaunched with the same --checkpoint so it resumes, up to a
+//    per-shard restart budget with exponential backoff. Exit codes
+//    (runner/exit_codes.hpp) separate permanent failures — exit 2,
+//    config/suite/fingerprint problems that would repeat forever — from
+//    transient ones worth the budget.
 //
 // The orchestrator deliberately does not parse journals or results; the
 // merge that follows (runner/merge.hpp) re-validates everything against
@@ -40,8 +41,8 @@ struct ShardCommand {
   int shard_count = 1;
   std::vector<std::string> argv;  ///< argv[0] = the flexnet_run binary
   std::vector<std::string> env;   ///< extra "KEY=VALUE" for the child
-  std::string journal;            ///< --checkpoint path (the shard's output)
-  std::string heartbeat;          ///< --heartbeat sidecar the watcher tails
+  std::string journal;  ///< --checkpoint path: the shard's output and
+                        ///< the file its liveness is read from
 };
 
 /// Execution backend for shard processes. Handles are opaque longs
@@ -61,7 +62,7 @@ class Launcher {
   /// signal death. False while it is still running.
   virtual bool poll(long handle, int* exit_code) = 0;
 
-  /// Hard-kills the process (used for stale-heartbeat restarts and for
+  /// Hard-kills the process (used for stale-journal restarts and for
   /// cleanup after a permanent failure elsewhere). The exit still arrives
   /// through poll().
   virtual void kill(long handle) = 0;
@@ -81,10 +82,10 @@ struct OrchestratorOptions {
   int max_restarts = 2;           ///< extra launches allowed per shard
   double backoff_initial_s = 0.5; ///< delay before the first relaunch
   double backoff_multiplier = 2.0;
-  /// Heartbeat silence (no new bytes, no new records) after which a
+  /// Journal silence (no change in the file's size) after which a
   /// still-running shard is presumed wedged, killed, and restarted. Must
-  /// exceed the longest single job: the heartbeat writer only appends on
-  /// job completion.
+  /// exceed the longest single job: the journal only grows when a job
+  /// finishes.
   double stale_timeout_s = 60.0;
   double poll_interval_s = 0.2;
   bool quiet = false;             ///< suppress per-event stderr lines
@@ -94,7 +95,7 @@ struct ShardOutcome {
   int shard_index = 0;     ///< 0-based
   int attempts = 0;        ///< launches consumed (1 = no restart needed)
   int last_exit = 0;       ///< decoded exit of the final attempt
-  int stale_kills = 0;     ///< restarts forced by a stale heartbeat
+  int stale_kills = 0;     ///< restarts forced by a stale journal
   bool completed = false;  ///< final attempt exited 0 or 3 (deadlock-only)
   std::string failure;     ///< human-readable reason when !completed
 };
@@ -121,13 +122,39 @@ struct OrchestrateSpec {
 /// Builds the N shard command lines for `spec`: the i-th (1-based in the
 /// --shard spelling) runs
 ///   run_binary suite --shard i/N --checkpoint PREFIX-i.journal
-///     --heartbeat PREFIX-i.journal.hb --jobs J overrides...
+///     --jobs J overrides...
 std::vector<ShardCommand> plan_shard_commands(const OrchestrateSpec& spec);
 
 /// POSIX-shell quoting for rendering a ShardCommand as a copy-pastable
 /// (ssh/slurm-wrappable) line.
 std::string shell_quote(const std::string& token);
 std::string render_command(const ShardCommand& cmd);
+
+/// Liveness of one shard, read from its checkpoint journal: any change in
+/// the file's size is an advance — an appended record, or a resume
+/// truncating a torn tail. A file that never appears never advances, so a
+/// shard that dies or wedges before its journal opens still goes stale.
+/// Times are seconds on one monotonic clock, passed in by the caller.
+class JournalWatch {
+ public:
+  explicit JournalWatch(std::string path) : path_(std::move(path)) {}
+
+  /// Forgets the file's last size and restarts the stale clock at `now`;
+  /// called at each launch of the shard.
+  void restart(double now);
+
+  /// Stats the file; a size other than the last one seen (a missing file
+  /// counts as its own size) restarts the stale clock at `now`.
+  void poll(double now);
+
+  /// Seconds since the last advance or restart.
+  double stale_age(double now) const { return now - last_advance_; }
+
+ private:
+  std::string path_;
+  long long last_size_ = -1;  // -1: missing
+  double last_advance_ = 0.0;
+};
 
 class Orchestrator {
  public:

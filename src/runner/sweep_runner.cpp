@@ -12,7 +12,6 @@
 #include "runner/checkpoint.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/network.hpp"
-#include "telemetry/heartbeat.hpp"
 #include "telemetry/phase_timers.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
@@ -39,12 +38,6 @@ SweepRunner& SweepRunner::set_telemetry(TelemetryCounters* aggregate) {
 SweepRunner& SweepRunner::set_trace(TraceWriter* trace, bool packet_spans) {
   trace_ = trace;
   trace_packets_ = packet_spans;
-  return *this;
-}
-
-SweepRunner& SweepRunner::set_heartbeat(std::string path) {
-  heartbeat_path_ = std::move(path);
-  heartbeat_set_ = true;
   return *this;
 }
 
@@ -145,12 +138,6 @@ std::vector<SweepResult> SweepRunner::run(
       for (int k = 0; k < n_seeds; ++k)
         if (!plan.contains(p, k)) done[p][static_cast<std::size_t>(k)] = 1;
   }
-  // Jobs this process owns = the grid minus other shards' jobs; the
-  // heartbeat below reports progress against this denominator.
-  std::size_t excluded = 0;
-  for (const auto& row : done)
-    for (const char d : row) excluded += d != 0 ? 1u : 0u;
-
   // Resume: pre-fill completed slots from the journal (fingerprint
   // validated inside open — a journal for a different grid throws) and
   // journal every job completed from here on.
@@ -163,24 +150,6 @@ std::vector<SweepResult> SweepRunner::run(
     for (const auto& rec : records) {
       per_seed[rec.point][static_cast<std::size_t>(rec.seed)] = rec.result;
       done[rec.point][static_cast<std::size_t>(rec.seed)] = 1;
-    }
-  }
-
-  // Heartbeat sidecar: progress records for whoever watches the run
-  // (flexnet_run --progress, orchestrator liveness probes).
-  std::unique_ptr<HeartbeatWriter> heartbeat;
-  {
-    std::size_t filled = 0;
-    for (const auto& row : done)
-      for (const char d : row) filled += d != 0 ? 1u : 0u;
-    std::string hb_path = heartbeat_set_            ? heartbeat_path_
-                          : checkpoint_path_.empty() ? std::string()
-                                                     : checkpoint_path_ + ".hb";
-    if (!hb_path.empty()) {
-      heartbeat = std::make_unique<HeartbeatWriter>(std::move(hb_path));
-      heartbeat->begin(num_points * static_cast<std::size_t>(n_seeds) -
-                           excluded,
-                       filled - excluded);
     }
   }
 
@@ -228,7 +197,6 @@ std::vector<SweepResult> SweepRunner::run(
     }
     per_seed[p][static_cast<std::size_t>(k)] = r;
     if (journal) journal->append(p, k, r);
-    if (heartbeat) heartbeat->on_job(r.cycles);
     if (crash_after > 0 &&
         crash_jobs.fetch_add(1, std::memory_order_relaxed) + 1 ==
             crash_after) {
@@ -289,7 +257,6 @@ std::vector<SweepResult> SweepRunner::run(
     }
     pool.wait_idle();
   }
-  if (heartbeat) heartbeat->finish();
   if (journal) {
     journal->close();
     // A journal that lost appends mid-run (disk full, yanked mount) must
@@ -326,26 +293,6 @@ std::vector<SweepResult> SweepRunner::reduce_slots(
     out.push_back(std::move(sweep));
   }
   return out;
-}
-
-SimResult SweepRunner::run_point(const SimConfig& config, int seeds) const {
-  const int n_seeds = std::max(1, seeds);
-  std::vector<SimResult> per_seed(static_cast<std::size_t>(n_seeds));
-  if (jobs_ <= 1 || n_seeds == 1) {
-    for (int k = 0; k < n_seeds; ++k)
-      per_seed[static_cast<std::size_t>(k)] =
-          Simulator(job_config(config, config.load, k)).run();
-  } else {
-    ThreadPool pool(std::min(jobs_, n_seeds));
-    for (int k = 0; k < n_seeds; ++k) {
-      pool.submit([&per_seed, &config, k] {
-        per_seed[static_cast<std::size_t>(k)] =
-            Simulator(job_config(config, config.load, k)).run();
-      });
-    }
-    pool.wait_idle();
-  }
-  return aggregate_seeds(per_seed);
 }
 
 }  // namespace flexnet

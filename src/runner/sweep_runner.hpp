@@ -54,7 +54,7 @@ class SweepRunner {
   /// mutually mergeable (merge_journals / tools/flexnet_merge) and the
   /// merged report is bit-identical to a single-process run. Resuming a
   /// sharded run from its own journal re-runs only the shard's missing
-  /// jobs. Does not affect run_point().
+  /// jobs.
   SweepRunner& set_shard(ShardSpec shard);
 
   const ShardSpec& shard() const { return shard_; }
@@ -78,12 +78,6 @@ class SweepRunner {
   /// simulation cycles). nullptr disables.
   SweepRunner& set_trace(TraceWriter* trace, bool packet_spans = false);
 
-  /// Appends heartbeat progress records to `path` during run() (see
-  /// telemetry/heartbeat.hpp). Defaults to the checkpoint sidecar
-  /// "<checkpoint>.hb" when a checkpoint path is set; an explicit empty
-  /// path after set_checkpoint disables the sidecar too.
-  SweepRunner& set_heartbeat(std::string path);
-
   /// Runs the full grid. `progress` (optional) is invoked once per
   /// aggregated (series, load) point as it completes; invocations are
   /// serialised internally, so the callback itself only needs to be
@@ -93,10 +87,6 @@ class SweepRunner {
       const std::vector<double>& loads, int seeds,
       const std::function<void(const std::string&, double, const SimResult&)>&
           progress = nullptr) const;
-
-  /// One aggregated point: `seeds` runs with derived seeds (base seed,
-  /// base+1, ...), sharded across the pool, reduced with aggregate_seeds.
-  SimResult run_point(const SimConfig& config, int seeds) const;
 
   /// The per-job config: `base` at offered load `load` with the
   /// seed_index-th derived seed.
@@ -125,8 +115,6 @@ class SweepRunner {
   TelemetryCounters* telemetry_ = nullptr;
   TraceWriter* trace_ = nullptr;
   bool trace_packets_ = false;
-  std::string heartbeat_path_;
-  bool heartbeat_set_ = false;
 };
 
 }  // namespace flexnet

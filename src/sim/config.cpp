@@ -142,11 +142,15 @@ constexpr KeySpec kKeySpecs[] = {
     field<&SimConfig::dragonfly, &DragonflyParams::a>("df_a"),
     field<&SimConfig::dragonfly, &DragonflyParams::h>("df_h"),
     // After df_*: paper_scale=true replaces the whole dragonfly geometry,
-    // which the df_* entries already carry into canonical().
+    // which the df_* entries already carry into canonical(). False would
+    // restore nothing, so it is refused rather than ignored.
     {"paper_scale", SimConfig::KeyKind::kBool,
      [](SimConfig& c, const char* key, const std::string& value) {
-       if (parse_value<bool>(key, value))
-         c.dragonfly = DragonflyParams::paper_scale();
+       if (!parse_value<bool>(key, value))
+         bad_value(key, value,
+                   "only takes true; set df_p/df_a/df_h for another "
+                   "dragonfly geometry");
+       c.dragonfly = DragonflyParams::paper_scale();
      },
      nullptr},
     field<&SimConfig::slimfly, &SlimFlyParams::p>("sf_p"),

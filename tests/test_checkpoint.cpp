@@ -252,6 +252,27 @@ TEST(CheckpointJournal, TornTrailingRecordTruncatedAndAppendable) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointJournal, EveryAppendReachesTheFileBeforeTheFsyncBatch) {
+  // The file grows once per finished job — the orchestrator reads a shard's
+  // liveness from it — though fsync waits for kFsyncBatch records.
+  static_assert(CheckpointJournal::kFsyncBatch > 2, "test appends 2");
+  const std::string path = temp_path("ck_flush.journal");
+  std::remove(path.c_str());
+  CheckpointJournal journal(path);
+  journal.open(7, 4, 2);
+  std::size_t size = read_file(path).size();
+  for (int i = 0; i < 2; ++i) {
+    journal.append(i, 0, SimResult{});
+    const std::string bytes = read_file(path);
+    EXPECT_GT(bytes.size(), size) << "append " << i << " not on disk";
+    EXPECT_EQ(bytes.back(), '\n');
+    size = bytes.size();
+  }
+  journal.close();
+  EXPECT_FALSE(journal.failed());
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointJournal, NonJournalFileRefusedAndLeftIntact) {
   // A typo'd --checkpoint path (say, the --json report) must never be
   // truncated or overwritten — with or without a trailing newline.

@@ -92,17 +92,42 @@ TEST(FlexnetRunCli, NumericFlagsAreParsedStrictly) {
   }
 }
 
-// --jobs/--json/--checkpoint/--shard/--heartbeat are the only spellings:
-// their key=value forms are unknown config keys, not runner flags.
+// --jobs/--json/--checkpoint/--shard are the only spellings: their
+// key=value forms are unknown config keys, not runner flags.
 TEST(FlexnetRunCli, RunnerFlagsHaveNoKeyValueSpelling) {
-  for (const char* alias : {"jobs=2", "json=r.json", "checkpoint=c.journal",
-                            "shard=1/3", "heartbeat=h.hb"}) {
+  for (const char* alias :
+       {"jobs=2", "json=r.json", "checkpoint=c.journal", "shard=1/3"}) {
     const CmdResult r = run_cmd(bin("flexnet_run") + " " +
                                 shipped_suite("smoke_tiny.json") + " " +
                                 alias + " warmup=50 measure=100");
     EXPECT_EQ(r.exit_code, 2) << alias << "\n" << r.output;
     EXPECT_NE(r.output.find("unknown config key"), std::string::npos)
         << alias << "\n" << r.output;
+  }
+}
+
+// Usage errors exit 2 before any job runs. Progress has no flag of its
+// own: it is the journal, read by flexnet_merge.
+TEST(FlexnetRunCli, UsageErrorsExit2) {
+  const std::string suite = shipped_suite("smoke_tiny.json");
+  const std::string fast = suite + " warmup=50 measure=100 ";
+  const struct {
+    std::string args;
+    const char* message;
+  } rows[] = {
+      {"", "usage:"},
+      {fast + "--bogus-flag", "unknown flag '--bogus-flag'"},
+      {fast + "--json", "--json requires a value"},
+      {suite + " " + suite, "more than one suite file"},
+      {fast + "--heartbeat x", "unknown flag '--heartbeat'"},
+      {fast + "--progress x", "unknown flag '--progress'"},
+      {"--progress x", "unknown flag '--progress'"},
+  };
+  for (const auto& row : rows) {
+    const CmdResult r = run_cmd(bin("flexnet_run") + " " + row.args);
+    EXPECT_EQ(r.exit_code, 2) << row.args << "\n" << r.output;
+    EXPECT_NE(r.output.find(row.message), std::string::npos)
+        << row.args << "\n" << r.output;
   }
 }
 
@@ -182,7 +207,6 @@ TEST(FlexnetRunCli, SuiteConfigAndStaleCheckpointErrorsExit2) {
               " warmup=50 measure=200");
   EXPECT_EQ(r.exit_code, 2) << "a changed grid must exit 2\n" << r.output;
   std::remove(ck.c_str());
-  std::remove((ck + ".hb").c_str());
 }
 
 TEST(FlexnetRunCli, OutputIoFailuresExit4) {
@@ -199,6 +223,23 @@ TEST(FlexnetRunCli, OutputIoFailuresExit4) {
               " --shard 1/12 warmup=50 measure=100 --checkpoint " +
               bad_dir + "x.journal");
   EXPECT_EQ(r.exit_code, 4) << r.output;
+}
+
+TEST(FlexnetRunCli, JournalThatCannotGrowExits4) {
+  // A file-size limit (SIGXFSZ ignored, so the write fails with EFBIG)
+  // cuts the journal mid-record after a few jobs. The records already
+  // written stay valid, but the run must not pass for a success.
+  const std::string journal = temp_path("cli_fsize.journal");
+  std::remove(journal.c_str());
+  const CmdResult r = run_cmd(
+      "sh -c 'trap \"\" XFSZ; ulimit -f 1; exec " + bin("flexnet_run") +
+      " " + shipped_suite("smoke_tiny.json") +
+      " warmup=100 measure=100 --checkpoint " + journal + "'");
+  EXPECT_EQ(r.exit_code, 4) << r.output;
+  EXPECT_NE(r.output.find("lost records to an I/O failure"),
+            std::string::npos)
+      << r.output;
+  std::remove(journal.c_str());
 }
 
 TEST(FlexnetRunCli, TraceAndCountersWriteFailuresExit4) {
@@ -341,10 +382,7 @@ class MergeWatchCli : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
-    for (int i = 1; i <= 3; ++i) {
-      std::remove(shard_journal(i).c_str());
-      std::remove((shard_journal(i) + ".hb").c_str());
-    }
+    for (int i = 1; i <= 3; ++i) std::remove(shard_journal(i).c_str());
   }
 
   static std::string shard_journal(int i) {
@@ -502,9 +540,6 @@ TEST(FlexnetOrchestrateCli, EmitCommandsPrintsDispatchableShardLines) {
         << r.output;
     EXPECT_NE(r.output.find("--checkpoint " + journal), std::string::npos)
         << r.output;
-    EXPECT_NE(r.output.find("--heartbeat " + journal + ".hb"),
-              std::string::npos)
-        << r.output;
   }
   EXPECT_NE(r.output.find("warmup=50"), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find(".journal.log"), std::string::npos)
@@ -519,7 +554,6 @@ TEST(FlexnetOrchestrateCli, FaultInjectedSweepRecoversAndMerges) {
   const std::string json = temp_path("cli_orc.json");
   for (int i = 1; i <= 2; ++i) {
     std::remove((prefix + "-" + std::to_string(i) + ".journal").c_str());
-    std::remove((prefix + "-" + std::to_string(i) + ".journal.hb").c_str());
     std::remove((prefix + "-" + std::to_string(i) + ".journal.log").c_str());
   }
   std::remove(json.c_str());
@@ -548,7 +582,6 @@ TEST(FlexnetOrchestrateCli, FaultInjectedSweepRecoversAndMerges) {
 
   for (int i = 1; i <= 2; ++i) {
     std::remove((prefix + "-" + std::to_string(i) + ".journal").c_str());
-    std::remove((prefix + "-" + std::to_string(i) + ".journal.hb").c_str());
     std::remove((prefix + "-" + std::to_string(i) + ".journal.log").c_str());
   }
   std::remove(json.c_str());

@@ -157,6 +157,14 @@ TEST(ConfigRoundTrip, ApplyRejectsValuesThatDoNotParseAsTheKeysKind) {
     EXPECT_EQ(error_of("reactive", yes), "") << yes;
   for (const char* no : {"false", "0", "no", "off"})
     EXPECT_EQ(error_of("reactive", no), "") << no;
+  // paper_scale only switches the paper geometry on: false would restore
+  // nothing, so it is refused and the df_* keys are named instead.
+  for (const char* no : {"false", "0", "no", "off"}) {
+    const std::string msg = error_of("paper_scale", no);
+    EXPECT_NE(msg.find("'paper_scale'"), std::string::npos) << no << msg;
+    EXPECT_NE(msg.find("df_p/df_a/df_h"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(error_of("paper_scale", "true"), "");
 
   // set() is the one-key form of apply() and checks values the same way.
   SimConfig one;

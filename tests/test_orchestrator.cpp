@@ -1,8 +1,9 @@
 // The shard orchestrator: command planning (argv spelling, quoting for
 // --emit-commands), the supervision loop against a scripted in-memory
 // launcher (transient-death retry, permanent-failure fail-fast, retry
-// budget, launch failures, stale-heartbeat kills — all sleep-free or
-// near it), and the fault-injection battery against real flexnet_run
+// budget, launch failures, stale-journal kills — all sleep-free or
+// near it), the journal watch with explicit times, and the
+// fault-injection battery against real flexnet_run
 // processes — SIGKILL a shard mid-run, SIGSTOP-stall it, corrupt its
 // journal — asserting the orchestrated sweep's merged rows and canonical
 // JSON report stay byte-identical to a serial run of the same suite.
@@ -31,10 +32,10 @@
 #endif
 
 // Sanitizer instrumentation slows the child flexnet_run processes ~10x,
-// so a healthy shard can miss a tight stale window between heartbeats
-// (HeartbeatWriter throttles to one record per second). Widen the
+// so a healthy shard can miss a tight stale window between journal
+// records (the journal grows only when a job finishes). Widen the
 // staleness threshold accordingly; the SIGSTOPped shard is still killed
-// at any threshold because its heartbeat never advances at all.
+// at any threshold because its journal never changes at all.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
 #define FLEXNET_UNDER_SANITIZER 1
@@ -72,7 +73,6 @@ void write_file(const std::string& path, const std::string& bytes) {
 void remove_shard_files(const std::vector<ShardCommand>& commands) {
   for (const ShardCommand& cmd : commands) {
     std::remove(cmd.journal.c_str());
-    std::remove(cmd.heartbeat.c_str());
     std::remove((cmd.journal + ".log").c_str());
   }
 }
@@ -98,12 +98,10 @@ TEST(PlanShardCommands, BuildsTheOneBasedShardSpellings) {
     const std::string journal =
         "/tmp/sweep-" + std::to_string(i + 1) + ".journal";
     EXPECT_EQ(cmd.journal, journal);
-    EXPECT_EQ(cmd.heartbeat, journal + ".hb");
     const std::vector<std::string> want = {
         "/opt/bin/flexnet_run", "suite.json",
         "--shard",     std::to_string(i + 1) + "/3",
         "--checkpoint", journal,
-        "--heartbeat", journal + ".hb",
         "--jobs",      "4",
         "warmup=200",  "measure=400"};
     EXPECT_EQ(cmd.argv, want) << "shard " << i;
@@ -262,9 +260,10 @@ TEST(OrchestratorLoop, LaunchFailureConsumesTheBudgetAsTransient) {
   EXPECT_EQ(report.shards[0].attempts, 2);
 }
 
-TEST(OrchestratorLoop, StaleHeartbeatGetsTheShardKilledAndRestarted) {
-  // Attempt 1 never exits and never heartbeats (the files do not exist);
-  // the orchestrator must kill it on the stale timeout and relaunch.
+TEST(OrchestratorLoop, StaleJournalGetsTheShardKilledAndRestarted) {
+  // Attempt 1 never exits and never writes its journal (the file does not
+  // exist); the orchestrator must kill it on the stale timeout and
+  // relaunch.
   ScriptedLauncher launcher({{ScriptedLauncher::kNeverExits, 0}});
   OrchestratorOptions opt = fast_options();
   opt.stale_timeout_s = 0.2;
@@ -278,6 +277,132 @@ TEST(OrchestratorLoop, StaleHeartbeatGetsTheShardKilledAndRestarted) {
   EXPECT_EQ(report.shards[0].attempts, 2);
   EXPECT_EQ(report.shards[0].stale_kills, 1);
   EXPECT_EQ(launcher.kills, 1);
+}
+
+/// A shard that is alive and working: each poll appends one line to its
+/// journal, and the process exits 0 after `polls` polls.
+class AppendingLauncher : public Launcher {
+ public:
+  explicit AppendingLauncher(int polls) : polls_(polls) {}
+
+  long launch(const ShardCommand& cmd, int attempt) override {
+    (void)attempt;
+    journal_ = cmd.journal;
+    ++launches;
+    return 1;
+  }
+
+  bool poll(long handle, int* exit_code) override {
+    (void)handle;
+    if (killed_ || polls_seen_ == polls_) {
+      *exit_code = killed_ ? -SIGKILL : 0;
+      return true;
+    }
+    ++polls_seen_;
+    std::ofstream(journal_, std::ios::binary | std::ios::app)
+        << "R " << polls_seen_ << "\n";
+    return false;
+  }
+
+  void kill(long handle) override {
+    (void)handle;
+    killed_ = true;
+  }
+
+  int launches = 0;
+
+ private:
+  int polls_;
+  int polls_seen_ = 0;
+  bool killed_ = false;
+  std::string journal_;
+};
+
+TEST(OrchestratorLoop, ShardWhoseJournalGrowsEveryPollIsNeverStale) {
+  // The run lasts at least 30 polls of 0.02 s, longer than the 0.1 s
+  // stale timeout; the timeout is longer than one poll, and every poll
+  // finds the journal grown, so the shard is never killed.
+  AppendingLauncher launcher(30);
+  OrchestratorOptions opt = fast_options();
+  opt.stale_timeout_s = 0.1;
+  opt.poll_interval_s = 0.02;
+  const std::vector<ShardCommand> commands = fake_commands(1);
+  remove_shard_files(commands);
+  Orchestrator orchestrator(commands, opt, &launcher);
+  const OrchestratorReport report = orchestrator.run();
+
+  EXPECT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.shards[0].attempts, 1);
+  EXPECT_EQ(report.shards[0].stale_kills, 0);
+  EXPECT_EQ(launcher.launches, 1);
+  remove_shard_files(commands);
+}
+
+// ---------------------------------------------------------------------------
+// JournalWatch: liveness from the journal's size, with explicit times.
+
+TEST(JournalWatch, StaleAgeGrowsUntilTheFileChanges) {
+  const std::string path = temp_path("watch_grow.journal");
+  write_file(path, "header\n");
+  JournalWatch watch(path);
+  watch.restart(100.0);
+  watch.poll(100.0);
+  EXPECT_DOUBLE_EQ(watch.stale_age(100.0), 0.0);
+
+  watch.poll(130.0);  // nothing written since
+  EXPECT_DOUBLE_EQ(watch.stale_age(130.0), 30.0);
+
+  // A torn half-record is still bytes the shard appended.
+  std::ofstream(path, std::ios::binary | std::ios::app) << "R 0 0 0x1p";
+  watch.poll(140.0);
+  EXPECT_DOUBLE_EQ(watch.stale_age(140.0), 0.0);
+  std::remove(path.c_str());
+}
+
+TEST(JournalWatch, ResumeTruncationIsAnAdvance) {
+  const std::string path = temp_path("watch_truncate.journal");
+  write_file(path, "header\nR 0 0\nR 0 1\nR 0 2 torn");
+  JournalWatch watch(path);
+  watch.restart(0.0);
+  watch.poll(0.0);
+
+  // The resumed shard cuts the torn tail: the file is *smaller* now, and
+  // the watch must read that as life, not silence.
+  write_file(path, "header\nR 0 0\nR 0 1\n");
+  watch.poll(40.0);
+  EXPECT_DOUBLE_EQ(watch.stale_age(40.0), 0.0);
+  std::remove(path.c_str());
+}
+
+TEST(JournalWatch, MissingFileGoesStaleFromRestart) {
+  const std::string path = temp_path("watch_missing.journal");
+  std::remove(path.c_str());
+  JournalWatch watch(path);
+  watch.restart(10.0);
+  watch.poll(10.0);
+  watch.poll(75.0);  // the shard died before opening its journal
+  EXPECT_DOUBLE_EQ(watch.stale_age(75.0), 65.0)
+      << "a shard that never writes its journal must still go stale";
+}
+
+TEST(JournalWatch, RestartForgetsHistoryAndRestartsTheClock) {
+  const std::string path = temp_path("watch_restart.journal");
+  write_file(path, "header\nR 0 0\n");
+  JournalWatch watch(path);
+  watch.restart(0.0);
+  watch.poll(0.0);
+  watch.poll(80.0);
+  EXPECT_DOUBLE_EQ(watch.stale_age(80.0), 80.0);
+
+  watch.restart(90.0);  // the orchestrator relaunched the shard
+  EXPECT_DOUBLE_EQ(watch.stale_age(90.0), 0.0);
+  // The same bytes are seen afresh after a restart: an advance relative
+  // to the forgotten size, not silence carried over from the last attempt.
+  watch.poll(95.0);
+  EXPECT_DOUBLE_EQ(watch.stale_age(95.0), 0.0);
+  watch.poll(100.0);
+  EXPECT_DOUBLE_EQ(watch.stale_age(100.0), 5.0);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -405,8 +530,8 @@ class FaultySimLauncher : public ForkExecLauncher {
 };
 
 /// ForkExecLauncher that SIGSTOPs one shard's first attempt right after
-/// launch: the process is alive but wedged — only the stale-heartbeat
-/// path can recover it.
+/// launch: the process is alive but wedged — only the stale-journal path
+/// can recover it.
 class StallingLauncher : public ForkExecLauncher {
  public:
   explicit StallingLauncher(int target_shard) : target_(target_shard) {}
@@ -487,9 +612,9 @@ TEST_F(OrchestratorBattery, SigkilledShardRestartsResumesAndMergesIdentically) {
   std::remove(merged_clean.c_str());
 }
 
-TEST_F(OrchestratorBattery, SigstoppedShardIsKilledForStalenessAndRecovers) {
+TEST_F(OrchestratorBattery, SigstoppedShardIsKilledForAStaleJournalAndRecovers) {
   // Shard 1 is SIGSTOPped at launch: alive by every process-level check,
-  // but its heartbeat never advances. The stale timeout must kill and
+  // but its journal never changes. The stale timeout must kill and
   // restart it, and the sweep must still merge byte-identical to serial.
   const OrchestrateSpec spec = base_spec("orc_stall");
   const std::vector<ShardCommand> commands = plan_shard_commands(spec);
@@ -504,7 +629,7 @@ TEST_F(OrchestratorBattery, SigstoppedShardIsKilledForStalenessAndRecovers) {
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.shards[0].attempts, 2);
   EXPECT_EQ(report.shards[0].stale_kills, 1)
-      << "the restart must be attributed to the stale heartbeat";
+      << "the restart must be attributed to the stale journal";
   EXPECT_EQ(canonical_report(merge_rows(report.journals)),
             canonical_report(*serial_));
   remove_shard_files(commands);

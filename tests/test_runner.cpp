@@ -128,8 +128,10 @@ TEST(SweepRunner, RunPointMatchesAcrossWorkerCounts) {
   cfg.warmup = 500;
   cfg.measure = 1000;
   cfg.load = 0.4;
-  const SimResult serial = SweepRunner(1).run_point(cfg, 3);
-  const SimResult parallel = SweepRunner(4).run_point(cfg, 3);
+  const SimResult serial =
+      SweepRunner(1).run({{"point", cfg}}, {cfg.load}, 3)[0].rows[0].result;
+  const SimResult parallel =
+      SweepRunner(4).run({{"point", cfg}}, {cfg.load}, 3)[0].rows[0].result;
   EXPECT_TRUE(identical(serial, parallel));
   EXPECT_NEAR(serial.accepted, 0.4, 0.03);
 }

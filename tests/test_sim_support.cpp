@@ -138,7 +138,8 @@ TEST(Experiment, RunAveragedUsesDistinctSeeds) {
   cfg.warmup = 500;
   cfg.measure = 1000;
   cfg.load = 0.4;
-  const SimResult avg = SweepRunner(1).run_point(cfg, 2);
+  const SimResult avg =
+      SweepRunner(1).run({{"point", cfg}}, {cfg.load}, 2)[0].rows[0].result;
   EXPECT_NEAR(avg.accepted, 0.4, 0.03);
   EXPECT_GT(avg.consumed_packets, 0);
 }

@@ -3,9 +3,7 @@
 // invariants, union-shape merge, byte-identical aggregates across worker
 // and shard splits), the result-purity guarantee (telemetry on/off cannot
 // change a SimResult bit), and the Chrome-trace writer (valid JSON, spans
-// nest per (pid, tid), per-packet spans). The heartbeat sidecar's tests
-// live in tests/test_heartbeat.cpp with the orchestrator's liveness
-// monitor.
+// nest per (pid, tid), per-packet spans).
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -7,13 +7,13 @@
 //                       [--run-binary PATH] [--emit-commands] [--quiet]
 //                       [key=value ...]
 //
-// Plans the N `flexnet_run SUITE --shard i/N --checkpoint PREFIX-i.journal
-// --heartbeat PREFIX-i.journal.hb` commands, launches them locally
+// Plans the N `flexnet_run SUITE --shard i/N --checkpoint PREFIX-i.journal`
+// commands, launches them locally
 // (fork/exec, one child per shard, each child's console appended to
 // `<journal>.log`), and supervises: a shard that dies — crash, OOM kill,
 // signal, I/O failure — is relaunched with the same --checkpoint so it
 // resumes from its journal, with exponential backoff, up to --retries
-// extra attempts; a shard whose heartbeat sidecar stops advancing for
+// extra attempts; a shard whose journal does not change size for
 // --stale-timeout seconds is presumed wedged (SIGSTOP, NFS hang,
 // livelock), killed, and restarted the same way. Permanent failures
 // (exit 2: config/suite/journal-mismatch errors that would repeat
@@ -67,16 +67,16 @@ int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
       "dead or wedged shards with --checkpoint resume, then merges their\n"
       "journals into the standard report (byte-identical to a serial run).\n"
       "  --shards N          split the grid into N disjoint shards\n"
-      "  --prefix PATH       shard journals at PATH-<i>.journal (heartbeat\n"
-      "                      and console sidecars next to each journal)\n"
+      "  --prefix PATH       shard journals at PATH-<i>.journal (console\n"
+      "                      log PATH-<i>.journal.log next to each)\n"
       "  --json PATH         write the merged JSON sweep report to PATH\n"
       "  --out PATH          write the merged journal to PATH (fresh path)\n"
       "  --jobs N            worker threads per shard (default 1)\n"
       "  --retries N         extra launches allowed per shard (default 2)\n"
       "  --backoff SECS      delay before a shard's first relaunch,\n"
       "                      doubling per retry (default 0.5)\n"
-      "  --stale-timeout S   kill+restart a shard whose heartbeat has not\n"
-      "                      advanced for S seconds; must exceed the\n"
+      "  --stale-timeout S   kill+restart a shard whose journal has not\n"
+      "                      changed for S seconds; must exceed the\n"
       "                      longest single job (default 60)\n"
       "  --poll SECS         supervision poll interval (default 0.2)\n"
       "  --run-binary PATH   the flexnet_run to launch (default: next to\n"

@@ -2,10 +2,9 @@
 // scenario/suite.hpp) through the parallel sweep runner.
 //
 //   flexnet_run SUITE.json [--jobs N] [--json PATH] [--checkpoint PATH]
-//               [--shard i/N] [--heartbeat PATH] [--counters PATH]
-//               [--trace-out PATH] [--trace-packets] [key=value ...]
+//               [--shard i/N] [--counters PATH] [--trace-out PATH]
+//               [--trace-packets] [key=value ...]
 //   flexnet_run --list
-//   flexnet_run --progress FILE.hb
 //
 // Exit codes (runner/exit_codes.hpp — the orchestrator's retry policy
 // keys off them):
@@ -29,15 +28,16 @@
 // resumes an interrupted run; --shard i/N runs only the i-th of N disjoint
 // job subsets (one process per shard, merged back by tools/flexnet_merge);
 // --list prints every component registered with the scenario registries
-// and exits.
+// and exits. The journal is flushed once per finished job, so its growth
+// is the run's progress: `flexnet_merge SUITE --json PATH JOURNAL...`
+// reports it (meta.missing_jobs), once or under --watch.
 //
 // Observability (README "Observability"): --counters aggregates the
 // deterministic telemetry counters over every job and writes the snapshot
 // to PATH ("-" for stdout); --trace-out writes a Chrome-trace/Perfetto
 // JSON of the run (suite + job + checkpoint-I/O spans, each job span
 // carrying its step phase seconds; --trace-packets adds per-packet
-// lifetime spans); --progress renders the heartbeat
-// sidecar a checkpointed run appends to (<checkpoint>.hb) and exits.
+// lifetime spans).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -56,7 +56,6 @@
 #include "scenario/suite.hpp"
 #include "sim/config.hpp"
 #include "sim/experiment.hpp"
-#include "telemetry/heartbeat.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -68,10 +67,9 @@ int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
   std::fprintf(
       out,
       "usage: %s SUITE.json [--jobs N] [--json PATH] [--checkpoint PATH]\n"
-      "       %*s [--shard i/N] [--heartbeat PATH] [--counters PATH]\n"
-      "       %*s [--trace-out PATH] [--trace-packets] [key=value ...]\n"
+      "       %*s [--shard i/N] [--counters PATH] [--trace-out PATH]\n"
+      "       %*s [--trace-packets] [key=value ...]\n"
       "       %s --list\n"
-      "       %s --progress FILE.hb\n"
       "\n"
       "Runs the scenario suite described by SUITE.json on the parallel\n"
       "sweep runner. Results are bit-identical for any --jobs count.\n"
@@ -80,39 +78,18 @@ int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
       "  --checkpoint PATH journal completed jobs to PATH and resume from it\n"
       "  --shard i/N       run only the i-th of N disjoint job subsets\n"
       "                    (1-based); merge the journals with flexnet_merge\n"
-      "  --heartbeat PATH  append liveness records to PATH instead of the\n"
-      "                    default <checkpoint>.hb sidecar\n"
       "  --counters PATH   aggregate telemetry counters over every job and\n"
       "                    write the snapshot to PATH ('-' for stdout)\n"
       "  --trace-out PATH  write a Chrome-trace/Perfetto JSON of the run\n"
       "  --trace-packets   add per-packet lifetime spans to --trace-out\n"
-      "  --progress FILE   render a heartbeat sidecar (<checkpoint>.hb)\n"
-      "                    and exit\n"
       "  --list            print every registered component and exit\n"
       "  key=value         config overrides applied after the suite's base\n"
       "exit codes: 0 ok; 1 transient error; 2 usage/suite/config errors\n"
       "(permanent); 3 completed with every row deadlocked; 4 output I/O\n"
       "failure (sweep ran; journal resumes on healthy storage)\n",
       argv0, static_cast<int>(std::strlen(argv0)), "",
-      static_cast<int>(std::strlen(argv0)), "", argv0, argv0);
+      static_cast<int>(std::strlen(argv0)), "", argv0);
   return code;
-}
-
-int render_progress(const std::string& path) {
-  HeartbeatStatus hb;
-  std::string error;
-  if (!read_heartbeat(path, &hb, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("%s: %zu/%zu jobs done (%zu restored from journal)%s\n",
-              path.c_str(), hb.done, hb.total, hb.prefilled,
-              hb.finished ? ", finished" : ", running");
-  std::printf("  %.1fs wall, %lld cycles simulated, %.0f cycles/sec, "
-              "%.3f jobs/sec\n",
-              hb.wall_seconds, static_cast<long long>(hb.cycles),
-              hb.cycles_per_sec, hb.jobs_per_sec);
-  return 0;
 }
 
 void print_registries() {
@@ -142,9 +119,6 @@ int main(int argc, char** argv) {
   std::string checkpoint_path;
   std::string counters_path;
   std::string trace_path;
-  std::string progress_path;
-  std::string heartbeat_path;
-  bool heartbeat_set = false;
   bool trace_packets = false;
   ShardSpec shard;
   int jobs = 1;
@@ -173,17 +147,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return exit_code::kConfig;
       }
-    } else if (flag_value("heartbeat", &value)) {
-      heartbeat_path = value;
-      heartbeat_set = true;
     } else if (flag_value("counters", &value)) {
       counters_path = value;
     } else if (flag_value("trace-out", &value)) {
       trace_path = value;
     } else if (tok == "--trace-packets") {
       trace_packets = true;
-    } else if (flag_value("progress", &value)) {
-      progress_path = value;
     } else if (tok.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", tok.c_str());
       return usage(argv[0]);
@@ -202,7 +171,6 @@ int main(int argc, char** argv) {
   }
 
   if (list) print_registries();
-  if (!progress_path.empty()) return render_progress(progress_path);
   if (suite_path.empty()) return list ? 0 : usage(argv[0]);
   if (trace_packets && trace_path.empty()) {
     log_warn("--trace-packets has no effect without --trace-out");
@@ -240,18 +208,10 @@ int main(int argc, char** argv) {
       return exit_code::kIo;  // warning logged
     TelemetryCounters counters;
 
-    const std::string hb_announce =
-        heartbeat_set ? heartbeat_path
-        : checkpoint_path.empty() ? std::string()
-                                  : checkpoint_path + ".hb";
-    if (!hb_announce.empty())
-      std::fprintf(stderr, "  heartbeat: %s (watch with %s --progress)\n",
-                   hb_announce.c_str(), argv[0]);
     const auto t0 = std::chrono::steady_clock::now();
     SweepRunner runner(jobs);
     runner.set_checkpoint(checkpoint_path);
     runner.set_shard(shard);
-    if (heartbeat_set) runner.set_heartbeat(heartbeat_path);
     if (!trace_path.empty()) runner.set_trace(&trace, trace_packets);
     if (!counters_path.empty()) runner.set_telemetry(&counters);
     std::vector<SweepResult> sweeps;
