@@ -11,16 +11,11 @@
 //              the coarse signal can never overflow the receiver.
 #pragma once
 
-#include <string>
-
 namespace flexnet {
 
 enum class BufferMgmt {
   kCredit,  ///< exact credit counting per VC
   kOnOff,   ///< on/off backpressure with hysteresis over the credit state
 };
-
-BufferMgmt parse_buffer_mgmt(const std::string& name);
-const char* to_string(BufferMgmt bm);
 
 }  // namespace flexnet

@@ -2,8 +2,6 @@
 // VCs (paper SII "Buffer organization and cost", SVI-C).
 #pragma once
 
-#include <string>
-
 #include "buffers/input_buffer.hpp"
 
 namespace flexnet {
@@ -23,9 +21,6 @@ enum class BufferOrg {
   kStatic,  ///< statically partitioned per-VC FIFOs (baseline & FlexVC)
   kDamq,    ///< shared pool + per-VC private reservation
 };
-
-BufferOrg parse_buffer_org(const std::string& name);
-const char* to_string(BufferOrg org);
 
 /// Splits a port's total memory of `total_phits` among `num_vcs` VCs.
 /// For a DAMQ, `private_fraction` of the total is reserved privately

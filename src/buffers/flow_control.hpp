@@ -14,8 +14,6 @@
 //                single buffer instead of straddling routers.
 #pragma once
 
-#include <string>
-
 namespace flexnet {
 
 enum class FlowControl {
@@ -23,9 +21,6 @@ enum class FlowControl {
   kWormhole,  ///< flit streaming, per-flit buffer claims
   kVct,       ///< flit streaming, whole-packet buffer claims at the grant
 };
-
-FlowControl parse_flow_control(const std::string& name);
-const char* to_string(FlowControl fc);
 
 /// True for the schemes that segment packets into phit-sized flits.
 inline bool is_flit_level(FlowControl fc) { return fc != FlowControl::kPacket; }

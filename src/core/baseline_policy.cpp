@@ -1,7 +1,5 @@
 #include "core/baseline_policy.hpp"
 
-#include "scenario/registry.hpp"
-
 namespace flexnet {
 
 void BaselinePolicy::compute_candidates(const HopContext& ctx,
@@ -29,13 +27,5 @@ void BaselinePolicy::compute_candidates(const HopContext& ctx,
   cand.safe = true;
   out.push_back(cand);
 }
-
-FLEXNET_REGISTER_VC_POLICY({
-    "baseline",
-    "distance-based VC management: one fixed VC per hop index",
-    [](const VcArrangement& arrangement) -> std::unique_ptr<VcPolicy> {
-      return std::make_unique<BaselinePolicy>(arrangement);
-    },
-    nullptr})
 
 }  // namespace flexnet

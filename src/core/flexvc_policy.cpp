@@ -1,7 +1,5 @@
 #include "core/flexvc_policy.hpp"
 
-#include "scenario/registry.hpp"
-
 namespace flexnet {
 
 void FlexVcPolicy::compute_candidates(const HopContext& ctx,
@@ -69,14 +67,5 @@ void FlexVcPolicy::compute_candidates(const HopContext& ctx,
   if (none()) consider(/*intended_mode=*/false, /*own_segment_only=*/true);
   if (none()) consider(/*intended_mode=*/false, /*own_segment_only=*/false);
 }
-
-FLEXNET_REGISTER_VC_POLICY({
-    "flexvc",
-    "FlexVC: any VC admissible that preserves a safe escape embedding "
-    "(paper SIII)",
-    [](const VcArrangement& arrangement) -> std::unique_ptr<VcPolicy> {
-      return std::make_unique<FlexVcPolicy>(arrangement);
-    },
-    nullptr})
 
 }  // namespace flexnet

@@ -6,8 +6,6 @@
 // worst (it saturates the low-index VCs needed by earlier hops).
 #pragma once
 
-#include <string>
-
 #include "common/rng.hpp"
 #include "core/vc_policy.hpp"
 
@@ -19,9 +17,6 @@ enum class VcSelection {
   kLowest,   ///< lowest template position
   kRandom,   ///< uniform among feasible
 };
-
-VcSelection parse_vc_selection(const std::string& name);
-const char* to_string(VcSelection s);
 
 /// Picks one candidate among those for which `free_phits(phys) >= needed`.
 /// Returns the index into `cands`, or -1 if none is feasible.

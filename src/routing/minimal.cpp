@@ -1,7 +1,5 @@
 #include "routing/minimal.hpp"
 
-#include "scenario/registry.hpp"
-
 namespace flexnet {
 
 void MinimalRouting::route(const Packet& pkt, RouterId router, Rng& rng,
@@ -20,14 +18,5 @@ HopSeq MinimalRouting::reference_path(const TopologyShape& shape) {
   for (int i = 0; i < shape.diameter; ++i) seq.push_back(LinkType::kLocal);
   return seq;
 }
-
-FLEXNET_REGISTER_ROUTING({
-    "min",
-    "minimal routing (l-g-l on Dragonfly, direct on diameter-2 networks)",
-    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-       return std::make_unique<MinimalRouting>(ctx.topo);
-     },
-     &MinimalRouting::reference_path},
-    nullptr})
 
 }  // namespace flexnet

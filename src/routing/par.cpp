@@ -1,7 +1,5 @@
 #include "routing/par.hpp"
 
-#include "scenario/registry.hpp"
-
 namespace flexnet {
 
 void ParRouting::route(const Packet& pkt, RouterId router, Rng& rng,
@@ -52,17 +50,5 @@ HopSeq ParRouting::reference_path(const TopologyShape& shape) {
   }
   return seq;
 }
-
-FLEXNET_REGISTER_ROUTING({
-    "par",
-    "PAR: progressive adaptive — re-decides MIN vs VAL while in the source "
-    "group",
-    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-       return std::make_unique<ParRouting>(
-           ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
-           ParConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
-     },
-     &ParRouting::reference_path},
-    nullptr})
 
 }  // namespace flexnet

@@ -1,7 +1,5 @@
 #include "routing/ugal.hpp"
 
-#include "scenario/registry.hpp"
-
 namespace flexnet {
 
 void UgalRouting::route(const Packet& pkt, RouterId router, Rng& rng,
@@ -48,16 +46,5 @@ HopSeq UgalRouting::reference_path(const TopologyShape& shape) {
   }
   return seq;
 }
-
-FLEXNET_REGISTER_ROUTING({
-    "ugal",
-    "UGAL-L: source-adaptive MIN vs VAL by local credit occupancy",
-    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-       return std::make_unique<UgalRouting>(
-           ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
-           UgalConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
-     },
-     &UgalRouting::reference_path},
-    nullptr})
 
 }  // namespace flexnet

@@ -1,7 +1,5 @@
 #include "routing/valiant.hpp"
 
-#include "scenario/registry.hpp"
-
 namespace flexnet {
 
 void ValiantRouting::route(const Packet& pkt, RouterId router, Rng& rng,
@@ -36,14 +34,5 @@ HopSeq ValiantRouting::reference_path(const TopologyShape& shape) {
   }
   return seq;
 }
-
-FLEXNET_REGISTER_ROUTING({
-    "val",
-    "Valiant: nonminimal oblivious via a uniform-random intermediate router",
-    {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-       return std::make_unique<ValiantRouting>(ctx.topo);
-     },
-     &ValiantRouting::reference_path},
-    nullptr})
 
 }  // namespace flexnet

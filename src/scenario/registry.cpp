@@ -1,57 +1,246 @@
 #include "scenario/registry.hpp"
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "buffers/credit_ledger.hpp"
+#include "common/check.hpp"
+#include "core/baseline_policy.hpp"
+#include "core/flexvc_policy.hpp"
 #include "core/vc_arrangement.hpp"
 #include "core/vc_template.hpp"
 #include "routing/minimal.hpp"
+#include "routing/par.hpp"
+#include "routing/piggyback.hpp"
+#include "routing/ugal.hpp"
+#include "routing/valiant.hpp"
+#include "topology/dragonfly.hpp"
+#include "topology/slimfly.hpp"
 
 namespace flexnet {
 
-// Leaky function-local singletons: constructed on first use (safe during
-// the static initialization of the registrar objects), never destroyed
-// (so no registrar can outlive its registry during teardown).
-Registry<TopologyFactory>& topology_registry() {
-  static auto* r = new Registry<TopologyFactory>("topology");
-  return *r;
+// One table per family. A malformed table throws RegistryError from the
+// first lookup, and the static's initialization is retried on the next.
+
+const Registry<TopologyFactory>& topology_registry() {
+  static const Registry<TopologyFactory> registry("topology", {
+      {"dragonfly",
+       "Dragonfly (p,a,h) with palmtree global wiring; typed l/g links — the "
+       "paper's evaluation network",
+       {[](const SimConfig& cfg) -> std::unique_ptr<Topology> {
+          return std::make_unique<Dragonfly>(cfg.dragonfly);
+        },
+        Dragonfly::kShape},
+       [](const SimConfig& cfg) {
+         const DragonflyParams& d = cfg.dragonfly;
+         if (d.p < 1 || d.a < 2 || d.h < 1)
+           throw std::invalid_argument(
+               "topology 'dragonfly' needs df_p >= 1, df_a >= 2, df_h >= 1");
+       }},
+      {"slimfly",
+       "Slim Fly MMS(q) diameter-2 network, untyped links (Besta & Hoefler)",
+       {[](const SimConfig& cfg) -> std::unique_ptr<Topology> {
+          return std::make_unique<SlimFly>(cfg.slimfly);
+        },
+        SlimFly::kShape},
+       [](const SimConfig& cfg) {
+         const SlimFlyParams& s = cfg.slimfly;
+         if (s.p < 1 || !is_prime(s.q) || s.q % 4 != 1 || s.q > 37)
+           throw std::invalid_argument(
+               "topology 'slimfly' needs sf_p >= 1 and a prime sf_q = 1 mod 4 "
+               "with sf_q <= 37");
+       }},
+  });
+  return registry;
 }
 
-Registry<VcPolicyFactory>& vc_policy_registry() {
-  static auto* r = new Registry<VcPolicyFactory>("policy");
-  return *r;
+const Registry<VcPolicyFactory>& vc_policy_registry() {
+  static const Registry<VcPolicyFactory> registry("policy", {
+      {"baseline",
+       "distance-based VC management: one fixed VC per hop index",
+       [](const VcArrangement& arrangement) -> std::unique_ptr<VcPolicy> {
+         return std::make_unique<BaselinePolicy>(arrangement);
+       }},
+      {"flexvc",
+       "FlexVC: any VC admissible that preserves a safe escape embedding "
+       "(paper SIII)",
+       [](const VcArrangement& arrangement) -> std::unique_ptr<VcPolicy> {
+         return std::make_unique<FlexVcPolicy>(arrangement);
+       }},
+  });
+  return registry;
 }
 
-Registry<RoutingFactory>& routing_registry() {
-  static auto* r = new Registry<RoutingFactory>("routing");
-  return *r;
+const Registry<RoutingFactory>& routing_registry() {
+  static const Registry<RoutingFactory> registry("routing", {
+      {"min",
+       "minimal routing (l-g-l on Dragonfly, direct on diameter-2 networks)",
+       {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+          return std::make_unique<MinimalRouting>(ctx.topo);
+        },
+        &MinimalRouting::reference_path}},
+      {"val",
+       "Valiant: nonminimal oblivious via a uniform-random intermediate "
+       "router",
+       {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+          return std::make_unique<ValiantRouting>(ctx.topo);
+        },
+        &ValiantRouting::reference_path}},
+      {"ugal",
+       "UGAL-L: source-adaptive MIN vs VAL by local credit occupancy",
+       {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+          return std::make_unique<UgalRouting>(
+              ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
+              UgalConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
+        },
+        &UgalRouting::reference_path}},
+      {"par",
+       "PAR: progressive adaptive — re-decides MIN vs VAL while in the "
+       "source group",
+       {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+          return std::make_unique<ParRouting>(
+              ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
+              ParConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
+        },
+        &ParRouting::reference_path}},
+      {"pb",
+       "Piggyback: UGAL-L plus broadcast saturation bits (Dragonfly only)",
+       {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
+          auto* df = dynamic_cast<const Dragonfly*>(&ctx.topo);
+          FLEXNET_CHECK_MSG(df != nullptr,
+                            "Piggyback routing requires a Dragonfly");
+          // Minimal traffic uses the first global VC of its class segment —
+          // the VC the per-VC variant senses.
+          std::array<VcIndex, kNumMsgClasses> first_vc{0, kInvalidVc};
+          if (ctx.arrangement.has_reply())
+            first_vc[1] =
+                ctx.arrangement.count(MsgClass::kRequest, LinkType::kGlobal);
+          PiggybackConfig pb;
+          pb.per_vc = ctx.config.pb_per_vc;
+          pb.min_only = ctx.config.mincred;
+          pb.threshold_packets = ctx.config.adaptive_threshold;
+          return std::make_unique<PiggybackRouting>(
+              *df, ctx.oracle, ctx.config.effective_packet_phits(), pb,
+              first_vc);
+        },
+        &PiggybackRouting::reference_path},
+       [](const SimConfig& cfg) {
+         if (cfg.topology != "dragonfly")
+           throw std::invalid_argument(
+               "routing 'pb' senses per-group global channels and requires "
+               "topology=dragonfly");
+       }},
+  });
+  return registry;
 }
 
-Registry<VcSelectionFactory>& vc_selection_registry() {
-  static auto* r = new Registry<VcSelectionFactory>("vc_selection");
-  return *r;
+const Registry<VcSelection>& vc_selection_registry() {
+  static const Registry<VcSelection> registry("vc_selection", {
+      {"jsq",
+       "join the shortest queue: most free phits downstream (paper's best)",
+       VcSelection::kJsq},
+      {"highest", "highest admissible template position",
+       VcSelection::kHighest},
+      {"lowest",
+       "lowest admissible template position (paper's consistent worst)",
+       VcSelection::kLowest},
+      {"random", "uniform among the feasible candidates",
+       VcSelection::kRandom},
+  });
+  return registry;
 }
 
-Registry<TrafficFactories>& traffic_registry() {
-  static auto* r = new Registry<TrafficFactories>("traffic");
-  return *r;
+const Registry<TrafficFactories>& traffic_registry() {
+  static const Registry<TrafficFactories> registry("traffic", {
+      {"uniform",
+       "UN: uniform-random destinations, Bernoulli injection",
+       {[](const Topology& topo, const SimConfig&)
+            -> std::unique_ptr<TrafficPattern> {
+          return std::make_unique<UniformPattern>(topo.num_nodes());
+        },
+        [](const SimConfig& cfg, double request_load) -> InjectionProcess {
+          return InjectionProcess::bernoulli(request_load,
+                                             cfg.effective_packet_phits());
+        }}},
+      {"bursty",
+       "BURSTY-UN: uniform destinations held per burst, ON/OFF Markov "
+       "injection",
+       {[](const Topology& topo, const SimConfig&)
+            -> std::unique_ptr<TrafficPattern> {
+          return std::make_unique<UniformPattern>(topo.num_nodes());
+        },
+        [](const SimConfig& cfg, double request_load) -> InjectionProcess {
+          return InjectionProcess::on_off(
+              request_load, cfg.effective_packet_phits(), cfg.burst_length);
+        }},
+       [](const SimConfig& cfg) {
+         if (!(cfg.burst_length >= 1.0))  // NaN fails this too
+           throw std::invalid_argument(
+               "traffic 'bursty' needs burst_length >= 1 packet");
+       }},
+      {"adversarial",
+       "ADV+k: random node of the group k groups after the source's",
+       {[](const Topology& topo, const SimConfig& cfg)
+            -> std::unique_ptr<TrafficPattern> {
+          return std::make_unique<AdversarialPattern>(
+              topo, cfg.adversarial_offset);
+        },
+        [](const SimConfig& cfg, double request_load) -> InjectionProcess {
+          return InjectionProcess::bernoulli(request_load,
+                                             cfg.effective_packet_phits());
+        }},
+       [](const SimConfig& cfg) {
+         if (cfg.adversarial_offset < 1)
+           throw std::invalid_argument(
+               "traffic 'adversarial' needs adv_offset >= 1");
+       }},
+  });
+  return registry;
 }
 
-Registry<BufferOrgFactory>& buffer_org_registry() {
-  static auto* r = new Registry<BufferOrgFactory>("buffer_org");
-  return *r;
+const Registry<BufferOrg>& buffer_org_registry() {
+  static const Registry<BufferOrg> registry("buffer_org", {
+      {"static", "statically partitioned per-VC FIFOs", BufferOrg::kStatic},
+      {"damq", "DAMQ: shared pool with a per-VC private reservation",
+       BufferOrg::kDamq,
+       [](const SimConfig& cfg) {
+         // Written so NaN, which compares false both ways, is rejected too.
+         if (!(cfg.damq_private_fraction >= 0.0 &&
+               cfg.damq_private_fraction <= 1.0))
+           throw std::invalid_argument(
+               "buffer_org 'damq' needs damq_private_fraction in [0, 1]");
+       }},
+  });
+  return registry;
 }
 
-Registry<FlowControlFactory>& flow_control_registry() {
-  static auto* r = new Registry<FlowControlFactory>("flow_control");
-  return *r;
+const Registry<FlowControl>& flow_control_registry() {
+  static const Registry<FlowControl> registry("flow_control", {
+      {"packet",
+       "whole-packet granularity: one link event and one credit claim per "
+       "packet",
+       FlowControl::kPacket},
+      {"wormhole",
+       "flit streaming; body flits claim downstream space one phit at a "
+       "time",
+       FlowControl::kWormhole},
+      {"vct",
+       "virtual cut-through: flit streaming with whole-packet buffer claims",
+       FlowControl::kVct},
+  });
+  return registry;
 }
 
-Registry<BufferMgmtFactory>& buffer_mgmt_registry() {
-  static auto* r = new Registry<BufferMgmtFactory>("buffer_mgmt");
-  return *r;
+const Registry<BufferMgmt>& buffer_mgmt_registry() {
+  static const Registry<BufferMgmt> registry("buffer_mgmt", {
+      {"credit", "exact phit-granular credit counting per VC",
+       BufferMgmt::kCredit},
+      {"on_off", "on/off backpressure: port-level stop/go bit with hysteresis",
+       BufferMgmt::kOnOff},
+  });
+  return registry;
 }
 
 void validate_config(const SimConfig& cfg) {

@@ -1,31 +1,28 @@
-// Component registry: the string-keyed construction layer every simulation
-// component family (topologies, routing algorithms, VC policies, VC
-// selection functions, traffic patterns, buffer organizations) registers
-// itself with. Network/Node dispatch through registry lookups instead of
-// hard-coded if-chains, so
+// Component registry: the string-keyed construction layer for every
+// simulation component family (topologies, routing algorithms, VC
+// policies, VC selection functions, traffic patterns, buffer
+// organizations, flow control and buffer management). Network/Node
+// dispatch through registry lookups instead of hard-coded if-chains, so
 //   * an unknown name fails with an error that enumerates the registered
 //     alternatives ("unknown routing 'ugl' — registered: min, par, ...");
-//   * new components are one REGISTER_* block in their own translation
-//     unit, with no edits to the dispatch sites;
+//   * a new component is one entry in its family's table in
+//     src/scenario/registry.cpp, with no edits to the dispatch sites;
 //   * registries are introspectable (Registry::names(), list_registries())
 //     — `flexnet_run --list` prints every registered component.
 //
-// Each entry carries a name, a one-line description, a factory payload,
+// Each entry carries a name, a one-line description, a payload (the
+// family's factory, or for the enum-like families the enum value itself),
 // and an optional validate(SimConfig) hook that rejects configurations the
 // component cannot run (e.g. Piggyback routing off a Dragonfly) *before*
 // any simulation state is built — suite files surface these per series.
 //
-// Registration happens from namespace-scope registrar objects during
-// static initialization (the REGISTER macros below); lookups start after
-// main() begins, so no locking is needed. The registries live behind
-// function-local accessors, immune to initialization-order hazards. The
-// flexnet library is linked as a CMake OBJECT library so registrars in
-// translation units nothing references explicitly still run.
+// Each family's table is written out in one place, its accessor in
+// registry.cpp; the Registry is built from it on first use (a thread-safe
+// function-local static) and sorted by name. Nothing registers itself, so
+// the components need not know this layer exists.
 #pragma once
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -44,8 +41,8 @@
 
 namespace flexnet {
 
-/// Registry misuse or lookup failure. Derives from std::invalid_argument
-/// so the legacy parse_*/make_* call sites keep their exception contract.
+/// A malformed table (empty or duplicate name) or an unknown name. Derives
+/// from std::invalid_argument, the exception every config error throws.
 class RegistryError : public std::invalid_argument {
  public:
   explicit RegistryError(const std::string& what)
@@ -60,27 +57,30 @@ class Registry {
   struct Entry {
     std::string name;
     std::string description;  ///< one line, shown by --list
-    Payload make{};
+    Payload make{};  ///< the factory, or the enum value itself
     /// Optional: throws (std::invalid_argument preferred) when `make`
     /// cannot serve this configuration. Runs before network construction.
-    std::function<void(const SimConfig&)> validate;
+    std::function<void(const SimConfig&)> validate{};
   };
 
-  explicit Registry(std::string kind) : kind_(std::move(kind)) {}
+  /// Sorts `table` by name. An empty or duplicate name is a RegistryError
+  /// naming the family and the name.
+  Registry(std::string kind, std::vector<Entry> table)
+      : kind_(std::move(kind)), entries_(std::move(table)) {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) { return a.name < b.name; });
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].name.empty())
+        throw RegistryError("the " + kind_ + " table has an entry with an "
+                            "empty name ''");
+      if (i > 0 && entries_[i].name == entries_[i - 1].name)
+        throw RegistryError("duplicate " + kind_ + " '" + entries_[i].name +
+                            "' in the " + kind_ + " table");
+    }
+  }
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
-
-  /// Registers `entry`; duplicate or empty names are a RegistryError.
-  void add(Entry entry) {
-    if (entry.name.empty())
-      throw RegistryError("cannot register a " + kind_ + " with an empty name");
-    const auto pos = lower_bound(entry.name);
-    if (pos != entries_.end() && pos->name == entry.name)
-      throw RegistryError("duplicate " + kind_ + " '" + entry.name +
-                          "' registration");
-    entries_.insert(pos, std::move(entry));
-  }
 
   const Entry* find(const std::string& name) const {
     const auto pos = lower_bound(name);
@@ -115,11 +115,6 @@ class Registry {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  typename std::vector<Entry>::iterator lower_bound(const std::string& name) {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), name,
-        [](const Entry& e, const std::string& n) { return e.name < n; });
-  }
   typename std::vector<Entry>::const_iterator lower_bound(
       const std::string& name) const {
     return std::lower_bound(
@@ -179,19 +174,15 @@ struct RoutingFactory {
 
 using VcPolicyFactory =
     std::function<std::unique_ptr<VcPolicy>(const VcArrangement&)>;
-using VcSelectionFactory = std::function<VcSelection()>;
-using BufferOrgFactory = std::function<BufferOrg()>;
-using FlowControlFactory = std::function<FlowControl()>;
-using BufferMgmtFactory = std::function<BufferMgmt()>;
 
-Registry<TopologyFactory>& topology_registry();
-Registry<VcPolicyFactory>& vc_policy_registry();
-Registry<RoutingFactory>& routing_registry();
-Registry<VcSelectionFactory>& vc_selection_registry();
-Registry<TrafficFactories>& traffic_registry();
-Registry<BufferOrgFactory>& buffer_org_registry();
-Registry<FlowControlFactory>& flow_control_registry();
-Registry<BufferMgmtFactory>& buffer_mgmt_registry();
+const Registry<TopologyFactory>& topology_registry();
+const Registry<VcPolicyFactory>& vc_policy_registry();
+const Registry<RoutingFactory>& routing_registry();
+const Registry<VcSelection>& vc_selection_registry();
+const Registry<TrafficFactories>& traffic_registry();
+const Registry<BufferOrg>& buffer_org_registry();
+const Registry<FlowControl>& flow_control_registry();
+const Registry<BufferMgmt>& buffer_mgmt_registry();
 
 /// Checks every component name in `cfg` against its registry (unknown
 /// names enumerate the alternatives), runs each entry's validate hook,
@@ -213,54 +204,5 @@ struct RegistryListing {
   std::vector<ComponentInfo> components;  ///< name-sorted
 };
 std::vector<RegistryListing> list_registries();
-
-namespace detail {
-/// Registrar: runs a registration at static-initialization time. A
-/// registration error (duplicate name, empty name) there cannot be a
-/// catchable exception — it would escape dynamic initialization and hit
-/// std::terminate with no context — so it prints the message and aborts.
-/// Runtime Registry::add() calls keep the catchable RegistryError.
-struct Registrar {
-  template <typename Fn>
-  explicit Registrar(Fn fn) {
-    try {
-      fn();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "flexnet component registration failed: %s\n",
-                   e.what());
-      std::abort();
-    }
-  }
-};
-}  // namespace detail
-
-#define FLEXNET_REGISTRY_CONCAT_INNER(a, b) a##b
-#define FLEXNET_REGISTRY_CONCAT(a, b) FLEXNET_REGISTRY_CONCAT_INNER(a, b)
-
-/// Registers an Entry into `registry_accessor()` at static init. Use the
-/// kind-specific wrappers below; `...` is a braced Entry initializer.
-#define FLEXNET_REGISTER_COMPONENT(registry_accessor, ...)             \
-  namespace {                                                          \
-  const ::flexnet::detail::Registrar FLEXNET_REGISTRY_CONCAT(          \
-      flexnet_registrar_, __LINE__)(                                   \
-      [] { ::flexnet::registry_accessor().add(__VA_ARGS__); });        \
-  }
-
-#define FLEXNET_REGISTER_TOPOLOGY(...) \
-  FLEXNET_REGISTER_COMPONENT(topology_registry, __VA_ARGS__)
-#define FLEXNET_REGISTER_VC_POLICY(...) \
-  FLEXNET_REGISTER_COMPONENT(vc_policy_registry, __VA_ARGS__)
-#define FLEXNET_REGISTER_ROUTING(...) \
-  FLEXNET_REGISTER_COMPONENT(routing_registry, __VA_ARGS__)
-#define FLEXNET_REGISTER_VC_SELECTION(...) \
-  FLEXNET_REGISTER_COMPONENT(vc_selection_registry, __VA_ARGS__)
-#define FLEXNET_REGISTER_TRAFFIC(...) \
-  FLEXNET_REGISTER_COMPONENT(traffic_registry, __VA_ARGS__)
-#define FLEXNET_REGISTER_BUFFER_ORG(...) \
-  FLEXNET_REGISTER_COMPONENT(buffer_org_registry, __VA_ARGS__)
-#define FLEXNET_REGISTER_FLOW_CONTROL(...) \
-  FLEXNET_REGISTER_COMPONENT(flow_control_registry, __VA_ARGS__)
-#define FLEXNET_REGISTER_BUFFER_MGMT(...) \
-  FLEXNET_REGISTER_COMPONENT(buffer_mgmt_registry, __VA_ARGS__)
 
 }  // namespace flexnet

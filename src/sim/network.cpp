@@ -69,7 +69,7 @@ Network::Network(const SimConfig& config) : config_(config) {
 
   const VcArrangement arrangement = VcArrangement::parse(config_.vcs);
   policy_ = vc_policy_registry().at(config_.policy).make(arrangement);
-  selection_ = vc_selection_registry().at(config_.vc_selection).make();
+  selection_ = vc_selection_registry().at(config_.vc_selection).make;
   routing_ = routing_registry()
                  .at(config_.routing)
                  .make(RoutingContext{*topo_, *this, config_, arrangement});
@@ -101,9 +101,9 @@ void Network::build() {
 
   const int num_routers = topo_->num_routers();
   const int inj_ports = topo_->concentration();
-  const BufferOrg org = buffer_org_registry().at(config_.buffer_org).make();
-  flow_control_ = flow_control_registry().at(config_.flow_control).make();
-  buffer_mgmt_ = buffer_mgmt_registry().at(config_.buffer_mgmt).make();
+  const BufferOrg org = buffer_org_registry().at(config_.buffer_org).make;
+  flow_control_ = flow_control_registry().at(config_.flow_control).make;
+  buffer_mgmt_ = buffer_mgmt_registry().at(config_.buffer_mgmt).make;
   flit_ = is_flit_level(flow_control_);
 
   // Offset tables (with sentinels) first, then one flat reserve per array:

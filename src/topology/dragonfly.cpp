@@ -1,7 +1,5 @@
 #include "topology/dragonfly.hpp"
 
-#include "scenario/registry.hpp"
-
 #include "common/check.hpp"
 
 namespace flexnet {
@@ -99,20 +97,5 @@ HopSeq Dragonfly::min_hop_types(RouterId from, RouterId to) const {
   if (entry != to) seq.push_back(LinkType::kLocal);
   return seq;
 }
-
-FLEXNET_REGISTER_TOPOLOGY({
-    "dragonfly",
-    "Dragonfly (p,a,h) with palmtree global wiring; typed l/g links — the "
-    "paper's evaluation network",
-    {[](const SimConfig& cfg) -> std::unique_ptr<Topology> {
-       return std::make_unique<Dragonfly>(cfg.dragonfly);
-     },
-     Dragonfly::kShape},
-    [](const SimConfig& cfg) {
-      const DragonflyParams& d = cfg.dragonfly;
-      if (d.p < 1 || d.a < 2 || d.h < 1)
-        throw std::invalid_argument(
-            "topology 'dragonfly' needs df_p >= 1, df_a >= 2, df_h >= 1");
-    }})
 
 }  // namespace flexnet

@@ -1,13 +1,10 @@
 #include "topology/slimfly.hpp"
 
-#include "scenario/registry.hpp"
-
 #include <algorithm>
 
 #include "common/check.hpp"
 
 namespace flexnet {
-namespace {
 
 bool is_prime(int q) {
   if (q < 2) return false;
@@ -15,8 +12,6 @@ bool is_prime(int q) {
     if (q % d == 0) return false;
   return true;
 }
-
-}  // namespace
 
 SlimFly::SlimFly(const SlimFlyParams& params)
     : Topology(params.p, kShape), params_(params) {
@@ -150,20 +145,5 @@ HopSeq SlimFly::min_hop_types(RouterId from, RouterId to) const {
   for (int i = 0; i < d; ++i) seq.push_back(LinkType::kLocal);
   return seq;
 }
-
-FLEXNET_REGISTER_TOPOLOGY({
-    "slimfly",
-    "Slim Fly MMS(q) diameter-2 network, untyped links (Besta & Hoefler)",
-    {[](const SimConfig& cfg) -> std::unique_ptr<Topology> {
-       return std::make_unique<SlimFly>(cfg.slimfly);
-     },
-     SlimFly::kShape},
-    [](const SimConfig& cfg) {
-      const SlimFlyParams& s = cfg.slimfly;
-      if (s.p < 1 || !is_prime(s.q) || s.q % 4 != 1 || s.q > 37)
-        throw std::invalid_argument(
-            "topology 'slimfly' needs sf_p >= 1 and a prime sf_q = 1 mod 4 "
-            "with sf_q <= 37");
-    }})
 
 }  // namespace flexnet

@@ -26,6 +26,9 @@ struct SlimFlyParams {
   int network_degree() const { return (3 * q - 1) / 2; }
 };
 
+/// True for a prime q; the MMS construction needs one with q = 1 mod 4.
+bool is_prime(int q);
+
 class SlimFly final : public Topology {
  public:
   static constexpr TopologyShape kShape{/*typed=*/false, /*diameter=*/2};

@@ -1,9 +1,5 @@
 #include "traffic/traffic.hpp"
 
-#include "scenario/registry.hpp"
-
-#include <stdexcept>
-
 #include "common/check.hpp"
 
 namespace flexnet {
@@ -43,70 +39,5 @@ InjectionProcess InjectionProcess::on_off(double load, int packet_size,
                           mean_off <= 0.0 ? 1.0 : 1.0 / mean_off,
                           1.0 / mean_burst_packets);
 }
-
-std::unique_ptr<TrafficPattern> make_pattern(const std::string& name,
-                                             const Topology& topo,
-                                             int adversarial_offset) {
-  // Registry-backed: an unknown name enumerates the registered patterns.
-  SimConfig cfg;
-  cfg.traffic = name;
-  cfg.adversarial_offset = adversarial_offset;
-  return traffic_registry().at(name).make.pattern(topo, cfg);
-}
-
-FLEXNET_REGISTER_TRAFFIC({
-    "uniform",
-    "UN: uniform-random destinations, Bernoulli injection",
-    TrafficFactories{
-        [](const Topology& topo, const SimConfig&)
-            -> std::unique_ptr<TrafficPattern> {
-          return std::make_unique<UniformPattern>(topo.num_nodes());
-        },
-        [](const SimConfig& cfg, double request_load)
-            -> InjectionProcess {
-          return InjectionProcess::bernoulli(request_load,
-                                             cfg.effective_packet_phits());
-        }},
-    nullptr})
-
-FLEXNET_REGISTER_TRAFFIC({
-    "bursty",
-    "BURSTY-UN: uniform destinations held per burst, ON/OFF Markov "
-    "injection",
-    TrafficFactories{
-        [](const Topology& topo, const SimConfig&)
-            -> std::unique_ptr<TrafficPattern> {
-          return std::make_unique<UniformPattern>(topo.num_nodes());
-        },
-        [](const SimConfig& cfg, double request_load)
-            -> InjectionProcess {
-          return InjectionProcess::on_off(
-              request_load, cfg.effective_packet_phits(), cfg.burst_length);
-        }},
-    [](const SimConfig& cfg) {
-      if (!(cfg.burst_length >= 1.0))  // NaN fails this too
-        throw std::invalid_argument(
-            "traffic 'bursty' needs burst_length >= 1 packet");
-    }})
-
-FLEXNET_REGISTER_TRAFFIC({
-    "adversarial",
-    "ADV+k: random node of the group k groups after the source's",
-    TrafficFactories{
-        [](const Topology& topo, const SimConfig& cfg)
-            -> std::unique_ptr<TrafficPattern> {
-          return std::make_unique<AdversarialPattern>(
-              topo, cfg.adversarial_offset);
-        },
-        [](const SimConfig& cfg, double request_load)
-            -> InjectionProcess {
-          return InjectionProcess::bernoulli(request_load,
-                                             cfg.effective_packet_phits());
-        }},
-    [](const SimConfig& cfg) {
-      if (cfg.adversarial_offset < 1)
-        throw std::invalid_argument(
-            "traffic 'adversarial' needs adv_offset >= 1");
-    }})
 
 }  // namespace flexnet

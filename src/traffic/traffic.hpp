@@ -114,8 +114,4 @@ class InjectionProcess {
   double burst_exit_prob_;  ///< ON/OFF: 1 / mean burst length (packets)
 };
 
-std::unique_ptr<TrafficPattern> make_pattern(const std::string& name,
-                                             const Topology& topo,
-                                             int adversarial_offset = 1);
-
 }  // namespace flexnet

@@ -16,6 +16,7 @@
 #include "buffers/input_buffer.hpp"
 #include "common/arena.hpp"
 #include "common/rng.hpp"
+#include "scenario/registry.hpp"
 
 namespace flexnet {
 namespace {
@@ -328,10 +329,10 @@ TEST(BufferOrg, FactoryBuildsDamqWhenShared) {
   EXPECT_EQ(buf.total_capacity(), 128);
 }
 
-TEST(BufferOrg, ParseRoundTrips) {
-  EXPECT_EQ(parse_buffer_org("static"), BufferOrg::kStatic);
-  EXPECT_EQ(parse_buffer_org("damq"), BufferOrg::kDamq);
-  EXPECT_THROW(parse_buffer_org("elastic"), std::invalid_argument);
+TEST(BufferOrg, RegistryMapsNames) {
+  EXPECT_EQ(buffer_org_registry().at("static").make, BufferOrg::kStatic);
+  EXPECT_EQ(buffer_org_registry().at("damq").make, BufferOrg::kDamq);
+  EXPECT_THROW(buffer_org_registry().at("elastic"), std::invalid_argument);
 }
 
 // --- CreditLedger mirrors the receiver.

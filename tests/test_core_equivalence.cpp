@@ -12,9 +12,11 @@
 //
 // The allocator's state gather (Network::state_gather) is a prefetch
 // selected by network size, so most hosts never run it on the goldens.
-// The same reports are therefore rendered with the gather forced on and
-// forced off, and a paper-scale network, the size it is selected for,
-// must move exactly the same packets either way.
+// The same reports are therefore rendered with the gather forced on, and
+// forced off too wherever this host selects it for some job of a golden
+// (elsewhere the forced-off render is the path ByteIdentical already
+// takes). A paper-scale network, the size it is selected for, must move
+// exactly the same packets either way.
 //
 // Regenerating the fixtures (only when a change *intends* to alter
 // results, e.g. a new config default) is explicit:
@@ -179,12 +181,28 @@ TEST_P(GoldenReport, ByteIdentical) {
   }
 }
 
+/// Whether this host selects the state gather for some job of a shipped
+/// suite, i.e. whether the suite's own runs take the gather path here.
+bool gather_selected_here(const std::string& suite_file) {
+  const SuiteSpec spec = SuiteSpec::load_shipped(suite_file);
+  const int seeds = spec.seeds_or(1);
+  for (const ExperimentSeries& series : golden_grid(spec))
+    for (const double load : spec.loads)
+      for (int k = 0; k < seeds; ++k)
+        if (Network(SweepRunner::job_config(series.config, load, k))
+                .state_gather())
+          return true;
+  return false;
+}
+
 TEST_P(GoldenReport, StateGatherForcedOnAndOff) {
   const std::string name = GetParam();
   const std::string path = golden_path(name + ".golden.json");
   std::string golden;
   ASSERT_TRUE(read_file(path, &golden)) << "missing golden fixture " << path;
-  for (const bool on : {true, false}) {
+  std::vector<bool> modes = {true};
+  if (gather_selected_here(name + ".json")) modes.push_back(false);
+  for (const bool on : modes) {
     ASSERT_EQ(render_suite_report(name + ".json", gather_forced_run(on)),
               golden)
         << "canonical report of " << name << " with the state gather forced "

@@ -25,49 +25,51 @@ std::string thrown_message(const std::function<void()>& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry mechanics (on a local instance, so the global registries stay
-// exactly the builtin set for the tests below).
+// Registry mechanics (on local tables, so the tests need no builtin name).
+
+using Widgets = Registry<VcSelection>;
 
 TEST(Registry, DuplicateNameRejected) {
-  Registry<VcSelectionFactory> reg("widget");
-  reg.add({"alpha", "first", [] { return VcSelection::kJsq; }, nullptr});
-  EXPECT_THROW(
-      reg.add({"alpha", "again", [] { return VcSelection::kJsq; }, nullptr}),
-      RegistryError);
-  const std::string msg = thrown_message([&] {
-    reg.add({"alpha", "again", [] { return VcSelection::kJsq; }, nullptr});
-  });
+  const auto duplicate = [] {
+    Widgets reg("widget", {{"alpha", "first", VcSelection::kJsq},
+                           {"beta", "", VcSelection::kLowest},
+                           {"alpha", "again", VcSelection::kHighest}});
+  };
+  EXPECT_THROW(duplicate(), RegistryError);
+  const std::string msg = thrown_message(duplicate);
   EXPECT_NE(msg.find("duplicate widget 'alpha'"), std::string::npos) << msg;
-  EXPECT_EQ(reg.size(), 1u);  // the duplicate did not replace the original
-  EXPECT_EQ(reg.at("alpha").description, "first");
 }
 
 TEST(Registry, EmptyNameRejected) {
-  Registry<VcSelectionFactory> reg("widget");
-  EXPECT_THROW(reg.add({"", "", nullptr, nullptr}), RegistryError);
+  const auto empty = [] { Widgets reg("widget", {{"", "", {}}}); };
+  EXPECT_THROW(empty(), RegistryError);
+  const std::string msg = thrown_message(empty);
+  EXPECT_NE(msg.find("widget"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("empty name ''"), std::string::npos) << msg;
 }
 
-TEST(Registry, NamesSortedRegardlessOfRegistrationOrder) {
-  Registry<VcSelectionFactory> reg("widget");
-  for (const char* name : {"mid", "zz", "aa"})
-    reg.add({name, "", [] { return VcSelection::kJsq; }, nullptr});
+TEST(Registry, NamesSortedRegardlessOfTableOrder) {
+  const Widgets reg("widget", {{"mid", "", VcSelection::kJsq},
+                               {"zz", "", VcSelection::kLowest},
+                               {"aa", "", VcSelection::kHighest}});
   const std::vector<std::string> expected = {"aa", "mid", "zz"};
   EXPECT_EQ(reg.names(), expected);
   // Stable: a second snapshot is identical.
   EXPECT_EQ(reg.names(), reg.names());
+  // Sorting keeps each name with its own payload.
+  EXPECT_EQ(reg.at("zz").make, VcSelection::kLowest);
 }
 
 TEST(Registry, UnknownNameEnumeratesAlternatives) {
-  Registry<VcSelectionFactory> reg("widget");
-  reg.add({"aa", "", [] { return VcSelection::kJsq; }, nullptr});
-  reg.add({"bb", "", [] { return VcSelection::kJsq; }, nullptr});
+  const Widgets reg("widget", {{"bb", "", VcSelection::kJsq},
+                               {"aa", "", VcSelection::kJsq}});
   const std::string msg = thrown_message([&] { reg.at("cc"); });
   EXPECT_NE(msg.find("unknown widget 'cc'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("registered: aa, bb"), std::string::npos) << msg;
 }
 
 // ---------------------------------------------------------------------------
-// Builtin registrations.
+// Builtin tables.
 
 TEST(BuiltinRegistries, AllComponentsRegistered) {
   using Names = std::vector<std::string>;
@@ -81,7 +83,14 @@ TEST(BuiltinRegistries, AllComponentsRegistered) {
   EXPECT_EQ(traffic_registry().names(),
             (Names{"adversarial", "bursty", "uniform"}));
   EXPECT_EQ(buffer_org_registry().names(), (Names{"damq", "static"}));
-  for (const RegistryListing& listing : list_registries())
+  EXPECT_EQ(flow_control_registry().names(),
+            (Names{"packet", "vct", "wormhole"}));
+  EXPECT_EQ(buffer_mgmt_registry().names(), (Names{"credit", "on_off"}));
+  // Every family's table builds: a malformed one throws here.
+  std::vector<RegistryListing> listings;
+  ASSERT_NO_THROW(listings = list_registries());
+  EXPECT_EQ(listings.size(), 8u);
+  for (const RegistryListing& listing : listings)
     for (const ComponentInfo& info : listing.components)
       EXPECT_FALSE(info.description.empty())
           << listing.kind << " '" << info.name << "' has no description";

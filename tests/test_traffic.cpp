@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "scenario/registry.hpp"
 #include "topology/dragonfly.hpp"
 #include "traffic/traffic.hpp"
 
@@ -144,12 +146,16 @@ TEST(OnOffProcess, FullLoadNeverSleeps) {
   EXPECT_NEAR(fired * 8.0 / 80000.0, 1.0, 0.02);
 }
 
-TEST(MakePattern, FactoryMapsNames) {
+TEST(TrafficRegistry, PatternFactoryMapsNames) {
   const Dragonfly topo({2, 4, 2});
-  EXPECT_EQ(make_pattern("uniform", topo)->name(), "uniform");
-  EXPECT_EQ(make_pattern("bursty", topo)->name(), "uniform");  // dest model
-  EXPECT_EQ(make_pattern("adversarial", topo)->name(), "adversarial+1");
-  EXPECT_THROW(make_pattern("hotspot", topo), std::invalid_argument);
+  const SimConfig cfg;  // adversarial_offset = 1
+  const auto pattern = [&](const std::string& name) {
+    return traffic_registry().at(name).make.pattern(topo, cfg)->name();
+  };
+  EXPECT_EQ(pattern("uniform"), "uniform");
+  EXPECT_EQ(pattern("bursty"), "uniform");  // dest model
+  EXPECT_EQ(pattern("adversarial"), "adversarial+1");
+  EXPECT_THROW(pattern("hotspot"), std::invalid_argument);
 }
 
 }  // namespace

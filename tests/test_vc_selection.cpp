@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "scenario/registry.hpp"
+
 namespace flexnet {
 namespace {
 
@@ -20,13 +22,13 @@ std::function<int(VcIndex)> credits_of(std::vector<int> table) {
   };
 }
 
-TEST(VcSelection, ParsesNames) {
-  EXPECT_EQ(parse_vc_selection("jsq"), VcSelection::kJsq);
-  EXPECT_EQ(parse_vc_selection("highest"), VcSelection::kHighest);
-  EXPECT_EQ(parse_vc_selection("lowest"), VcSelection::kLowest);
-  EXPECT_EQ(parse_vc_selection("random"), VcSelection::kRandom);
-  EXPECT_THROW(parse_vc_selection("fifo"), std::invalid_argument);
-  EXPECT_STREQ(to_string(VcSelection::kJsq), "jsq");
+TEST(VcSelection, RegistryMapsNames) {
+  const auto& registry = vc_selection_registry();
+  EXPECT_EQ(registry.at("jsq").make, VcSelection::kJsq);
+  EXPECT_EQ(registry.at("highest").make, VcSelection::kHighest);
+  EXPECT_EQ(registry.at("lowest").make, VcSelection::kLowest);
+  EXPECT_EQ(registry.at("random").make, VcSelection::kRandom);
+  EXPECT_THROW(registry.at("fifo"), std::invalid_argument);
 }
 
 TEST(VcSelection, JsqPicksMostFreeSpace) {

@@ -9,23 +9,22 @@
 //                       reads (time(), std::chrono, clock_gettime, ...),
 //                       and pointer-keyed std::map/std::set; thread
 //                       primitives anywhere under src/sim/
-//   L4  registry        a TU defining a component (class deriving from
-//                       Topology/RoutingAlgorithm/TrafficPattern/VcPolicy)
-//                       must hold a FLEXNET_REGISTER_* block
 //
-// Rules are numbered from L3: schema completeness (every SimConfig field
-// in the config key table, every SimResult field in kResultFields) is
-// checked by the compiler through the arity pins beside those tables, and
-// that every registered component is reached by a golden suite is checked
-// by tests/test_core_equivalence.cpp walking the registries themselves.
-// That telemetry hooks are read-only is checked by the compiler too: they
-// are const member functions of Network (src/sim/network.hpp).
+// L3 is the only rule; the others are held by construction. Schema
+// completeness (every SimConfig field in the config key table, every
+// SimResult field in kResultFields) is checked by the compiler through the
+// arity pins beside those tables. Every component is an entry of its
+// family's table in src/scenario/registry.cpp, and that every entry is
+// reached by a golden suite is checked by tests/test_core_equivalence.cpp
+// walking the registries. That telemetry hooks are read-only is checked by
+// the compiler too: they are const member functions of Network
+// (src/sim/network.hpp).
 //
 // Diagnostics are file:line so CI output is clickable; `--json FILE`
 // additionally writes a machine-readable report. A finding can be
 // suppressed at its site with
 //     // flexnet-lint: allow(L3)            (same line or the line above)
-//     // flexnet-lint: allow-file(L4)       (anywhere in the file)
+//     // flexnet-lint: allow-file(L3)       (anywhere in the file)
 // — suppression policy (README "Static analysis & sanitizers") requires a
 // justification in the surrounding comment.
 //
@@ -40,7 +39,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -63,7 +61,7 @@ namespace {
 struct Diagnostic {
   std::string file;  ///< root-relative path
   int line = 0;      ///< 1-based
-  std::string rule;  ///< "L3" or "L4"
+  std::string rule;  ///< "L3"
   std::string message;
 };
 
@@ -76,7 +74,6 @@ constexpr RuleInfo kRules[] = {
     {"L3", "no nondeterminism in src/ hot paths (unordered containers, "
            "rand/time/random_device/chrono, pointer-keyed map/set; thread "
            "primitives under src/sim/)"},
-    {"L4", "component TUs carry FLEXNET_REGISTER_*"},
 };
 
 // ---------------------------------------------------------------------------
@@ -174,7 +171,7 @@ int line_of(const SourceFile& f, std::size_t offset) {
   return static_cast<int>(it - f.line_starts.begin());
 }
 
-/// Parses `flexnet-lint: allow(L3,L4)` / `allow-file(L4)` annotations out
+/// Parses `flexnet-lint: allow(L3)` / `allow-file(L3)` annotations out
 /// of the raw text (they live in comments, which the scrub blanks).
 void collect_allows(SourceFile* f) {
   static const std::string kTag = "flexnet-lint:";
@@ -249,8 +246,7 @@ std::size_t find_word(const std::string& text, const std::string& word,
 
 class Linter {
  public:
-  Linter(fs::path root, std::set<std::string> rules)
-      : root_(std::move(root)), rules_(std::move(rules)) {}
+  explicit Linter(fs::path root) : root_(std::move(root)) {}
 
   const std::vector<Diagnostic>& diagnostics() const { return diags_; }
   int files_scanned() const { return files_scanned_; }
@@ -259,8 +255,7 @@ class Linter {
 
   void run() {
     load_tree();
-    if (enabled("L3")) check_determinism();
-    if (enabled("L4")) check_registry();
+    check_determinism();
     std::sort(diags_.begin(), diags_.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
                 return std::tie(a.file, a.line, a.rule, a.message) <
@@ -269,10 +264,6 @@ class Linter {
   }
 
  private:
-  bool enabled(const std::string& rule) const {
-    return rules_.empty() || rules_.count(rule) > 0;
-  }
-
   void warn(const std::string& msg) { warnings_.push_back(msg); }
 
   void report(const SourceFile& f, int line, const std::string& rule,
@@ -306,18 +297,12 @@ class Linter {
       }
     } else {
       warn("no src/ directory under " + root_.string() +
-           " — most rules have nothing to scan");
+           " — there is nothing to scan");
     }
     std::sort(files_.begin(), files_.end(),
               [](const SourceFile& a, const SourceFile& b) {
                 return a.rel < b.rel;
               });
-  }
-
-  const SourceFile* file(const std::string& rel) const {
-    for (const SourceFile& f : files_)
-      if (f.rel == rel) return &f;
-    return nullptr;
   }
 
   // --- L3 -----------------------------------------------------------------
@@ -428,52 +413,7 @@ class Linter {
     }
   }
 
-  // --- L4 -----------------------------------------------------------------
-  void check_registry() {
-    // Component-defining TUs must register. A "component" is a class
-    // deriving from one of the registry base types; its registering TU is
-    // the .cpp it was declared in, or the paired .cpp of its header.
-    static const char* kBases[] = {"Topology", "RoutingAlgorithm",
-                                   "TrafficPattern", "VcPolicy"};
-    for (const SourceFile& f : files_) {
-      std::size_t pos = 0;
-      while ((pos = f.scrubbed.find(": public", pos)) != std::string::npos) {
-        std::size_t b = pos + std::strlen(": public");
-        while (b < f.scrubbed.size() &&
-               std::isspace(static_cast<unsigned char>(f.scrubbed[b])) != 0) {
-          ++b;
-        }
-        std::size_t e = b;
-        while (e < f.scrubbed.size() && ident_char(f.scrubbed[e])) ++e;
-        const std::string base = f.scrubbed.substr(b, e - b);
-        pos = e;
-        if (std::find_if(std::begin(kBases), std::end(kBases),
-                         [&](const char* k) { return base == k; }) ==
-            std::end(kBases)) {
-          continue;
-        }
-        // Self-declaration of the base class itself ("class Topology")
-        // never reaches here since it derives from nothing in kBases.
-        const std::string tu_rel =
-            f.rel.size() > 4 && f.rel.compare(f.rel.size() - 4, 4, ".cpp") == 0
-                ? f.rel
-                : f.rel.substr(0, f.rel.rfind('.')) + ".cpp";
-        const SourceFile* tu = file(tu_rel);
-        const bool registered =
-            tu != nullptr && tu->scrubbed.find("FLEXNET_REGISTER_") !=
-                                 std::string::npos;
-        if (!registered)
-          report(f, line_of(f, pos), "L4",
-                 "component deriving from " + base +
-                     " has no FLEXNET_REGISTER_* block in " + tu_rel +
-                     " — it is unreachable from suites and `flexnet_run "
-                     "--list`");
-      }
-    }
-  }
-
   fs::path root_;
-  std::set<std::string> rules_;
   std::vector<SourceFile> files_;
   std::vector<Diagnostic> diags_;
   std::vector<std::string> warnings_;
@@ -487,8 +427,8 @@ class Linter {
 void usage(std::FILE* to) {
   std::fprintf(
       to,
-      "usage: flexnet_lint [--root DIR] [--json FILE] [--rules L3,L4,...]\n"
-      "                    [--list-rules] [--quiet]\n"
+      "usage: flexnet_lint [--root DIR] [--json FILE] [--list-rules] "
+      "[--quiet]\n"
       "\n"
       "Checks the project invariants the determinism contract rests on\n"
       "(README \"Static analysis & sanitizers\"). Exit codes: 0 clean,\n"
@@ -497,7 +437,6 @@ void usage(std::FILE* to) {
       "  --root DIR     tree to check (default: the configured source\n"
       "                 tree this binary was built from)\n"
       "  --json FILE    also write a machine-readable report\n"
-      "  --rules LIST   comma-separated subset of rules to run\n"
       "  --list-rules   print the rule catalog and exit\n"
       "  --quiet        suppress per-violation stderr lines\n"
       "\n"
@@ -519,7 +458,6 @@ int main(int argc, char** argv) {
   std::string root = ".";
 #endif
   std::string json_path;
-  std::set<std::string> rules;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -546,22 +484,6 @@ int main(int argc, char** argv) {
       root = value("--root");
     } else if (arg == "--json" || arg.rfind("--json=", 0) == 0) {
       json_path = value("--json");
-    } else if (arg == "--rules" || arg.rfind("--rules=", 0) == 0) {
-      std::string list = value("--rules");
-      std::replace(list.begin(), list.end(), ',', ' ');
-      std::istringstream in(list);
-      std::string rule;
-      while (in >> rule) {
-        if (std::find_if(std::begin(kRules), std::end(kRules),
-                         [&](const RuleInfo& r) { return rule == r.id; }) ==
-            std::end(kRules)) {
-          std::fprintf(stderr,
-                       "error: unknown rule '%s' — see --list-rules\n",
-                       rule.c_str());
-          return exit_code::kConfig;
-        }
-        rules.insert(rule);
-      }
     } else {
       std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
       usage(stderr);
@@ -575,7 +497,7 @@ int main(int argc, char** argv) {
     return exit_code::kConfig;
   }
 
-  Linter linter{fs::path(root), rules};
+  Linter linter{fs::path(root)};
   linter.run();
 
   for (const std::string& w : linter.warnings())
@@ -594,7 +516,6 @@ int main(int argc, char** argv) {
     doc.set("root", JsonValue::make_string(root));
     JsonValue rule_list = JsonValue::make_array();
     for (const RuleInfo& r : kRules) {
-      if (!rules.empty() && rules.count(r.id) == 0) continue;
       JsonValue entry = JsonValue::make_object();
       entry.set("id", JsonValue::make_string(r.id));
       entry.set("summary", JsonValue::make_string(r.summary));

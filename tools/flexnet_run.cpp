@@ -27,7 +27,7 @@
 // --jobs count (default 1). --checkpoint journals every completed job and
 // resumes an interrupted run; --shard i/N runs only the i-th of N disjoint
 // job subsets (one process per shard, merged back by tools/flexnet_merge);
-// --list prints every component registered with the scenario registries
+// --list prints every component in the scenario registries
 // and exits. The journal is flushed once per finished job, so its growth
 // is the run's progress: `flexnet_merge SUITE --json PATH JOURNAL...`
 // reports it (meta.missing_jobs), once or under --watch.
