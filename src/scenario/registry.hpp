@@ -112,7 +112,6 @@ class Registry {
   const std::vector<Entry>& entries() const { return entries_; }
 
   const std::string& kind() const { return kind_; }
-  std::size_t size() const { return entries_.size(); }
 
  private:
   typename std::vector<Entry>::const_iterator lower_bound(
