@@ -1,40 +1,17 @@
 #include "common/log.hpp"
 
-#include <atomic>
+#include <cstdio>
 #include <mutex>
 
 namespace flexnet {
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-
-const char* level_tag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kDebug:
-      return "DEBUG";
-  }
-  return "?";
-}
-
-}  // namespace
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
-
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-void log_message(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) > g_level.load()) return;
+void log_line(const char* tag, const std::string& msg) {
   // Compose the whole line first and emit it under a lock as one write:
   // pool workers log concurrently (journal I/O failures, runner warnings)
   // and interleaved fragments would make the diagnostics unreadable.
   std::string line = "[flexnet ";
-  line += level_tag(level);
+  line += tag;
   line += "] ";
   line += msg;
   line += '\n';
@@ -43,5 +20,10 @@ void log_message(LogLevel level, const std::string& msg) {
   std::fwrite(line.data(), 1, line.size(), stderr);
   std::fflush(stderr);
 }
+
+}  // namespace
+
+void log_error(const std::string& msg) { log_line("ERROR", msg); }
+void log_warn(const std::string& msg) { log_line("WARN", msg); }
 
 }  // namespace flexnet

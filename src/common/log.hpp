@@ -1,36 +1,12 @@
-// Minimal leveled logger. The simulator's inner loop never logs; logging is
-// reserved for configuration echo, warnings and fatal diagnostics, so a
-// simple global-level design is appropriate.
+// Minimal logger. The simulator's inner loop never logs; logging is
+// reserved for warnings and fatal diagnostics, each one line on stderr.
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 namespace flexnet {
 
-enum class LogLevel : int {
-  kError = 0,
-  kWarn = 1,
-  kInfo = 2,
-  kDebug = 3,
-};
-
-LogLevel log_level();
-void set_log_level(LogLevel level);
-
-void log_message(LogLevel level, const std::string& msg);
-
-inline void log_error(const std::string& msg) {
-  log_message(LogLevel::kError, msg);
-}
-inline void log_warn(const std::string& msg) {
-  log_message(LogLevel::kWarn, msg);
-}
-inline void log_info(const std::string& msg) {
-  log_message(LogLevel::kInfo, msg);
-}
-inline void log_debug(const std::string& msg) {
-  log_message(LogLevel::kDebug, msg);
-}
+void log_error(const std::string& msg);
+void log_warn(const std::string& msg);
 
 }  // namespace flexnet

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace flexnet {
 
@@ -60,43 +58,6 @@ class Accumulator {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width histogram with overflow bucket; used for latency
-/// distributions and buffer-occupancy profiles.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets)
-      : lo_(lo), hi_(hi), counts_(static_cast<std::size_t>(buckets) + 1, 0) {}
-
-  void add(double x) {
-    acc_.add(x);
-    if (x >= hi_) {
-      ++counts_.back();
-      return;
-    }
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::size_t>(
-        std::max(0.0, t * static_cast<double>(counts_.size() - 1)));
-    idx = std::min(idx, counts_.size() - 2);
-    ++counts_[idx];
-  }
-
-  /// Approximate quantile (linear scan; histograms here are small).
-  double quantile(double q) const;
-
-  const Accumulator& accumulator() const { return acc_; }
-  const std::vector<std::int64_t>& buckets() const { return counts_; }
-  double bucket_low(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size() - 1);
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  Accumulator acc_;
 };
 
 /// Event counter normalized per node per cycle; the unit of every

@@ -93,7 +93,6 @@ class OutputUnit final {
 
   /// Starts loading the pipeline slot the next accept writes (a hint).
   void prefetch_tail() const { pipeline_.prefetch_back(); }
-  Cycle link_busy_until() const { return link_busy_until_; }
 
  private:
   struct Entry {

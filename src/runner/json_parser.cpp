@@ -1,11 +1,8 @@
 #include "runner/json_parser.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
-
-#include "runner/json_report.hpp"
 
 namespace flexnet {
 
@@ -20,13 +17,6 @@ JsonValue JsonValue::make_number(double d) {
   JsonValue v;
   v.type = Type::Number;
   v.number = d;
-  return v;
-}
-
-JsonValue JsonValue::make_string(std::string s) {
-  JsonValue v;
-  v.type = Type::String;
-  v.string = std::move(s);
   return v;
 }
 
@@ -56,11 +46,6 @@ double JsonValue::number_or(double fallback) const {
 
 std::string JsonValue::string_or(const std::string& fallback) const {
   return type == Type::String ? string : fallback;
-}
-
-void JsonValue::set(const std::string& key, JsonValue value) {
-  type = Type::Object;
-  object.emplace_back(key, std::move(value));
 }
 
 namespace {
@@ -337,64 +322,10 @@ class Parser {
   std::string error_;
 };
 
-void serialize_into(const JsonValue& v, int indent, std::string* out) {
-  const bool pretty = indent >= 0;
-  const auto newline_pad = [&](int depth) {
-    if (!pretty) return;
-    *out += '\n';
-    out->append(static_cast<std::size_t>(depth) * 2, ' ');
-  };
-  switch (v.type) {
-    case JsonValue::Type::Null:
-      *out += "null";
-      break;
-    case JsonValue::Type::Bool:
-      *out += v.boolean ? "true" : "false";
-      break;
-    case JsonValue::Type::Number:
-      *out += json_number(v.number);
-      break;
-    case JsonValue::Type::String:
-      *out += '"';
-      *out += json_escape(v.string);
-      *out += '"';
-      break;
-    case JsonValue::Type::Array:
-      *out += '[';
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        if (i) *out += pretty ? "," : ", ";
-        newline_pad(indent + 1);
-        serialize_into(v.array[i], pretty ? indent + 1 : -1, out);
-      }
-      if (!v.array.empty()) newline_pad(indent);
-      *out += ']';
-      break;
-    case JsonValue::Type::Object:
-      *out += '{';
-      for (std::size_t i = 0; i < v.object.size(); ++i) {
-        if (i) *out += pretty ? "," : ", ";
-        newline_pad(indent + 1);
-        *out += '"';
-        *out += json_escape(v.object[i].first);
-        *out += "\": ";
-        serialize_into(v.object[i].second, pretty ? indent + 1 : -1, out);
-      }
-      if (!v.object.empty()) newline_pad(indent);
-      *out += '}';
-      break;
-  }
-}
-
 }  // namespace
 
 bool json_parse(const std::string& text, JsonValue* out, std::string* error) {
   return Parser(text).parse(out, error);
-}
-
-std::string json_serialize(const JsonValue& value, int indent) {
-  std::string out;
-  serialize_into(value, indent, &out);
-  return out;
 }
 
 }  // namespace flexnet

@@ -1,9 +1,9 @@
-// Minimal JSON parser + serializer, the read-side counterpart of
-// JsonReport: enough JSON to load the reports the tools emit (and any
-// document made of objects/arrays/strings/numbers/bools/null) without an
-// external dependency. Used to read suite files (scenario/suite.cpp) and
-// perfbench's traces, to write flexnet_lint's report, and by the tests to
-// round-trip JsonReport::to_json() and read the tools' outputs.
+// Minimal JSON parser, the read-side counterpart of JsonReport: enough
+// JSON to load the reports the tools emit (and any document made of
+// objects/arrays/strings/numbers/bools/null) without an external
+// dependency. Used to read suite files (scenario/suite.cpp) and
+// perfbench's traces, and by the tests to read JsonReport::to_json() and
+// the tools' outputs back.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,6 @@ struct JsonValue {
   static JsonValue make_null() { return JsonValue{}; }
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double v);
-  static JsonValue make_string(std::string s);
   static JsonValue make_array();
   static JsonValue make_object();
 
@@ -38,14 +37,10 @@ struct JsonValue {
   /// Last binding of `key` in an object; nullptr when absent or not an
   /// object.
   const JsonValue* find(const std::string& key) const;
-  bool has(const std::string& key) const { return find(key) != nullptr; }
 
   /// Convenience accessors with defaults for optional report fields.
   double number_or(double fallback) const;
   std::string string_or(const std::string& fallback) const;
-
-  /// Appends to an object (no dedup — mirrors document order).
-  void set(const std::string& key, JsonValue value);
 };
 
 /// Parses one complete JSON document (trailing whitespace allowed, trailing
@@ -53,11 +48,5 @@ struct JsonValue {
 /// offset) on malformed input. NaN/Infinity are not JSON and are rejected,
 /// matching json_number's null-encoding on the write side.
 bool json_parse(const std::string& text, JsonValue* out, std::string* error);
-
-/// Serializes with the same dialect JsonReport emits: json_number doubles
-/// (integral values render without exponent/fraction), json_escape'd
-/// strings. `indent` < 0 gives a compact single line; >= 0 pretty-prints
-/// with that starting depth of two-space indentation.
-std::string json_serialize(const JsonValue& value, int indent = -1);
 
 }  // namespace flexnet

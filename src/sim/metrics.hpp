@@ -19,7 +19,6 @@ class Metrics {
     for (auto& acc : class_latency_) acc.reset();
     hops_.reset();
     latency_hist_.reset();
-    hops_hist_.reset();
   }
 
   void end_window(Cycle now) {
@@ -43,10 +42,9 @@ class Metrics {
     latency_.add(lat);
     class_latency_[static_cast<int>(pkt.cls)].add(lat);
     hops_.add(pkt.hops);
-    // Log2 histograms feed SimResult's p50/p99/max. Cycle latencies are
+    // The log2 histogram feeds SimResult's p50/p99/max. Cycle latencies are
     // integers by construction, so the cast is exact.
     latency_hist_.add(static_cast<std::int64_t>(completion - pkt.created));
-    hops_hist_.add(pkt.hops);
   }
 
   /// Every packet currently alive: source queues, network, consumption.
@@ -70,7 +68,6 @@ class Metrics {
   }
   const Accumulator& hops() const { return hops_; }
   const Log2Histogram& latency_hist() const { return latency_hist_; }
-  const Log2Histogram& hops_hist() const { return hops_hist_; }
   Cycle window_cycles() const { return window_cycles_; }
 
  private:
@@ -86,7 +83,6 @@ class Metrics {
   Accumulator class_latency_[kNumMsgClasses];
   Accumulator hops_;
   Log2Histogram latency_hist_;
-  Log2Histogram hops_hist_;
 };
 
 }  // namespace flexnet

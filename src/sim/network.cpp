@@ -291,10 +291,6 @@ int Network::vc_occupancy(RouterId r, PortIndex p, VcIndex vc,
   return min_only ? ledger.occupied_min(vc) : ledger.occupied(vc);
 }
 
-int Network::input_occupancy(RouterId r, PortIndex p, VcIndex vc) const {
-  return in_[static_cast<std::size_t>(input_at(r, p))].occupancy(vc);
-}
-
 void Network::debug_dump_stuck(Cycle now, Cycle min_age) const {
   if (!debug_stuck_) return;  // opt-in: see FLEXNET_DEBUG_STUCK
   int shown = 0;
@@ -701,10 +697,6 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
         const VcCandidate& cand = cands[static_cast<std::size_t>(sel)];
         commit_to(commit, head.id, opt, cand.phys, cand.position, cand.safe);
         fill_request(opt.out_port);
-        if (cand.position > cands.front().position)
-          ++overflow_picks_;
-        else
-          ++lowest_picks_;
         return true;
       }
     }

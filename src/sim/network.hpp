@@ -164,8 +164,6 @@ class Network final : public CongestionOracle {
   /// (opportunistic reverts, SIII-A) and total grants — diagnostic ratio.
   std::int64_t escape_grants() const { return escape_grants_; }
   std::int64_t total_grants() const { return total_grants_; }
-  std::int64_t overflow_picks() const { return overflow_picks_; }
-  std::int64_t lowest_picks() const { return lowest_picks_; }
   /// Arbitration attempts by packets that already held a commitment — the
   /// repeat work re-request pruning removes; re_requests / total_grants is
   /// the waste ratio perfbench reports as sim.re_requests_per_grant.
@@ -174,9 +172,6 @@ class Network final : public CongestionOracle {
   /// Moves a packet from a node into its router's injection buffer; false
   /// when every eligible injection VC is full.
   bool try_inject(NodeId n, Packet& pkt, Cycle now);
-
-  /// Occupancy of a specific input VC of a router port (tests/inspection).
-  int input_occupancy(RouterId r, PortIndex p, VcIndex vc) const;
 
   /// Direct read access to one input buffer (tests/inspection). Input
   /// ports are the router's network ports followed by its injection port.
@@ -581,8 +576,6 @@ class Network final : public CongestionOracle {
   Cycle last_grant_ = 0;
   std::int64_t escape_grants_ = 0;
   std::int64_t total_grants_ = 0;
-  std::int64_t overflow_picks_ = 0;
-  std::int64_t lowest_picks_ = 0;
   std::int64_t re_requests_ = 0;
   PacketId next_packet_id_ = 0;
 

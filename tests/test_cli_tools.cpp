@@ -4,18 +4,22 @@
 // policy keys off), flexnet_merge's --out safety and --watch mode
 // (honest partial reports, monotonically shrinking missing_jobs, final
 // tick byte-identical to a one-shot merge), flexnet_orchestrate's
-// --emit-commands and fault-injected supervision, the job spans of
-// flexnet_run --trace-out, and flexnet_lint's default-root and usage
-// contract (the rule corpus itself is drilled in tests/test_lint.cpp).
+// --emit-commands and fault-injected supervision, and flexnet_run's
+// observability outputs (trace spans, counters, journal progress).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "runner/json_parser.hpp"
 
@@ -107,7 +111,8 @@ TEST(FlexnetRunCli, RunnerFlagsHaveNoKeyValueSpelling) {
 }
 
 // Usage errors exit 2 before any job runs. Progress has no flag of its
-// own: it is the journal, read by flexnet_merge.
+// own: it is the journal, read by flexnet_merge. --list is the one
+// invocation without a suite that succeeds.
 TEST(FlexnetRunCli, UsageErrorsExit2) {
   const std::string suite = shipped_suite("smoke_tiny.json");
   const std::string fast = suite + " warmup=50 measure=100 ";
@@ -129,6 +134,11 @@ TEST(FlexnetRunCli, UsageErrorsExit2) {
     EXPECT_NE(r.output.find(row.message), std::string::npos)
         << row.args << "\n" << r.output;
   }
+  const CmdResult list = run_cmd(bin("flexnet_run") + " --list");
+  EXPECT_EQ(list.exit_code, 0) << list.output;
+  EXPECT_NE(list.output.find("registered components:"), std::string::npos)
+      << list.output;
+  EXPECT_NE(list.output.find("flexvc"), std::string::npos) << list.output;
 }
 
 // A config no network can run is a permanent error found while the suite
@@ -258,21 +268,33 @@ TEST(FlexnetRunCli, TraceAndCountersWriteFailuresExit4) {
 
 // Every job span of --trace-out carries the seconds of each Network::step
 // phase, the job's grants and its state-gather path, and tracing (which
-// turns counting on) leaves the report unchanged.
+// turns counting on) leaves the report unchanged. The traced run also
+// journals, records packet spans and writes counters, so one run checks
+// every observability output together: suite, job, checkpoint and packet
+// spans nest on their lanes, the counters snapshot has its header, and a
+// merge of the journal reports every job done.
 TEST(FlexnetRunCli, TracedJobSpansCarryStepPhases) {
   const std::string traced_json = temp_path("cli_traced.json");
   const std::string plain_json = temp_path("cli_untraced.json");
   const std::string trace = temp_path("cli_phases_trace.json");
+  const std::string journal = temp_path("cli_traced.journal");
+  const std::string counters = temp_path("cli_traced_counters.txt");
+  const std::string progress = temp_path("cli_traced_progress.json");
+  std::remove(journal.c_str());
+  const std::string fast = " warmup=200 measure=400";
   const std::string run = bin("flexnet_run") + " " +
-                          shipped_suite("smoke_tiny.json") +
-                          " --jobs 2 warmup=200 measure=400 --json ";
-  CmdResult r = run_cmd(run + traced_json + " --trace-out " + trace);
+                          shipped_suite("smoke_tiny.json") + " --jobs 2" +
+                          fast + " --json ";
+  CmdResult r = run_cmd(run + traced_json + " --trace-out " + trace +
+                        " --trace-packets --checkpoint " + journal +
+                        " --counters " + counters);
   ASSERT_EQ(r.exit_code, 0) << r.output;
   r = run_cmd(run + plain_json);
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  const std::regex wall("\"wall_seconds\": [^,\n]*");
-  EXPECT_EQ(std::regex_replace(read_file(traced_json), wall, ""),
-            std::regex_replace(read_file(plain_json), wall, ""))
+  const std::regex volatile_keys(
+      "\"wall_seconds\": [^,\n]*|, \"checkpoint\": \"[^\"]*\"");
+  EXPECT_EQ(std::regex_replace(read_file(traced_json), volatile_keys, ""),
+            std::regex_replace(read_file(plain_json), volatile_keys, ""))
       << "tracing must not change the report";
 
   JsonValue doc;
@@ -281,30 +303,77 @@ TEST(FlexnetRunCli, TracedJobSpansCarryStepPhases) {
   const JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   int jobs = 0;
+  std::set<std::string> categories;
+  // Complete spans per (pid, tid) lane as (ts, dur).
+  std::map<std::pair<int, int>, std::vector<std::pair<double, double>>>
+      lanes;
   for (const JsonValue& ev : events->array) {
-    if (ev.find("cat") == nullptr || ev.find("cat")->string_or("") != "job")
-      continue;
+    if (ev.find("ph")->string_or("") != "X") continue;
+    const std::string cat = ev.find("cat")->string_or("");
+    const std::string where =
+        cat + " span '" + ev.find("name")->string_or("") + "'";
+    categories.insert(cat);
+    lanes[{static_cast<int>(ev.find("pid")->number),
+           static_cast<int>(ev.find("tid")->number)}]
+        .emplace_back(ev.find("ts")->number, ev.find("dur")->number);
+    if (cat != "job") continue;
     ++jobs;
     const JsonValue* args = ev.find("args");
-    ASSERT_NE(args, nullptr) << json_serialize(ev);
+    ASSERT_NE(args, nullptr) << where;
     double phases_s = 0.0;
     for (const char* phase :
          {"deliver_data", "deliver_credits", "nodes", "allocate", "send"}) {
       const JsonValue* v = args->find(phase);
-      ASSERT_NE(v, nullptr) << phase << " in " << json_serialize(ev);
+      ASSERT_NE(v, nullptr) << phase << " in " << where;
       EXPECT_GE(v->number, 0.0) << phase;
       phases_s += v->number;
     }
-    ASSERT_NE(args->find("grants"), nullptr) << json_serialize(ev);
+    ASSERT_NE(args->find("grants"), nullptr) << where;
     EXPECT_GT(args->find("grants")->number, 0.0);
-    ASSERT_NE(args->find("state_gather"), nullptr) << json_serialize(ev);
+    ASSERT_NE(args->find("state_gather"), nullptr) << where;
     EXPECT_EQ(args->find("state_gather")->type, JsonValue::Type::Bool);
     // dur is rendered in microseconds at %.3f.
-    EXPECT_LE(phases_s * 1e6, ev.find("dur")->number + 0.001)
-        << json_serialize(ev);
+    EXPECT_LE(phases_s * 1e6, ev.find("dur")->number + 0.001) << where;
   }
   EXPECT_EQ(jobs, 12) << "one span per (series, load) job of smoke_tiny";
-  for (const std::string& path : {traced_json, plain_json, trace})
+  EXPECT_EQ(categories,
+            (std::set<std::string>{"checkpoint", "job", "packet", "suite"}));
+  // Spans on one lane nest or follow each other: jobs inside the suite,
+  // journal syncs inside their job, a packet's pool slot reused only after
+  // its release. Timestamps are rendered at %.3f.
+  constexpr double kEps = 0.002;
+  for (auto& [lane, spans] : lanes) {
+    std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first < b.first : a.second > b.second;
+    });
+    std::vector<double> open_ends;
+    for (const auto& [ts, dur] : spans) {
+      while (!open_ends.empty() && open_ends.back() <= ts + kEps)
+        open_ends.pop_back();
+      if (!open_ends.empty()) {
+        EXPECT_LE(ts + dur, open_ends.back() + kEps)
+            << "span at " << ts << " on pid " << lane.first << " tid "
+            << lane.second << " overlaps its neighbour without nesting";
+      }
+      open_ends.push_back(ts + dur);
+    }
+  }
+
+  const std::string snapshot = read_file(counters);
+  EXPECT_EQ(snapshot.rfind("telemetry v1 ", 0), 0u) << snapshot.substr(0, 80);
+  EXPECT_NE(snapshot.find("\nnet.steps "), std::string::npos);
+
+  // The journal is the run's progress record: merged, it covers every job.
+  r = run_cmd(bin("flexnet_merge") + " " + shipped_suite("smoke_tiny.json") +
+              fast + " --json " + progress + " " + journal);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  ASSERT_TRUE(json_parse(read_file(progress), &doc, &error)) << error;
+  ASSERT_NE(doc.find("meta"), nullptr);
+  EXPECT_EQ(doc.find("meta")->find("missing_jobs"), nullptr)
+      << read_file(progress);
+
+  for (const std::string& path :
+       {traced_json, plain_json, trace, journal, counters, progress})
     std::remove(path.c_str());
 }
 
@@ -585,38 +654,6 @@ TEST(FlexnetOrchestrateCli, FaultInjectedSweepRecoversAndMerges) {
     std::remove((prefix + "-" + std::to_string(i) + ".journal.log").c_str());
   }
   std::remove(json.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// flexnet_lint: the CLI surface. With no --root it checks the checkout it
-// was built from (FLEXNET_SOURCE_DIR), which must hold every invariant —
-// this is the same gate CI's static-analysis job runs.
-
-TEST(FlexnetLintCli, DefaultRootIsTheShippedTreeAndItPasses) {
-  const CmdResult r = run_cmd(bin("flexnet_lint"));
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("0 violation(s)"), std::string::npos) << r.output;
-}
-
-TEST(FlexnetLintCli, UsageErrorsExit2) {
-  EXPECT_EQ(run_cmd(bin("flexnet_lint") + " --rules").exit_code, 2);
-  EXPECT_EQ(run_cmd(bin("flexnet_lint") + " --rules L7").exit_code, 2);
-  EXPECT_EQ(run_cmd(bin("flexnet_lint") + " --root").exit_code, 2);
-  EXPECT_EQ(run_cmd(bin("flexnet_lint") + " stray-positional").exit_code, 2);
-}
-
-TEST(FlexnetLintCli, JsonReportIsWrittenAndParses) {
-  const std::string report = temp_path("cli_lint.json");
-  std::remove(report.c_str());
-  const CmdResult r =
-      run_cmd(bin("flexnet_lint") + " --quiet --json " + report);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(json_parse(read_file(report), &doc, &error)) << error;
-  EXPECT_EQ(doc.find("tool")->string_or(""), "flexnet_lint");
-  EXPECT_GT(doc.find("files_scanned")->number_or(0.0), 0.0);
-  std::remove(report.c_str());
 }
 
 }  // namespace

@@ -354,6 +354,12 @@ TEST(FlowControlShards, MergedShardsMatchSerialForEveryScheme) {
 
   const std::vector<SweepResult> serial =
       SweepRunner(1).run(grid, loads, seeds);
+  // Every scheme x ledger pair is a series of the grid.
+  std::vector<std::string> labels;
+  for (const SweepResult& s : serial) labels.push_back(s.label);
+  EXPECT_EQ(labels, (std::vector<std::string>{
+                        "packet/credit", "packet/on_off", "wormhole/credit",
+                        "wormhole/on_off", "vct/credit", "vct/on_off"}));
 
   for (const int count : {2, 3, 7}) {
     std::vector<ShardJournal> shards;

@@ -1,13 +1,14 @@
 // Scenario layer: the component registries (construction + introspection +
 // error reporting) and the declarative suite API (parsing, validation,
-// materialization, and equivalence of the shipped suite files with the
-// figure grids they replaced).
+// materialization, equivalence of the shipped suite files with the figure
+// grids they replaced, and that every shipped suite runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 
+#include "runner/sweep_runner.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/suite.hpp"
 #include "sim/network.hpp"
@@ -758,13 +759,28 @@ TEST(ShippedSuites, AllShippedSuitesMaterialize) {
       files.push_back(entry.path().filename().string());
   std::sort(files.begin(), files.end());
   EXPECT_GE(files.size(), 25u);
+  // Each suite also runs, in windows short enough for seconds in all: a
+  // suite that no longer runs fails here, not at paper scale. A deadlocked
+  // row is a result, not a failure.
+  Options tiny;
+  tiny.set("warmup", "200");
+  tiny.set("measure", "400");
   for (const std::string& file : files) {
     SCOPED_TRACE(file);
     const SuiteSpec spec = SuiteSpec::load_shipped(file);
     EXPECT_FALSE(spec.title.empty());
     EXPECT_FALSE(spec.description.empty());
-    const auto grid = spec.materialize(SimConfig{});
-    EXPECT_FALSE(grid.empty());
+    EXPECT_FALSE(spec.materialize(SimConfig{}).empty());
+    const auto grid = spec.materialize(SimConfig{}, &tiny);
+    const std::vector<SweepResult> sweeps =
+        SweepRunner(4).run(grid, spec.loads, spec.seeds_or(1));
+    ASSERT_EQ(sweeps.size(), grid.size());
+    for (const SweepResult& sweep : sweeps) {
+      ASSERT_EQ(sweep.rows.size(), spec.loads.size()) << sweep.label;
+      for (const SweepRow& row : sweep.rows)
+        EXPECT_TRUE(row.result.deadlock || row.result.consumed_packets > 0)
+            << sweep.label << " at load " << row.load;
+    }
   }
 }
 

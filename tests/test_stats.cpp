@@ -50,24 +50,6 @@ TEST(Accumulator, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
-TEST(Histogram, CountsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  for (double x : {0.5, 1.5, 1.6, 9.5, 25.0}) h.add(x);
-  EXPECT_EQ(h.accumulator().count(), 5);
-  EXPECT_EQ(h.buckets()[0], 1);
-  EXPECT_EQ(h.buckets()[1], 2);
-  EXPECT_EQ(h.buckets()[9], 1);
-  EXPECT_EQ(h.buckets().back(), 1);  // overflow
-}
-
-TEST(Histogram, QuantileMonotone) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(static_cast<double>(i % 100));
-  EXPECT_LE(h.quantile(0.1), h.quantile(0.5));
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.9));
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 3.0);
-}
-
 TEST(RateMeter, NormalizesPerNodePerCycle) {
   RateMeter meter;
   meter.add(800.0);
