@@ -19,7 +19,9 @@
 // TimingWheel is the due-cycle counterpart for work that is known to wait
 // until a specific cycle (a link lane's next arrival, a serializer's next
 // start): ids are filed under the cycle they become due, and a sweep visits
-// only that cycle's ids — again low-to-high.
+// only that cycle's ids — again low-to-high. Its lookahead sweep visits
+// the same ids in the same order, starting each visit's misses a few ids
+// ahead (for_each_ahead, common/prefetch.hpp).
 #pragma once
 
 #include <algorithm>
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/prefetch.hpp"
 #include "common/types.hpp"
 
 namespace flexnet {
@@ -97,6 +100,11 @@ class EventLane {
     if (size_ == cap_) grow();
     buf_[(head_ + size_) & mask_] = v;
     ++size_;
+  }
+
+  /// Starts loading the slot front() reads (a hint).
+  void prefetch_front() const {
+    if (buf_ != nullptr) __builtin_prefetch(buf_ + head_);
   }
 
   /// Starts loading the slot the next push_back writes (a hint).
@@ -249,6 +257,34 @@ class TimingWheel {
         add(static_cast<std::int32_t>((wi << 6) + b), next);
       }
     }
+  }
+
+  /// sweep() with lookahead: the same ids, visited in the same ascending
+  /// order and refiled the same way, after the bucket is copied into
+  /// `due` (scratch: reserve one entry per id and it never grows).
+  /// Before its visit each id goes through `ahead(round, id)` for rounds
+  /// 0 .. Rounds-1, as for_each_ahead spaces them; `ahead` only prefetches.
+  template <int Rounds, typename VisitFn, typename AheadFn>
+  void sweep_ahead(Cycle now, std::pmr::vector<std::int32_t>& due,
+                   VisitFn&& visit, AheadFn&& ahead) {
+    due.clear();
+    std::uint64_t* words = row(now);
+    for (std::size_t wi = 0; wi < words_; ++wi) {
+      std::uint64_t pend = words[wi];
+      if (pend == 0) continue;
+      words[wi] = 0;
+      for (; pend != 0; pend &= pend - 1)
+        due.push_back(
+            static_cast<std::int32_t>((wi << 6) + __builtin_ctzll(pend)));
+    }
+    size_ -= due.size();
+    const auto refile = [&](std::int32_t id) {
+      const Cycle next = visit(id);
+      if (next == kIdle) return;
+      FLEXNET_DCHECK(next > now && next - now < span_);
+      add(id, next);
+    };
+    for_each_ahead<Rounds>(due.data(), due.size(), refile, ahead);
   }
 
  private:

@@ -91,6 +91,8 @@ class OutputUnit final {
   int capacity() const { return capacity_; }
   bool idle() const { return pipeline_.empty(); }
 
+  /// Starts loading the pipeline's head entry (a hint).
+  void prefetch_head() const { pipeline_.prefetch_front(); }
   /// Starts loading the pipeline slot the next accept writes (a hint).
   void prefetch_tail() const { pipeline_.prefetch_back(); }
 

@@ -37,6 +37,16 @@
 //     slots (ActiveSet). Both sweep in ascending id order, so results are
 //     bit-identical to the full scans they replaced; quiescent routers and
 //     links in mid-flight cost nothing.
+//   * Past L2 every phase's worklist gathers too, under the same selection
+//     as the state gather. The data, credit and serializer wheels sweep
+//     with lookahead (TimingWheel::sweep_ahead), and so does the nodes'
+//     injection pass over its backlog (for_each_ahead): visits keep their
+//     ascending order, and a few ids ahead of each visit its chain of
+//     dependent loads starts one link per round. For a data lane that is
+//     the link, then the lane's front slot and the receiving input
+//     buffer, then that buffer's block; gather_credits, gather_send and
+//     Nodes::gather_injection name the others. Below L2 the plain sweeps
+//     run.
 //   * Arbitration is pruned and batched: every input VC slot carries an
 //     armed bit, and a head packet blocked on a condition that only a
 //     discrete event can change (credit return, output-buffer slot free,
@@ -136,6 +146,9 @@ class Network final : public CongestionOracle {
   /// Forces the state gather on or off (tests). A prefetch changes no
   /// value, so results are bit-identical either way.
   void set_state_gather(bool on) { state_gather_ = on; }
+  /// The injection pass's lookahead into router state (Nodes::step):
+  /// round 0 starts node n's injection InputBuffer, round 1 its block.
+  void gather_injection(int round, NodeId n) const;
 
   /// Opt-in per-packet lifetime spans: every consumed packet emits one
   /// Chrome-trace event into `trace` under process id `pid` (ts/dur in
@@ -350,6 +363,12 @@ class Network final : public CongestionOracle {
   // grant writes. Hints only: neither changes any value.
   void gather_state(RouterId r) const;
   void gather_targets(RouterId r) const;
+  // The link phases' lookahead (TimingWheel::sweep_ahead while the state
+  // gather is on): round by round, each starts the loads the next round
+  // and the visit of link li wait on. Hints only.
+  void gather_delivery(int round, int li) const;
+  void gather_credits(int round, int li) const;
+  void gather_send(int round, int li) const;
   void trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const;
   bool stage1_pick(RouterId r, PortIndex ip, Cycle now, Request& req);
   bool find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
@@ -472,6 +491,11 @@ class Network final : public CongestionOracle {
   int input_at(RouterId r, PortIndex ip) const {
     return in_index_[static_cast<std::size_t>(r)] + ip;
   }
+  /// Global input of node n's injection port.
+  int injection_input(NodeId n) const {
+    const RouterId r = topo_->router_of_node(n);
+    return input_at(r, net_ports(r) + n % topo_->concentration());
+  }
   int num_inputs(RouterId r) const {
     return in_index_[static_cast<std::size_t>(r) + 1] -
            in_index_[static_cast<std::size_t>(r)];
@@ -532,6 +556,7 @@ class Network final : public CongestionOracle {
   TimingWheel credit_wheel_{&arena_};  // credit lanes
   TimingWheel send_wheel_{&arena_};  // output serializers
   ActiveSet alloc_set_{&arena_};  // routers with armed slots
+  Vec<std::int32_t> due_{&arena_};  // a lookahead sweep's bucket, in order
   /// Routers with occupied output units or live link streams (a gauge the
   /// telemetry on_step hook reads).
   std::int64_t send_routers_ = 0;

@@ -58,7 +58,27 @@ void Nodes::step(Cycle now, Network& net, Metrics& metrics) {
     }
     if (queued_[i] > 0 && inject_busy_until_[i] <= now) backlog_.push_back(n);
   }
-  for (const NodeId n : backlog_) inject(n, now, net);
+  if (net.state_gather())
+    for_each_ahead<3>(
+        backlog_.data(), backlog_.size(),
+        [&](NodeId n) { inject(n, now, net); },
+        [&](int round, NodeId n) { gather_injection(round, n, net); });
+  else
+    for (const NodeId n : backlog_) inject(n, now, net);
+}
+
+void Nodes::gather_injection(int round, NodeId n, const Network& net) const {
+  asm volatile("");
+  const Node& node = nodes_[static_cast<std::size_t>(n)];
+  if (round == 0) {
+    prefetch_lines(&node, &node + 1);
+    return;
+  }
+  if (round == 1) {
+    node.source[0].prefetch_front();
+    node.source[1].prefetch_front();
+  }
+  net.gather_injection(round - 1, n);
 }
 
 void Nodes::enqueue(NodeId n, MsgClass cls, NodeId dst, Cycle created) {

@@ -45,10 +45,13 @@ class Nodes {
   /// the source queues; then the nodes holding queued packets and a free
   /// injection channel, again in ascending id, move a source-queue head
   /// into their router's injection buffer (at most one packet per
-  /// packet_size cycles: the injection channel is one phit per cycle). Splitting the passes is bit-identical
-  /// to stepping node by node: generation draws only from the node's own
-  /// stream, reads no network state, and feeds Metrics an integer phit
-  /// sum, while injection keeps its ascending node order.
+  /// packet_size cycles: the injection channel is one phit per cycle).
+  /// Splitting the passes is bit-identical to stepping node by node:
+  /// generation draws only from the node's own stream, reads no network
+  /// state, and feeds Metrics an integer phit sum, while injection keeps
+  /// its ascending node order. When the network runs its state gather,
+  /// the injection pass looks ahead (gather_injection): the same nodes in
+  /// the same order, their misses started a few nodes early.
   void step(Cycle now, Network& net, Metrics& metrics);
 
   /// Whether node n's consumption port of the class can take a packet now.
@@ -118,6 +121,10 @@ class Nodes {
   };
   static_assert(kNumMsgClasses == 2, "Node spells out one queue per class");
 
+  /// The injection pass's lookahead: round 0 starts node n's record,
+  /// round 1 its source-queue fronts and its router's injection buffer,
+  /// round 2 that buffer's block. Hints only.
+  void gather_injection(int round, NodeId n, const Network& net) const;
   void enqueue(NodeId n, MsgClass cls, NodeId dst, Cycle created);
   void inject(NodeId n, Cycle now, Network& net);
 

@@ -286,34 +286,63 @@ TEST(StateGather, SelectedOnlyPastTheReportedL2) {
 
 // A paper-scale network (DF(8,16,8), where the gather is selected on a
 // 2 MB L2 host) moves exactly the same packets with the gather forced on
-// and forced off. PAR routing, so escape grants are exercised too.
+// and forced off: the allocation gather and the lookahead sweeps of the
+// link phases and the injection pass. PAR routing, so escape grants are
+// exercised too; VCT with on/off backpressure, so the gathered serializer
+// and delivery loops run link streams and cut-through tails as well.
+struct GatherRun {
+  std::int64_t consumed, grants, re_requests, escape_grants, in_network;
+  double accepted, latency_sum;
+};
+
+GatherRun run_paper_scale(const SimConfig& cfg, bool gather, Cycle cycles) {
+  Network net(cfg);
+  EXPECT_TRUE(state_gather_wanted(net.state_gather_bytes(), kTwoMiB));
+  net.set_state_gather(gather);
+  net.metrics().begin_window(0);
+  for (Cycle now = 0; now < cycles; ++now) net.step(now);
+  net.metrics().end_window(cycles);
+  return {net.metrics().consumed_packets(),
+          net.total_grants(),
+          net.re_requests(),
+          net.escape_grants(),
+          net.packets_in_network(),
+          net.metrics().accepted_load(net.topology().num_nodes()),
+          net.metrics().latency().sum()};
+}
+
 TEST(StateGather, PaperScaleForcedOnAndOffAgree) {
-  SimConfig cfg;
-  cfg.dragonfly = DragonflyParams::paper_scale();
-  cfg.routing = "par";
-  cfg.policy = "flexvc";
-  cfg.vcs = "4/2";
-  cfg.load = 0.6;
-  struct Counts {
-    std::int64_t consumed, grants, re_requests, escape_grants, in_network;
+  SimConfig par;
+  par.dragonfly = DragonflyParams::paper_scale();
+  par.routing = "par";
+  par.policy = "flexvc";
+  par.vcs = "4/2";
+  par.load = 0.6;
+  SimConfig vct = par;
+  vct.routing = "min";
+  vct.flow_control = "vct";
+  vct.buffer_mgmt = "on_off";
+  vct.load = 0.3;
+  struct Case {
+    SimConfig cfg;
+    Cycle cycles;
   };
-  std::vector<Counts> runs;
-  for (const bool on : {true, false}) {
-    Network net(cfg);
-    EXPECT_TRUE(state_gather_wanted(net.state_gather_bytes(), kTwoMiB));
-    net.set_state_gather(on);
-    for (Cycle now = 0; now < 300; ++now) net.step(now);
-    runs.push_back({net.metrics().consumed_packets(), net.total_grants(),
-                    net.re_requests(), net.escape_grants(),
-                    net.packets_in_network()});
+  for (const Case& c : {Case{par, 300}, Case{vct, 200}}) {
+    SCOPED_TRACE(c.cfg.flow_control + " " + c.cfg.routing);
+    const GatherRun on = run_paper_scale(c.cfg, true, c.cycles);
+    const GatherRun off = run_paper_scale(c.cfg, false, c.cycles);
+    EXPECT_GT(on.consumed, 0);
+    if (c.cfg.routing == "par") {
+      EXPECT_GT(on.escape_grants, 0);
+    }
+    EXPECT_EQ(on.consumed, off.consumed);
+    EXPECT_EQ(on.grants, off.grants);
+    EXPECT_EQ(on.re_requests, off.re_requests);
+    EXPECT_EQ(on.escape_grants, off.escape_grants);
+    EXPECT_EQ(on.in_network, off.in_network);
+    EXPECT_EQ(on.accepted, off.accepted);
+    EXPECT_EQ(on.latency_sum, off.latency_sum);
   }
-  EXPECT_GT(runs[0].consumed, 0);
-  EXPECT_GT(runs[0].escape_grants, 0);
-  EXPECT_EQ(runs[0].consumed, runs[1].consumed);
-  EXPECT_EQ(runs[0].grants, runs[1].grants);
-  EXPECT_EQ(runs[0].re_requests, runs[1].re_requests);
-  EXPECT_EQ(runs[0].escape_grants, runs[1].escape_grants);
-  EXPECT_EQ(runs[0].in_network, runs[1].in_network);
 }
 
 // --- Credit-owner regression (Network::deliver).

@@ -1,7 +1,10 @@
-// Router microarchitecture units: round-robin arbiter and output unit.
+// Router microarchitecture units: round-robin arbiter, output unit, and
+// the timing wheel that schedules the link phases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory_resource>
 #include <vector>
 
 #include "common/event_lane.hpp"
@@ -225,6 +228,89 @@ TEST(TimingWheel, SizeCountsScheduledIds) {
   w.resize(200, 31);  // resizing empties the wheel
   EXPECT_EQ(w.size(), 0u);
   EXPECT_TRUE(sweep_ids(w, 5).empty());
+}
+
+// for_each_ahead visits every id once, in order, and hands each id to
+// every round of the hook once, in round order, before the id's visit:
+// for lists shorter than the lookahead, as long, and longer.
+TEST(ForEachAhead, EveryIdGoesThroughEveryRoundBeforeItsVisit) {
+  constexpr int kRounds = 3;
+  for (const int n : {0, 1, 5, 12, 13, 40}) {
+    std::vector<std::int32_t> ids;
+    for (int i = 0; i < n; ++i) ids.push_back(3 * i + 1);
+    std::map<std::int32_t, int> rounds;  // id -> rounds it has been through
+    std::vector<std::int32_t> visited;
+    for_each_ahead<kRounds>(
+        ids.data(), ids.size(),
+        [&](std::int32_t id) {
+          EXPECT_EQ(rounds[id], kRounds) << "id " << id;
+          visited.push_back(id);
+        },
+        [&](int round, std::int32_t id) {
+          EXPECT_EQ(round, rounds[id]) << "id " << id;
+          ++rounds[id];
+        });
+    EXPECT_EQ(visited, ids) << n << " ids";
+    EXPECT_EQ(rounds.size(), ids.size()) << "the hook saw an id not listed";
+  }
+}
+
+// The lookahead sweep is sweep() plus hints. Two wheels filed alike, one
+// swept plainly and one with lookahead, over many laps of a small ring and
+// with ids on both sides of word boundaries: every cycle visits the same
+// ids in the same ascending order, refiles the same dues (some visits
+// drop their id) and leaves size() alike. The hook sees every id of the
+// bucket being drained through each round before its visit, and no other.
+TEST(TimingWheel, SweepAheadVisitsWhatSweepVisits) {
+  constexpr int kRounds = 2;
+  TimingWheel plain;
+  TimingWheel ahead;
+  plain.resize(300, 5);  // span 8
+  ahead.resize(300, 5);
+  ASSERT_EQ(ahead.span(), 8);
+  std::vector<std::int32_t> ids;
+  for (std::int32_t id = 0; id < 300; id += 3) ids.push_back(id);
+  for (const std::int32_t id : {1, 62, 64, 65, 127, 128, 191, 192, 299})
+    ids.push_back(id);
+  for (const std::int32_t id : ids) {
+    plain.add(id, id % 2 == 0 ? 0 : id % 7);  // bucket 0 outgrows the lead
+    ahead.add(id, id % 2 == 0 ? 0 : id % 7);
+  }
+  // A visit refiles its id 1 to 7 cycles ahead, or drops a tenth of them.
+  const auto next_due = [](std::int32_t id, Cycle now) {
+    if ((id + now) % 10 == 0) return TimingWheel::kIdle;
+    return now + 1 + (id * 5 + now) % 7;
+  };
+  std::pmr::vector<std::int32_t> due;
+  due.reserve(300);
+  for (Cycle now = 0; now < 48; ++now) {
+    std::vector<std::int32_t> want;
+    plain.sweep(now, [&](std::int32_t id) {
+      want.push_back(id);
+      return next_due(id, now);
+    });
+    std::vector<std::int32_t> got;
+    std::map<std::int32_t, int> rounds;  // id -> rounds it has been through
+    ahead.sweep_ahead<kRounds>(
+        now, due,
+        [&](std::int32_t id) {
+          EXPECT_EQ(rounds[id], kRounds) << "cycle " << now << " id " << id;
+          got.push_back(id);
+          return next_due(id, now);
+        },
+        [&](int round, std::int32_t id) {
+          EXPECT_TRUE(std::binary_search(want.begin(), want.end(), id))
+              << "cycle " << now << ": hook saw id " << id
+              << " from another bucket";
+          EXPECT_EQ(round, rounds[id]);
+          ++rounds[id];
+        });
+    ASSERT_EQ(got, want) << "cycle " << now;
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "cycle " << now;
+    EXPECT_EQ(rounds.size(), want.size()) << "cycle " << now;
+    EXPECT_EQ(ahead.size(), plain.size()) << "cycle " << now;
+  }
+  EXPECT_GT(plain.size(), 0u) << "the ring still holds ids after 6 laps";
 }
 
 }  // namespace

@@ -11,11 +11,15 @@ interleaved pairs of the side's own `perfbench/run.py --trace 0` per
 workload, alternating which side runs first so drift on the host hits
 both. Run one A/B at a time: the two sides must not share the CPUs.
 
-For each workload it prints the medians, quartiles and pairs won of
-router_cycles_per_s. It exits 1 when a run of either side is not correct,
-or when the head's median falls below the base's by more than the
-interquartile range of the base's runs (the noise floor), and 2 when the
-base cannot be exported.
+For each workload it prints, for every end-to-end metric that
+BENCHMARK.json lists (read only), the base and head medians and their
+ratio, and for router_cycles_per_s also the quartiles and pairs won. It
+exits 1 when a run of either side is not correct, when a head median is
+worse than the base's by more than that metric's `bound` (the relative
+margin BENCHMARK.json gives it; the rule a parent-vs-change comparison
+applies), or when the head's median router_cycles_per_s falls below the
+base's by more than the interquartile range of the base's runs (the
+noise floor); and 2 when the base cannot be exported.
 """
 
 import argparse
@@ -29,6 +33,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("paper_un_min", "fig9_sweep", "h4_adv_par_vct")
+# The speed metric a gain is claimed on: quartiles, pairs won, noise floor.
 METRIC = "router_cycles_per_s"
 # Simulated metrics: equal on both sides unless a change means to move them.
 SIMULATED = ("max_accepted", "latency_p50_cyc", "latency_p99_cyc", "ok_frac")
@@ -74,14 +79,29 @@ def run_side(root, target, workload, seconds):
     return result
 
 
+def end_to_end_metrics():
+    """The end-to-end metrics BENCHMARK.json declares, in its order."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)["end_to_end"]
+
+
+def worse_than_bound(metric, base, head):
+    """Whether `head` is worse than `base` by more than the metric's bound,
+    relative to the base."""
+    if metric["better"] == "higher":
+        return head < base * (1 - metric["bound"])
+    return head > base * (1 + metric["bound"])
+
+
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 
 
-def compare(workload, pairs, sides, seconds):
+def compare(workload, pairs, sides, seconds, metrics):
     """Runs the pairs of one workload; returns True when head passes."""
-    values = {"base": [], "head": []}
+    names = [m["name"] for m in metrics]
+    values = {"base": {n: [] for n in names}, "head": {n: [] for n in names}}
     first = {}
     for i in range(pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -91,22 +111,39 @@ def compare(workload, pairs, sides, seconds):
             if result is None:
                 print("%s: %s run %d is not correct" % (workload, side, i + 1))
                 return False
-            values[side].append(result["metrics"][METRIC]["value"])
+            for n in names:
+                values[side][n].append(result["metrics"][n]["value"])
             first.setdefault(side, result["metrics"])
-        print("  pair %d/%d: base %.4g  head %.4g" %
-              (i + 1, pairs, values["base"][-1], values["head"][-1]),
-              flush=True)
+        print("  pair %d/%d: %s base %.4g  head %.4g" %
+              (i + 1, pairs, METRIC, values["base"][METRIC][-1],
+               values["head"][METRIC][-1]), flush=True)
 
-    b1, base_median, b3 = quartiles(values["base"])
-    h1, head_median, h3 = quartiles(values["head"])
-    won = sum(h > b for b, h in zip(values["base"], values["head"]))
+    passed = True
+    for metric in metrics:
+        n = metric["name"]
+        base = statistics.median(values["base"][n])
+        head = statistics.median(values["head"][n])
+        bad = worse_than_bound(metric, base, head)
+        passed = passed and not bad
+        print("%s %-19s base %-10.4g head %-10.4g ratio %s  (%s is better, "
+              "bound %g) -> %s" %
+              (workload, n, base, head,
+               "%.3f" % (head / base) if base else "n/a",
+               metric["better"], metric["bound"],
+               "FAIL (worse than the bound)" if bad else "pass"))
+
+    b1, base_median, b3 = quartiles(values["base"][METRIC])
+    h1, head_median, h3 = quartiles(values["head"][METRIC])
+    won = sum(h > b for b, h in zip(values["base"][METRIC],
+                                    values["head"][METRIC]))
     floor = base_median - (b3 - b1)
-    passed = head_median >= floor
+    noise_ok = head_median >= floor
+    passed = passed and noise_ok
     print("%s %s: base median %.4g [%.4g, %.4g]  head median %.4g "
           "[%.4g, %.4g]  ratio %.3f  head won %d/%d  -> %s" %
           (workload, METRIC, base_median, b1, b3, head_median, h1, h3,
            head_median / base_median, won, pairs,
-           "pass" if passed else
+           "pass" if noise_ok else
            "FAIL (head median below base median - base IQR = %.4g)" % floor))
     moved = [m for m in SIMULATED
              if first["base"][m]["value"] != first["head"][m]["value"]]
@@ -153,7 +190,8 @@ def main():
             thp = "unavailable"
         print("perf A/B: %s vs base %s, %d pairs x %gs, THP: %s" %
               (ROOT, args.base, args.pairs, args.seconds, thp), flush=True)
-        results = [compare(w, args.pairs, sides, args.seconds)
+        metrics = end_to_end_metrics()
+        results = [compare(w, args.pairs, sides, args.seconds, metrics)
                    for w in args.workload or WORKLOADS]
         return 0 if all(results) else 1
     finally:
