@@ -60,7 +60,11 @@ class RoutingAlgorithm {
 
   /// Appends options in preference order for the head packet of a buffer at
   /// `router`. Never returns an empty list: the escape (minimal) option is
-  /// always present for in-flight packets.
+  /// always present for in-flight packets. At the packet's destination
+  /// router it appends exactly one option, the ejection option, and draws
+  /// nothing from `rng`, whatever the packet's state: the allocator parks
+  /// a fresh head there whose flits are still arriving without re-running
+  /// route() (tests/test_routing.cpp checks every registered algorithm).
   virtual void route(const Packet& pkt, RouterId router, Rng& rng,
                      std::vector<RouteOption>& out) const = 0;
 

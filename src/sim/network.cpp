@@ -219,7 +219,7 @@ void Network::build() {
   // the first injection or delivery arms its slot.
   armed_.assign(static_cast<std::size_t>(total_inputs), 0);
   router_armed_.assign(static_cast<std::size_t>(num_routers), 0);
-  wait_link_.assign(commits_.size(), -1);
+  wait_.assign(commits_.size(), Wait{});
   link_waiters_.assign(static_cast<std::size_t>(total_links), {});
 
   link_owner_.resize(static_cast<std::size_t>(total_links));
@@ -432,11 +432,15 @@ void Network::deliver_data(Cycle now) {
       // router entirely, crediting the upstream sender right away and
       // advancing the outbound stream's availability count.
       if (telem_.enabled()) observe_delivery(li, fp.phits);
+      InputBuffer& buf = in_[static_cast<std::size_t>(gi)];
       if (fp.seq == 0) {
-        in_[static_cast<std::size_t>(gi)].push(fp.vc, fp.ref, fp.phits);
+        buf.push(fp.vc, fp.ref, fp.phits);
         ++router_buffered_[static_cast<std::size_t>(link.to)];
-        arm_slot(link.to, gi, fp.vc);
-        alloc_set_.add(link.to);
+        // Only a new head can change what the slot's find_action sees.
+        if (buf.packets(fp.vc) == 1) {
+          arm_slot(link.to, gi, fp.vc);
+          alloc_set_.add(link.to);
+        }
         continue;
       }
       TransitTail& tail = transit_[static_cast<std::size_t>(li)];
@@ -452,10 +456,12 @@ void Network::deliver_data(Cycle now) {
       }
       // Body flit joining its buffered head. add_phit pins the no-
       // interleaving invariant: the flit must belong to the newest packet
-      // on its VC. A head sleeping on its incomplete tail re-arms here —
-      // this is the arrival edge it waits for.
-      in_[static_cast<std::size_t>(gi)].add_phit(fp.vc, fp.ref);
-      if (in_[static_cast<std::size_t>(gi)].front(fp.vc) == fp.ref) {
+      // on its VC. An ejection head sleeping on its incomplete tail waits
+      // for the flit that completes it; no other sleeping head reads how
+      // much of itself has arrived.
+      buf.add_phit(fp.vc, fp.ref);
+      if (buf.front(fp.vc) == fp.ref &&
+          buf.front_phits(fp.vc) == pool_[fp.ref].size) {
         arm_slot(link.to, gi, fp.vc);
         alloc_set_.add(link.to);
       }
@@ -492,8 +498,9 @@ void Network::deliver_credits(Cycle now) {
       link.credits.pop_front();
       drained = true;
     }
-    // Ledger space only ever grows here — wake every slot sleeping on it.
-    if (drained) fire_waiters(link_owner_[static_cast<std::size_t>(li)], li);
+    // Ledger space only ever grows here: wake the slots it can unblock.
+    if (drained)
+      fire_waiters<true>(link_owner_[static_cast<std::size_t>(li)], li);
     return link.credits.empty() ? TimingWheel::kIdle
                                 : link.credits.front().arrive;
   };
@@ -506,18 +513,41 @@ void Network::deliver_credits(Cycle now) {
     credit_wheel_.sweep(now, drain);
 }
 
+template <bool kCreditEdge>
 void Network::fire_waiters(RouterId r, int li) {
   auto& waiters = link_waiters_[static_cast<std::size_t>(li)];
   if (waiters.empty()) return;
+  const CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
+  const OutputUnit& ou = out_[static_cast<std::size_t>(li)];
+  std::size_t kept = 0;
+  bool woke = false;
   for (const std::int32_t e : waiters) {
     const int gi = e >> 6;
     const auto vc = static_cast<VcIndex>(e & 63);
-    wait_link_[static_cast<std::size_t>(
-        commit_index_[static_cast<std::size_t>(gi)] + vc)] = -1;
+    Wait& w = wait_[static_cast<std::size_t>(
+        commit_index_[static_cast<std::size_t>(gi)] + vc)];
+    if (w.link == li) {
+      if (w.vc != kInvalidVc) {
+        // The committed head's revalidation test, reading first the line
+        // this phase already holds.
+        const int need =
+            flow_control_ == FlowControl::kWormhole ? 1 : w.size;
+        const bool clear =
+            kCreditEdge
+                ? ledger.can_send(w.vc, need) && ou.can_reserve(w.size)
+                : ou.can_reserve(w.size) && ledger.can_send(w.vc, need);
+        if (!clear) {
+          waiters[kept++] = e;
+          continue;
+        }
+      }
+      w.link = -1;
+    }
     arm_slot(r, gi, vc);
+    woke = true;
   }
-  waiters.clear();
-  alloc_set_.add(r);
+  waiters.resize(kept);
+  if (woke) alloc_set_.add(r);
 }
 
 bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
@@ -562,8 +592,10 @@ bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
   buf.push(best, ref, pkt.size);
   if (telem_.enabled()) observe_injection(r);
   ++router_buffered_[static_cast<std::size_t>(r)];
-  arm_slot(r, gi, best);
-  alloc_set_.add(r);
+  if (buf.packets(best) == 1) {
+    arm_slot(r, gi, best);
+    alloc_set_.add(r);
+  }
   return true;
 }
 
@@ -595,19 +627,24 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     req.output = output;
   };
 
-  // Puts the slot to sleep on its committed output link: disarmed until
-  // the link's next credit return or output-buffer departure fires the
-  // waiter list. wait_link_ dedupes the subscription (a safe commitment
-  // always re-sleeps on the same link, so one live entry suffices; a stale
-  // entry from a previous head fires a harmless idempotent re-arm).
+  Wait& wait = wait_[static_cast<std::size_t>(
+      commit_index_[static_cast<std::size_t>(gi)] + vc)];
+
+  // Puts the slot to sleep on its committed output link: disarmed until a
+  // credit return or output-buffer departure on the link makes room for
+  // this head on its committed VC. The condition is rewritten every time,
+  // since the live entry may be a previous head's. wait.link dedupes the
+  // subscription (a safe commitment always re-sleeps on the same link, so
+  // one live entry suffices; a stale entry from a previous head fires a
+  // harmless idempotent re-arm).
   const auto sleep_on_link = [&](int li) {
     disarm_slot(r, gi, vc);
-    std::int32_t& wl = wait_link_[static_cast<std::size_t>(
-        commit_index_[static_cast<std::size_t>(gi)] + vc)];
-    if (wl != li) {
+    wait.size = head.size;
+    wait.vc = commit.out_vc;
+    if (wait.link != li) {
       link_waiters_[static_cast<std::size_t>(li)].push_back(
           (static_cast<std::int32_t>(gi) << 6) | vc);
-      wl = li;
+      wait.link = li;
     }
   };
 
@@ -619,7 +656,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     ++re_requests_;
     if (commit.ejection) {
       if (flit_ && buf.front_phits(vc) < head.size) {
-        disarm_slot(r, gi, vc);  // re-armed per arriving body flit
+        disarm_slot(r, gi, vc);  // re-armed by the completing body flit
         return false;
       }
       const int out =
@@ -673,10 +710,10 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
   for (const RouteOption& opt : options_) {
     if (opt.ejection) {
       if (flit_ && buf.front_phits(vc) < head.size) {
-        // No commitment yet: with a pure pass the head can sleep until
-        // its next body flit lands (add_phit re-arms the front slot);
-        // otherwise the retry must re-draw the routing RNG every cycle.
-        if (fresh_prune_ok_) disarm_slot(r, gi, vc);
+        // No commitment yet, but at the destination route() returned this
+        // option alone and drew nothing, so the head sleeps until the body
+        // flit that completes it lands, whatever the routing algorithm.
+        disarm_slot(r, gi, vc);
         return false;
       }
       const int out =
@@ -769,19 +806,18 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
   if (fresh_prune_ok_ && !transient) {
     // Every option is blocked on link-edge resources (or statically
     // inadmissible — candidates depend only on the packet and option, so
-    // those can never come back): sleep until a blocking link fires.
-    // With several blocked links the slot subscribes to each; wait_link_
-    // can dedupe only one of them, and the resulting stale entries fire
-    // harmless idempotent re-arms.
+    // those can never come back): sleep until a blocking link fires, any
+    // fire. With several blocked links the slot subscribes to each;
+    // wait.link can dedupe only one of them, and the resulting stale
+    // entries fire harmless idempotent re-arms.
     disarm_slot(r, gi, vc);
-    std::int32_t& wl = wait_link_[static_cast<std::size_t>(
-        commit_index_[static_cast<std::size_t>(gi)] + vc)];
+    wait.vc = kInvalidVc;
     for (int i = 0; i < blocks; ++i) {
-      if (wl == block_li[i]) continue;
+      if (wait.link == block_li[i]) continue;
       link_waiters_[static_cast<std::size_t>(block_li[i])].push_back(
           (static_cast<std::int32_t>(gi) << 6) | vc);
     }
-    if (blocks > 0) wl = block_li[blocks - 1];
+    if (blocks > 0) wait.link = block_li[blocks - 1];
   }
   return false;  // armed unless pruned: a re-run may re-draw routing RNG
 }
@@ -1063,12 +1099,13 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   if (in_[static_cast<std::size_t>(gi)].front(req.in_vc) == kInvalidPacketRef)
     disarm_slot(r, gi, req.in_vc);
 
-  // Return the freed space upstream (network input ports only; injection
-  // buffers are observed directly by the node). Under flit-level flow
-  // control only the flits that actually reached this buffer are freed
-  // now — slot.phits == pkt.size in packet mode — and a tail still in
-  // flight leaves a TransitTail so the remaining flits credit upstream
-  // as they arrive and feed the outbound stream's availability.
+  // Return the freed space upstream (network input ports only; a pop of
+  // an injection buffer is the space a parked node waits for, see
+  // Nodes::step). Under flit-level flow control only the flits that
+  // actually reached this buffer are freed now — slot.phits == pkt.size in
+  // packet mode — and a tail still in flight leaves a TransitTail so the
+  // remaining flits credit upstream as they arrive and feed the outbound
+  // stream's availability.
   const int uli = upstream_link_[static_cast<std::size_t>(gi)];
   if (uli >= 0) {
     const int latency = links_[static_cast<std::size_t>(uli)].latency;
@@ -1080,6 +1117,9 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
       tail = TransitTail{slot.ref, pkt.size - slot.phits, req.in_vc,
                          pkt.credited_kind};
     }
+  } else {
+    nodes_->unpark(topo_->first_node_of_router(r) + req.in_port -
+                   net_ports(r));
   }
   if (flit_ && !cmt.ejection) {
     // Where the outbound stream finds this packet's TransitTail (or -1:
@@ -1149,9 +1189,9 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
   if (!flit_) {
     if (!ou.ready_to_send(now)) return next_start();
     const OutputUnit::Departure d = ou.start_send(now);
-    // The departure freed output-buffer space: wake the slots sleeping
-    // on this link's can_reserve edge.
-    fire_waiters(r, li);
+    // The departure freed output-buffer space: wake the slots it can
+    // unblock.
+    fire_waiters<false>(r, li);
     // The packet is eligible downstream one cycle after its head
     // arrives; its phits keep streaming behind it.
     push_data(li,
@@ -1169,7 +1209,7 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
     // The packet moves from the output unit into the stream: the router's
     // send-work count is unchanged.
     const OutputUnit::Departure d = ou.start_send(now);
-    fire_waiters(r, li);
+    fire_waiters<false>(r, li);
     st.ref = d.ref;
     st.vc = d.vc;
     st.next = 0;

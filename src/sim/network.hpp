@@ -50,10 +50,12 @@
 //   * Arbitration is pruned and batched: every input VC slot carries an
 //     armed bit, and a head packet blocked on a condition that only a
 //     discrete event can change (credit return, output-buffer slot free,
-//     body-flit arrival) is disarmed until that exact event fires — it
-//     stops re-arbitrating every cycle. Slots blocked on transient or
-//     time-varying conditions (allocator matching, consumption ports) stay
-//     armed and retry, preserving byte-identical results.
+//     the flit completing it) is disarmed until such an event fires and
+//     can clear it — it stops re-arbitrating every cycle. Slots blocked on
+//     transient or time-varying conditions (allocator matching, reply
+//     queues) stay armed and retry, preserving byte-identical results.
+//     Nodes likewise park on a full injection buffer until a grant pops
+//     it (Nodes::step).
 //   * Every container above draws from the network's own Arena
 //     (common/arena.hpp) through std::pmr allocators: a paper-scale
 //     network's state sits on 2 MB pages, a smoke-scale one stays on base
@@ -263,6 +265,16 @@ class Network final : public CongestionOracle {
     bool safe = false;
   };
 
+  /// What a sleeping commit slot waits on: the link whose waiter list
+  /// holds its live entry (-1: none) and, for a safe commitment, the
+  /// head's size and committed VC, so a fire can tell whether it clears
+  /// the block. vc == kInvalidVc re-arms on any fire.
+  struct Wait {
+    std::int32_t link = -1;
+    std::int32_t size = 0;
+    VcIndex vc = kInvalidVc;
+  };
+
   /// Tail of a granted packet still arriving on an inbound link (flit
   /// modes only). Body flits landing while this record is live bypass the
   /// input buffer: they credit the upstream sender immediately and feed
@@ -289,7 +301,6 @@ class Network final : public CongestionOracle {
     RouteKind kind = RouteKind::kMinimal;  ///< kind body-flit claims carry
   };
 
-  /// Stage-1 result: one input port's chosen action for this iteration.
   /// A stage-1 proposal: just the slot and its target output lane. The
   /// route option and VC chosen for it live in the slot's Commitment —
   /// grant() re-fetches them, so proposals stay pointer-sized instead of
@@ -411,15 +422,30 @@ class Network final : public CongestionOracle {
   // --- Re-request pruning. A slot is (global input, VC); armed means
   // stage1_pick evaluates it. Disarming is legal only in states where
   // find_action provably returns false with no side effects (and no RNG
-  // draw — skipping a draw would shift the shared per-router stream), and
-  // every event that could change such a state re-arms the slot:
-  //   * empty VC            -> re-armed by the next push on the slot
-  //   * ejection tail short -> re-armed per arriving body flit
-  //   * safe commitment blocked on downstream resources -> subscribed to
-  //     the committed link's waiter list; fired on every credit return
-  //     (CreditLedger gains space only in on_credit, which also clears the
-  //     on/off stop bit) and every output-buffer departure (occupancy
-  //     drops only in start_send).
+  // draw — skipping a draw would shift the shared per-router stream).
+  // Each such state has one wake edge, which re-arms the slot only when
+  // its event can clear the block:
+  //   * empty VC -> the push that gives it a head again (a packet queued
+  //     behind a head changes nothing the head reads, so that push arms
+  //     nothing)
+  //   * ejection head whose tail is still arriving (flit modes) -> the
+  //     body flit that completes it. This holds for a fresh head too:
+  //     route() at the destination returns the ejection option alone and
+  //     draws nothing (the RoutingAlgorithm::route contract).
+  //   * ejection head on a busy consumption port -> the wake calendar
+  //     (schedule_eject_wake)
+  //   * safe commitment blocked on downstream resources -> an entry on the
+  //     committed link's waiter list, with the condition in the slot's
+  //     Wait: the head's size and committed VC, rewritten on every sleep
+  //     (deduped ones too: a new head may inherit its slot's entry). Space
+  //     grows only on a credit return (on_credit, which also clears the
+  //     on/off stop bit) and an output-buffer departure (start_send), and
+  //     both fire the list. fire_waiters re-arms the slot only if
+  //     can_send(vc, need) and can_reserve(size) now hold; otherwise the
+  //     entry stays, since the check cannot pass before the next fire.
+  //   * pure fresh head blocked on link resources -> an entry on every
+  //     blocking link. These, and stale entries (the slot's Wait names
+  //     another link), re-arm on any fire.
   void arm_slot(RouterId r, int gi, VcIndex vc) {
     std::uint64_t& bits = armed_[static_cast<std::size_t>(gi)];
     const std::uint64_t bit = std::uint64_t{1} << vc;
@@ -444,6 +470,10 @@ class Network final : public CongestionOracle {
       --router_armed_[static_cast<std::size_t>(r)];
     }
   }
+  /// Fires link li's waiter list (see above). kCreditEdge: a credit
+  /// return, which has the ledger line at hand; otherwise a departure,
+  /// which has the output unit's.
+  template <bool kCreditEdge>
   void fire_waiters(RouterId r, int li);
 
   // Sleeps an ejection-blocked slot until the consumption port frees: the
@@ -573,7 +603,7 @@ class Network final : public CongestionOracle {
   // --- Pruned-arbitration state (see arm_slot/disarm_slot above).
   Vec<std::uint64_t> armed_{&arena_};  // per global input: VC bitmask
   Vec<std::int32_t> router_armed_{&arena_};  // per router: armed slot count
-  Vec<std::int32_t> wait_link_{&arena_};  // per (input, VC) commit slot
+  Vec<Wait> wait_{&arena_};  // per (input, VC) commit slot
   Vec<Vec<std::int32_t>> link_waiters_{&arena_};  // per link: (gi<<6)|vc
   Vec<std::int32_t> input_router_{&arena_};  // per global input: owning router
   // armed_inputs_[r] holds the input ports with any armed VC — stage 1

@@ -82,20 +82,26 @@ void Nodes::gather_injection(int round, NodeId n, const Network& net) const {
 }
 
 void Nodes::enqueue(NodeId n, MsgClass cls, NodeId dst, Cycle created) {
-  nodes_[static_cast<std::size_t>(n)]
-      .source[static_cast<int>(cls)]
-      .push_back(Queued{dst, created});
+  EventLane<Queued>& queue =
+      nodes_[static_cast<std::size_t>(n)].source[static_cast<int>(cls)];
+  // A new front is one the node has not offered yet.
+  if (queue.empty()) unpark(n);
+  queue.push_back(Queued{dst, created});
   ++queued_[static_cast<std::size_t>(n)];
 }
 
 void Nodes::inject(NodeId n, Cycle now, Network& net) {
   Node& node = nodes_[static_cast<std::size_t>(n)];
+  bool all_refused = true;
   // Replies first: they unblock request consumption at remote nodes.
   for (int c : {static_cast<int>(MsgClass::kReply),
                 static_cast<int>(MsgClass::kRequest)}) {
     EventLane<Queued>& queue = node.source[c];
     if (queue.empty()) continue;
-    if (queue.front().created > now) continue;  // reply not materialized yet
+    if (queue.front().created > now) {  // reply not materialized yet
+      all_refused = false;
+      continue;
+    }
     Packet pkt;
     pkt.src = n;
     pkt.dst = queue.front().dst;
@@ -111,6 +117,8 @@ void Nodes::inject(NodeId n, Cycle now, Network& net) {
       return;
     }
   }
+  // Full injection buffer: park until a grant pops it or a new front comes.
+  if (all_refused) inject_busy_until_[static_cast<std::size_t>(n)] = kParked;
 }
 
 bool Nodes::can_consume(NodeId n, MsgClass cls, Cycle now) const {

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <memory_resource>
 #include <utility>
@@ -52,7 +53,23 @@ class Nodes {
   /// its ascending node order. When the network runs its state gather,
   /// the injection pass looks ahead (gather_injection): the same nodes in
   /// the same order, their misses started a few nodes early.
+  ///
+  /// A node whose injection buffer is full parks: when, in one injection
+  /// attempt, every non-empty source queue has a materialized front that
+  /// Network::try_inject refused, the node leaves the injection pass. A
+  /// refusal has no side effect and nothing else frees injection-buffer
+  /// space, so skipping the node is bit-identical to retrying it. It
+  /// returns when a grant pops its injection buffer (unpark) or when an
+  /// enqueue gives one of its queues a new front. A front not yet
+  /// materialized (a reply still in transfer) never parks the node.
   void step(Cycle now, Network& net, Metrics& metrics);
+
+  /// Returns parked node n to the injection pass: a grant popped its
+  /// injection buffer. A no-op for a node that is not parked.
+  void unpark(NodeId n) {
+    Cycle& free_at = inject_busy_until_[static_cast<std::size_t>(n)];
+    if (free_at == kParked) free_at = 0;
+  }
 
   /// Whether node n's consumption port of the class can take a packet now.
   /// For requests under reactive traffic this also requires room in the
@@ -136,7 +153,9 @@ class Nodes {
   std::pmr::vector<InjectionState> state_;
   std::pmr::vector<NodeId> burst_dst_;
   // The injection pass's filter, per node: packets in both source queues,
-  // and the first cycle the injection channel is free.
+  // and the first cycle the injection channel is free (kParked while the
+  // node is parked on a full injection buffer).
+  static constexpr Cycle kParked = std::numeric_limits<Cycle>::max();
   std::pmr::vector<std::int32_t> queued_;
   std::pmr::vector<Cycle> inject_busy_until_;
   std::pmr::vector<Node> nodes_;

@@ -1,15 +1,22 @@
 // Routing algorithm unit tests: option validity for MIN/VAL/PAR/UGAL/PB,
-// Valiant trajectory bookkeeping, and Piggyback saturation sensing.
+// Valiant trajectory bookkeeping, Piggyback saturation sensing, and the
+// contract every registered algorithm keeps at the destination router.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
+#include "core/vc_arrangement.hpp"
 #include "core/vc_policy.hpp"
 #include "routing/minimal.hpp"
 #include "routing/par.hpp"
 #include "routing/piggyback.hpp"
 #include "routing/ugal.hpp"
 #include "routing/valiant.hpp"
+#include "scenario/registry.hpp"
+#include "sim/config.hpp"
 #include "topology/dragonfly.hpp"
 #include "topology/slimfly.hpp"
 
@@ -307,6 +314,82 @@ TEST_F(PiggybackTest, NamesEncodeVariant) {
   EXPECT_EQ(make(true).name(), "pb-per-vc");
   EXPECT_EQ(make(false, true).name(), "pb-per-port-min");
   EXPECT_EQ(make(true, true).name(), "pb-per-vc-min");
+}
+
+TEST(RoutingContract, DestinationRouterYieldsOnlyEjectionAndDrawsNothing) {
+  // Network::find_action parks a fresh head at its destination router
+  // whose tail is still arriving, whatever the algorithm, and re-arms it
+  // only when the tail completes: skipping those route() calls is
+  // bit-identical only if each would have appended the ejection option
+  // alone and left the router's Rng as it was.
+  for (const char* topology : {"dragonfly", "slimfly"}) {
+    SimConfig cfg;
+    cfg.topology = topology;
+    const std::unique_ptr<Topology> topo =
+        topology_registry().at(cfg.topology).make(cfg);
+    const VcArrangement arrangement = VcArrangement::parse(cfg.vcs);
+    const NodeId nodes = topo->num_nodes();
+    const int routers = topo->num_routers();
+    for (const auto& entry : routing_registry().entries()) {
+      cfg.routing = entry.name;
+      if (entry.validate) {
+        try {
+          entry.validate(cfg);
+        } catch (const std::invalid_argument&) {
+          continue;  // e.g. Piggyback off a Dragonfly
+        }
+      }
+      FakeOracle oracle;
+      // Congestion that would make the adaptive algorithms misroute
+      // anywhere but at the destination.
+      for (RouterId r = 0; r < routers; ++r)
+        for (PortIndex p = 0; p < topo->num_network_ports(r); p += 2)
+          oracle.set(r, p, 1000);
+      const std::unique_ptr<RoutingAlgorithm> routing = entry.make(
+          RoutingContext{*topo, oracle, cfg, arrangement});
+      routing->update(0);
+      Rng rng(7);
+      int checked = 0;
+      for (NodeId dst = 0; dst < nodes; dst += 3) {
+        const RouterId at = topo->router_of_node(dst);
+        // A node on the same router, a neighbour's, and a far one.
+        const NodeId sources[] = {dst ^ 1,
+                                  (dst + topo->concentration()) % nodes,
+                                  (dst + nodes / 2) % nodes};
+        for (const NodeId src : sources) {
+          // At injection, mid-path, toward a pending Valiant router, and
+          // after reaching it.
+          for (int state = 0; state < 4; ++state) {
+            Packet pkt = packet_at_injection(*topo, src, dst);
+            if (state > 0) {
+              pkt.vc_position = 1;
+              pkt.hops = state;
+            }
+            if (state >= 2) {
+              pkt.valiant = (at + 1) % routers;
+              pkt.valiant_reached = state == 3;
+              pkt.route_kind = RouteKind::kNonminimal;
+            }
+            const std::string context = entry.name + " on " + topology +
+                                        " dst=" + std::to_string(dst) +
+                                        " src=" + std::to_string(src) +
+                                        " state=" + std::to_string(state);
+            // route() appends: the sentinel must stay first and alone.
+            std::vector<RouteOption> opts(1);
+            Rng before = rng;
+            routing->route(pkt, at, rng, opts);
+            ASSERT_EQ(opts.size(), 2u) << context;
+            EXPECT_FALSE(opts[0].ejection) << context;
+            EXPECT_TRUE(opts[1].ejection) << context;
+            for (int i = 0; i < 2; ++i)
+              ASSERT_EQ(rng.next_u64(), before.next_u64()) << context;
+            ++checked;
+          }
+        }
+      }
+      EXPECT_GT(checked, 0) << entry.name << " on " << topology;
+    }
+  }
 }
 
 TEST(RoutingReferences, ReferencePathsMatchPaperRequirements) {
