@@ -8,7 +8,7 @@ namespace {
 
 void log_line(const char* tag, const std::string& msg) {
   // Compose the whole line first and emit it under a lock as one write:
-  // pool workers log concurrently (journal I/O failures, runner warnings)
+  // sweep workers log concurrently (journal I/O failures, runner warnings)
   // and interleaved fragments would make the diagnostics unreadable.
   std::string line = "[flexnet ";
   line += tag;

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "runner/thread_pool.hpp"
 #include "telemetry/trace.hpp"
 
 namespace flexnet {
@@ -22,10 +21,11 @@ namespace flexnet {
 namespace {
 
 // Journal I/O spans on the trace timeline (set_trace): pid 0 wall-clock
-// track of the calling worker. A null writer costs one branch.
-TraceWriter::Span journal_span(TraceWriter* trace, const char* name) {
+// track `track`. A null writer costs one branch.
+TraceWriter::Span journal_span(TraceWriter* trace, const char* name,
+                               int track) {
   if (trace == nullptr) return TraceWriter::Span();
-  return trace->span("checkpoint", name, ThreadPool::current_worker());
+  return trace->span("checkpoint", name, track);
 }
 
 }  // namespace
@@ -301,7 +301,7 @@ std::uint64_t grid_fingerprint(const std::vector<ExperimentSeries>& series,
 
 std::vector<CheckpointRecord> CheckpointJournal::open(
     std::uint64_t fingerprint, std::size_t points, int seeds) {
-  const TraceWriter::Span span = journal_span(trace_, "journal.open");
+  const TraceWriter::Span span = journal_span(trace_, "journal.open", 0);
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ != nullptr)
     throw CheckpointError("checkpoint journal already open: " + path_);
@@ -341,7 +341,7 @@ std::vector<CheckpointRecord> CheckpointJournal::open(
                             path_);
   if (!scan.have_header) {
     write_line(expected_header);
-    flush_locked();
+    flush_locked(0);
   }
   return std::move(scan.records);
 }
@@ -452,7 +452,7 @@ void CheckpointJournal::fail_locked(const char* op) {
 }
 
 void CheckpointJournal::append(std::size_t point, int seed,
-                               const SimResult& r) {
+                               const SimResult& r, int track) {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr || failed_) return;
   std::string body = "R " + std::to_string(point) + ' ' + std::to_string(seed);
@@ -464,14 +464,14 @@ void CheckpointJournal::append(std::size_t point, int seed,
   // Each record goes to the kernel at once, so the file grows once per
   // finished job (the orchestrator's liveness signal); fsync stays batched.
   if (++unsynced_ >= kFsyncBatch)
-    flush_locked();
+    flush_locked(track);
   else if (std::fflush(file_) != 0)
     fail_locked("flush of");
 }
 
-void CheckpointJournal::flush_locked() {
+void CheckpointJournal::flush_locked(int track) {
   if (file_ == nullptr) return;
-  const TraceWriter::Span span = journal_span(trace_, "journal.fsync");
+  const TraceWriter::Span span = journal_span(trace_, "journal.fsync", track);
   if (std::fflush(file_) != 0) fail_locked("flush of");
   if (::fsync(::fileno(file_)) != 0) fail_locked("fsync of");
   unsynced_ = 0;
@@ -479,14 +479,14 @@ void CheckpointJournal::flush_locked() {
 
 void CheckpointJournal::flush() {
   std::lock_guard<std::mutex> lock(mu_);
-  flush_locked();
+  flush_locked(0);
 }
 
 void CheckpointJournal::close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return;
-  const TraceWriter::Span span = journal_span(trace_, "journal.close");
-  flush_locked();
+  const TraceWriter::Span span = journal_span(trace_, "journal.close", 0);
+  flush_locked(0);
   if (std::fclose(file_) != 0) fail_locked("close of");
   file_ = nullptr;
 }

@@ -144,12 +144,14 @@ class CheckpointJournal {
                                      std::size_t points, int seeds);
 
   /// Appends one job result and flushes it to the kernel, so the file
-  /// grows once per finished job. Thread-safe; never throws (SweepRunner
-  /// jobs run on pool workers that must not throw) — an I/O failure (a
-  /// write, flush, fsync or close that fails) is reported to stderr once,
-  /// sets failed() and makes further appends no-ops, degrading the run to
-  /// "restart from the last good checkpoint".
-  void append(std::size_t point, int seed, const SimResult& result);
+  /// grows once per finished job. Thread-safe. An I/O failure (a write,
+  /// flush, fsync or close that fails) does not throw: it is reported to
+  /// stderr once, sets failed() and makes further appends no-ops, so the
+  /// sweep still finishes its jobs and SweepRunner::run fails afterwards
+  /// (restart from the last good checkpoint). An fsync batch's trace span
+  /// lands on `track`, the calling worker's (run_jobs).
+  void append(std::size_t point, int seed, const SimResult& result,
+              int track = 0);
 
   /// Flushes buffered records to the OS and fsyncs.
   void flush();
@@ -166,7 +168,7 @@ class CheckpointJournal {
 
  private:
   void write_line(const std::string& body);  // appends " <crc>\n"
-  void flush_locked();                       // requires mu_ held
+  void flush_locked(int track);              // requires mu_ held
   void fail_locked(const char* op);          // sets failed_, warns once
 
   std::string path_;

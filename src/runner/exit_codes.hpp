@@ -38,10 +38,4 @@ inline constexpr bool completed(int code) {
 /// budget must not be spent on it.
 inline constexpr bool permanent_failure(int code) { return code == kConfig; }
 
-/// Worth restarting (with --checkpoint resume): crashes, signal deaths
-/// (negative), I/O failures, and anything unclassified.
-inline constexpr bool retryable(int code) {
-  return !completed(code) && !permanent_failure(code);
-}
-
 }  // namespace flexnet::exit_code

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <system_error>
 #include <type_traits>
 
 namespace flexnet {
@@ -132,11 +134,23 @@ std::string JsonReport::to_json() const {
 }
 
 bool JsonReport::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  // Anything but a regular file (a pipe, /dev/stdout) is written in
+  // place: a rename would replace the node itself.
+  std::error_code ec;
+  const auto type = std::filesystem::status(path, ec).type();
+  const bool in_place = type != std::filesystem::file_type::regular &&
+                        type != std::filesystem::file_type::not_found;
+  const std::string out = in_place ? path : path + ".tmp";
+  std::FILE* f = std::fopen(out.c_str(), "wb");
   if (f == nullptr) return false;
   const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  return std::fclose(f) == 0 && ok;
+  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  const bool closed = std::fclose(f) == 0;
+  if (in_place) return wrote && closed;
+  if (wrote && closed && std::rename(out.c_str(), path.c_str()) == 0)
+    return true;
+  std::remove(out.c_str());
+  return false;
 }
 
 }  // namespace flexnet

@@ -42,7 +42,11 @@ class JsonReport {
   /// (sim/simulator.hpp) under their JSON names.
   std::string to_json() const;
 
-  /// Writes to_json() to `path`; returns false on I/O failure.
+  /// Writes to_json() to `path + ".tmp"` and renames it over `path`, so a
+  /// reader (a dashboard polling a watched merge) sees the previous
+  /// complete document or the new one, never a torn write. A `path` that
+  /// exists but is no regular file (a pipe, /dev/stdout) is written in
+  /// place. Returns false on I/O failure, leaving no temp file behind.
   bool write_file(const std::string& path) const;
 
  private:

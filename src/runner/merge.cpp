@@ -10,30 +10,6 @@
 #include "sim/experiment.hpp"
 
 namespace flexnet {
-namespace {
-
-/// Writes `body` to `path` via a temp file + rename, so a concurrent
-/// reader sees either the previous complete document or the new one,
-/// never a torn write. POSIX rename is atomic within a filesystem.
-bool write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 MergeSummary merge_suite_journals(const MaterializedSuite& suite,
                                   const std::string& suite_path,
@@ -132,11 +108,7 @@ MergeSummary merge_suite_journals(const MaterializedSuite& suite,
                       static_cast<std::int64_t>(summary.missing_jobs));
     report.add_sweep(suite.spec.title, sweeps, 0.0);
 
-    const bool ok = outputs.atomic_json
-                        ? write_file_atomic(outputs.json_path,
-                                            report.to_json())
-                        : report.write_file(outputs.json_path);
-    if (!ok)
+    if (!report.write_file(outputs.json_path))
       throw CheckpointIoError("could not write JSON report to " +
                               outputs.json_path);
     if (outputs.verbose)

@@ -31,11 +31,6 @@ struct MergeOutputs {
   /// Write the standard JSON sweep report here; empty skips it.
   std::string json_path;
 
-  /// Publish the report atomically: write to `json_path + ".tmp"`, then
-  /// rename over json_path — a watcher (a dashboard polling it) never
-  /// observes a half-written document. Watch-mode ticks require this.
-  bool atomic_json = false;
-
   /// Skip unreadable / empty / not-yet-a-journal inputs instead of
   /// throwing (watch-mode ticks). Fingerprint mismatches always throw.
   bool tolerate_unreadable_inputs = false;

@@ -5,18 +5,60 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "runner/checkpoint.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/network.hpp"
 #include "telemetry/phase_timers.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
 namespace flexnet {
+
+void run_jobs(std::size_t count, int workers,
+              const std::function<void(std::size_t, int)>& job) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  std::size_t error_index = count;
+  const auto work = [&](int worker) {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        job(i, worker);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  const std::size_t n =
+      std::min(static_cast<std::size_t>(std::max(1, workers)), count);
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  try {
+    for (std::size_t w = 1; w <= n; ++w)
+      threads.emplace_back(work, static_cast<int>(w));
+  } catch (...) {
+    // No thread to spare: stop the started workers and fail the run.
+    failed.store(true, std::memory_order_relaxed);
+    for (std::thread& t : threads) t.join();
+    throw;
+  }
+  for (std::thread& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
+}
 
 SweepRunner::SweepRunner(int jobs) : jobs_(std::max(1, jobs)) {}
 
@@ -124,10 +166,6 @@ std::vector<SweepResult> SweepRunner::run(
   std::vector<std::vector<char>> done(
       num_points, std::vector<char>(static_cast<std::size_t>(n_seeds), 0));
 
-  const auto point_index = [&](std::size_t s, std::size_t l) {
-    return s * loads.size() + l;
-  };
-
   // Sharded run: jobs owned by other shards are marked done up front —
   // never simulated, never journaled; their zeroed slots make the rows
   // partial. The checkpoint below still fingerprints the FULL grid, so
@@ -163,13 +201,37 @@ std::vector<SweepResult> SweepRunner::run(
   const long crash_after = crash_env != nullptr ? std::atol(crash_env) : 0;
   std::atomic<long> crash_jobs{0};
 
-  // One simulation job: runs (s, l, seed k), writes its pre-sized slot,
-  // journals, and feeds the observability sinks. Called from the serial
-  // loop and from pool workers alike.
+  // The pending (point, seed) jobs in grid order. remaining[p] counts
+  // point p's pending seeds; whoever finishes its last one reports it, and
+  // a point fully restored from the journal reports before any job runs.
+  std::vector<std::pair<std::size_t, int>> pending;
+  std::vector<std::atomic<int>> remaining(num_points);
+  std::mutex progress_mu;
+  const auto report_point = [&](std::size_t p) {
+    if (!progress) return;
+    const SimResult agg = aggregate_seeds(per_seed[p]);
+    std::lock_guard<std::mutex> lock(progress_mu);
+    progress(series[p / loads.size()].label, loads[p % loads.size()], agg);
+  };
+  for (std::size_t p = 0; p < num_points; ++p) {
+    int missing = 0;
+    for (int k = 0; k < n_seeds; ++k) {
+      if (done[p][static_cast<std::size_t>(k)]) continue;
+      pending.emplace_back(p, k);
+      ++missing;
+    }
+    remaining[p].store(missing);
+    if (missing == 0) report_point(p);
+  }
+
+  // One simulation job: runs (point p, seed k) on trace track `worker`,
+  // writes its pre-sized slot, journals, and feeds the observability sinks.
   std::mutex telemetry_mu;
-  const auto run_job = [&](std::size_t s, std::size_t l, std::size_t p,
-                           int k) {
-    Simulator sim(job_config(series[s].config, loads[l], k));
+  run_jobs(pending.size(), jobs_, [&](std::size_t i, int worker) {
+    const auto [p, k] = pending[i];
+    const ExperimentSeries& s = series[p / loads.size()];
+    const double load = loads[p % loads.size()];
+    Simulator sim(job_config(s.config, load, k));
     // A traced job's span carries its step phases, which the network
     // times only while counting; counting never changes a result.
     if (telemetry_ != nullptr || trace_ != nullptr) sim.set_telemetry(true);
@@ -179,12 +241,12 @@ std::vector<SweepResult> SweepRunner::run(
     if (trace_ != nullptr) {
       char name[96];
       std::snprintf(name, sizeof(name), "%s load=%g seed=%d",
-                    series[s].label.c_str(), loads[l], k);
+                    s.label.c_str(), load, k);
       if (trace_packets_) trace_->process_name(job_pid, name);
       const double start_us = trace_->now_us();
       r = sim.run();
-      trace_->complete("job", name, /*pid=*/0, ThreadPool::current_worker(),
-                       start_us, trace_->now_us() - start_us,
+      trace_->complete("job", name, /*pid=*/0, worker, start_us,
+                       trace_->now_us() - start_us,
                        job_span_args(*sim.network()));
     } else {
       r = sim.run();
@@ -196,67 +258,14 @@ std::vector<SweepResult> SweepRunner::run(
       telemetry_->merge(sim.network()->telemetry());
     }
     per_seed[p][static_cast<std::size_t>(k)] = r;
-    if (journal) journal->append(p, k, r);
+    if (journal) journal->append(p, k, r, worker);
     if (crash_after > 0 &&
         crash_jobs.fetch_add(1, std::memory_order_relaxed) + 1 ==
             crash_after) {
       std::raise(SIGKILL);
     }
-  };
-
-  if (jobs_ <= 1) {
-    // Serial path: identical visiting order to the historical harness.
-    for (std::size_t s = 0; s < series.size(); ++s) {
-      for (std::size_t l = 0; l < loads.size(); ++l) {
-        const std::size_t p = point_index(s, l);
-        auto& slots = per_seed[p];
-        for (int k = 0; k < n_seeds; ++k) {
-          if (done[p][static_cast<std::size_t>(k)]) continue;
-          run_job(s, l, p, k);
-        }
-        if (progress)
-          progress(series[s].label, loads[l], aggregate_seeds(slots));
-      }
-    }
-  } else {
-    // remaining[p] counts outstanding seeds of point p; the worker that
-    // finishes a point's last seed reports its progress.
-    std::vector<std::atomic<int>> remaining(num_points);
-    std::mutex progress_mu;
-
-    ThreadPool pool(jobs_);
-    for (std::size_t s = 0; s < series.size(); ++s) {
-      for (std::size_t l = 0; l < loads.size(); ++l) {
-        const std::size_t p = point_index(s, l);
-        int missing = 0;
-        for (int k = 0; k < n_seeds; ++k)
-          if (!done[p][static_cast<std::size_t>(k)]) ++missing;
-        remaining[p].store(missing);
-        if (missing == 0) {
-          // Point fully restored from the journal: report it directly —
-          // parallel-mode progress order is unspecified anyway.
-          if (progress) {
-            const SimResult agg = aggregate_seeds(per_seed[p]);
-            std::lock_guard<std::mutex> lock(progress_mu);
-            progress(series[s].label, loads[l], agg);
-          }
-          continue;
-        }
-        for (int k = 0; k < n_seeds; ++k) {
-          if (done[p][static_cast<std::size_t>(k)]) continue;
-          pool.submit([&, s, l, p, k] {
-            run_job(s, l, p, k);
-            if (remaining[p].fetch_sub(1) == 1 && progress) {
-              const SimResult agg = aggregate_seeds(per_seed[p]);
-              std::lock_guard<std::mutex> lock(progress_mu);
-              progress(series[s].label, loads[l], agg);
-            }
-          });
-        }
-      }
-    }
-    pool.wait_idle();
-  }
+    if (remaining[p].fetch_sub(1) == 1) report_point(p);
+  });
   if (journal) {
     journal->close();
     // A journal that lost appends mid-run (disk full, yanked mount) must

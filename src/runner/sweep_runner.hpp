@@ -1,7 +1,7 @@
 // Parallel sweep runner: shards a (series x load x seed) grid into one
-// independent simulation job per point-seed, runs the jobs across a
-// ThreadPool, and deterministically re-aggregates per-seed results into
-// the SweepResult rows of the serial harness.
+// independent simulation job per point-seed, runs the jobs through one
+// job loop (run_jobs) on any number of worker threads, and
+// deterministically re-aggregates per-seed results into sweep rows.
 //
 // Determinism contract: the aggregated rows are bit-identical for any
 // worker count and any job completion order. Every job writes its
@@ -11,6 +11,7 @@
 // scheduling. Only the progress callback's invocation order varies.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -23,10 +24,19 @@ namespace flexnet {
 class TelemetryCounters;
 class TraceWriter;
 
+/// Runs `job(index, worker)` for every index in [0, count) on `workers`
+/// threads (at most one per job). The threads claim indices in ascending
+/// order from one shared counter; `worker` (1..workers) is the claiming
+/// thread's trace track. A job that throws stops every thread from
+/// claiming more; once all have joined, the exception of the lowest
+/// failing index is rethrown. Indices are claimed in order, so that is
+/// the job a single worker would have failed on first, at any count.
+void run_jobs(std::size_t count, int workers,
+              const std::function<void(std::size_t index, int worker)>& job);
+
 class SweepRunner {
  public:
-  /// `jobs` worker threads; <= 1 runs everything inline on the calling
-  /// thread (the serial path).
+  /// Runs the grid's jobs on `jobs` worker threads (clamped to >= 1).
   explicit SweepRunner(int jobs = 1);
 
   int jobs() const { return jobs_; }
@@ -81,7 +91,9 @@ class SweepRunner {
   /// Runs the full grid. `progress` (optional) is invoked once per
   /// aggregated (series, load) point as it completes; invocations are
   /// serialised internally, so the callback itself only needs to be
-  /// reentrant with respect to its own captured state.
+  /// reentrant with respect to its own captured state. A job that throws
+  /// (a config the network rejects, say) makes run() rethrow it after
+  /// every worker has stopped, at any worker count (see run_jobs).
   std::vector<SweepResult> run(
       const std::vector<ExperimentSeries>& series,
       const std::vector<double>& loads, int seeds,

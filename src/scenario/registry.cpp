@@ -21,6 +21,20 @@
 
 namespace flexnet {
 
+namespace {
+
+/// Stage 1 of the allocator walks one 64-bit word of armed input ports
+/// (network + injection) per router.
+void check_router_width(const std::string& topology, std::int64_t inputs) {
+  if (inputs > 64)
+    throw std::invalid_argument(
+        "topology " + topology + " has routers with " +
+        std::to_string(inputs) +
+        " input ports (network + injection); at most 64 are supported");
+}
+
+}  // namespace
+
 // One table per family. A malformed table throws RegistryError from the
 // first lookup, and the static's initialization is retried on the next.
 
@@ -38,6 +52,10 @@ const Registry<TopologyFactory>& topology_registry() {
          if (d.p < 1 || d.a < 2 || d.h < 1)
            throw std::invalid_argument(
                "topology 'dragonfly' needs df_p >= 1, df_a >= 2, df_h >= 1");
+         check_router_width("dragonfly(p=" + std::to_string(d.p) +
+                                ",a=" + std::to_string(d.a) +
+                                ",h=" + std::to_string(d.h) + ")",
+                            std::int64_t{d.p} + (d.a - 1) + d.h);
        }},
       {"slimfly",
        "Slim Fly MMS(q) diameter-2 network, untyped links (Besta & Hoefler)",
@@ -51,6 +69,9 @@ const Registry<TopologyFactory>& topology_registry() {
            throw std::invalid_argument(
                "topology 'slimfly' needs sf_p >= 1 and a prime sf_q = 1 mod 4 "
                "with sf_q <= 37");
+         check_router_width("slimfly(p=" + std::to_string(s.p) +
+                                ",q=" + std::to_string(s.q) + ")",
+                            std::int64_t{s.p} + (3 * s.q - 1) / 2);
        }},
   });
   return registry;

@@ -35,7 +35,6 @@ class Metrics {
   /// port; latency is measured from generation to completion.
   void on_consumed(const Packet& pkt, Cycle completion) {
     ++consumed_packets_;
-    last_consumption_ = completion;
     if (!measuring_) return;
     accepted_.add(pkt.size);
     const auto lat = static_cast<double>(completion - pkt.created);
@@ -54,7 +53,6 @@ class Metrics {
 
   std::int64_t generated_packets() const { return generated_packets_; }
   std::int64_t consumed_packets() const { return consumed_packets_; }
-  Cycle last_consumption() const { return last_consumption_; }
 
   double offered_load(int nodes) const {
     return offered_.rate(nodes, static_cast<double>(window_cycles_));
@@ -76,7 +74,6 @@ class Metrics {
   Cycle window_cycles_ = 0;
   std::int64_t generated_packets_ = 0;
   std::int64_t consumed_packets_ = 0;
-  Cycle last_consumption_ = 0;
   RateMeter offered_;
   RateMeter accepted_;
   Accumulator latency_;

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include <unistd.h>
@@ -54,18 +53,11 @@ Network::Network(const SimConfig& config) : config_(config) {
   // Registry-driven construction: unknown component names fail here with
   // an error enumerating the registered alternatives, and validate_config
   // rejects configurations the components cannot serve (a VC arrangement
-  // that does not fit the topology, traffic or routing included) before
-  // any simulation state is built.
+  // that does not fit the topology, traffic or routing, or a router wider
+  // than the allocator's 64-input mask, included) before any simulation
+  // state is built.
   validate_config(config_);
   topo_ = topology_registry().at(config_.topology).make(config_);
-  // Stage 1 of the allocator walks one 64-bit word of armed input ports
-  // per router.
-  const int inputs = topo_->max_network_ports() + topo_->concentration();
-  if (inputs > 64)
-    throw std::invalid_argument(
-        "topology " + topo_->name() + " has routers with " +
-        std::to_string(inputs) +
-        " input ports (network + injection); at most 64 are supported");
 
   const VcArrangement arrangement = VcArrangement::parse(config_.vcs);
   policy_ = vc_policy_registry().at(config_.policy).make(arrangement);

@@ -608,7 +608,7 @@ class Network final : public CongestionOracle {
   Vec<std::int32_t> input_router_{&arena_};  // per global input: owning router
   // armed_inputs_[r] holds the input ports with any armed VC — stage 1
   // iterates set bits instead of scanning every port. One word per router:
-  // the constructor rejects topologies with more than 64 inputs a router.
+  // validate_config rejects topologies with more than 64 inputs a router.
   Vec<std::uint64_t> armed_inputs_{&arena_};  // per router
   // Uncommitted heads may sleep on their blocking resource's wake edges
   // only when re-running VC allocation is pure: a draw-free routing

@@ -148,9 +148,6 @@ class TelemetryCounters {
   std::int64_t alloc_routers_sum() const { return alloc_routers_sum_; }
   std::int64_t send_routers_sum() const { return send_routers_sum_; }
   std::int64_t live_packets_sum() const { return live_packets_sum_; }
-  std::int64_t router_requests(int r) const {
-    return router_requests_[static_cast<std::size_t>(r)];
-  }
   std::int64_t router_grants(int r) const {
     return router_grants_[static_cast<std::size_t>(r)];
   }

@@ -155,16 +155,20 @@ TEST(FlexnetRunCli, ConfigsNoNetworkCanRunExitTwoBeforeAnyJob) {
       {"buffer_org=damq damq_private_fraction=nan",
        "damq_private_fraction in [0, 1]"},
       {"traffic=bursty burst_length=nan", "burst_length >= 1"},
+      {"df_p=63 df_a=2 df_h=1", "65 input ports"},
   };
   for (const Bad& b : bad) {
-    const CmdResult r = run_cmd(bin("flexnet_run") + " " +
-                                shipped_suite("smoke_tiny.json") + " " +
-                                b.overrides + " warmup=50 measure=100");
-    EXPECT_EQ(r.exit_code, 2) << b.overrides << "\n" << r.output;
-    EXPECT_NE(r.output.find("series '"), std::string::npos)
-        << b.overrides << "\n" << r.output;
-    EXPECT_NE(r.output.find(b.fragment), std::string::npos)
-        << b.overrides << "\n" << r.output;
+    for (const char* jobs : {"1", "2"}) {
+      const CmdResult r = run_cmd(bin("flexnet_run") + " " +
+                                  shipped_suite("smoke_tiny.json") +
+                                  " --jobs " + jobs + " " + b.overrides +
+                                  " warmup=50 measure=100");
+      EXPECT_EQ(r.exit_code, 2) << b.overrides << "\n" << r.output;
+      EXPECT_NE(r.output.find("series '"), std::string::npos)
+          << b.overrides << "\n" << r.output;
+      EXPECT_NE(r.output.find(b.fragment), std::string::npos)
+          << b.overrides << "\n" << r.output;
+    }
   }
 }
 
@@ -566,6 +570,25 @@ TEST(FlexnetOrchestrateCli, UsageErrorsExit2) {
   EXPECT_EQ(run_cmd(bin("flexnet_orchestrate") + " " + suite +
                     " --shards 2 --prefix x reactive=maybe").exit_code, 2)
       << "a value that does not parse must fail before any launch";
+}
+
+// A suite no network can run is permanent: refused with exit 2 before any
+// shard is launched, so no retry budget is spent on it.
+TEST(FlexnetOrchestrateCli, ConfigNoNetworkCanRunExitsTwoWithoutRelaunch) {
+  const std::string prefix = temp_path("cli_orc_wide");
+  const CmdResult r = run_cmd(
+      bin("flexnet_orchestrate") + " " + shipped_suite("smoke_tiny.json") +
+      " --shards 2 --jobs 2 --prefix " + prefix +
+      " --backoff 0.05 --poll 0.02 df_p=63 df_a=2 df_h=1 warmup=50" +
+      " measure=100");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("65 input ports"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("attempt 2/"), std::string::npos)
+      << "a permanent error must not be retried\n" << r.output;
+  for (int i = 1; i <= 2; ++i) {
+    std::remove((prefix + "-" + std::to_string(i) + ".journal").c_str());
+    std::remove((prefix + "-" + std::to_string(i) + ".journal.log").c_str());
+  }
 }
 
 TEST(FlexnetOrchestrateCli, NumericFlagsAreParsedStrictly) {

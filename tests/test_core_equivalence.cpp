@@ -43,7 +43,6 @@
 
 #include "runner/json_report.hpp"
 #include "runner/sweep_runner.hpp"
-#include "runner/thread_pool.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/suite.hpp"
 #include "sim/network.hpp"
@@ -110,23 +109,19 @@ GridRun runner_run(int jobs) {
 GridRun gather_forced_run(bool on) {
   return [on](const std::vector<ExperimentSeries>& grid,
               const std::vector<double>& loads, int seeds) {
+    const std::size_t n_seeds = static_cast<std::size_t>(seeds);
     std::vector<std::vector<SimResult>> per_seed(
-        grid.size() * loads.size(),
-        std::vector<SimResult>(static_cast<std::size_t>(seeds)));
-    ThreadPool pool(4);
-    for (std::size_t s = 0; s < grid.size(); ++s) {
-      for (std::size_t l = 0; l < loads.size(); ++l) {
-        for (int k = 0; k < seeds; ++k) {
-          pool.submit([&, s, l, k] {
-            per_seed[s * loads.size() + l][static_cast<std::size_t>(k)] =
-                Simulator(SweepRunner::job_config(grid[s].config, loads[l], k))
-                    .set_state_gather(on)
-                    .run();
-          });
-        }
-      }
-    }
-    pool.wait_idle();
+        grid.size() * loads.size(), std::vector<SimResult>(n_seeds));
+    run_jobs(per_seed.size() * n_seeds, 4, [&](std::size_t i, int) {
+      const std::size_t p = i / n_seeds;
+      const std::size_t k = i % n_seeds;
+      per_seed[p][k] =
+          Simulator(SweepRunner::job_config(grid[p / loads.size()].config,
+                                            loads[p % loads.size()],
+                                            static_cast<int>(k)))
+              .set_state_gather(on)
+              .run();
+    });
     return SweepRunner::reduce_slots(grid, loads, per_seed);
   };
 }

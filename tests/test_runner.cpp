@@ -1,8 +1,12 @@
-// The parallel sweep-runner subsystem: ThreadPool execution/joining,
+// The parallel sweep-runner subsystem: the job loop (run_jobs),
 // bit-identical multi-threaded sweeps, deterministic deadlock-aware seed
 // aggregation, and the JSON report writer (round-tripped through the
 // in-tree JSON parser).
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -10,74 +14,74 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <mutex>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "runner/json_parser.hpp"
 #include "runner/json_report.hpp"
 #include "runner/sweep_runner.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace flexnet {
 namespace {
 
-// --- ThreadPool.
+// --- The job loop.
 
-TEST(ThreadPool, ExecutesEveryJobAndWaitsIdle) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-  // The pool stays usable after an idle barrier.
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 101);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingJobs) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i)
-      pool.submit([&count] { count.fetch_add(1); });
-    // No wait_idle: ~ThreadPool must run every submitted job before joining.
+TEST(RunJobs, RunsEveryIndexOnceOnWorkersNumberedFromOne) {
+  for (const int workers : {1, 2, 4}) {
+    std::vector<std::atomic<int>> runs(100);
+    std::atomic<int> bad_worker{0};
+    run_jobs(runs.size(), workers, [&](std::size_t i, int worker) {
+      runs[i].fetch_add(1);
+      if (worker < 1 || worker > workers) bad_worker.store(worker);
+    });
+    for (std::size_t i = 0; i < runs.size(); ++i)
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i << " at " << workers;
+    EXPECT_EQ(bad_worker.load(), 0) << workers << " workers";
   }
-  EXPECT_EQ(count.load(), 50);
+  run_jobs(0, 4, [](std::size_t, int) { FAIL() << "no index to run"; });
+  std::atomic<int> clamped{0};
+  run_jobs(3, 0, [&](std::size_t, int) { clamped.fetch_add(1); });
+  EXPECT_EQ(clamped.load(), 3) << "0 workers runs on one";
 }
 
-TEST(ThreadPool, RunsJobsConcurrently) {
+TEST(RunJobs, RunsJobsConcurrently) {
   // Two jobs that each block until the other has started can only finish
   // when two workers run them at the same time.
-  ThreadPool pool(2);
   std::mutex mu;
   std::condition_variable cv;
   int started = 0;
-  for (int i = 0; i < 2; ++i) {
-    pool.submit([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      ++started;
-      cv.notify_all();
-      cv.wait(lock, [&] { return started == 2; });
-    });
-  }
-  pool.wait_idle();
+  run_jobs(2, 2, [&](std::size_t, int) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++started;
+    cv.notify_all();
+    cv.wait(lock, [&] { return started == 2; });
+  });
   EXPECT_EQ(started, 2);
 }
 
-TEST(ThreadPool, ClampsWorkerCountToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1);
-  std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
+TEST(RunJobs, RethrowsTheLowestFailingIndexAndStopsClaiming) {
+  for (const int workers : {1, 2, 4}) {
+    std::atomic<int> ran{0};
+    try {
+      run_jobs(1000, workers, [&](std::size_t i, int) {
+        ran.fetch_add(1);
+        if (i == 3 || i == 5) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at " << workers << " workers";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "3") << workers << " workers";
+    }
+    // Each worker finishes at most the job it holds once one has failed.
+    EXPECT_LT(ran.load(), 1000) << workers << " workers";
+  }
 }
 
 // --- SweepRunner determinism.
@@ -148,6 +152,22 @@ TEST(SweepRunner, ProgressReportsEveryPointOnce) {
   };
   SweepRunner(3).run({{"a", cfg}, {"b", cfg}}, {0.1, 0.2}, 2, progress);
   EXPECT_EQ(calls, 4);  // 2 series x 2 loads, regardless of seeds
+}
+
+TEST(SweepRunner, AJobThatThrowsFailsTheRunAtEveryWorkerCount) {
+  // A grid built directly skips the suite's validation, so the config
+  // fails inside its job, when the network is built.
+  SimConfig good;
+  good.warmup = 50;
+  good.measure = 100;
+  SimConfig bad = good;
+  bad.routing = "nope";
+  for (const int jobs : {1, 2, 4}) {
+    EXPECT_THROW(
+        SweepRunner(jobs).run({{"good", good}, {"bad", bad}}, {0.1, 0.2}, 2),
+        std::invalid_argument)
+        << jobs << " workers";
+  }
 }
 
 TEST(SweepRunner, JobConfigDerivesSeedAndLoad) {
@@ -383,6 +403,61 @@ TEST(JsonReport, WriteFileRoundTripsDocument) {
   buf << in.rdbuf();
   EXPECT_EQ(buf.str(), report.to_json());
   std::remove(path.c_str());
+}
+
+TEST(JsonReport, WriteFileReplacesAnExistingReportAndLeavesNoTemp) {
+  JsonReport report;
+  report.add_sweep("replace", sample_sweeps(), 0.1);
+  const std::string path = ::testing::TempDir() + "flexnet_replaced.json";
+  {
+    std::ofstream old(path);
+    old << "an older, longer report that must not survive the rewrite\n";
+  }
+  ASSERT_TRUE(report.write_file(path));
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(), report.to_json());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(JsonReport, WriteFileFailuresReturnFalseAndLeaveNoTemp) {
+  // The tools turn this false into their I/O exit code (4).
+  const std::string missing =
+      ::testing::TempDir() + "flexnet_no_such_dir/report.json";
+  EXPECT_FALSE(JsonReport().write_file(missing));
+  // The temp file is written, but a directory cannot be renamed over.
+  const std::string dir = ::testing::TempDir() + "flexnet_report_dir";
+  std::filesystem::create_directory(dir);
+  EXPECT_FALSE(JsonReport().write_file(dir));
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  std::filesystem::remove(dir);
+}
+
+TEST(JsonReport, WriteFileWritesAPipeInPlace) {
+  // A rename over a pipe (or /dev/stdout) would replace the node itself.
+  JsonReport report;
+  report.add_sweep("pipe", sample_sweeps(), 0.1);
+  const std::string fifo = ::testing::TempDir() + "flexnet_report.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // Holding the read end open lets the write proceed; the small report
+  // fits the pipe's buffer.
+  ASSERT_LT(report.to_json().size(), 4096u);
+  const int rd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(rd, 0);
+  EXPECT_TRUE(report.write_file(fifo));
+  std::string read_back;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(rd, buf, sizeof(buf))) > 0;)
+    read_back.append(buf, static_cast<std::size_t>(n));
+  ::close(rd);
+  EXPECT_EQ(read_back, report.to_json());
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  EXPECT_FALSE(std::filesystem::exists(fifo + ".tmp"));
+  std::remove(fifo.c_str());
 }
 
 TEST(JsonReport, EscapingAndNumbers) {

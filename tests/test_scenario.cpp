@@ -256,13 +256,29 @@ TEST(BuiltinRegistries, RejectsRoutersWiderThanTheAllocatorMask) {
   // and 63 nodes per router: 65 inputs.
   SimConfig cfg;
   cfg.dragonfly = {63, 2, 1};
-  const std::string msg = thrown_message([&] { Network net(cfg); });
+  std::string msg = thrown_message([&] { validate_config(cfg); });
   EXPECT_NE(msg.find("dragonfly(p=63,a=2,h=1)"), std::string::npos) << msg;
   EXPECT_NE(msg.find("65 input ports"), std::string::npos) << msg;
   // 62 nodes per router make exactly 64 inputs: accepted.
   cfg.dragonfly = {62, 2, 1};
   cfg.load = 0.0;
   EXPECT_NO_THROW(Network net(cfg));
+  // Slim Fly MMS(5) routers have (3*5-1)/2 = 7 network ports.
+  SimConfig sf;
+  sf.topology = "slimfly";
+  sf.vcs = "2";
+  sf.slimfly = {58, 5};
+  msg = thrown_message([&] { validate_config(sf); });
+  EXPECT_NE(msg.find("slimfly(p=58,q=5)"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("65 input ports"), std::string::npos) << msg;
+  sf.slimfly = {57, 5};
+  EXPECT_NO_THROW(validate_config(sf));
+  // The validators' widths are the built topologies' widths.
+  for (const SimConfig& c : {cfg, sf}) {
+    const auto topo = topology_registry().at(c.topology).make(c);
+    EXPECT_EQ(topo->max_network_ports() + topo->concentration(), 64)
+        << topo->name();
+  }
 }
 
 TEST(BuiltinRegistries, ValidateRejectsMoreVcsThanALedgerHolds) {

@@ -98,7 +98,6 @@ TEST(Metrics, InFlightBalance) {
   EXPECT_EQ(m.in_flight(), 5);
   m.on_consumed(mk(0), 10);
   EXPECT_EQ(m.in_flight(), 4);
-  EXPECT_EQ(m.last_consumption(), 10);
 }
 
 // --- Experiment helpers.

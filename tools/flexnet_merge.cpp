@@ -165,7 +165,6 @@ int main(int argc, char** argv) {
       ++tick;
       MergeOutputs outputs;
       outputs.json_path = json_path;
-      outputs.atomic_json = true;
       outputs.tolerate_unreadable_inputs = true;
       outputs.verbose = false;
       const MergeSummary s =
@@ -191,7 +190,6 @@ int main(int argc, char** argv) {
     MergeOutputs final_outputs;
     final_outputs.out_journal = out_path;
     final_outputs.json_path = json_path;
-    final_outputs.atomic_json = true;
     merge_suite_journals(suite, suite_path, journal_paths, final_outputs);
   } catch (const CheckpointIoError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

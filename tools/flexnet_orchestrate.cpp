@@ -26,9 +26,10 @@
 // one per line) instead of running anything — pipe them to ssh, sbatch,
 // or a queue of your own, then `flexnet_merge --watch` the journals.
 //
-// Exit codes: 0 sweep merged, 1 a shard failed permanently / retry
-// budget exhausted / merge failed, 2 usage or config errors (including a
-// shard's permanent exit 2), 4 merge output I/O failure.
+// Exit codes: 0 sweep merged, 1 retry budget exhausted / merge failed,
+// 2 usage or config errors (a suite that does not materialize, before any
+// shard is launched, or a shard's permanent exit 2), 4 merge output I/O
+// failure.
 //
 // Test hook: --fault-crash-after I:K injects
 // FLEXNET_FAULT_CRASH_AFTER_JOBS=K (see runner/sweep_runner.cpp) into
@@ -321,6 +322,10 @@ int main(int argc, char** argv) {
   } catch (const CheckpointIoError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return exit_code::kIo;
+  } catch (const SuiteError& e) {
+    // The suite does not materialize: every shard would exit 2 on it.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return exit_code::kConfig;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
