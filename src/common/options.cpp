@@ -1,7 +1,7 @@
 #include "common/options.hpp"
 
-#include <cstdlib>
 #include <sstream>
+#include <vector>
 
 namespace flexnet {
 
@@ -10,11 +10,8 @@ Options Options::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string tok = argv[i];
     const auto eq = tok.find('=');
-    if (eq == std::string::npos) {
-      opts.positional_.push_back(tok);
-    } else {
+    if (eq != std::string::npos)
       opts.values_[tok.substr(0, eq)] = tok.substr(eq + 1);
-    }
   }
   return opts;
 }
@@ -37,11 +34,6 @@ bool Options::has(const std::string& key) const {
 std::string Options::get(const std::string& key, const std::string& def) const {
   const auto it = values_.find(key);
   return it == values_.end() ? def : it->second;
-}
-
-std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
 }
 
 }  // namespace flexnet

@@ -1,11 +1,9 @@
-// Tiny key=value option parser used by examples and benches to override
-// simulation parameters from the command line ("load=0.6 seed=3 vcs=4/2").
+// Tiny key=value option parser: a suite series' overrides and the suite
+// tools' trailing config overrides ("load=0.6 seed=3 vcs=4/2").
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 namespace flexnet {
 
@@ -13,8 +11,8 @@ class Options {
  public:
   Options() = default;
 
-  /// Parses argv-style "key=value" tokens; tokens without '=' are collected
-  /// as positional arguments.
+  /// Parses argv-style "key=value" tokens; tokens without '=' are
+  /// ignored.
   static Options parse(int argc, const char* const* argv);
 
   /// Parses a whitespace-separated "k=v k=v" string.
@@ -23,9 +21,6 @@ class Options {
   bool has(const std::string& key) const;
 
   std::string get(const std::string& key, const std::string& def) const;
-  std::int64_t get_int(const std::string& key, std::int64_t def) const;
-
-  const std::vector<std::string>& positional() const { return positional_; }
 
   void set(const std::string& key, const std::string& value) {
     values_[key] = value;
@@ -33,7 +28,6 @@ class Options {
 
  private:
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace flexnet

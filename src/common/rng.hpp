@@ -74,12 +74,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform int in [lo, hi] inclusive.
-  std::int64_t next_range(std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    next_below(static_cast<std::uint64_t>(hi - lo + 1)));
-  }
-
   /// Uniform double in [0, 1).
   double next_double() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
@@ -90,15 +84,6 @@ class Rng {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return next_double() < p;
-  }
-
-  /// Geometric number of failures before first success, success prob p.
-  /// Mean = (1-p)/p. Returns values in [0, inf).
-  std::int64_t next_geometric(double p) {
-    if (p >= 1.0) return 0;
-    std::int64_t n = 0;
-    while (!next_bernoulli(p)) ++n;
-    return n;
   }
 
  private:

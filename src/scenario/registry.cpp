@@ -113,7 +113,7 @@ const Registry<RoutingFactory>& routing_registry() {
        "UGAL-L: source-adaptive MIN vs VAL by local credit occupancy",
        {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
           return std::make_unique<UgalRouting>(
-              ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
+              ctx.topo, ctx.oracle, ctx.config.packet_size,
               UgalConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
         },
         &UgalRouting::reference_path}},
@@ -122,7 +122,7 @@ const Registry<RoutingFactory>& routing_registry() {
        "source group",
        {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
           return std::make_unique<ParRouting>(
-              ctx.topo, ctx.oracle, ctx.config.effective_packet_phits(),
+              ctx.topo, ctx.oracle, ctx.config.packet_size,
               ParConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
         },
         &ParRouting::reference_path}},
@@ -143,8 +143,7 @@ const Registry<RoutingFactory>& routing_registry() {
           pb.min_only = ctx.config.mincred;
           pb.threshold_packets = ctx.config.adaptive_threshold;
           return std::make_unique<PiggybackRouting>(
-              *df, ctx.oracle, ctx.config.effective_packet_phits(), pb,
-              first_vc);
+              *df, ctx.oracle, ctx.config.packet_size, pb, first_vc);
         },
         &PiggybackRouting::reference_path},
        [](const SimConfig& cfg) {
@@ -182,8 +181,7 @@ const Registry<TrafficFactories>& traffic_registry() {
           return std::make_unique<UniformPattern>(topo.num_nodes());
         },
         [](const SimConfig& cfg, double request_load) -> InjectionProcess {
-          return InjectionProcess::bernoulli(request_load,
-                                             cfg.effective_packet_phits());
+          return InjectionProcess::bernoulli(request_load, cfg.packet_size);
         }}},
       {"bursty",
        "BURSTY-UN: uniform destinations held per burst, ON/OFF Markov "
@@ -193,8 +191,8 @@ const Registry<TrafficFactories>& traffic_registry() {
           return std::make_unique<UniformPattern>(topo.num_nodes());
         },
         [](const SimConfig& cfg, double request_load) -> InjectionProcess {
-          return InjectionProcess::on_off(
-              request_load, cfg.effective_packet_phits(), cfg.burst_length);
+          return InjectionProcess::on_off(request_load, cfg.packet_size,
+                                          cfg.burst_length);
         }},
        [](const SimConfig& cfg) {
          if (!(cfg.burst_length >= 1.0))  // NaN fails this too
@@ -209,8 +207,7 @@ const Registry<TrafficFactories>& traffic_registry() {
               topo, cfg.adversarial_offset);
         },
         [](const SimConfig& cfg, double request_load) -> InjectionProcess {
-          return InjectionProcess::bernoulli(request_load,
-                                             cfg.effective_packet_phits());
+          return InjectionProcess::bernoulli(request_load, cfg.packet_size);
         }},
        [](const SimConfig& cfg) {
          if (cfg.adversarial_offset < 1)
@@ -304,12 +301,10 @@ void validate_config(const SimConfig& cfg) {
   // Microarchitecture and sizes: a zero here either moves no packet at all
   // (speedup, alloc_iters, output_buffer), makes every packet weightless
   // (packet_size) or leaves a buffer with no room, so the run would report
-  // garbage or trip an internal check. phits_per_packet = 0 inherits
-  // packet_size.
+  // garbage or trip an internal check.
   require_at_least("speedup", cfg.speedup, 1);
   require_at_least("alloc_iters", cfg.alloc_iters, 1);
   require_at_least("packet_size", cfg.packet_size, 1);
-  require_at_least("phits_per_packet", cfg.phits_per_packet, 0);
   require_at_least("output_buffer", cfg.output_buffer, 1);
   require_at_least("injection_vcs", cfg.injection_vcs, 1);
   require_at_least("local_buffer", cfg.local_buffer_per_vc, 1);

@@ -177,7 +177,6 @@ constexpr KeySpec kKeySpecs[] = {
     field<&SimConfig::mincred>("mincred"),
     field<&SimConfig::adaptive_threshold>("threshold"),
     field<&SimConfig::flow_control>("flow_control"),
-    field<&SimConfig::phits_per_packet>("phits_per_packet"),
     field<&SimConfig::buffer_mgmt>("buffer_mgmt"),
     field<&SimConfig::traffic>("traffic"),
     field<&SimConfig::reactive>("reactive"),
@@ -203,13 +202,12 @@ constexpr KeySpec kKeySpecs[] = {
       output_buffer, local_port_capacity, global_port_capacity, buffer_org,
       damq_private_fraction, speedup, alloc_iters, pipeline_latency,
       injection_vcs, local_latency, global_latency, routing, pb_per_vc,
-      mincred, adaptive_threshold, flow_control, phits_per_packet,
-      buffer_mgmt, traffic, reactive, load, burst_length, adversarial_offset,
-      reply_queue_capacity, packet_size, sim_domains, warmup, measure, seed,
-      watchdog] = c;
-  // 39 fields, 43 keys: the nested dragonfly/slimfly parameters take
+      mincred, adaptive_threshold, flow_control, buffer_mgmt, traffic,
+      reactive, load, burst_length, adversarial_offset, reply_queue_capacity,
+      packet_size, sim_domains, warmup, measure, seed, watchdog] = c;
+  // 38 fields, 42 keys: the nested dragonfly/slimfly parameters take
   // one key each (3 + 2) and paper_scale has no field of its own.
-  static_assert(std::size(kKeySpecs) == 43, "one kKeySpecs entry per key");
+  static_assert(std::size(kKeySpecs) == 42, "one kKeySpecs entry per key");
 }
 
 const KeySpec& spec_of(const std::string& key) {

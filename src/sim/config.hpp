@@ -55,10 +55,8 @@ struct SimConfig {
   // --- Flow control. "packet" is the original whole-packet credit mode
   // and stays byte-identical to the pre-axis engine; "wormhole" and "vct"
   // stream packets phit-by-phit across links (head-flit routing, body
-  // flits follow on the committed VC). phits_per_packet=0 inherits
-  // packet_size, so flits line up with the paper's phit-sized buffers.
+  // flits follow on the committed VC), one flit per phit of packet_size.
   std::string flow_control = "packet";  // packet | wormhole | vct
-  int phits_per_packet = 0;             ///< 0 = inherit packet_size
   /// Buffer-management scheme downstream space is tracked with:
   /// exact credits or coarse on/off backpressure with hysteresis.
   std::string buffer_mgmt = "credit";  // credit | on_off
@@ -70,6 +68,8 @@ struct SimConfig {
   double burst_length = 5.0;        ///< BURSTY-UN mean packets per burst
   int adversarial_offset = 1;
   int reply_queue_capacity = 8;  ///< packets; bounds request consumption
+  /// Phits a packet occupies on links and in buffers, under every flow
+  /// control scheme (Table V: 8).
   int packet_size = 8;
 
   // --- Run control.
@@ -108,11 +108,8 @@ struct SimConfig {
   /// Kind of `key`; throws std::invalid_argument for unknown keys.
   static KeyKind key_kind(const std::string& key);
 
-  /// Phits a packet occupies on links and in buffers. All schemes share
-  /// this so packet mode and flit modes agree on every capacity check.
-  int effective_packet_phits() const {
-    return phits_per_packet > 0 ? phits_per_packet : packet_size;
-  }
+  /// packet_size, kept under this name for perfbench/flexbench.cpp.
+  int effective_packet_phits() const { return packet_size; }
 
   std::string summary() const;
 

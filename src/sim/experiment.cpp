@@ -14,11 +14,6 @@ double SweepResult::max_accepted() const {
   return best;
 }
 
-double SweepResult::saturation_accepted() const {
-  if (rows.empty() || rows.back().result.deadlock) return 0.0;
-  return rows.back().result.accepted;
-}
-
 std::vector<double> load_points(double lo, double hi, int count) {
   std::vector<double> loads;
   for (int i = 0; i < count; ++i) {

@@ -30,10 +30,6 @@ struct SweepResult {
   /// whose aggregate is deadlock-marked never contributes, even though it
   /// may carry a partial surviving-seed average.
   double max_accepted() const;
-
-  /// Accepted load at the highest offered load (saturation throughput);
-  /// zero when that point deadlocked.
-  double saturation_accepted() const;
 };
 
 /// Evenly spaced loads in [lo, hi].

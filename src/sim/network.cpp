@@ -155,10 +155,10 @@ void Network::build() {
         // once less than one packet of port space remains, resume at two
         // packets' worth (both capped by the port capacity so a small
         // port can still turn back on).
-        const int eff = config_.effective_packet_phits();
+        const int size = config_.packet_size;
         const int cap = ledger_.back().capacity_port();
-        ledger_.back().enable_on_off(std::min(eff, cap),
-                                     std::min(2 * eff, cap));
+        ledger_.back().enable_on_off(std::min(size, cap),
+                                     std::min(2 * size, cap));
       }
       link_vcs[static_cast<std::size_t>(link_at(r, p))] = geom.num_vcs;
       max_ledger_vcs_ = std::max(max_ledger_vcs_, geom.num_vcs);
@@ -200,7 +200,6 @@ void Network::build() {
 
   // Active-set bookkeeping and hot-path scratch, sized once here (the
   // allocator never resizes anything per cycle).
-  router_buffered_.assign(static_cast<std::size_t>(num_routers), 0);
   router_sends_.assign(static_cast<std::size_t>(num_routers), 0);
   if (flit_) {
     transit_.assign(static_cast<std::size_t>(total_links), TransitTail{});
@@ -210,7 +209,6 @@ void Network::build() {
   // Pruned-arbitration state: everything starts disarmed/unsubscribed —
   // the first injection or delivery arms its slot.
   armed_.assign(static_cast<std::size_t>(total_inputs), 0);
-  router_armed_.assign(static_cast<std::size_t>(num_routers), 0);
   wait_.assign(commits_.size(), Wait{});
   link_waiters_.assign(static_cast<std::size_t>(total_links), {});
 
@@ -223,11 +221,10 @@ void Network::build() {
   // and a credit latency cycles after its push; a serializer is due when
   // its head leaves the pipeline or the previous packet finishes
   // serializing (longer packets are clamped, see send_due).
-  const int max_phits =
-      std::max(config_.effective_packet_phits(), config_.packet_size);
   const Cycle lane_horizon =
       std::max(config_.local_latency, config_.global_latency) + 1;
-  const Cycle send_horizon = std::max(config_.pipeline_latency, max_phits);
+  const Cycle send_horizon =
+      std::max(config_.pipeline_latency, config_.packet_size);
   data_wheel_.resize(static_cast<std::size_t>(total_links), lane_horizon);
   credit_wheel_.resize(static_cast<std::size_t>(total_links), lane_horizon);
   send_wheel_.resize(static_cast<std::size_t>(total_links), send_horizon);
@@ -239,15 +236,15 @@ void Network::build() {
   out_matched_.assign(static_cast<std::size_t>(max_outputs), 0);
 
   // Ejection wake calendar: a consumption port blocks for exactly the
-  // packet's phit count, so the ring only needs to span the largest
-  // packet either config field can produce (plus a margin cycle).
+  // packet's phit count, so the ring only needs to span one packet (plus
+  // a margin cycle).
   input_router_.resize(static_cast<std::size_t>(total_inputs));
   for (RouterId r = 0; r < num_routers; ++r) {
     for (int gi = in_index_[static_cast<std::size_t>(r)];
          gi < in_index_[static_cast<std::size_t>(r) + 1]; ++gi)
       input_router_[static_cast<std::size_t>(gi)] = r;
   }
-  wake_ring_ = max_phits + 2;
+  wake_ring_ = config_.packet_size + 2;
   armed_inputs_.assign(static_cast<std::size_t>(num_routers), 0);
   // Blocked uncommitted heads may sleep only when re-running their VC
   // allocation is pure: draw-free routing and a selection function that
@@ -389,7 +386,7 @@ void Network::step(Cycle now) {
   due.clear();
   alloc_set_.sweep([&](std::int32_t r) {
     allocate(r, now);
-    return router_armed_[static_cast<std::size_t>(r)] > 0;
+    return armed_inputs_[static_cast<std::size_t>(r)] != 0;
   });
   lap(StepPhase::kAllocate);
   // Ascending link id is the old router-major, port-ascending order.
@@ -427,7 +424,6 @@ void Network::deliver_data(Cycle now) {
       InputBuffer& buf = in_[static_cast<std::size_t>(gi)];
       if (fp.seq == 0) {
         buf.push(fp.vc, fp.ref, fp.phits);
-        ++router_buffered_[static_cast<std::size_t>(link.to)];
         // Only a new head can change what the slot's find_action sees.
         if (buf.packets(fp.vc) == 1) {
           arm_slot(link.to, gi, fp.vc);
@@ -583,7 +579,6 @@ bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
     flit_src_link_.resize(static_cast<std::size_t>(ref) + 1, -1);
   buf.push(best, ref, pkt.size);
   if (telem_.enabled()) observe_injection(r);
-  ++router_buffered_[static_cast<std::size_t>(r)];
   if (buf.packets(best) == 1) {
     arm_slot(r, gi, best);
     alloc_set_.add(r);
@@ -835,7 +830,7 @@ bool Network::stage1_pick(RouterId r, PortIndex ip, Cycle now,
 void Network::allocate(RouterId r, Cycle now) {
   // Pruning fast-path: a router whose every input slot is asleep would run
   // stage 1 to completion with zero proposals and zero side effects.
-  if (router_armed_[static_cast<std::size_t>(r)] == 0) return;
+  if (armed_inputs_[static_cast<std::size_t>(r)] == 0) return;
   const int inputs = num_inputs(r);
   const int out0 = output_index_[static_cast<std::size_t>(r)];
   const int outputs = output_index_[static_cast<std::size_t>(r) + 1] - out0;
@@ -1077,7 +1072,6 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   const Commitment& cmt = commits_[static_cast<std::size_t>(
       commit_index_[static_cast<std::size_t>(gi)] + req.in_vc)];
   const BufferSlot slot = in_[static_cast<std::size_t>(gi)].pop(req.in_vc);
-  --router_buffered_[static_cast<std::size_t>(r)];
   Packet& pkt = pool_[slot.ref];
   last_grant_ = now;
   ++total_grants_;
@@ -1130,7 +1124,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
     if (trace_ != nullptr) trace_packet(pkt, slot.ref, now);
     metrics_.on_consumed(pkt, completion);
     if (nodes_->consume_spawns_reply(pkt))
-      metrics_.on_generated(config_.effective_packet_phits());
+      metrics_.on_generated(config_.packet_size);
     pool_.release(slot.ref);
     return;
   }

@@ -455,7 +455,6 @@ class Network final : public CongestionOracle {
             std::uint64_t{1}
             << (gi - in_index_[static_cast<std::size_t>(r)]);
       bits |= bit;
-      ++router_armed_[static_cast<std::size_t>(r)];
     }
   }
   void disarm_slot(RouterId r, int gi, VcIndex vc) {
@@ -467,7 +466,6 @@ class Network final : public CongestionOracle {
         armed_inputs_[static_cast<std::size_t>(r)] &=
             ~(std::uint64_t{1}
               << (gi - in_index_[static_cast<std::size_t>(r)]));
-      --router_armed_[static_cast<std::size_t>(r)];
     }
   }
   /// Fires link li's waiter list (see above). kCreditEdge: a credit
@@ -566,7 +564,6 @@ class Network final : public CongestionOracle {
 
   // --- Pending-work bookkeeping, per router.
   PacketPool pool_{&arena_};
-  Vec<std::int32_t> router_buffered_{&arena_};  // packets in input buffers
   Vec<std::int32_t> router_sends_{&arena_};  // output-unit packets + streams
 
   // --- Flit-level flow control state (empty in packet mode).
@@ -602,12 +599,12 @@ class Network final : public CongestionOracle {
 
   // --- Pruned-arbitration state (see arm_slot/disarm_slot above).
   Vec<std::uint64_t> armed_{&arena_};  // per global input: VC bitmask
-  Vec<std::int32_t> router_armed_{&arena_};  // per router: armed slot count
   Vec<Wait> wait_{&arena_};  // per (input, VC) commit slot
   Vec<Vec<std::int32_t>> link_waiters_{&arena_};  // per link: (gi<<6)|vc
   Vec<std::int32_t> input_router_{&arena_};  // per global input: owning router
-  // armed_inputs_[r] holds the input ports with any armed VC — stage 1
-  // iterates set bits instead of scanning every port. One word per router:
+  // armed_inputs_[r] holds the input ports with any armed VC — zero means
+  // the router has nothing to allocate, and stage 1 iterates set bits
+  // instead of scanning every port. One word per router:
   // validate_config rejects topologies with more than 64 inputs a router.
   Vec<std::uint64_t> armed_inputs_{&arena_};  // per router
   // Uncommitted heads may sleep on their blocking resource's wake edges

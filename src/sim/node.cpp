@@ -54,7 +54,7 @@ void Nodes::step(Cycle now, Network& net, Metrics& metrics) {
       if (e == Emission::kNewBurst)
         burst_dst_[i] = pattern_->destination(n, rng_[i]);
       enqueue(n, MsgClass::kRequest, burst_dst_[i], now);
-      metrics.on_generated(config_.effective_packet_phits());
+      metrics.on_generated(config_.packet_size);
     }
     if (queued_[i] > 0 && inject_busy_until_[i] <= now) backlog_.push_back(n);
   }
@@ -105,7 +105,7 @@ void Nodes::inject(NodeId n, Cycle now, Network& net) {
     Packet pkt;
     pkt.src = n;
     pkt.dst = queue.front().dst;
-    pkt.size = config_.effective_packet_phits();
+    pkt.size = config_.packet_size;
     pkt.cls = static_cast<MsgClass>(c);
     pkt.created = queue.front().created;
     pkt.vc_position = kInjectionPosition;
@@ -113,7 +113,7 @@ void Nodes::inject(NodeId n, Cycle now, Network& net) {
       queue.pop_front();
       --queued_[static_cast<std::size_t>(n)];
       inject_busy_until_[static_cast<std::size_t>(n)] =
-          now + config_.effective_packet_phits();
+          now + config_.packet_size;
       return;
     }
   }

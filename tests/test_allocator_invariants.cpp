@@ -82,7 +82,7 @@ SimConfig reactive_one_packet_injection(double load) {
   SimConfig cfg = loaded_config("static", "packet", load);
   cfg.vcs = "4/2+4/2";
   cfg.reactive = true;
-  cfg.injection_buffer_per_vc = cfg.effective_packet_phits();
+  cfg.injection_buffer_per_vc = cfg.packet_size;
   return cfg;
 }
 
@@ -183,7 +183,7 @@ TEST(AllocatorInvariants, CreditReturnEdgeReArmsBlockedHeads) {
       Packet pkt;
       pkt.src = n;
       pkt.dst = victim;
-      pkt.size = cfg.effective_packet_phits();
+      pkt.size = cfg.packet_size;
       pkt.cls = MsgClass::kRequest;
       pkt.created = 0;
       if (net.try_inject(n, pkt, 0)) ++injected;
@@ -211,7 +211,7 @@ TEST(AllocatorInvariants, SlotFreeEdgeReArmsBlockedHeadsUnderDamq) {
       Packet pkt;
       pkt.src = n;
       pkt.dst = victim;
-      pkt.size = cfg.effective_packet_phits();
+      pkt.size = cfg.packet_size;
       pkt.cls = MsgClass::kRequest;
       pkt.created = 0;
       if (net.try_inject(n, pkt, 0)) ++injected;
@@ -245,7 +245,7 @@ TEST(AllocatorInvariants, SustainedTrafficNeverStarvesAPacket) {
       pkt.src = n;
       pkt.dst = static_cast<NodeId>(
           rng.next_below(static_cast<std::uint64_t>(nodes)));
-      pkt.size = cfg.effective_packet_phits();
+      pkt.size = cfg.packet_size;
       pkt.cls = MsgClass::kRequest;
       pkt.created = now;
       if (net.try_inject(n, pkt, now)) ++injected;
@@ -305,7 +305,7 @@ TEST(AllocatorInvariants, NearSaturationGridsDrainAfterInjectionStops) {
                         ? adversarial.destination(n, rng)
                         : static_cast<NodeId>(rng.next_below(
                               static_cast<std::uint64_t>(nodes)));
-          pkt.size = cfg.effective_packet_phits();
+          pkt.size = cfg.packet_size;
           pkt.cls = MsgClass::kRequest;
           pkt.created = now;
           if (net.try_inject(n, pkt, now)) ++injected;

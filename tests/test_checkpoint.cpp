@@ -388,8 +388,8 @@ TEST(OnDiskFormat, DefaultCanonicalConfigIsPinned) {
             "buffer_org=static;damq_private_fraction=0x1.8p-1;speedup=2;"
             "alloc_iters=2;pipeline_latency=5;injection_vcs=3;"
             "local_latency=10;global_latency=100;routing=min;pb_per_vc=0;"
-            "mincred=0;threshold=3;flow_control=packet;phits_per_packet=0;"
-            "buffer_mgmt=credit;traffic=uniform;reactive=0;load=0x1p-1;"
+            "mincred=0;threshold=3;flow_control=packet;buffer_mgmt=credit;"
+            "traffic=uniform;reactive=0;load=0x1p-1;"
             "burst_length=0x1.4p+2;adv_offset=1;reply_queue=8;"
             "packet_size=8;sim_domains=1;warmup=10000;measure=20000;seed=1;"
             "watchdog=20000;");

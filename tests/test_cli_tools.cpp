@@ -414,6 +414,65 @@ TEST(FlexnetRunCli, DeadlockOnlyGridExits3WithOutputsWritten) {
 }
 
 // ---------------------------------------------------------------------------
+// One exception-to-exit-code mapping (tools/cli_util.hpp): a failure exits
+// with the same documented code from every tool that can meet it, so the
+// orchestrator never retries what a rerun repeats.
+
+TEST(CliExitCodes, EachFailureExitsWithOneCodeFromEveryTool) {
+  const std::string suite = shipped_suite("smoke_tiny.json");
+  const std::string fast = " warmup=50 measure=100";
+  const std::string journal = temp_path("cli_codes_shard.journal");
+  const std::string existing = temp_path("cli_codes_existing.journal");
+  const std::string report = temp_path("cli_codes_report.json");
+  const std::string missing_suite = temp_path("no_such_suite.json");
+  const std::string unwritable = temp_path("cli_codes_no_such_dir/x.json");
+  const std::string prefix = temp_path("cli_codes_orch");
+  const std::string precious = "some existing bytes";
+  std::remove(journal.c_str());
+  std::remove(report.c_str());
+  write_file(existing, precious);
+  const CmdResult shard =
+      run_cmd(bin("flexnet_run") + " " + suite + " --shard 1/12" + fast +
+              " --checkpoint " + journal);
+  ASSERT_EQ(shard.exit_code, 0) << shard.output;
+
+  struct Row {
+    const char* failure;
+    const char* tool;
+    std::string args;
+    int code;
+  };
+  const Row rows[] = {
+      {"missing suite file", "flexnet_run", missing_suite, 2},
+      {"missing suite file", "flexnet_merge",
+       missing_suite + " --json " + report + " " + journal, 2},
+      {"missing suite file", "flexnet_orchestrate",
+       missing_suite + " --shards 2 --prefix " + prefix, 2},
+      {"journal of another grid", "flexnet_merge",
+       suite + " --json " + report + " warmup=50 measure=200 " + journal, 2},
+      {"existing --out", "flexnet_merge",
+       suite + " --out " + existing + " " + journal, 2},
+      {"existing --out", "flexnet_orchestrate",
+       suite + " --shards 2 --prefix " + prefix + " --out " + existing, 2},
+      {"unwritable --json", "flexnet_run",
+       suite + " --shard 1/12" + fast + " --json " + unwritable, 4},
+      {"unwritable --json", "flexnet_merge",
+       suite + fast + " --json " + unwritable + " " + journal, 4},
+  };
+  for (const Row& row : rows) {
+    const CmdResult r = run_cmd(bin(row.tool) + " " + row.args);
+    EXPECT_EQ(r.exit_code, row.code)
+        << row.tool << ": " << row.failure << "\n" << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos)
+        << row.tool << ": " << row.failure << "\n" << r.output;
+  }
+  EXPECT_EQ(read_file(existing), precious) << "--out must be left untouched";
+  std::remove(journal.c_str());
+  std::remove(existing.c_str());
+  std::remove(report.c_str());
+}
+
+// ---------------------------------------------------------------------------
 // flexnet_merge --out safety.
 
 TEST(FlexnetMergeCli, ExistingOutPathRefusedBeforeTouchingAnyFile) {
@@ -425,7 +484,7 @@ TEST(FlexnetMergeCli, ExistingOutPathRefusedBeforeTouchingAnyFile) {
   const CmdResult r = run_cmd(bin("flexnet_merge") + " " +
                               shipped_suite("smoke_tiny.json") + " --out " +
                               out + " no-such-shard.journal");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("already exists"), std::string::npos) << r.output;
   EXPECT_EQ(read_file(out), precious) << "--out must be left untouched";
   std::remove(out.c_str());

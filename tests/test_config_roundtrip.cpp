@@ -42,7 +42,6 @@ const std::map<std::string, std::string>& mutations() {
       {"global_port_capacity", "384"},
       {"buffer_org", "damq"},
       {"flow_control", "wormhole"},
-      {"phits_per_packet", "4"},
       {"buffer_mgmt", "on_off"},
       {"damq_private_fraction", "0.5"},
       {"speedup", "3"},

@@ -4,7 +4,7 @@
 // the original packet-level engine; their correctness gate is built on
 // three pillars:
 //
-//  1. Differential oracle — with phits_per_packet=1 a "flit" IS a packet:
+//  1. Differential oracle — with packet_size=1 a "flit" IS a packet:
 //     head-flit routing, per-flit crediting, and wormhole's incremental
 //     ledger claims all collapse onto the packet-mode events, so every
 //     scheme must reproduce the packet-mode SimResult bit for bit,
@@ -72,15 +72,14 @@ TEST(FlowControlRegistry, SchemesAndLedgersAreRegistered) {
   EXPECT_THROW(buffer_mgmt_registry().at("ack_nack"), std::invalid_argument);
 }
 
-TEST(FlowControlRegistry, ValidateRejectsNegativeSegmentation) {
+TEST(FlowControlRegistry, ValidateRejectsEmptyPackets) {
   SimConfig cfg;
   cfg.flow_control = "wormhole";
-  cfg.phits_per_packet = -1;
+  cfg.packet_size = 0;
   EXPECT_THROW(validate_config(cfg), std::invalid_argument);
-  cfg.phits_per_packet = 4;
+  cfg.packet_size = 4;
   EXPECT_NO_THROW(validate_config(cfg));
   cfg.flow_control = "vct";
-  cfg.phits_per_packet = 0;  // inherits packet_size
   EXPECT_NO_THROW(validate_config(cfg));
 }
 
@@ -98,7 +97,7 @@ TEST(FlowControlRegistry, NetworkResolvesConfiguredSchemes) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Differential oracle: phits_per_packet=1 collapses every flit scheme
+// 1. Differential oracle: packet_size=1 collapses every flit scheme
 // onto packet mode. Grid: {uniform/min, bursty/min, uniform/val} x loads x
 // seeds, FlexVC and baseline — enough series to cover routing revalidation,
 // bursty injection, and both VC policies.
@@ -131,7 +130,7 @@ SimResult run_oracle_point(const OracleSeries& s, const char* fc,
   cfg.vcs = s.vcs;
   cfg.flow_control = fc;
   cfg.buffer_mgmt = bm;
-  cfg.phits_per_packet = 1;
+  cfg.packet_size = 1;
   cfg.load = load;
   cfg.seed = seed;
   return Simulator(cfg).run();
@@ -175,7 +174,7 @@ TEST(FlowControlOracle, ReactiveTrafficAlsoCollapsesAtOnePhit) {
       cfg.reactive = true;
       cfg.flow_control = fc;
       cfg.buffer_mgmt = bm;
-      cfg.phits_per_packet = 1;
+      cfg.packet_size = 1;
       cfg.load = 0.6;
       cfg.seed = 3;
       const SimResult got = Simulator(cfg).run();
@@ -255,7 +254,7 @@ TEST(FlowControlProperties, BurstDrainsCompletelyUnderEveryScheme) {
       cfg.routing = "min";
       cfg.flow_control = combo.fc;
       cfg.buffer_mgmt = combo.bm;
-      cfg.phits_per_packet = phits;
+      cfg.packet_size = phits;
       const std::string context = std::string(combo.fc) + "/" + combo.bm +
                                   " phits=" + std::to_string(phits);
       Network net(cfg);
@@ -265,7 +264,7 @@ TEST(FlowControlProperties, BurstDrainsCompletelyUnderEveryScheme) {
         Packet pkt;
         pkt.src = n;
         pkt.dst = (n + nodes / 2 + 1) % nodes;
-        pkt.size = cfg.effective_packet_phits();
+        pkt.size = cfg.packet_size;
         pkt.cls = MsgClass::kRequest;
         pkt.created = 0;
         if (net.try_inject(n, pkt, 0)) ++injected;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 #include <vector>
 
 namespace flexnet {
@@ -54,18 +53,6 @@ TEST(Rng, NextBelowIsRoughlyUniform) {
   }
 }
 
-TEST(Rng, NextRangeInclusive) {
-  Rng rng(5);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.next_range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
-}
-
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng rng(9);
   for (int i = 0; i < 10000; ++i) {
@@ -89,16 +76,6 @@ TEST(Rng, BernoulliEdgeCases) {
   EXPECT_FALSE(rng.next_bernoulli(0.0));
   EXPECT_TRUE(rng.next_bernoulli(1.0));
   EXPECT_FALSE(rng.next_bernoulli(-1.0));
-}
-
-TEST(Rng, GeometricMean) {
-  Rng rng(19);
-  constexpr int kSamples = 50000;
-  double sum = 0;
-  for (int i = 0; i < kSamples; ++i)
-    sum += static_cast<double>(rng.next_geometric(0.2));
-  // Mean failures before success = (1-p)/p = 4.
-  EXPECT_NEAR(sum / kSamples, 4.0, 0.15);
 }
 
 }  // namespace

@@ -232,13 +232,11 @@ TEST(SweepResult, MaximaExcludeDeadlockedPoints) {
   row.result = fake_result(0.4, 100.0);
   sweep.rows.push_back(row);
   // Deadlocked point carrying a high surviving-seed partial average: it
-  // must not become the reported maximum, and a deadlocked saturation
-  // point reports zero.
+  // must not become the reported maximum.
   row.load = 1.0;
   row.result = fake_result(0.9, 50.0, /*deadlock=*/true);
   sweep.rows.push_back(row);
   EXPECT_DOUBLE_EQ(sweep.max_accepted(), 0.4);
-  EXPECT_DOUBLE_EQ(sweep.saturation_accepted(), 0.0);
 }
 
 TEST(SweepRunner, CleanSeedsDoNotMarkDeadlock) {

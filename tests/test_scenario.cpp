@@ -193,7 +193,6 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeValues) {
       {"speedup", [](SimConfig& c) { c.speedup = 0; }},
       {"alloc_iters", [](SimConfig& c) { c.alloc_iters = 0; }},
       {"packet_size", [](SimConfig& c) { c.packet_size = 0; }},
-      {"phits_per_packet", [](SimConfig& c) { c.phits_per_packet = -1; }},
       {"output_buffer", [](SimConfig& c) { c.output_buffer = 0; }},
       {"injection_vcs", [](SimConfig& c) { c.injection_vcs = 0; }},
       {"local_buffer", [](SimConfig& c) { c.local_buffer_per_vc = 0; }},
@@ -226,7 +225,6 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeValues) {
   edge.speedup = 1;
   edge.alloc_iters = 1;
   edge.packet_size = 1;
-  edge.phits_per_packet = 0;
   edge.output_buffer = 1;
   edge.injection_vcs = 1;
   edge.local_buffer_per_vc = 1;

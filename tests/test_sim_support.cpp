@@ -118,7 +118,6 @@ TEST(Experiment, SweepResultMaxima) {
     sweep.rows.push_back(row);
   }
   EXPECT_DOUBLE_EQ(sweep.max_accepted(), 0.7);
-  EXPECT_DOUBLE_EQ(sweep.saturation_accepted(), 0.5);
 }
 
 TEST(Experiment, RunLoadSweepFillsRows) {

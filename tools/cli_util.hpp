@@ -1,8 +1,9 @@
-// Argument-parsing helpers shared by the suite tools (flexnet_run,
-// flexnet_merge, flexnet_orchestrate). Keeping these in one place matters
-// beyond tidiness: the tools must interpret flags and key=value overrides
-// identically, or a shard run and the merge that follows could
-// materialize different grids.
+// Argument-parsing and exit-code helpers shared by the suite tools
+// (flexnet_run, flexnet_merge, flexnet_orchestrate). Keeping these in one
+// place matters beyond tidiness: the tools must interpret flags and
+// key=value overrides identically, or a shard run and the merge that
+// follows could materialize different grids, and they must map a failure
+// to the same exit code, or the orchestrator retries what will repeat.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +18,8 @@
 #include <string>
 #include <type_traits>
 
+#include "runner/checkpoint.hpp"
+#include "runner/exit_codes.hpp"
 #include "scenario/suite.hpp"
 #include "sim/config.hpp"
 
@@ -32,7 +35,7 @@ inline bool flag_value(int argc, char** argv, int* i, const char* name,
   if (tok == flag) {
     if (*i + 1 >= argc) {
       std::fprintf(stderr, "error: %s requires a value\n", flag.c_str());
-      std::exit(2);
+      std::exit(exit_code::kConfig);
     }
     *out = argv[++*i];
     return true;
@@ -73,7 +76,7 @@ T numeric_flag(const char* name, const std::string& value, T min) {
     std::fprintf(stderr, "error: --%s takes %s >= %s, got '%s'\n", name,
                  std::is_integral_v<T> ? "a whole number" : "a number",
                  bound.str().c_str(), value.c_str());
-    std::exit(2);
+    std::exit(exit_code::kConfig);
   }
   return v;
 }
@@ -98,6 +101,25 @@ inline bool reject_bad_config_override(const std::string& key,
     return true;
   }
   return false;
+}
+
+/// The one mapping from an exception that escapes a tool's main to its
+/// documented exit code (runner/exit_codes.hpp). Prints "error: WHAT" and
+/// returns the code:
+///   * CheckpointIoError: 4, the filesystem failed; a retry can resume.
+///   * CheckpointError (a journal for another grid, or corrupt),
+///     SuiteError and std::invalid_argument (config, override and
+///     registry errors): 2, rerunning the same command repeats it.
+///   * anything else: 1, unclassified and worth a retry.
+inline int error_exit(const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  if (dynamic_cast<const CheckpointIoError*>(&e) != nullptr)
+    return exit_code::kIo;
+  if (dynamic_cast<const CheckpointError*>(&e) != nullptr ||
+      dynamic_cast<const SuiteError*>(&e) != nullptr ||
+      dynamic_cast<const std::invalid_argument*>(&e) != nullptr)
+    return exit_code::kConfig;
+  return exit_code::kFailure;
 }
 
 }  // namespace flexnet::cli

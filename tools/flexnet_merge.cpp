@@ -33,6 +33,11 @@
 // when coverage is complete — the final tick's report is byte-identical
 // to a one-shot merge — or after --watch-ticks re-scans (exit 1, report
 // left at the last partial state). --out is written only on completion.
+//
+// Exit codes (runner/exit_codes.hpp): 0 merged, 1 --watch-ticks ran out
+// or an unclassified error, 2 usage or config errors (an existing --out,
+// a suite that does not materialize, a journal for another grid or two
+// journals that disagree), 4 output I/O failure.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -44,7 +49,6 @@
 #include "cli_util.hpp"
 #include "common/log.hpp"
 #include "common/options.hpp"
-#include "runner/checkpoint.hpp"
 #include "runner/exit_codes.hpp"
 #include "runner/merge.hpp"
 #include "scenario/suite.hpp"
@@ -53,7 +57,8 @@ namespace {
 
 using namespace flexnet;
 
-int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
+int usage(const char* argv0, std::FILE* out = stderr,
+          int code = exit_code::kConfig) {
   std::fprintf(
       out,
       "usage: %s SUITE.json [--out MERGED.journal] [--json REPORT.json]\n"
@@ -95,7 +100,7 @@ int main(int argc, char** argv) {
     };
     std::string value;
     if (tok == "--help" || tok == "-h") {
-      return usage(argv[0], stdout, 0);
+      return usage(argv[0], stdout, exit_code::kOk);
     } else if (flag_value("out", &value)) {
       out_path = value;
     } else if (flag_value("json", &value)) {
@@ -112,7 +117,7 @@ int main(int argc, char** argv) {
       // Same guard as flexnet_run: a bad override would rebuild a
       // different grid and reject every journal confusingly.
       if (cli::reject_bad_config_override(key, tok.substr(tok.find('=') + 1)))
-        return 2;
+        return exit_code::kConfig;
       overrides.push_back(argv[i]);
     } else if (suite_path.empty()) {
       suite_path = tok;
@@ -142,7 +147,7 @@ int main(int argc, char** argv) {
                  "error: --out %s already exists; refusing to overwrite or "
                  "append to it — pass a fresh path\n",
                  out_path.c_str());
-    return 1;
+    return exit_code::kConfig;
   }
 
   try {
@@ -155,7 +160,7 @@ int main(int argc, char** argv) {
       outputs.out_journal = out_path;
       outputs.json_path = json_path;
       merge_suite_journals(suite, suite_path, journal_paths, outputs);
-      return 0;
+      return exit_code::kOk;
     }
 
     // Watch mode: quiet partial ticks with atomic publishes, then the
@@ -181,7 +186,7 @@ int main(int argc, char** argv) {
                      "watch ended after %ld tick(s) with %zu job(s) still "
                      "missing; the last partial report is in %s\n",
                      tick, s.missing_jobs, json_path.c_str());
-        return 1;
+        return exit_code::kFailure;
       }
       std::this_thread::sleep_for(
           std::chrono::duration<double>(watch_interval));
@@ -191,12 +196,8 @@ int main(int argc, char** argv) {
     final_outputs.out_journal = out_path;
     final_outputs.json_path = json_path;
     merge_suite_journals(suite, suite_path, journal_paths, final_outputs);
-  } catch (const CheckpointIoError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code::kIo;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return cli::error_exit(e);
   }
-  return 0;
+  return exit_code::kOk;
 }

@@ -26,10 +26,10 @@
 // one per line) instead of running anything — pipe them to ssh, sbatch,
 // or a queue of your own, then `flexnet_merge --watch` the journals.
 //
-// Exit codes: 0 sweep merged, 1 retry budget exhausted / merge failed,
-// 2 usage or config errors (a suite that does not materialize, before any
-// shard is launched, or a shard's permanent exit 2), 4 merge output I/O
-// failure.
+// Exit codes (runner/exit_codes.hpp): 0 sweep merged, 1 retry budget
+// exhausted / merge failed, 2 usage or config errors (an existing --out,
+// a suite that does not materialize, before any shard is launched, or a
+// shard's permanent exit 2), 4 merge output I/O failure.
 //
 // Test hook: --fault-crash-after I:K injects
 // FLEXNET_FAULT_CRASH_AFTER_JOBS=K (see runner/sweep_runner.cpp) into
@@ -45,7 +45,6 @@
 
 #include "cli_util.hpp"
 #include "common/options.hpp"
-#include "runner/checkpoint.hpp"
 #include "runner/exit_codes.hpp"
 #include "runner/merge.hpp"
 #include "runner/orchestrator.hpp"
@@ -55,7 +54,8 @@ namespace {
 
 using namespace flexnet;
 
-int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
+int usage(const char* argv0, std::FILE* out = stderr,
+          int code = exit_code::kConfig) {
   std::fprintf(
       out,
       "usage: %s SUITE.json --shards N --prefix PATH\n"
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
     };
     std::string value;
     if (tok == "--help" || tok == "-h") {
-      return usage(argv[0], stdout, 0);
+      return usage(argv[0], stdout, exit_code::kOk);
     } else if (flag_value("shards", &value)) {
       shards = cli::numeric_flag("shards", value, 1);
     } else if (flag_value("prefix", &value)) {
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
       // Same guard as flexnet_run: an override the shards would reject
       // should die here, before N processes are launched to fail.
       if (cli::reject_bad_config_override(key, tok.substr(tok.find('=') + 1)))
-        return 2;
+        return exit_code::kConfig;
       override_tokens.push_back(tok);
       overrides.push_back(argv[i]);
     } else if (suite_path.empty()) {
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
                  "# dispatch the %d line(s) above, then merge (or --watch):\n"
                  "#   %s --json REPORT.json\n",
                  shards, merge_hint.c_str());
-    return 0;
+    return exit_code::kOk;
   }
 
   // Same freshness contract as flexnet_merge --out, checked before any
@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
                  "error: --out %s already exists; refusing to overwrite or "
                  "append to it — pass a fresh path\n",
                  out_path.c_str());
-    return 1;
+    return exit_code::kConfig;
   }
 
   try {
@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
         if (shard.completed == false &&
             exit_code::permanent_failure(shard.last_exit))
           return exit_code::kConfig;
-      return 1;
+      return exit_code::kFailure;
     }
 
     if (report.deadlock_only && !opt.quiet)
@@ -312,23 +312,15 @@ int main(int argc, char** argv) {
                    "orchestrate: all %d shard(s) complete; no --out/--json "
                    "requested — merge later with flexnet_merge\n",
                    shards);
-      return 0;
+      return exit_code::kOk;
     }
 
     MergeOutputs outputs;
     outputs.out_journal = out_path;
     outputs.json_path = json_path;
     merge_suite_journals(suite, suite_path, report.journals, outputs);
-  } catch (const CheckpointIoError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code::kIo;
-  } catch (const SuiteError& e) {
-    // The suite does not materialize: every shard would exit 2 on it.
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code::kConfig;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return cli::error_exit(e);
   }
-  return 0;
+  return exit_code::kOk;
 }

@@ -47,7 +47,6 @@
 #include "cli_util.hpp"
 #include "common/log.hpp"
 #include "common/options.hpp"
-#include "runner/checkpoint.hpp"
 #include "runner/exit_codes.hpp"
 #include "runner/json_report.hpp"
 #include "runner/shard.hpp"
@@ -63,7 +62,8 @@ namespace {
 
 using namespace flexnet;
 
-int usage(const char* argv0, std::FILE* out = stderr, int code = 2) {
+int usage(const char* argv0, std::FILE* out = stderr,
+          int code = exit_code::kConfig) {
   std::fprintf(
       out,
       "usage: %s SUITE.json [--jobs N] [--json PATH] [--checkpoint PATH]\n"
@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
     if (tok == "--list") {
       list = true;
     } else if (tok == "--help" || tok == "-h") {
-      return usage(argv[0], stdout, 0);  // asked-for help is not an error
+      // Asked-for help is not an error.
+      return usage(argv[0], stdout, exit_code::kOk);
     } else if (flag_value("jobs", &value)) {
       jobs = cli::numeric_flag("jobs", value, 1);
     } else if (flag_value("json", &value)) {
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
   }
 
   if (list) print_registries();
-  if (suite_path.empty()) return list ? 0 : usage(argv[0]);
+  if (suite_path.empty()) return list ? exit_code::kOk : usage(argv[0]);
   if (trace_packets && trace_path.empty()) {
     log_warn("--trace-packets has no effect without --trace-out");
     trace_packets = false;
@@ -303,26 +304,8 @@ int main(int argc, char** argv) {
                    exit_code::kDeadlockOnly);
       return exit_code::kDeadlockOnly;
     }
-  } catch (const CheckpointIoError& e) {
-    // Transient: the journal (or its filesystem) failed mid-write. The
-    // surviving records are intact — rerunning resumes from them.
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code::kIo;
-  } catch (const CheckpointError& e) {
-    // Permanent: a journal for a different grid / corrupted beyond the
-    // torn-tail rule. Retrying with the same command repeats it.
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code::kConfig;
-  } catch (const SuiteError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code::kConfig;
-  } catch (const std::invalid_argument& e) {
-    // Config/override/registry errors — permanent for the same reason.
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code::kConfig;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code::kFailure;
+    return cli::error_exit(e);
   }
-  return 0;
+  return exit_code::kOk;
 }
