@@ -19,16 +19,26 @@ namespace flexnet::detail {
 
 }  // namespace flexnet::detail
 
+// The file's name alone, so a build does not depend on where its checkout
+// sits (a full path shifts the code layout).
+#ifdef __FILE_NAME__
+#define FLEXNET_CHECK_FILE __FILE_NAME__
+#else
+#define FLEXNET_CHECK_FILE __FILE__
+#endif
+
 #define FLEXNET_CHECK(cond)                                              \
   do {                                                                   \
     if (!(cond))                                                         \
-      ::flexnet::detail::check_failed(#cond, __FILE__, __LINE__, "");    \
+      ::flexnet::detail::check_failed(#cond, FLEXNET_CHECK_FILE,         \
+                                      __LINE__, "");                     \
   } while (0)
 
 #define FLEXNET_CHECK_MSG(cond, msg)                                     \
   do {                                                                   \
     if (!(cond))                                                         \
-      ::flexnet::detail::check_failed(#cond, __FILE__, __LINE__, (msg)); \
+      ::flexnet::detail::check_failed(#cond, FLEXNET_CHECK_FILE,         \
+                                      __LINE__, (msg));                  \
   } while (0)
 
 #ifdef NDEBUG

@@ -2,12 +2,9 @@
 
 namespace flexnet {
 
-void MinimalRouting::route(const Packet& pkt, RouterId router, Rng& rng,
-                           std::vector<RouteOption>& out) const {
-  if (router == dst_router(pkt)) {
-    out.push_back(ejection_option());
-    return;
-  }
+void MinimalRouting::route_transit(const Packet& pkt, RouterId router,
+                                   Rng& rng,
+                                   std::vector<RouteOption>& out) const {
   out.push_back(continue_option(pkt, router, rng));
 }
 

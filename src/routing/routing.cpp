@@ -8,11 +8,15 @@ RouterId pick_valiant_router(const Topology& topo, Rng& rng) {
   return topo.random_router(rng);
 }
 
-RouteOption RoutingAlgorithm::ejection_option() {
-  RouteOption opt;
-  opt.ejection = true;
-  opt.hop_type = LinkType::kEjection;
-  return opt;
+RouterId RoutingAlgorithm::min_hop(RouterId router, RouterId toward,
+                                   RouterId dst, Rng& rng,
+                                   RouteOption& opt) const {
+  opt.out_port = topo_.min_next_port(router, toward, &rng);
+  const PortDesc& hop = topo_.port(router, opt.out_port);
+  opt.hop_type = hop.type;
+  opt.intended_after = topo_.min_hop_types(hop.neighbor, dst);
+  opt.escape_after = opt.intended_after;
+  return hop.neighbor;
 }
 
 RouteOption RoutingAlgorithm::continue_option(const Packet& pkt,
@@ -25,12 +29,7 @@ RouteOption RoutingAlgorithm::continue_option(const Packet& pkt,
 
   FLEXNET_DCHECK(router != dst);
   RouteOption opt;
-  opt.out_port = topo_.min_next_port(router, dst, &rng);
-  const PortDesc& hop = topo_.port(router, opt.out_port);
-  opt.hop_type = hop.type;
-  const RouterId next = hop.neighbor;
-  opt.intended_after = topo_.min_hop_types(next, dst);
-  opt.escape_after = opt.intended_after;
+  const RouterId next = min_hop(router, dst, dst, rng, opt);
   opt.kind_after = pkt.route_kind;  // sticky: past misrouting stays nonminimal
   opt.valiant_after = pkt.valiant;
   opt.valiant_reached_after =
@@ -49,22 +48,13 @@ RouteOption RoutingAlgorithm::valiant_option(const Packet& pkt,
     // Degenerate intermediate: the trajectory is the minimal path, but the
     // routing decision was nonminimal (minCred accounts decisions).
     opt.valiant_reached_after = true;
-    opt.out_port = topo_.min_next_port(router, dst, &rng);
-    const PortDesc& hop = topo_.port(router, opt.out_port);
-    opt.hop_type = hop.type;
-    const RouterId next = hop.neighbor;
-    opt.intended_after = topo_.min_hop_types(next, dst);
-    opt.escape_after = opt.intended_after;
+    min_hop(router, dst, dst, rng, opt);
     return opt;
   }
-  opt.out_port = topo_.min_next_port(router, vr, &rng);
-  const PortDesc& hop = topo_.port(router, opt.out_port);
-  opt.hop_type = hop.type;
-  const RouterId next = hop.neighbor;
+  const RouterId next = min_hop(router, vr, dst, rng, opt);
   opt.valiant_reached_after = next == vr;
   opt.intended_after =
       topo_.min_hop_types(next, vr) + topo_.min_hop_types(vr, dst);
-  opt.escape_after = topo_.min_hop_types(next, dst);
   return opt;
 }
 
@@ -89,12 +79,7 @@ RouteOption RoutingAlgorithm::escape_option(const Packet& pkt, RouterId router,
   const RouterId dst = dst_router(pkt);
   FLEXNET_DCHECK(router != dst);
   RouteOption opt;
-  opt.out_port = topo_.min_next_port(router, dst, &rng);
-  const PortDesc& hop = topo_.port(router, opt.out_port);
-  opt.hop_type = hop.type;
-  const RouterId next = hop.neighbor;
-  opt.intended_after = topo_.min_hop_types(next, dst);
-  opt.escape_after = opt.intended_after;
+  min_hop(router, dst, dst, rng, opt);
   opt.kind_after = pkt.route_kind;
   opt.valiant_after = kInvalidRouter;  // abandon the Valiant trajectory
   opt.valiant_reached_after = true;

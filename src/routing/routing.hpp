@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "buffers/packet.hpp"
@@ -56,17 +55,22 @@ class RoutingAlgorithm {
   explicit RoutingAlgorithm(const Topology& topo) : topo_(topo) {}
   virtual ~RoutingAlgorithm() = default;
 
-  virtual std::string name() const = 0;
-
   /// Appends options in preference order for the head packet of a buffer at
-  /// `router`. Never returns an empty list: the escape (minimal) option is
-  /// always present for in-flight packets. At the packet's destination
-  /// router it appends exactly one option, the ejection option, and draws
-  /// nothing from `rng`, whatever the packet's state: the allocator parks
-  /// a fresh head there whose flits are still arriving without re-running
-  /// route() (tests/test_routing.cpp checks every registered algorithm).
-  virtual void route(const Packet& pkt, RouterId router, Rng& rng,
-                     std::vector<RouteOption>& out) const = 0;
+  /// `router`. At the packet's destination router it appends exactly one
+  /// option, the ejection option, and draws nothing from `rng`, whatever
+  /// the packet's state: the allocator parks a fresh head there whose
+  /// flits are still arriving without re-running route(). The check below
+  /// keeps that for every algorithm (tests/test_routing.cpp still checks
+  /// each registered one). Anywhere else the algorithm's route_transit()
+  /// appends the options.
+  void route(const Packet& pkt, RouterId router, Rng& rng,
+             std::vector<RouteOption>& out) const {
+    if (router == dst_router(pkt)) {
+      out.emplace_back().ejection = true;  // hop_type defaults to kEjection
+      return;
+    }
+    route_transit(pkt, router, rng, out);
+  }
 
   /// Per-cycle bookkeeping (Piggyback saturation recomputation).
   virtual void update(Cycle /*now*/) {}
@@ -82,6 +86,11 @@ class RoutingAlgorithm {
   virtual bool draw_free() const { return false; }
 
  protected:
+  /// route() away from the destination router. Never appends an empty
+  /// list: the escape (minimal) option is always present.
+  virtual void route_transit(const Packet& pkt, RouterId router, Rng& rng,
+                             std::vector<RouteOption>& out) const = 0;
+
   RouterId dst_router(const Packet& pkt) const {
     return topo_.router_of_node(pkt.dst);
   }
@@ -109,9 +118,15 @@ class RoutingAlgorithm {
   void append_escape(const Packet& pkt, RouterId router, Rng& rng,
                      std::vector<RouteOption>& out) const;
 
-  static RouteOption ejection_option();
-
   const Topology& topo_;
+
+ private:
+  /// Fills `opt`'s hop with the minimal hop from `router` toward `toward`
+  /// (drawing the topology's tie-break), and its intended and escape paths
+  /// with the minimal continuation from the router it reaches to `dst`.
+  /// Returns that router.
+  RouterId min_hop(RouterId router, RouterId toward, RouterId dst, Rng& rng,
+                   RouteOption& opt) const;
 };
 
 /// Uniform-random Valiant intermediate router (the paper's "real Valiant" /

@@ -2,12 +2,9 @@
 
 namespace flexnet {
 
-void ValiantRouting::route(const Packet& pkt, RouterId router, Rng& rng,
-                           std::vector<RouteOption>& out) const {
-  if (router == dst_router(pkt)) {
-    out.push_back(ejection_option());
-    return;
-  }
+void ValiantRouting::route_transit(const Packet& pkt, RouterId router,
+                                   Rng& rng,
+                                   std::vector<RouteOption>& out) const {
   const bool at_injection = pkt.vc_position < 0 && pkt.hops == 0;
   if (at_injection && pkt.valiant == kInvalidRouter) {
     // Fresh Valiant trajectory. The escape below lets FlexVC inject

@@ -1,20 +1,16 @@
 #include "scenario/registry.hpp"
 
-#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "buffers/credit_ledger.hpp"
-#include "common/check.hpp"
 #include "core/baseline_policy.hpp"
 #include "core/flexvc_policy.hpp"
 #include "core/vc_arrangement.hpp"
 #include "core/vc_template.hpp"
+#include "routing/adaptive.hpp"
 #include "routing/minimal.hpp"
-#include "routing/par.hpp"
-#include "routing/piggyback.hpp"
-#include "routing/ugal.hpp"
 #include "routing/valiant.hpp"
 #include "topology/dragonfly.hpp"
 #include "topology/slimfly.hpp"
@@ -31,6 +27,26 @@ void check_router_width(const std::string& topology, std::int64_t inputs) {
         "topology " + topology + " has routers with " +
         std::to_string(inputs) +
         " input ports (network + injection); at most 64 are supported");
+}
+
+/// UGAL, PAR and PB: one source-adaptive routing under three rules.
+RoutingFactory adaptive_factory(
+    AdaptiveRule rule, HopSeq (*reference_path)(const TopologyShape&)) {
+  return {[rule](const RoutingContext& ctx)
+              -> std::unique_ptr<RoutingAlgorithm> {
+            AdaptiveConfig config;
+            config.threshold_packets = ctx.config.adaptive_threshold;
+            config.min_only = ctx.config.mincred;
+            config.per_vc = ctx.config.pb_per_vc;
+            // Minimal traffic uses the first global VC of its class segment:
+            // the VC PB's per-VC variant senses.
+            if (ctx.arrangement.has_reply())
+              config.sensed_vc[1] =
+                  ctx.arrangement.count(MsgClass::kRequest, LinkType::kGlobal);
+            return std::make_unique<AdaptiveRouting>(
+                ctx.topo, ctx.oracle, ctx.config.packet_size, rule, config);
+          },
+          reference_path};
 }
 
 }  // namespace
@@ -111,41 +127,16 @@ const Registry<RoutingFactory>& routing_registry() {
         &ValiantRouting::reference_path}},
       {"ugal",
        "UGAL-L: source-adaptive MIN vs VAL by local credit occupancy",
-       {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-          return std::make_unique<UgalRouting>(
-              ctx.topo, ctx.oracle, ctx.config.packet_size,
-              UgalConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
-        },
-        &UgalRouting::reference_path}},
+       adaptive_factory(AdaptiveRule::kUgal, &ValiantRouting::reference_path)},
       {"par",
        "PAR: progressive adaptive — re-decides MIN vs VAL while in the "
        "source group",
-       {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-          return std::make_unique<ParRouting>(
-              ctx.topo, ctx.oracle, ctx.config.packet_size,
-              ParConfig{ctx.config.adaptive_threshold, ctx.config.mincred});
-        },
-        &ParRouting::reference_path}},
+       adaptive_factory(AdaptiveRule::kPar,
+                        &AdaptiveRouting::par_reference_path)},
       {"pb",
        "Piggyback: UGAL-L plus broadcast saturation bits (Dragonfly only)",
-       {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
-          auto* df = dynamic_cast<const Dragonfly*>(&ctx.topo);
-          FLEXNET_CHECK_MSG(df != nullptr,
-                            "Piggyback routing requires a Dragonfly");
-          // Minimal traffic uses the first global VC of its class segment —
-          // the VC the per-VC variant senses.
-          std::array<VcIndex, kNumMsgClasses> first_vc{0, kInvalidVc};
-          if (ctx.arrangement.has_reply())
-            first_vc[1] =
-                ctx.arrangement.count(MsgClass::kRequest, LinkType::kGlobal);
-          PiggybackConfig pb;
-          pb.per_vc = ctx.config.pb_per_vc;
-          pb.min_only = ctx.config.mincred;
-          pb.threshold_packets = ctx.config.adaptive_threshold;
-          return std::make_unique<PiggybackRouting>(
-              *df, ctx.oracle, ctx.config.packet_size, pb, first_vc);
-        },
-        &PiggybackRouting::reference_path},
+       adaptive_factory(AdaptiveRule::kPiggyback,
+                        &ValiantRouting::reference_path),
        [](const SimConfig& cfg) {
          if (cfg.topology != "dragonfly")
            throw std::invalid_argument(

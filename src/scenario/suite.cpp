@@ -219,14 +219,6 @@ SuiteSpec SuiteSpec::load(const std::string& path) {
   return parse(text.str(), path);
 }
 
-SuiteSpec SuiteSpec::load_shipped(const std::string& filename) {
-#ifdef FLEXNET_SUITE_DIR
-  return load(std::string(FLEXNET_SUITE_DIR) + "/" + filename);
-#else
-  return load("examples/suites/" + filename);
-#endif
-}
-
 MaterializedSuite materialize_for_run(const std::string& path,
                                       const Options* extra) {
   MaterializedSuite out;

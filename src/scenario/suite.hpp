@@ -76,12 +76,6 @@ struct SuiteSpec {
   /// Reads `path` and parses it (I/O failure is a SuiteError too).
   static SuiteSpec load(const std::string& path);
 
-  /// Loads one of the suite files shipped under examples/suites/ by bare
-  /// filename (e.g. "fig9_vc_selection.json"). The directory is resolved
-  /// from the build-time FLEXNET_SUITE_DIR definition, falling back to the
-  /// relative "examples/suites". The single resolver for tests.
-  static SuiteSpec load_shipped(const std::string& filename);
-
   int seeds_or(int fallback) const { return seeds > 0 ? seeds : fallback; }
 
   /// Builds the experiment grid: for each series, `defaults` + base +

@@ -10,7 +10,6 @@
 
 #include "common/check.hpp"
 #include "common/prefetch.hpp"
-#include "core/admissibility.hpp"
 #include "scenario/registry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -518,8 +517,7 @@ void Network::fire_waiters(RouterId r, int li) {
       if (w.vc != kInvalidVc) {
         // The committed head's revalidation test, reading first the line
         // this phase already holds.
-        const int need =
-            flow_control_ == FlowControl::kWormhole ? 1 : w.size;
+        const int need = ledger_claim(w.size);
         const bool clear =
             kCreditEdge
                 ? ledger.can_send(w.vc, need) && ou.can_reserve(w.size)
@@ -596,11 +594,8 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     return false;
   }
   const Packet& head = pool_[href];
-  // Downstream phits a grant must see in the ledger: wormhole claims only
-  // the head flit now (body flits claim one by one as they serialize);
-  // VCT and packet mode claim the whole packet up front.
-  const int ledger_need =
-      flow_control_ == FlowControl::kWormhole ? 1 : head.size;
+  // Downstream phits a grant must see in the ledger.
+  const int ledger_need = ledger_claim(head.size);
 
   Commitment& commit = commits_[static_cast<std::size_t>(
       commit_index_[static_cast<std::size_t>(gi)] + vc)];
@@ -1145,11 +1140,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   if (record_routes_)
     traces_[static_cast<std::size_t>(slot.ref)].push_back(
         static_cast<std::int16_t>(links_[static_cast<std::size_t>(li)].to));
-  // Wormhole claims only the head flit at the grant; its body flits claim
-  // one by one as the link stream serializes them (send_link). VCT and packet
-  // mode claim the whole packet here.
-  const int claim =
-      flow_control_ == FlowControl::kWormhole ? 1 : pkt.size;
+  const int claim = ledger_claim(pkt.size);
   ledger_[static_cast<std::size_t>(li)].on_send(cmt.out_vc, claim,
                                                 pkt.route_kind);
   if (telem_.enabled()) observe_send(li, cmt.out_vc, claim);

@@ -507,6 +507,14 @@ class Network final : public CongestionOracle {
     if (lane.size() == 1) data_wheel_.add(li, fp.arrive);
   }
 
+  /// Downstream phits a grant claims in the ledger for a packet of `size`
+  /// phits: wormhole claims only the head flit (its body flits claim one by
+  /// one as the link stream serializes them, send_link); VCT and packet
+  /// mode claim the whole packet up front.
+  int ledger_claim(int size) const {
+    return flow_control_ == FlowControl::kWormhole ? 1 : size;
+  }
+
   // Flat-index helpers over the per-router offset tables (all carry a
   // sentinel entry, so spans are [index_[r], index_[r + 1])).
   int link_at(RouterId r, PortIndex p) const {

@@ -47,6 +47,7 @@
 #include "scenario/suite.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "shipped_suites.hpp"
 
 namespace flexnet {
 namespace {
@@ -131,7 +132,7 @@ GridRun gather_forced_run(bool on) {
 /// worker count.
 std::string render_suite_report(const std::string& suite_file,
                                 const GridRun& run) {
-  const SuiteSpec spec = SuiteSpec::load_shipped(suite_file);
+  const SuiteSpec spec = load_shipped_suite(suite_file);
   const std::vector<ExperimentSeries> grid = golden_grid(spec);
   const int seeds = spec.seeds_or(1);
   const std::vector<SweepResult> sweeps = run(grid, spec.loads, seeds);
@@ -179,7 +180,7 @@ TEST_P(GoldenReport, ByteIdentical) {
 /// Whether this host selects the state gather for some job of a shipped
 /// suite, i.e. whether the suite's own runs take the gather path here.
 bool gather_selected_here(const std::string& suite_file) {
-  const SuiteSpec spec = SuiteSpec::load_shipped(suite_file);
+  const SuiteSpec spec = load_shipped_suite(suite_file);
   const int seeds = spec.seeds_or(1);
   for (const ExperimentSeries& series : golden_grid(spec))
     for (const double load : spec.loads)
@@ -230,7 +231,7 @@ TEST(CoreEquivalence, EveryRegisteredComponentReachesAGolden) {
   std::map<std::string, std::set<std::string>> reached;  // key -> values
   for (const char* suite : kGoldenSuites) {
     for (const ExperimentSeries& series :
-         golden_grid(SuiteSpec::load_shipped(std::string(suite) + ".json"))) {
+         golden_grid(load_shipped_suite(std::string(suite) + ".json"))) {
       const std::string canonical = series.config.canonical();
       for (std::size_t at = 0; at < canonical.size();) {
         const std::size_t eq = canonical.find('=', at);

@@ -34,6 +34,7 @@
 #include "scenario/suite.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "shipped_suites.hpp"
 
 namespace flexnet {
 namespace {
@@ -339,7 +340,7 @@ TEST(FlowControlProperties, OnOffLedgerHonorsHysteresisBounds) {
 // 3. Shard determinism over the shipped fig6_flow_control grid.
 
 TEST(FlowControlShards, MergedShardsMatchSerialForEveryScheme) {
-  const SuiteSpec spec = SuiteSpec::load_shipped("fig6_flow_control.json");
+  const SuiteSpec spec = load_shipped_suite("fig6_flow_control.json");
   SimConfig defaults;
   Options fast;
   fast.set("warmup", "200");

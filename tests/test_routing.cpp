@@ -10,10 +10,8 @@
 
 #include "core/vc_arrangement.hpp"
 #include "core/vc_policy.hpp"
+#include "routing/adaptive.hpp"
 #include "routing/minimal.hpp"
-#include "routing/par.hpp"
-#include "routing/piggyback.hpp"
-#include "routing/ugal.hpp"
 #include "routing/valiant.hpp"
 #include "scenario/registry.hpp"
 #include "sim/config.hpp"
@@ -37,6 +35,7 @@ class FakeOracle : public CongestionOracle {
     return port_occupancy(r, p, false);
   }
   void set(RouterId r, PortIndex p, int occ) { occ_[{r, p}] = occ; }
+  void clear() { occ_.clear(); }
 
  private:
   std::map<std::pair<RouterId, PortIndex>, int> occ_;
@@ -171,7 +170,8 @@ TEST(ValiantRouting, EscapeClearsTrajectory) {
 TEST(ParRouting, StaysMinimalWhenUncongested) {
   const Dragonfly topo({2, 4, 2});
   FakeOracle oracle;
-  ParRouting routing(topo, oracle, 8, ParConfig{});
+  AdaptiveRouting routing(topo, oracle, 8, AdaptiveRule::kPar,
+                          AdaptiveConfig{});
   Rng rng(6);
   std::vector<RouteOption> opts;
   routing.route(packet_at_injection(topo, 0, 50), 0, rng, opts);
@@ -185,7 +185,8 @@ TEST(ParRouting, SwitchesToValiantUnderCongestion) {
   // Saturate only the minimal path's first-hop port; Valiant alternatives
   // leaving through other ports then look attractive.
   oracle.set(0, topo.min_next_port(0, topo.router_of_node(50)), 500);
-  ParRouting routing(topo, oracle, 8, ParConfig{});
+  AdaptiveRouting routing(topo, oracle, 8, AdaptiveRule::kPar,
+                          AdaptiveConfig{});
   Rng rng(7);
   // Sample several destinations: the Valiant alternative port is random, so
   // q_min = q_val sometimes; with q_min >> threshold the switch must happen
@@ -204,7 +205,8 @@ TEST(ParRouting, WindowClosesAfterLeavingSourceGroup) {
   FakeOracle oracle;
   for (PortIndex p = 0; p < topo.num_network_ports(8); ++p)
     oracle.set(8, p, 500);
-  ParRouting routing(topo, oracle, 8, ParConfig{});
+  AdaptiveRouting routing(topo, oracle, 8, AdaptiveRule::kPar,
+                          AdaptiveConfig{});
   Rng rng(8);
   Packet pkt = packet_at_injection(topo, 0, 50);  // src router 0 (group 0)
   pkt.hops = 2;
@@ -218,7 +220,8 @@ TEST(ParRouting, WindowClosesAfterLeavingSourceGroup) {
 TEST(UgalRouting, ComparesWeightedQueues) {
   const Dragonfly topo({2, 4, 2});
   FakeOracle oracle;
-  UgalRouting routing(topo, oracle, 8, UgalConfig{});
+  AdaptiveRouting routing(topo, oracle, 8, AdaptiveRule::kUgal,
+                          AdaptiveConfig{});
   Rng rng(9);
   std::vector<RouteOption> opts;
   routing.route(packet_at_injection(topo, 0, 50), 0, rng, opts);
@@ -231,11 +234,9 @@ class PiggybackTest : public ::testing::Test {
  protected:
   PiggybackTest() : topo_({2, 4, 2}) {}
 
-  PiggybackRouting make(bool per_vc, bool min_only = false) {
-    PiggybackConfig cfg;
-    cfg.per_vc = per_vc;
-    cfg.min_only = min_only;
-    return PiggybackRouting(topo_, oracle_, 8, cfg, {0, kInvalidVc});
+  AdaptiveRouting make() {
+    return AdaptiveRouting(topo_, oracle_, 8, AdaptiveRule::kPiggyback,
+                           AdaptiveConfig{});
   }
 
   Dragonfly topo_;
@@ -243,7 +244,7 @@ class PiggybackTest : public ::testing::Test {
 };
 
 TEST_F(PiggybackTest, IdleNetworkIsNeverSaturated) {
-  auto pb = make(false);
+  auto pb = make();
   pb.update(0);
   for (RouterId r = 0; r < topo_.num_routers(); ++r)
     for (int j = 0; j < topo_.params().h; ++j)
@@ -252,7 +253,7 @@ TEST_F(PiggybackTest, IdleNetworkIsNeverSaturated) {
 }
 
 TEST_F(PiggybackTest, UnbalancedGlobalPortSaturates) {
-  auto pb = make(false);
+  auto pb = make();
   const PortIndex g0 = topo_.params().a - 1;
   oracle_.set(0, g0, 200);  // one hot global port, the other idle
   pb.update(0);
@@ -261,7 +262,7 @@ TEST_F(PiggybackTest, UnbalancedGlobalPortSaturates) {
 }
 
 TEST_F(PiggybackTest, BalancedLoadIsNotSaturated) {
-  auto pb = make(false);
+  auto pb = make();
   const PortIndex g0 = topo_.params().a - 1;
   oracle_.set(0, g0, 200);
   oracle_.set(0, g0 + 1, 200);  // both equally loaded: no outlier
@@ -271,7 +272,7 @@ TEST_F(PiggybackTest, BalancedLoadIsNotSaturated) {
 }
 
 TEST_F(PiggybackTest, SaturationFloorSuppressesNoise) {
-  auto pb = make(false);
+  auto pb = make();
   const PortIndex g0 = topo_.params().a - 1;
   oracle_.set(0, g0, 10);  // above 1.5x average but below 2 packets
   pb.update(0);
@@ -279,7 +280,7 @@ TEST_F(PiggybackTest, SaturationFloorSuppressesNoise) {
 }
 
 TEST_F(PiggybackTest, MisroutesWhenMinimalGlobalLinkSaturated) {
-  auto pb = make(false);
+  auto pb = make();
   // Find the router owning the global link from group 0 toward group 1 and
   // saturate it; an injection at any group-0 router must then pick Valiant.
   PortIndex gport = kInvalidPort;
@@ -297,7 +298,7 @@ TEST_F(PiggybackTest, MisroutesWhenMinimalGlobalLinkSaturated) {
 }
 
 TEST_F(PiggybackTest, RoutesMinimallyWhenClean) {
-  auto pb = make(false);
+  auto pb = make();
   pb.update(0);
   Rng rng(11);
   Packet pkt;
@@ -309,11 +310,165 @@ TEST_F(PiggybackTest, RoutesMinimallyWhenClean) {
   EXPECT_EQ(opts.front().kind_after, RouteKind::kMinimal);
 }
 
-TEST_F(PiggybackTest, NamesEncodeVariant) {
-  EXPECT_EQ(make(false).name(), "pb-per-port");
-  EXPECT_EQ(make(true).name(), "pb-per-vc");
-  EXPECT_EQ(make(false, true).name(), "pb-per-port-min");
-  EXPECT_EQ(make(true, true).name(), "pb-per-vc-min");
+// --- UGAL, PAR and PB: one adaptive body under three rules.
+
+/// The draws route() makes at a router inside its rule's window, by hand:
+/// continue_option's minimal first hop, pick_valiant_router, then
+/// valiant_option's first hop. Returns the Valiant router.
+RouterId hand_made_draws(const Topology& topo, RouterId at, RouterId dst,
+                         Rng& rng) {
+  topo.min_next_port(at, dst, &rng);
+  const RouterId vr = pick_valiant_router(topo, rng);
+  topo.min_next_port(at, vr == at || vr == dst ? dst : vr, &rng);
+  return vr;
+}
+
+/// A seed whose Valiant draw at `at` picks an intermediate other than `at`
+/// and `dst` that leaves through another port than the minimal one, so
+/// occupancy on the minimal port alone decides.
+std::uint64_t seed_with_distinct_ports(const Topology& topo, RouterId at,
+                                       RouterId dst) {
+  for (std::uint64_t seed = 1; seed < 1000; ++seed) {
+    Rng probe(seed);
+    const RouterId vr = hand_made_draws(topo, at, dst, probe);
+    if (vr != at && vr != dst &&
+        topo.min_next_port(at, vr) != topo.min_next_port(at, dst))
+      return seed;
+  }
+  ADD_FAILURE() << "no seed draws a distinct Valiant port";
+  return 0;
+}
+
+TEST(AdaptiveRules, WindowsThresholdsSaturationAndDrawsPerRule) {
+  const Dragonfly topo({2, 4, 2});  // four routers per group
+  FakeOracle oracle;
+  constexpr int kT = 3 * 8;  // default threshold: 3 packets of 8 phits
+  // A destination outside group 0 whose minimal path leaves router 0 on a
+  // local port, so router 0's ports hold no PB saturation bit that matters.
+  RouterId far = kInvalidRouter;
+  for (RouterId r = topo.params().a; far == kInvalidRouter; ++r)
+    if (topo.port(0, topo.min_next_port(0, r)).type == kL) far = r;
+
+  // Packet states, all sourced at router 0 and bound for `far` unless said.
+  struct State {
+    const char* what;
+    RouterId at;
+    RouterId dst;
+    int hops;
+    bool misrouted;  ///< route_kind already nonminimal
+  };
+  const RouterId other_group = topo.router_id(
+      topo.group_of(far) == 1 ? 2 : 1, 0);
+  const State states[] = {
+      {"at injection, toward another group", 0, far, 0, false},
+      {"at injection, toward the source group", 0, 2, 0, false},
+      {"one local hop in, in the source group", 1, far, 1, false},
+      {"two hops in, in the source group", 2, far, 2, false},
+      {"one hop in, out of the source group", other_group, far, 1, false},
+      {"at injection, already misrouted", 0, far, 0, true},
+  };
+  constexpr int kStates = sizeof(states) / sizeof(states[0]);
+
+  struct Rule {
+    AdaptiveRule rule;
+    const char* name;
+    bool decides[kStates];  ///< per state: inside the rule's window
+    /// Largest q_min that still routes minimally against q_val, for
+    /// minimal and Valiant path lengths h_min and h_val (exact when
+    /// kT % h_min == 0).
+    int (*last_minimal_q)(int q_val, int h_min, int h_val);
+    bool saturation_override;
+  };
+  const Rule rules[] = {
+      {AdaptiveRule::kUgal, "ugal", {true, true, false, false, false, false},
+       [](int q_val, int h_min, int h_val) {
+         return (q_val * h_val + kT) / h_min;
+       },
+       false},
+      {AdaptiveRule::kPar, "par", {true, true, true, false, false, false},
+       [](int q_val, int, int) { return 2 * q_val + kT; }, false},
+      {AdaptiveRule::kPiggyback, "pb",
+       {true, false, false, false, false, false},
+       [](int q_val, int, int) { return 2 * q_val + kT; }, true},
+  };
+
+  // Routes `pkt` at `at` under `rule` with the oracle as it stands.
+  const auto route = [&](AdaptiveRule rule, const Packet& pkt, RouterId at,
+                         Rng& rng) {
+    AdaptiveRouting routing(topo, oracle, 8, rule, AdaptiveConfig{});
+    routing.update(0);
+    std::vector<RouteOption> opts;
+    routing.route(pkt, at, rng, opts);
+    return opts.front();
+  };
+  const auto packet = [&](const State& s) {
+    Packet pkt = packet_at_injection(topo, 0, topo.first_node_of_router(s.dst));
+    if (s.hops > 0) pkt.vc_position = 0;
+    pkt.hops = s.hops;
+    if (s.misrouted) pkt.route_kind = RouteKind::kNonminimal;
+    return pkt;
+  };
+
+  for (const Rule& r : rules) {
+    // Windows: with the minimal port congested, a rule that decides takes
+    // the Valiant router it drew; outside its window it draws nothing.
+    for (int i = 0; i < kStates; ++i) {
+      const State& s = states[i];
+      const std::string context = std::string(r.name) + ", " + s.what;
+      const std::uint64_t seed = seed_with_distinct_ports(topo, s.at, s.dst);
+      oracle.clear();
+      oracle.set(s.at, topo.min_next_port(s.at, s.dst), 1000);
+      Rng rng(seed);
+      const RouteOption main = route(r.rule, packet(s), s.at, rng);
+      Rng expected(seed);
+      const RouterId vr =
+          r.decides[i] ? hand_made_draws(topo, s.at, s.dst, expected)
+                       : kInvalidRouter;
+      if (!r.decides[i]) topo.min_next_port(s.at, s.dst, &expected);
+      EXPECT_EQ(main.valiant_after, vr) << context;
+      for (int k = 0; k < 2; ++k)
+        ASSERT_EQ(rng.next_u64(), expected.next_u64()) << context;
+    }
+
+    // Thresholds, at the exact boundary: q_min at the last minimal value
+    // stays minimal, one phit more misroutes.
+    const std::uint64_t seed = seed_with_distinct_ports(topo, 0, far);
+    Rng probe(seed);
+    const RouterId vr = hand_made_draws(topo, 0, far, probe);
+    const int h_min = topo.min_distance(0, far);
+    const int h_val = topo.min_distance(0, vr) + topo.min_distance(vr, far);
+    ASSERT_EQ(kT % h_min, 0);
+    for (const int q_val : {0, h_min}) {
+      const int last = r.last_minimal_q(q_val, h_min, h_val);
+      for (const int q_min : {last, last + 1}) {
+        oracle.clear();
+        oracle.set(0, topo.min_next_port(0, far), q_min);
+        oracle.set(0, topo.min_next_port(0, vr), q_val);
+        Rng rng(seed);
+        const RouteOption main = route(r.rule, packet(states[0]), 0, rng);
+        EXPECT_EQ(main.kind_after, q_min > last ? RouteKind::kNonminimal
+                                                : RouteKind::kMinimal)
+            << r.name << " q_min=" << q_min << " q_val=" << q_val;
+      }
+    }
+
+    // PB's saturation override: the global link toward the destination's
+    // group, owned by another router of the source group, is saturated
+    // while the source router's own ports are idle.
+    PortIndex gport = kInvalidPort;
+    const RouterId owner =
+        topo.global_link_owner(0, topo.group_of(far), gport);
+    const RouterId src = owner == 0 ? 1 : 0;
+    oracle.clear();
+    oracle.set(owner, gport, 400);
+    Packet pkt = packet(states[0]);
+    pkt.src = topo.first_node_of_router(src);
+    Rng rng(1);
+    EXPECT_EQ(route(r.rule, pkt, src, rng).kind_after,
+              r.saturation_override ? RouteKind::kNonminimal
+                                    : RouteKind::kMinimal)
+        << r.name << " saturation";
+  }
 }
 
 TEST(RoutingContract, DestinationRouterYieldsOnlyEjectionAndDrawsNothing) {
@@ -396,12 +551,12 @@ TEST(RoutingReferences, ReferencePathsMatchPaperRequirements) {
   const TopologyShape df = Dragonfly::kShape;
   EXPECT_EQ(MinimalRouting::reference_path(df).to_string(), "lgl");
   EXPECT_EQ(ValiantRouting::reference_path(df).to_string(), "lgllgl");
-  EXPECT_EQ(ParRouting::reference_path(df).to_string(), "llgllgl");
+  EXPECT_EQ(AdaptiveRouting::par_reference_path(df).to_string(), "llgllgl");
   // Generic diameter-2 (Tables I/II): MIN 2 hops, VAL 4, PAR 5.
   const TopologyShape sf = SlimFly::kShape;
   EXPECT_EQ(MinimalRouting::reference_path(sf).to_string(), "ll");
   EXPECT_EQ(ValiantRouting::reference_path(sf).to_string(), "llll");
-  EXPECT_EQ(ParRouting::reference_path(sf).to_string(), "lllll");
+  EXPECT_EQ(AdaptiveRouting::par_reference_path(sf).to_string(), "lllll");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/suite.hpp"
 #include "sim/network.hpp"
+#include "shipped_suites.hpp"
 
 namespace flexnet {
 namespace {
@@ -526,7 +527,7 @@ void expect_suite_matches(const std::string& file,
                           const std::vector<double>& loads,
                           const std::vector<ExperimentSeries>& expected) {
   SCOPED_TRACE(file);
-  const SuiteSpec spec = SuiteSpec::load_shipped(file);
+  const SuiteSpec spec = load_shipped_suite(file);
   EXPECT_EQ(spec.loads, loads);
   EXPECT_EQ(spec.seeds_or(1), 1);
   const auto grid = spec.materialize(SimConfig{});
@@ -781,7 +782,7 @@ TEST(ShippedSuites, AllShippedSuitesMaterialize) {
   tiny.set("measure", "400");
   for (const std::string& file : files) {
     SCOPED_TRACE(file);
-    const SuiteSpec spec = SuiteSpec::load_shipped(file);
+    const SuiteSpec spec = load_shipped_suite(file);
     EXPECT_FALSE(spec.title.empty());
     EXPECT_FALSE(spec.description.empty());
     EXPECT_FALSE(spec.materialize(SimConfig{}).empty());
@@ -799,7 +800,7 @@ TEST(ShippedSuites, AllShippedSuitesMaterialize) {
 }
 
 TEST(ShippedSuites, CapacityPanelGridShape) {
-  const SuiteSpec spec = SuiteSpec::load_shipped("fig6a_uniform_min.json");
+  const SuiteSpec spec = load_shipped_suite("fig6a_uniform_min.json");
   // 4 capacities x (Baseline, DAMQ, FlexVC 2/1, 4/2, 8/4).
   EXPECT_EQ(spec.series.size(), 20u);
   EXPECT_EQ(spec.loads, (std::vector<double>{0.7, 0.85, 1.0}));
@@ -809,7 +810,7 @@ TEST(ShippedSuites, CapacityPanelGridShape) {
   EXPECT_EQ(grid[0].config.global_port_capacity, 256);
   EXPECT_EQ(grid[0].config.policy, "baseline");
   // Fig 11 is the same grid with speedup pinned to 1 in the suite base.
-  const SuiteSpec no_speedup = SuiteSpec::load_shipped("fig11a_uniform_min.json");
+  const SuiteSpec no_speedup = load_shipped_suite("fig11a_uniform_min.json");
   const auto grid11 = no_speedup.materialize(bench_defaults());
   EXPECT_EQ(grid11[0].config.speedup, 1);
   EXPECT_EQ(grid[0].config.speedup, 2);

@@ -23,6 +23,7 @@
 #include "runner/shard.hpp"
 #include "runner/sweep_runner.hpp"
 #include "scenario/suite.hpp"
+#include "shipped_suites.hpp"
 
 namespace flexnet {
 namespace {
@@ -461,7 +462,7 @@ TEST(ShardMergeSynthetic, DeadlockedSeedsAggregateIdenticallyThroughMerge) {
 class SmokeShardBattery : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const SuiteSpec spec = SuiteSpec::load_shipped("smoke_tiny.json");
+    const SuiteSpec spec = load_shipped_suite("smoke_tiny.json");
     // The shipped grid at test-speed cycle counts (the determinism
     // guarantee is independent of warmup/measure).
     SimConfig defaults;

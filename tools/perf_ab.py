@@ -169,10 +169,10 @@ def main():
 
     work = os.path.abspath(args.work) if args.work else tempfile.mkdtemp(
         prefix="perf_ab-")
-    # The source path is compiled in (__FILE__, FLEXNET_SOURCE_DIR), and
-    # its length shifts code layout: an A/A run with the head in place and
-    # the base in a longer path measured the head 5% slower in every pair.
-    # Both sides therefore build from sibling paths of equal length.
+    # Older trees compile the source path in (__FILE__, FLEXNET_SUITE_DIR),
+    # and its length shifts code layout: an A/A run with the head in place
+    # and the base in a longer path measured the head 5% slower in every
+    # pair. Both sides therefore build from sibling paths of equal length.
     sides = {side: (os.path.join(work, side),
                     os.path.join(work, side + "-build"))
              for side in ("base", "head")}
