@@ -28,13 +28,10 @@ struct alignas(64) Packet {
   MsgClass cls = MsgClass::kRequest;
 
   /// Minimal until the routing takes a non-minimal decision; FlexVC-minCred
-  /// accounts credits separately by this flag (SIII-D).
+  /// accounts credits separately by this flag (SIII-D). Set only at grant,
+  /// so until the next grant it is also the kind the sender's ledger
+  /// charged for the current buffer — the kind its credit must return.
   RouteKind route_kind = RouteKind::kMinimal;
-
-  /// RouteKind under which the sender's credit ledger accounted this packet
-  /// for its *current* buffer; the credit returned upstream must carry the
-  /// same flag even if the packet's route kind changed at this hop (PAR).
-  RouteKind credited_kind = RouteKind::kMinimal;
 
   /// Valiant intermediate router; kInvalidRouter when routing minimally.
   RouterId valiant = kInvalidRouter;

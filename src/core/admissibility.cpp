@@ -6,12 +6,6 @@
 namespace flexnet {
 namespace {
 
-HopSeq types_of(const CanonicalPath& path) {
-  HopSeq seq;
-  for (const auto& hop : path) seq.push_back(hop.type);
-  return seq;
-}
-
 /// Greedy opportunistic traversal: at each hop take the lowest VC of the
 /// hop type strictly above that type's floor that keeps the worst-case
 /// escape continuation embeddable. Because escape feasibility only shrinks

@@ -21,22 +21,25 @@ CanonicalPath make_path(std::initializer_list<LinkType> types,
 
 }  // namespace
 
+HopSeq types_of(const CanonicalPath& path) {
+  HopSeq seq;
+  for (const auto& hop : path) seq.push_back(hop.type);
+  return seq;
+}
+
 // --- Generic diameter-2 (untyped): minimal paths have at most 2 hops, so
 // the worst minimal continuation anywhere is {L, L}; on the final approach
 // it shrinks to {L} and then nothing.
 
 CanonicalRouting generic_d2_min() {
-  return {"MIN",
-          make_path({kL, kL}, {HopSeq{kL}, HopSeq{}}),
-          {}};
+  return {make_path({kL, kL}, {HopSeq{kL}, HopSeq{}}), {}};
 }
 
 CanonicalRouting generic_d2_valiant() {
   // src -> i1 -> VR -> j1 -> dst: after each of the first two hops the
   // escape is the (worst-case) 2-hop minimal path; the last two hops are
   // themselves the minimal path from the Valiant router.
-  return {"VAL",
-          make_path({kL, kL, kL, kL},
+  return {make_path({kL, kL, kL, kL},
                     {HopSeq{kL, kL}, HopSeq{kL, kL}, HopSeq{kL}, HopSeq{}}),
           {}};
 }
@@ -44,8 +47,7 @@ CanonicalRouting generic_d2_valiant() {
 CanonicalRouting generic_d2_par() {
   // One minimal hop (escape: the 1 remaining minimal hop), then a full
   // Valiant path from the intermediate router.
-  return {"PAR",
-          make_path({kL, kL, kL, kL, kL},
+  return {make_path({kL, kL, kL, kL, kL},
                     {HopSeq{kL}, HopSeq{kL, kL}, HopSeq{kL, kL}, HopSeq{kL},
                      HopSeq{}}),
           {}};
@@ -57,8 +59,7 @@ CanonicalRouting generic_d2_par() {
 // the destination group {L}.
 
 CanonicalRouting dragonfly_min() {
-  return {"MIN",
-          make_path({kL, kG, kL}, {HopSeq{kG, kL}, HopSeq{kL}, HopSeq{}}),
+  return {make_path({kL, kG, kL}, {HopSeq{kG, kL}, HopSeq{kL}, HopSeq{}}),
           {}};
 }
 
@@ -76,7 +77,7 @@ CanonicalRouting dragonfly_valiant() {
       {kL, kG, kL, kG, kL},
       {HopSeq{kL, kG, kL}, HopSeq{kL, kG, kL}, HopSeq{kG, kL}, HopSeq{kL},
        HopSeq{}});
-  return {"VAL", full, {entry_router}};
+  return {full, {entry_router}};
 }
 
 CanonicalRouting dragonfly_par() {
@@ -91,7 +92,7 @@ CanonicalRouting dragonfly_par() {
       {kL, kL, kG, kL, kG, kL},
       {HopSeq{kG, kL}, HopSeq{kL, kG, kL}, HopSeq{kL, kG, kL}, HopSeq{kG, kL},
        HopSeq{kL}, HopSeq{}});
-  return {"PAR", full, {entry_router}};
+  return {full, {entry_router}};
 }
 
 }  // namespace flexnet

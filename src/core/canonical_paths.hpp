@@ -8,7 +8,6 @@
 // the minimal path to the destination is at worst local-global-local).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/hop_seq.hpp"
@@ -28,10 +27,12 @@ using CanonicalPath = std::vector<CanonicalHop>;
 /// arrangement when the full reference embeds; *opportunistic* when any
 /// variant can be traversed greedily with every hop keeping an escape.
 struct CanonicalRouting {
-  std::string name;
   CanonicalPath full;
   std::vector<CanonicalPath> variants;  // does not include `full`
 };
+
+/// The link types `path` traverses, in order.
+HopSeq types_of(const CanonicalPath& path);
 
 /// Generic diameter-2 network without link-type restrictions (Slim Fly) —
 /// paper SIII-A, Tables I and II.

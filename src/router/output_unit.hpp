@@ -47,11 +47,14 @@ class OutputUnit final {
   bool can_reserve(int phits) const { return occupancy_ + phits <= capacity_; }
 
   /// Accepts a granted packet of `phits` phits: space is reserved now; the
-  /// packet reaches the buffer head after the pipeline latency.
-  void accept(PacketRef ref, int phits, VcIndex downstream_vc, Cycle now) {
+  /// packet reaches the buffer head after the pipeline latency. `in_link`
+  /// rides along to the departure: the inbound link its tail still streams
+  /// in on under flit-level flow control (-1: none).
+  void accept(PacketRef ref, int phits, VcIndex downstream_vc, Cycle now,
+              std::int32_t in_link = -1) {
     FLEXNET_DCHECK(can_reserve(phits));
     occupancy_ += phits;
-    pipeline_.push_back(Entry{ref, phits, downstream_vc,
+    pipeline_.push_back(Entry{ref, phits, downstream_vc, in_link,
                               now + pipeline_latency_});
   }
 
@@ -61,11 +64,12 @@ class OutputUnit final {
            link_busy_until_ <= now;
   }
 
-  /// A packet leaving for the link: its ref, size and downstream VC.
+  /// A packet leaving for the link: its ref, size, downstream VC, in_link.
   struct Departure {
     PacketRef ref = kInvalidPacketRef;
     std::int32_t phits = 0;
     VcIndex vc = kInvalidVc;
+    std::int32_t in_link = -1;
   };
 
   /// Starts transmitting the head packet; the link stays busy for the
@@ -76,7 +80,7 @@ class OutputUnit final {
     pipeline_.pop_front();
     occupancy_ -= e.phits;
     link_busy_until_ = now + e.phits;
-    return {e.ref, e.phits, e.vc};
+    return {e.ref, e.phits, e.vc, e.in_link};
   }
 
   /// Earliest cycle ready_to_send can hold while the buffered packets stay
@@ -101,8 +105,10 @@ class OutputUnit final {
     PacketRef ref = kInvalidPacketRef;
     std::int32_t phits = 0;
     VcIndex vc = kInvalidVc;
+    std::int32_t in_link = -1;  // fills what was padding before `ready`
     Cycle ready = 0;
   };
+  static_assert(sizeof(Entry) == 24, "in_link must not grow the ring");
 
   int capacity_;
   int pipeline_latency_;

@@ -138,18 +138,4 @@ bool AdaptiveRouting::saturated(RouterId router, PortIndex global_port,
              [static_cast<std::size_t>(router) * df_->params().h + j];
 }
 
-HopSeq AdaptiveRouting::par_reference_path(const TopologyShape& shape) {
-  HopSeq seq;
-  if (shape.typed) {
-    // l l g l l g l (SII: PAR needs 5/2).
-    seq = {LinkType::kLocal,  LinkType::kLocal, LinkType::kGlobal,
-           LinkType::kLocal,  LinkType::kLocal, LinkType::kGlobal,
-           LinkType::kLocal};
-  } else {
-    for (int i = 0; i < 2 * shape.diameter + 1; ++i)
-      seq.push_back(LinkType::kLocal);
-  }
-  return seq;
-}
-
 }  // namespace flexnet

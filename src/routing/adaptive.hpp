@@ -64,10 +64,6 @@ class AdaptiveRouting final : public RoutingAlgorithm {
   /// traffic).
   void update(Cycle now) override;
 
-  /// PAR's worst-case path on a topology of `shape`: the VC arrangement
-  /// must hold it (validate_config). UGAL and PB take VAL's.
-  static HopSeq par_reference_path(const TopologyShape& shape);
-
   /// Exposed for tests: PB's saturation bit of a router's global port.
   bool saturated(RouterId router, PortIndex global_port, MsgClass cls) const;
 

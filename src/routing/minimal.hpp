@@ -10,10 +10,6 @@ class MinimalRouting final : public RoutingAlgorithm {
  public:
   using RoutingAlgorithm::RoutingAlgorithm;
 
-  /// Worst-case path on a topology of `shape`: the VC arrangement must
-  /// hold it (validate_config).
-  static HopSeq reference_path(const TopologyShape& shape);
-
   /// Minimal options depend only on (router, destination) whenever the
   /// topology's minimal first hop is unique; on topologies with minimal
   /// alternatives route() draws the tie-break and must keep re-running.

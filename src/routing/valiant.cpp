@@ -19,17 +19,4 @@ void ValiantRouting::route_transit(const Packet& pkt, RouterId router,
   append_escape(pkt, router, rng, out);
 }
 
-HopSeq ValiantRouting::reference_path(const TopologyShape& shape) {
-  HopSeq seq;
-  if (shape.typed) {
-    // l g l + l g l (SII: Valiant-node needs 4/2).
-    seq = {LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal,
-           LinkType::kLocal, LinkType::kGlobal, LinkType::kLocal};
-  } else {
-    for (int i = 0; i < 2 * shape.diameter; ++i)
-      seq.push_back(LinkType::kLocal);
-  }
-  return seq;
-}
-
 }  // namespace flexnet

@@ -153,4 +153,16 @@ bool JsonReport::write_file(const std::string& path) const {
   return false;
 }
 
+JsonReport suite_report(const std::string& suite_path,
+                        const MaterializedSuite& suite) {
+  JsonReport report;
+  report.set_meta("suite", suite_path);
+  report.set_meta("title", suite.spec.title);
+  if (!suite.spec.description.empty())
+    report.set_meta("description", suite.spec.description);
+  report.set_meta("config", suite.grid.front().config.summary());
+  report.set_meta("seeds", static_cast<std::int64_t>(suite.seeds));
+  return report;
+}
+
 }  // namespace flexnet

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/suite.hpp"
 #include "sim/experiment.hpp"
 
 namespace flexnet {
@@ -65,5 +66,11 @@ class JsonReport {
   std::vector<MetaEntry> meta_;
   std::vector<SweepEntry> entries_;
 };
+
+/// A report whose meta opens with the keys every suite report shares:
+/// suite, title, description (when set), config and seeds. Callers append
+/// their own keys and the sweep.
+JsonReport suite_report(const std::string& suite_path,
+                        const MaterializedSuite& suite);
 
 }  // namespace flexnet

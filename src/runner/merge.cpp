@@ -94,13 +94,7 @@ MergeSummary merge_suite_journals(const MaterializedSuite& suite,
       print_throughput_summary(suite.spec.title, sweeps);
     }
 
-    JsonReport report;
-    report.set_meta("suite", suite_path);
-    report.set_meta("title", suite.spec.title);
-    if (!suite.spec.description.empty())
-      report.set_meta("description", suite.spec.description);
-    report.set_meta("config", suite.grid.front().config.summary());
-    report.set_meta("seeds", static_cast<std::int64_t>(suite.seeds));
+    JsonReport report = suite_report(suite_path, suite);
     report.set_meta("merged_shards",
                     static_cast<std::int64_t>(shards.size()));
     if (summary.missing_jobs > 0)

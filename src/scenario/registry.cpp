@@ -30,8 +30,9 @@ void check_router_width(const std::string& topology, std::int64_t inputs) {
 }
 
 /// UGAL, PAR and PB: one source-adaptive routing under three rules.
-RoutingFactory adaptive_factory(
-    AdaptiveRule rule, HopSeq (*reference_path)(const TopologyShape&)) {
+RoutingFactory adaptive_factory(AdaptiveRule rule,
+                                CanonicalRouting (*typed)(),
+                                CanonicalRouting (*untyped)()) {
   return {[rule](const RoutingContext& ctx)
               -> std::unique_ptr<RoutingAlgorithm> {
             AdaptiveConfig config;
@@ -46,7 +47,7 @@ RoutingFactory adaptive_factory(
             return std::make_unique<AdaptiveRouting>(
                 ctx.topo, ctx.oracle, ctx.config.packet_size, rule, config);
           },
-          reference_path};
+          typed, untyped};
 }
 
 }  // namespace
@@ -117,26 +118,26 @@ const Registry<RoutingFactory>& routing_registry() {
        {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
           return std::make_unique<MinimalRouting>(ctx.topo);
         },
-        &MinimalRouting::reference_path}},
+        &dragonfly_min, &generic_d2_min}},
       {"val",
        "Valiant: nonminimal oblivious via a uniform-random intermediate "
        "router",
        {[](const RoutingContext& ctx) -> std::unique_ptr<RoutingAlgorithm> {
           return std::make_unique<ValiantRouting>(ctx.topo);
         },
-        &ValiantRouting::reference_path}},
+        &dragonfly_valiant, &generic_d2_valiant}},
       {"ugal",
        "UGAL-L: source-adaptive MIN vs VAL by local credit occupancy",
-       adaptive_factory(AdaptiveRule::kUgal, &ValiantRouting::reference_path)},
+       adaptive_factory(AdaptiveRule::kUgal, &dragonfly_valiant,
+                        &generic_d2_valiant)},
       {"par",
        "PAR: progressive adaptive — re-decides MIN vs VAL while in the "
        "source group",
-       adaptive_factory(AdaptiveRule::kPar,
-                        &AdaptiveRouting::par_reference_path)},
+       adaptive_factory(AdaptiveRule::kPar, &dragonfly_par, &generic_d2_par)},
       {"pb",
        "Piggyback: UGAL-L plus broadcast saturation bits (Dragonfly only)",
-       adaptive_factory(AdaptiveRule::kPiggyback,
-                        &ValiantRouting::reference_path),
+       adaptive_factory(AdaptiveRule::kPiggyback, &dragonfly_valiant,
+                        &generic_d2_valiant),
        [](const SimConfig& cfg) {
          if (cfg.topology != "dragonfly")
            throw std::invalid_argument(
@@ -325,6 +326,8 @@ void validate_config(const SimConfig& cfg) {
   // as a minimal escape fits.
   const HopSeq ref =
       routing_registry().at(cfg.routing).make.reference_path(shape);
+  const HopSeq min_ref =
+      routing_registry().at("min").make.reference_path(shape);
   const VcTemplate tmpl(arrangement);
   for (int c = 0; c < (arrangement.has_reply() ? 2 : 1); ++c) {
     const auto cls = static_cast<MsgClass>(c);
@@ -337,8 +340,7 @@ void validate_config(const SimConfig& cfg) {
       throw std::invalid_argument(
           "baseline VC management cannot support this routing with the "
           "configured arrangement");
-    if (tmpl.embed_safe(MinimalRouting::reference_path(shape),
-                        kInjectionPosition, cls) < 0)
+    if (tmpl.embed_safe(min_ref, kInjectionPosition, cls) < 0)
       throw std::invalid_argument(
           "arrangement cannot even hold minimal paths");
   }

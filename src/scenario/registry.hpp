@@ -32,6 +32,7 @@
 #include "buffers/buffer_mgmt.hpp"
 #include "buffers/buffer_org.hpp"
 #include "buffers/flow_control.hpp"
+#include "core/canonical_paths.hpp"
 #include "core/vc_policy.hpp"
 #include "core/vc_selection.hpp"
 #include "routing/routing.hpp"
@@ -158,12 +159,19 @@ struct TopologyFactory {
 };
 
 /// Builds a routing algorithm, called like the plain factory it wraps.
-/// `reference_path` is the routing's worst-case path on a topology of a
-/// given shape; validate_config checks that the VC arrangement holds it.
+/// `typed` and `untyped` name its canonical routing (core/canonical_paths)
+/// on a Dragonfly and on a generic diameter-2 network (Slim Fly, the one
+/// untyped topology); validate_config embeds the shape's full path.
 struct RoutingFactory {
   std::function<std::unique_ptr<RoutingAlgorithm>(const RoutingContext&)>
       build;
-  HopSeq (*reference_path)(const TopologyShape&) = nullptr;
+  CanonicalRouting (*typed)() = nullptr;
+  CanonicalRouting (*untyped)() = nullptr;
+
+  /// The link types of the full canonical path on a topology of `shape`.
+  HopSeq reference_path(const TopologyShape& shape) const {
+    return types_of((shape.typed ? typed : untyped)().full);
+  }
 
   std::unique_ptr<RoutingAlgorithm> operator()(
       const RoutingContext& ctx) const {

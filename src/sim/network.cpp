@@ -128,9 +128,6 @@ void Network::build() {
   out_arb_.reserve(static_cast<std::size_t>(total_outputs));
   rng_.reserve(static_cast<std::size_t>(num_routers));
 
-  // Per-link VC counts feed the telemetry registry's shape (per-VC lanes).
-  std::vector<int> link_vcs(static_cast<std::size_t>(total_links), 0);
-
   for (RouterId r = 0; r < num_routers; ++r) {
     rng_.push_back(base.split(static_cast<std::uint64_t>(r)));
     const int ports = topo_->num_network_ports(r);
@@ -159,7 +156,6 @@ void Network::build() {
         ledger_.back().enable_on_off(std::min(size, cap),
                                      std::min(2 * size, cap));
       }
-      link_vcs[static_cast<std::size_t>(link_at(r, p))] = geom.num_vcs;
       max_ledger_vcs_ = std::max(max_ledger_vcs_, geom.num_vcs);
 
       DirLink& link = links_[static_cast<std::size_t>(link_at(r, p))];
@@ -261,12 +257,17 @@ void Network::build() {
       nodes_->consumer_bytes();
   state_gather_ = state_gather_wanted(state_gather_bytes_, reported_l2_bytes());
   due_.reserve(static_cast<std::size_t>(total_links));
+}
 
-  // Telemetry: the registry is always shaped (cheap, one-time) so render()
-  // and merge() work even when counting is off; it counts only once a
-  // caller enables it (set_telemetry_enabled, Simulator::set_telemetry or
-  // SweepRunner::set_telemetry).
-  telem_.configure(num_routers, link_vcs);
+void Network::set_telemetry_enabled(bool on) {
+  // Shaped on the first enable, one per-VC lane per ledger VC: a network
+  // that never counts allocates no counters (and merges as the identity).
+  if (on && !telem_.configured()) {
+    std::vector<int> link_vcs;
+    for (const CreditLedger& lg : ledger_) link_vcs.push_back(lg.num_vcs());
+    telem_.configure(topo_->num_routers(), link_vcs);
+  }
+  telem_.set_enabled(on);
 }
 
 int Network::port_occupancy(RouterId r, PortIndex p, bool min_only) const {
@@ -571,10 +572,6 @@ bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
       traces_.resize(static_cast<std::size_t>(ref) + 1);
     traces_[static_cast<std::size_t>(ref)].clear();
   }
-  // Every pool slot enters the network here, so growing the flit side
-  // store now keeps grants free of resizes.
-  if (flit_ && flit_src_link_.size() <= static_cast<std::size_t>(ref))
-    flit_src_link_.resize(static_cast<std::size_t>(ref) + 1, -1);
   buf.push(best, ref, pkt.size);
   if (telem_.enabled()) observe_injection(r);
   if (buf.packets(best) == 1) {
@@ -1090,25 +1087,17 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   const int uli = upstream_link_[static_cast<std::size_t>(gi)];
   if (uli >= 0) {
     const int latency = links_[static_cast<std::size_t>(uli)].latency;
-    push_credit(uli, FlyingCredit{req.in_vc, slot.phits, pkt.credited_kind,
+    push_credit(uli, FlyingCredit{req.in_vc, slot.phits, pkt.route_kind,
                                   now + latency});
     if (flit_ && slot.phits < pkt.size) {
       TransitTail& tail = transit_[static_cast<std::size_t>(uli)];
       FLEXNET_CHECK(tail.ref == kInvalidPacketRef);
       tail = TransitTail{slot.ref, pkt.size - slot.phits, req.in_vc,
-                         pkt.credited_kind};
+                         pkt.route_kind};
     }
   } else {
     nodes_->unpark(topo_->first_node_of_router(r) + req.in_port -
                    net_ports(r));
-  }
-  if (flit_ && !cmt.ejection) {
-    // Where the outbound stream finds this packet's TransitTail (or -1:
-    // fully arrived / injected — injection buffers hold whole packets).
-    // flit_src_link_ was presized at injection (every ref is injected
-    // before it can be granted), so this is a plain store.
-    flit_src_link_[static_cast<std::size_t>(slot.ref)] =
-        slot.phits < pkt.size ? uli : -1;
   }
 
   if (cmt.ejection) {
@@ -1125,7 +1114,6 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   }
 
   pkt.route_kind = cmt.kind_after;
-  pkt.credited_kind = pkt.route_kind;
   pkt.valiant = cmt.valiant_after;
   pkt.valiant_reached = cmt.valiant_reached_after;
   pkt.vc_position = cmt.out_position;
@@ -1150,7 +1138,8 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   OutputUnit& ou = out_[static_cast<std::size_t>(li)];
   const bool wake = ou.idle() && (!flit_ || streams_[static_cast<std::size_t>(
                                                 li)].ref == kInvalidPacketRef);
-  ou.accept(slot.ref, pkt.size, cmt.out_vc, now);
+  ou.accept(slot.ref, pkt.size, cmt.out_vc, now,
+            slot.phits < pkt.size ? uli : -1);
   add_send_work(r, 1);
   if (wake) send_wheel_.add(li, send_due(ou, now, now));
 }
@@ -1191,9 +1180,7 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
     st.vc = d.vc;
     st.next = 0;
     st.total = d.phits;
-    st.in_link = static_cast<std::size_t>(d.ref) < flit_src_link_.size()
-                     ? flit_src_link_[static_cast<std::size_t>(d.ref)]
-                     : -1;
+    st.in_link = d.in_link;
     // Captured now: a later grant downstream rewrites the packet's
     // route_kind while body flits are still claiming space at this ledger.
     st.kind = pool_[d.ref].route_kind;

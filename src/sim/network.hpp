@@ -130,16 +130,18 @@ class Network final : public CongestionOracle {
   const VcPolicy& policy() const { return *policy_; }
   RoutingAlgorithm& routing() { return *routing_; }
 
-  /// Telemetry counters of this network (telemetry/telemetry.hpp). Always
-  /// present and shaped; updated only while enabled, which is off until
-  /// set_telemetry_enabled turns it on.
+  /// Telemetry counters of this network (telemetry/telemetry.hpp): empty
+  /// (unconfigured, no storage) until set_telemetry_enabled first turns
+  /// counting on, and updated only while it is on.
   const TelemetryCounters& telemetry() const { return telem_; }
   /// Wall-clock seconds per Network::step phase, accumulated only while
   /// telemetry is enabled (telemetry/phase_timers.hpp).
   const PhaseTimers& phase_times() const { return phases_; }
   /// The memory resource all engine state draws from (common/arena.hpp).
   const Arena& arena() const { return arena_; }
-  void set_telemetry_enabled(bool on) { telem_.set_enabled(on); }
+  /// Turns counting on or off; the first enable shapes the registry for
+  /// this network, so counts start from that step.
+  void set_telemetry_enabled(bool on);
 
   /// Whether allocate runs the state gather (chosen by build() through
   /// state_gather_wanted), and the bytes that choice weighed.
@@ -577,10 +579,6 @@ class Network final : public CongestionOracle {
   // --- Flit-level flow control state (empty in packet mode).
   Vec<TransitTail> transit_{&arena_};  // by inbound link index
   Vec<LinkStream> streams_{&arena_};  // by outbound link index
-  /// Inbound link a pool slot's tail streams in on (-1 = fully arrived or
-  /// injected), recorded at grant so the outbound stream can find its
-  /// TransitTail without a search. Grown lazily like traces_.
-  Vec<std::int32_t> flit_src_link_{&arena_};
 
   // --- Event-driven link phases and the allocation worklist.
   Vec<RouterId> link_owner_{&arena_};  // per link: (owner, port) inverse

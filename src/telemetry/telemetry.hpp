@@ -7,7 +7,8 @@
 // observations: a hook runs with a const Network, so it reads simulation
 // state and can write nothing but the counters — enabling them cannot
 // perturb results (test_telemetry.cpp asserts SimResult bit-equality
-// on/off).
+// on/off). A counter is an id below plus one (id, name) entry in its
+// group's table in telemetry.cpp, which render() walks.
 //
 // Determinism contract: every counter is an integer updated only by the
 // simulation's own deterministic event order, and merge() is elementwise
@@ -17,6 +18,7 @@
 // (test_shard_merge.cpp asserts byte-identical render() output).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory_resource>
 #include <string>
@@ -27,21 +29,26 @@
 namespace flexnet {
 
 /// Per-router, per-link, and per-(link, VC) counters plus network-wide
-/// step gauges. Naming scheme of the rendered snapshot (README
-/// "Observability"):
-///
-///   net.steps / net.<set>.sum           step count and active-set gauges
-///   router.<r>.requests|grants|...     per-router allocator counters
-///   link.<l>.delivered_packets|...     per-link traffic and occupancy
-///   link.<l>.vc.<v>.sends|...          per-VC sends and credit occupancy
+/// step gauges, rendered as README "Observability" lists them.
 class TelemetryCounters {
  public:
+  // Counter ids per group, in storage order; each last one is the arity.
+  enum Router : int { kRequests, kGrants, kConflicts, kInjections, kRouterN };
+  enum Link : int {
+    kDeliveredPackets, kDeliveredPhits, kSentPhits, kCreditPhits,
+    kLinkOccupancy, kFlits, kFlitStalls, kTransitFlits, kLinkN
+  };
+  enum Vc : int { kVcSends, kVcOccupancy, kVcN };
+  enum Net : int {
+    kSteps, kActiveLinks, kAllocRouters, kSendRouters, kLivePackets, kNetN
+  };
+
   /// The counter vectors draw from `mr` (a Network passes its arena);
   /// copies use the default resource.
   explicit TelemetryCounters(
       std::pmr::memory_resource* mr = std::pmr::get_default_resource());
 
-  /// Sizes every counter vector for a network of `routers` routers and
+  /// Sizes every counter group for a network of `routers` routers and
   /// `link_vcs.size()` directed links with link_vcs[l] VCs each. Resets
   /// all values. Must be called before any update hook.
   void configure(int routers, const std::vector<int>& link_vcs);
@@ -52,27 +59,16 @@ class TelemetryCounters {
 
   int routers() const { return routers_; }
   int links() const { return links_; }
-  int vcs_of_link(int link) const {
-    return vc_index_[static_cast<std::size_t>(link) + 1] -
-           vc_index_[static_cast<std::size_t>(link)];
-  }
+  int vcs_of_link(int link) const { return lane(link + 1, 0) - lane(link, 0); }
 
   // --- Hot-path update hooks (call only when enabled()).
 
   /// Stage-1 proposals that reached output arbitration this iteration.
-  void on_requests(int router, int n) {
-    router_requests_[static_cast<std::size_t>(router)] += n;
-  }
+  void on_requests(int router, int n) { router_[router][kRequests] += n; }
   /// Proposals that lost output arbitration (will re-request).
-  void on_conflicts(int router, int n) {
-    router_conflicts_[static_cast<std::size_t>(router)] += n;
-  }
-  void on_grant(int router) {
-    ++router_grants_[static_cast<std::size_t>(router)];
-  }
-  void on_injection(int router) {
-    ++router_injections_[static_cast<std::size_t>(router)];
-  }
+  void on_conflicts(int router, int n) { router_[router][kConflicts] += n; }
+  void on_grant(int router) { ++router_[router][kGrants]; }
+  void on_injection(int router) { ++router_[router][kInjections]; }
 
   /// A packet sent into link `link` on VC `vc`; `vc_occupied` and
   /// `port_occupied` are the sender-side credit-ledger occupancies (phits)
@@ -80,52 +76,43 @@ class TelemetryCounters {
   /// this sender, the signal the FlexVC analysis argues from.
   void on_send(int link, VcIndex vc, int phits, int vc_occupied,
                int port_occupied) {
-    const std::size_t slot = static_cast<std::size_t>(
-        vc_index_[static_cast<std::size_t>(link)] + vc);
-    ++vc_sends_[slot];
-    vc_occupancy_sum_[slot] += vc_occupied;
-    link_sent_phits_[static_cast<std::size_t>(link)] += phits;
-    link_occupancy_sum_[static_cast<std::size_t>(link)] += port_occupied;
+    std::int64_t* slot = vc_[lane(link, vc)];
+    ++slot[kVcSends];
+    slot[kVcOccupancy] += vc_occupied;
+    link_[link][kSentPhits] += phits;
+    link_[link][kLinkOccupancy] += port_occupied;
   }
 
   /// A packet popped off link `link` into the downstream input buffer.
   void on_delivery(int link, int phits) {
-    ++link_delivered_packets_[static_cast<std::size_t>(link)];
-    link_delivered_phits_[static_cast<std::size_t>(link)] += phits;
+    ++link_[link][kDeliveredPackets];
+    link_[link][kDeliveredPhits] += phits;
   }
 
   /// Credits returned to link `link`'s sender-side ledger.
-  void on_credit(int link, int phits) {
-    link_credit_phits_[static_cast<std::size_t>(link)] += phits;
-  }
+  void on_credit(int link, int phits) { link_[link][kCreditPhits] += phits; }
 
   // --- Flit-level flow control (flow_control=wormhole|vct). All three are
   // zero in packet mode, so the packet-mode snapshot is unchanged.
 
   /// One flit serialized onto link `link`.
-  void on_flit(int link) {
-    ++link_flits_[static_cast<std::size_t>(link)];
-  }
+  void on_flit(int link) { ++link_[link][kFlits]; }
   /// A link stream that could not emit this cycle (tail not yet arrived,
   /// or a wormhole body flit out of downstream space).
-  void on_flit_stall(int link) {
-    ++link_flit_stalls_[static_cast<std::size_t>(link)];
-  }
+  void on_flit_stall(int link) { ++link_[link][kFlitStalls]; }
   /// A body flit that cut through link `link`'s receiver without entering
   /// its input buffer (the packet was already granted onward).
-  void on_flit_transit(int link) {
-    ++link_transit_flits_[static_cast<std::size_t>(link)];
-  }
+  void on_flit_transit(int link) { ++link_[link][kTransitFlits]; }
 
   /// Sampled once per Network::step before the sweeps: active-set sizes
   /// and live pooled packets at the start of the cycle.
   void on_step(std::size_t active_links, std::size_t alloc_routers,
                std::size_t send_routers, std::int64_t live_packets) {
-    ++steps_;
-    active_links_sum_ += static_cast<std::int64_t>(active_links);
-    alloc_routers_sum_ += static_cast<std::int64_t>(alloc_routers);
-    send_routers_sum_ += static_cast<std::int64_t>(send_routers);
-    live_packets_sum_ += live_packets;
+    ++net_[kSteps];
+    net_[kActiveLinks] += static_cast<std::int64_t>(active_links);
+    net_[kAllocRouters] += static_cast<std::int64_t>(alloc_routers);
+    net_[kSendRouters] += static_cast<std::int64_t>(send_routers);
+    net_[kLivePackets] += live_packets;
   }
 
   // --- Aggregation and rendering.
@@ -143,48 +130,53 @@ class TelemetryCounters {
   std::string render() const;
 
   // Raw accessors for tests and derived metrics.
-  std::int64_t steps() const { return steps_; }
-  std::int64_t active_links_sum() const { return active_links_sum_; }
-  std::int64_t alloc_routers_sum() const { return alloc_routers_sum_; }
-  std::int64_t send_routers_sum() const { return send_routers_sum_; }
-  std::int64_t live_packets_sum() const { return live_packets_sum_; }
-  std::int64_t router_grants(int r) const {
-    return router_grants_[static_cast<std::size_t>(r)];
-  }
-  std::int64_t total_requests() const;
-  std::int64_t total_grants() const;
-  std::int64_t total_conflicts() const;
+  std::int64_t steps() const { return net_[kSteps]; }
+  std::int64_t active_links_sum() const { return net_[kActiveLinks]; }
+  std::int64_t alloc_routers_sum() const { return net_[kAllocRouters]; }
+  std::int64_t send_routers_sum() const { return net_[kSendRouters]; }
+  std::int64_t live_packets_sum() const { return net_[kLivePackets]; }
+  std::int64_t router_grants(int r) const { return router_[r][kGrants]; }
+  std::int64_t total_requests() const { return router_.total(kRequests); }
+  std::int64_t total_grants() const { return router_.total(kGrants); }
+  std::int64_t total_conflicts() const { return router_.total(kConflicts); }
 
  private:
-  void expand_to(int routers, const std::vector<int>& link_vcs);
+  /// One group's counters, row-major: row i holds the kArity counters of
+  /// one router, link or (link, VC) lane.
+  template <int kArity>
+  struct Rows {
+    explicit Rows(std::pmr::memory_resource* mr) : values(mr) {}
+    std::int64_t* operator[](int row) { return values.data() + at(row); }
+    const std::int64_t* operator[](int row) const {
+      return values.data() + at(row);
+    }
+    static std::size_t at(int row) { return std::size_t(row) * kArity; }
+    void add(int row, const std::int64_t* from) {
+      for (int k = 0; k < kArity; ++k) (*this)[row][k] += from[k];
+    }
+    std::int64_t total(int id) const {
+      std::int64_t sum = 0;
+      for (auto i = std::size_t(id); i < values.size(); i += kArity)
+        sum += values[i];
+      return sum;
+    }
+    std::pmr::vector<std::int64_t> values;
+  };
+
+  /// Adds `other` per id; its shape must fit inside this one's.
+  void add(const TelemetryCounters& other);
+  int lane(int link, int vc) const {
+    return vc_index_[static_cast<std::size_t>(link)] + vc;
+  }
 
   bool enabled_ = false;
   int routers_ = 0;
   int links_ = 0;
-  std::pmr::vector<int> vc_index_;  // per link + sentinel -> per-VC slot
-
-  std::pmr::vector<std::int64_t> router_requests_;
-  std::pmr::vector<std::int64_t> router_conflicts_;
-  std::pmr::vector<std::int64_t> router_grants_;
-  std::pmr::vector<std::int64_t> router_injections_;
-
-  std::pmr::vector<std::int64_t> link_delivered_packets_;
-  std::pmr::vector<std::int64_t> link_delivered_phits_;
-  std::pmr::vector<std::int64_t> link_sent_phits_;
-  std::pmr::vector<std::int64_t> link_credit_phits_;
-  std::pmr::vector<std::int64_t> link_occupancy_sum_;
-  std::pmr::vector<std::int64_t> link_flits_;
-  std::pmr::vector<std::int64_t> link_flit_stalls_;
-  std::pmr::vector<std::int64_t> link_transit_flits_;
-
-  std::pmr::vector<std::int64_t> vc_sends_;
-  std::pmr::vector<std::int64_t> vc_occupancy_sum_;
-
-  std::int64_t steps_ = 0;
-  std::int64_t active_links_sum_ = 0;
-  std::int64_t alloc_routers_sum_ = 0;
-  std::int64_t send_routers_sum_ = 0;
-  std::int64_t live_packets_sum_ = 0;
+  std::pmr::vector<int> vc_index_;  // per link + sentinel -> first lane
+  Rows<kRouterN> router_;
+  Rows<kLinkN> link_;
+  Rows<kVcN> vc_;
+  std::array<std::int64_t, kNetN> net_{};
 };
 
 }  // namespace flexnet

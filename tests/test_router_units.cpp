@@ -107,6 +107,16 @@ TEST(OutputUnit, FifoOrderPreserved) {
   }
 }
 
+TEST(OutputUnit, DepartureCarriesTheAcceptedInLink) {
+  // The inbound link a flit stream's tail arrives on rides through the
+  // pipeline with its packet; accept() without one leaves it at -1.
+  OutputUnit ou(64, 0);
+  ou.accept(/*ref=*/1, /*phits=*/8, /*vc=*/0, /*now=*/0, /*in_link=*/7);
+  ou.accept(/*ref=*/2, /*phits=*/8, /*vc=*/1, /*now=*/0);
+  EXPECT_EQ(ou.start_send(0).in_link, 7);
+  EXPECT_EQ(ou.start_send(8).in_link, -1);
+}
+
 TEST(OutputUnit, NextReadyIsTheEarliestStart) {
   OutputUnit ou(64, 5);
   ou.accept(/*ref=*/1, /*phits=*/8, /*vc=*/0, /*now=*/0);

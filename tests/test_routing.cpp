@@ -548,15 +548,20 @@ TEST(RoutingContract, DestinationRouterYieldsOnlyEjectionAndDrawsNothing) {
 }
 
 TEST(RoutingReferences, ReferencePathsMatchPaperRequirements) {
+  // validate_config embeds the full canonical path the registry names.
+  const auto path = [](const char* routing, const TopologyShape& shape) {
+    return routing_registry().at(routing).make.reference_path(shape)
+        .to_string();
+  };
   const TopologyShape df = Dragonfly::kShape;
-  EXPECT_EQ(MinimalRouting::reference_path(df).to_string(), "lgl");
-  EXPECT_EQ(ValiantRouting::reference_path(df).to_string(), "lgllgl");
-  EXPECT_EQ(AdaptiveRouting::par_reference_path(df).to_string(), "llgllgl");
+  EXPECT_EQ(path("min", df), "lgl");
+  EXPECT_EQ(path("val", df), "lgllgl");
+  EXPECT_EQ(path("par", df), "llgllgl");
   // Generic diameter-2 (Tables I/II): MIN 2 hops, VAL 4, PAR 5.
   const TopologyShape sf = SlimFly::kShape;
-  EXPECT_EQ(MinimalRouting::reference_path(sf).to_string(), "ll");
-  EXPECT_EQ(ValiantRouting::reference_path(sf).to_string(), "llll");
-  EXPECT_EQ(AdaptiveRouting::par_reference_path(sf).to_string(), "lllll");
+  EXPECT_EQ(path("min", sf), "ll");
+  EXPECT_EQ(path("val", sf), "llll");
+  EXPECT_EQ(path("par", sf), "lllll");
 }
 
 }  // namespace

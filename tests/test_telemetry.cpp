@@ -160,6 +160,64 @@ TEST(TelemetryCounters, HooksLandOnTheRightIds) {
   EXPECT_NE(snapshot.find("link.1.credit_phits 4"), std::string::npos);
 }
 
+TEST(TelemetryCounters, RenderIsPinned) {
+  // Every hook once on a fixed shape; the literal is the snapshot the
+  // hand-written (pre-table) renderer produced for the same calls.
+  TelemetryCounters t;
+  t.configure(2, {2, 1});
+  t.on_requests(0, 3);
+  t.on_conflicts(1, 2);
+  t.on_grant(0);
+  t.on_injection(1);
+  t.on_send(/*link=*/0, /*vc=*/1, /*phits=*/4, /*vc_occupied=*/6,
+            /*port_occupied=*/10);
+  t.on_delivery(1, 5);
+  t.on_credit(0, 7);
+  t.on_flit(1);
+  t.on_flit_stall(0);
+  t.on_flit_transit(1);
+  t.on_step(5, 2, 1, 9);
+  EXPECT_EQ(t.render(),
+            "telemetry v1 routers=2 links=2\n"
+            "net.steps 1\n"
+            "net.active_links.sum 5\n"
+            "net.alloc_routers.sum 2\n"
+            "net.send_routers.sum 1\n"
+            "net.live_packets.sum 9\n"
+            "router.0.requests 3\n"
+            "router.0.grants 1\n"
+            "router.0.conflicts 0\n"
+            "router.0.re_requests 2\n"
+            "router.0.injections 0\n"
+            "router.1.requests 0\n"
+            "router.1.grants 0\n"
+            "router.1.conflicts 2\n"
+            "router.1.re_requests 0\n"
+            "router.1.injections 1\n"
+            "link.0.delivered_packets 0\n"
+            "link.0.delivered_phits 0\n"
+            "link.0.sent_phits 4\n"
+            "link.0.credit_phits 7\n"
+            "link.0.occupancy_sum 10\n"
+            "link.0.flits 0\n"
+            "link.0.flit_stalls 1\n"
+            "link.0.transit_flits 0\n"
+            "link.0.vc.0.sends 0\n"
+            "link.0.vc.0.occupancy_sum 0\n"
+            "link.0.vc.1.sends 1\n"
+            "link.0.vc.1.occupancy_sum 6\n"
+            "link.1.delivered_packets 1\n"
+            "link.1.delivered_phits 5\n"
+            "link.1.sent_phits 0\n"
+            "link.1.credit_phits 0\n"
+            "link.1.occupancy_sum 0\n"
+            "link.1.flits 1\n"
+            "link.1.flit_stalls 0\n"
+            "link.1.transit_flits 1\n"
+            "link.1.vc.0.sends 0\n"
+            "link.1.vc.0.occupancy_sum 0\n");
+}
+
 TEST(TelemetryCounters, MergeIntoUnconfiguredAdoptsValuesNotEnabled) {
   TelemetryCounters src;
   src.configure(1, {1});
@@ -266,6 +324,40 @@ TEST(NetworkTelemetry, DisabledCountersStayZero) {
   EXPECT_EQ(net.telemetry().total_grants(), 0);
   EXPECT_EQ(net.telemetry().steps(), 0);
   EXPECT_GT(net.total_grants(), 0) << "the simulation itself ran";
+}
+
+TEST(NetworkTelemetry, UntracedNetworkHoldsNoCounters) {
+  // The registry is shaped on the first enable: before it, the network's
+  // arena holds none of the per-router, per-link and per-VC counters.
+  Network net(tiny_config());
+  EXPECT_FALSE(net.telemetry().configured());
+  const std::size_t before = net.arena().used_bytes();
+  net.set_telemetry_enabled(true);
+  const TelemetryCounters& t = net.telemetry();
+  ASSERT_TRUE(t.configured());
+  EXPECT_EQ(t.routers(), net.topology().num_routers());
+  std::size_t lanes = 0;
+  for (int l = 0; l < t.links(); ++l)
+    lanes += static_cast<std::size_t>(t.vcs_of_link(l));
+  const std::size_t counter_bytes =
+      sizeof(std::int64_t) *
+      (static_cast<std::size_t>(t.routers()) * TelemetryCounters::kRouterN +
+       static_cast<std::size_t>(t.links()) * TelemetryCounters::kLinkN +
+       lanes * TelemetryCounters::kVcN);
+  EXPECT_GE(net.arena().used_bytes() - before, counter_bytes);
+}
+
+TEST(NetworkTelemetry, EnablingMidRunCountsFromThatStep) {
+  Network net(tiny_config());
+  for (Cycle now = 0; now < 200; ++now) net.step(now);
+  const std::int64_t grants_before = net.total_grants();
+  ASSERT_GT(grants_before, 0);
+  net.set_telemetry_enabled(true);
+  for (Cycle now = 200; now < 500; ++now) net.step(now);
+  const TelemetryCounters& t = net.telemetry();
+  EXPECT_EQ(t.steps(), 300);
+  EXPECT_EQ(t.total_grants(), net.total_grants() - grants_before);
+  EXPECT_EQ(t.total_requests(), t.total_grants() + t.total_conflicts());
 }
 
 TEST(NetworkTelemetry, EnvironmentDoesNotEnableCounting) {

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -101,6 +102,19 @@ inline bool reject_bad_config_override(const std::string& key,
     return true;
   }
   return false;
+}
+
+/// Refuses an existing --out path (exit 2): it could be an input journal,
+/// and even probing it through CheckpointJournal would truncate its torn
+/// tail or append into it. Returns 0 for a fresh or unset path.
+inline int refuse_existing_out(const std::string& out_path) {
+  if (out_path.empty() || !std::ifstream(out_path).good())
+    return exit_code::kOk;
+  std::fprintf(stderr,
+               "error: --out %s already exists; refusing to overwrite or "
+               "append to it — pass a fresh path\n",
+               out_path.c_str());
+  return exit_code::kConfig;
 }
 
 /// The one mapping from an exception that escapes a tool's main to its

@@ -41,7 +41,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,17 +137,8 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  // --out must be a fresh path, checked before any file is opened or
-  // parsed: an existing file there could be a shard journal the user also
-  // listed as an input, and even probing it through CheckpointJournal
-  // would truncate its torn tail or append into it before any refusal.
-  if (!out_path.empty() && std::ifstream(out_path).good()) {
-    std::fprintf(stderr,
-                 "error: --out %s already exists; refusing to overwrite or "
-                 "append to it — pass a fresh path\n",
-                 out_path.c_str());
-    return exit_code::kConfig;
-  }
+  // --out must be fresh, checked before any file is opened or parsed.
+  if (const int code = cli::refuse_existing_out(out_path)) return code;
 
   try {
     const Options cli = Options::parse(static_cast<int>(overrides.size()),

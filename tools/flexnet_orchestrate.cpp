@@ -39,7 +39,6 @@
 // restart path with it; it is useless (and harmless) in real sweeps.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -255,13 +254,7 @@ int main(int argc, char** argv) {
   // Same freshness contract as flexnet_merge --out, checked before any
   // shard is launched: discovering a stale --out after a long sweep would
   // waste the whole run.
-  if (!out_path.empty() && std::ifstream(out_path).good()) {
-    std::fprintf(stderr,
-                 "error: --out %s already exists; refusing to overwrite or "
-                 "append to it — pass a fresh path\n",
-                 out_path.c_str());
-    return exit_code::kConfig;
-  }
+  if (const int code = cli::refuse_existing_out(out_path)) return code;
 
   try {
     // Materialize the grid once up front: a suite or override problem

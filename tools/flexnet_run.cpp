@@ -266,13 +266,7 @@ int main(int argc, char** argv) {
     }
 
     if (!json_path.empty()) {
-      JsonReport report;
-      report.set_meta("suite", suite_path);
-      report.set_meta("title", spec.title);
-      if (!spec.description.empty())
-        report.set_meta("description", spec.description);
-      report.set_meta("config", grid.front().config.summary());
-      report.set_meta("seeds", static_cast<std::int64_t>(seeds));
+      JsonReport report = suite_report(suite_path, suite);
       report.set_meta("jobs", static_cast<std::int64_t>(jobs));
       if (!checkpoint_path.empty())
         report.set_meta("checkpoint", checkpoint_path);
