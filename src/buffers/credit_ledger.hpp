@@ -13,7 +13,9 @@
 //
 // The per-VC counters sit inline (up to kMaxVcs VCs), so a ledger is one
 // flat object in the network's link-indexed array: a credit check reads
-// the header and one VC's counter pair from the same block.
+// the header and one VC's counter pair from the same block. Every count is
+// bounded by the port's capacity, which validate_config keeps within
+// kMaxPortPhits, so counters and header fields are 16 bits wide.
 #pragma once
 
 #include <algorithm>
@@ -31,13 +33,21 @@ class CreditLedger {
   /// Most VCs one ledger tracks (validate_config rejects arrangements
   /// with more VCs per network port).
   static constexpr int kMaxVcs = 16;
+  /// Largest port capacity, in phits, one ledger tracks: every counter
+  /// fits 16 bits (validate_config rejects larger network ports).
+  static constexpr int kMaxPortPhits = INT16_MAX;
 
   CreditLedger(int num_vcs, int private_per_vc, int shared_capacity)
-      : num_vcs_(num_vcs),
-        private_per_vc_(private_per_vc),
-        shared_capacity_(shared_capacity) {
+      : num_vcs_(static_cast<std::int16_t>(num_vcs)),
+        private_per_vc_(static_cast<std::int16_t>(private_per_vc)),
+        shared_capacity_(static_cast<std::int16_t>(shared_capacity)) {
     FLEXNET_CHECK_MSG(num_vcs >= 1 && num_vcs <= kMaxVcs,
                       "a credit ledger tracks 1 to 16 VCs");
+    FLEXNET_CHECK_MSG(private_per_vc >= 0 && shared_capacity >= 0 &&
+                          std::int64_t{private_per_vc} * num_vcs +
+                                  shared_capacity <=
+                              kMaxPortPhits,
+                      "a credit ledger tracks at most 32767 phits a port");
   }
 
   int num_vcs() const { return num_vcs_; }
@@ -57,10 +67,11 @@ class CreditLedger {
   /// exact ledger would already pace. Not calling this (the default)
   /// leaves behavior byte-identical to exact credits.
   void enable_on_off(int off_threshold, int on_threshold) {
-    FLEXNET_CHECK(off_threshold >= 0 && on_threshold >= off_threshold);
+    FLEXNET_CHECK(off_threshold >= 0 && on_threshold >= off_threshold &&
+                  on_threshold <= kMaxPortPhits);
     on_off_ = true;
-    off_threshold_ = off_threshold;
-    on_threshold_ = on_threshold;
+    off_threshold_ = static_cast<std::int16_t>(off_threshold);
+    on_threshold_ = static_cast<std::int16_t>(on_threshold);
     update_off_bit();
   }
 
@@ -71,7 +82,8 @@ class CreditLedger {
   /// Free phits the sender may use for this VC right now.
   int free_for(VcIndex vc) const {
     const int occ = vc_[static_cast<std::size_t>(vc)].occupied;
-    const int private_free = private_per_vc_ - std::min(occ, private_per_vc_);
+    const int per_vc = private_per_vc_;
+    const int private_free = per_vc - std::min(occ, per_vc);
     return private_free + shared_capacity_ - shared_used_;
   }
 
@@ -109,15 +121,20 @@ class CreditLedger {
   }
 
  private:
+  // Sums are taken in int and stored back: every stored count stays
+  // within the port capacity, so the narrowing never truncates.
   void add(VcIndex vc, int delta, RouteKind kind) {
     VcCount& c = vc_[static_cast<std::size_t>(vc)];
-    const int before_overflow = std::max(0, c.occupied - private_per_vc_);
-    c.occupied += delta;
-    occupied_port_ += delta;
-    shared_used_ += std::max(0, c.occupied - private_per_vc_) - before_overflow;
+    const int occupied = c.occupied + delta;
+    const int overflow_change = std::max(0, occupied - private_per_vc_) -
+                                std::max(0, c.occupied - private_per_vc_);
+    c.occupied = static_cast<std::int16_t>(occupied);
+    occupied_port_ = static_cast<std::int16_t>(occupied_port_ + delta);
+    shared_used_ = static_cast<std::int16_t>(shared_used_ + overflow_change);
     if (kind == RouteKind::kMinimal) {
-      c.occupied_min += delta;
-      occupied_min_port_ += delta;
+      c.occupied_min = static_cast<std::int16_t>(c.occupied_min + delta);
+      occupied_min_port_ =
+          static_cast<std::int16_t>(occupied_min_port_ + delta);
     }
     if (on_off_) update_off_bit();
   }
@@ -133,21 +150,23 @@ class CreditLedger {
 
   /// Occupied phits of one VC, all and minimally routed only.
   struct VcCount {
-    std::int32_t occupied = 0;
-    std::int32_t occupied_min = 0;
+    std::int16_t occupied = 0;
+    std::int16_t occupied_min = 0;
   };
 
-  int num_vcs_;
-  int private_per_vc_;
-  int shared_capacity_;
-  int shared_used_ = 0;
-  int occupied_port_ = 0;
-  int occupied_min_port_ = 0;
+  std::int16_t num_vcs_;
+  std::int16_t private_per_vc_;
+  std::int16_t shared_capacity_;
+  std::int16_t shared_used_ = 0;
+  std::int16_t occupied_port_ = 0;
+  std::int16_t occupied_min_port_ = 0;
+  std::int16_t off_threshold_ = 0;
+  std::int16_t on_threshold_ = 0;
   bool on_off_ = false;
   bool off_ = false;
-  int off_threshold_ = 0;
-  int on_threshold_ = 0;
   std::array<VcCount, kMaxVcs> vc_{};
 };
+static_assert(sizeof(CreditLedger) <= 96,
+              "a ledger's header and counters stay 16 bits wide");
 
 }  // namespace flexnet

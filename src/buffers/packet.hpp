@@ -18,6 +18,11 @@
 
 namespace flexnet {
 
+/// Largest packet, in phits: link credits and output pipeline slots carry
+/// a packet's phits in 16 bits (validate_config bounds packet_size, and
+/// Network::try_inject a packet built by hand).
+inline constexpr int kMaxPacketPhits = INT16_MAX;
+
 /// Exactly one cache line (64 bytes), aligned so every pool slot is one
 /// line: the allocator reads a head packet per proposal, at random slots.
 struct alignas(64) Packet {

@@ -9,6 +9,13 @@ namespace flexnet {
 /// Simulation time in link-clock cycles.
 using Cycle = std::int64_t;
 
+/// A cycle as link and pipeline events store it: 32 bits keep those events
+/// small. validate_config keeps a run's last cycle plus its link and
+/// pipeline horizons within kMaxStamp, and Network::step checks it for a
+/// network stepped by hand.
+using Stamp = std::int32_t;
+inline constexpr Cycle kMaxStamp = INT32_MAX;
+
 /// Identifier of a computing node (terminal).
 using NodeId = std::int32_t;
 

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory_resource>
 #include <utility>
 
@@ -50,12 +51,17 @@ class OutputUnit final {
   /// packet reaches the buffer head after the pipeline latency. `in_link`
   /// rides along to the departure: the inbound link its tail still streams
   /// in on under flit-level flow control (-1: none).
+  /// The entry stores `phits` in 16 bits and its ready cycle as a Stamp
+  /// (validate_config bounds packet_size and the run's last cycle).
   void accept(PacketRef ref, int phits, VcIndex downstream_vc, Cycle now,
               std::int32_t in_link = -1) {
     FLEXNET_DCHECK(can_reserve(phits));
+    FLEXNET_DCHECK(phits <= kMaxPacketPhits &&
+                   now + pipeline_latency_ <= kMaxStamp);
     occupancy_ += phits;
-    pipeline_.push_back(Entry{ref, phits, downstream_vc, in_link,
-                              now + pipeline_latency_});
+    pipeline_.push_back(Entry{ref, static_cast<Stamp>(now + pipeline_latency_),
+                              in_link, static_cast<std::int16_t>(phits),
+                              static_cast<std::int16_t>(downstream_vc)});
   }
 
   /// True when a packet is ready to start serializing onto the link.
@@ -88,7 +94,7 @@ class OutputUnit final {
   /// serialization, whichever is later. Requires !idle().
   Cycle next_ready() const {
     FLEXNET_DCHECK(!pipeline_.empty());
-    return std::max(pipeline_.front().ready, link_busy_until_);
+    return std::max(Cycle{pipeline_.front().ready}, link_busy_until_);
   }
 
   int occupancy() const { return occupancy_; }
@@ -103,12 +109,12 @@ class OutputUnit final {
  private:
   struct Entry {
     PacketRef ref = kInvalidPacketRef;
-    std::int32_t phits = 0;
-    VcIndex vc = kInvalidVc;
-    std::int32_t in_link = -1;  // fills what was padding before `ready`
-    Cycle ready = 0;
+    Stamp ready = 0;
+    std::int32_t in_link = -1;
+    std::int16_t phits = 0;
+    std::int16_t vc = kInvalidVc;
   };
-  static_assert(sizeof(Entry) == 24, "in_link must not grow the ring");
+  static_assert(sizeof(Entry) == 16, "a pipeline slot is four words");
 
   int capacity_;
   int pipeline_latency_;

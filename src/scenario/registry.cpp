@@ -5,6 +5,7 @@
 #include <string>
 
 #include "buffers/credit_ledger.hpp"
+#include "buffers/packet.hpp"
 #include "core/baseline_policy.hpp"
 #include "core/flexvc_policy.hpp"
 #include "core/vc_arrangement.hpp"
@@ -307,6 +308,49 @@ void validate_config(const SimConfig& cfg) {
   // every row, and a negative warmup starts measuring a cold network.
   require_at_least("warmup", cfg.warmup, 0);
   require_at_least("measure", cfg.measure, 1);
+  // Ceilings of the engine's narrow records (sim/network.hpp): credits and
+  // pipeline slots carry a packet's phits in 16 bits, the armed-slot mask
+  // holds one bit per input VC in a word, a credit ledger counts a port's
+  // phits in 16 bits, and link and pipeline events stamp their cycle in 32.
+  const auto require_at_most = [](const std::string& key, std::int64_t value,
+                                  std::int64_t ceiling) {
+    if (value > ceiling)
+      throw std::invalid_argument(key + " must be <= " +
+                                  std::to_string(ceiling) + " (got " +
+                                  std::to_string(value) + ")");
+  };
+  require_at_most("packet_size", cfg.packet_size, kMaxPacketPhits);
+  require_at_most("injection_vcs", cfg.injection_vcs, 64);
+  for (const LinkType type : {LinkType::kLocal, LinkType::kGlobal}) {
+    if (type == LinkType::kGlobal && !arrangement.typed) continue;
+    const bool global = type == LinkType::kGlobal;
+    const std::string kind = global ? "global" : "local";
+    const int port_cap =
+        global ? cfg.global_port_capacity : cfg.local_port_capacity;
+    if (port_cap > 0) {
+      require_at_most(kind + "_port_capacity", port_cap,
+                      CreditLedger::kMaxPortPhits);
+      continue;
+    }
+    const int vcs = arrangement.vcs_per_port(type);
+    const int per_vc =
+        global ? cfg.global_buffer_per_vc : cfg.local_buffer_per_vc;
+    if (std::int64_t{per_vc} * vcs > CreditLedger::kMaxPortPhits)
+      throw std::invalid_argument(
+          kind + "_buffer " + std::to_string(per_vc) + " x " +
+          std::to_string(vcs) + " VCs makes a " + kind + " port of " +
+          std::to_string(std::int64_t{per_vc} * vcs) + " phits; at most " +
+          std::to_string(CreditLedger::kMaxPortPhits) + " are supported");
+  }
+  const Cycle last_cycle = cfg.warmup + cfg.measure - 1;
+  if (cfg.warmup > kMaxStamp || cfg.measure > kMaxStamp ||
+      last_cycle + stamp_horizon(cfg) > kMaxStamp)
+    throw std::invalid_argument(
+        "warmup + measure must be <= " +
+        std::to_string(kMaxStamp + 1 - stamp_horizon(cfg)) +
+        " cycles with these link and pipeline latencies (got " +
+        std::to_string(cfg.warmup) + " + " + std::to_string(cfg.measure) +
+        ")");
   if (cfg.sim_domains != 1)
     throw std::invalid_argument(
         "sim_domains must be 1 (got " + std::to_string(cfg.sim_domains) +

@@ -1,5 +1,6 @@
 #include "sim/config.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -264,6 +265,11 @@ std::string SimConfig::summary() const {
   out << " traffic=" << traffic << (reactive ? "+reactive" : "")
       << " load=" << load << " seed=" << seed;
   return out.str();
+}
+
+Cycle stamp_horizon(const SimConfig& cfg) {
+  return std::max(Cycle{std::max(cfg.local_latency, cfg.global_latency)} + 1,
+                  Cycle{cfg.pipeline_latency});
 }
 
 }  // namespace flexnet

@@ -120,4 +120,11 @@ struct SimConfig {
   std::string canonical() const;
 };
 
+/// Cycles past the current one that a link or pipeline event of `cfg`'s
+/// network stamps (common/types.hpp, Stamp): a data event arrives link
+/// latency + 1 cycles after its send, a credit link latency cycles after
+/// its grant, and a pipeline slot is ready pipeline_latency cycles after
+/// its grant.
+Cycle stamp_horizon(const SimConfig& cfg);
+
 }  // namespace flexnet

@@ -105,6 +105,7 @@ void Network::build() {
   int total_links = 0;
   int total_inputs = 0;
   int total_outputs = 0;
+  std::size_t total_commits = 0;  // one slot per (input, VC)
   for (RouterId r = 0; r < num_routers; ++r) {
     link_index_[static_cast<std::size_t>(r)] = total_links;
     in_index_[static_cast<std::size_t>(r)] = total_inputs;
@@ -113,6 +114,11 @@ void Network::build() {
     total_links += ports;
     total_inputs += ports + inj_ports;
     total_outputs += num_outputs(r);
+    for (PortIndex p = 0; p < ports; ++p)
+      total_commits += static_cast<std::size_t>(
+          tmpl.vcs_per_port(topo_->port(r, p).type));
+    total_commits += static_cast<std::size_t>(inj_ports) *
+                     static_cast<std::size_t>(config_.injection_vcs);
   }
   FLEXNET_CHECK(total_links == topo_->total_network_ports());
   link_index_[static_cast<std::size_t>(num_routers)] = total_links;
@@ -125,6 +131,7 @@ void Network::build() {
   in_.reserve(static_cast<std::size_t>(total_inputs));
   in_arb_.reserve(static_cast<std::size_t>(total_inputs));
   commit_index_.reserve(static_cast<std::size_t>(total_inputs));
+  commits_.reserve(total_commits);
   out_arb_.reserve(static_cast<std::size_t>(total_outputs));
   rng_.reserve(static_cast<std::size_t>(num_routers));
 
@@ -240,6 +247,7 @@ void Network::build() {
       input_router_[static_cast<std::size_t>(gi)] = r;
   }
   wake_ring_ = config_.packet_size + 2;
+  last_step_ = kMaxStamp - stamp_horizon(config_);
   armed_inputs_.assign(static_cast<std::size_t>(num_routers), 0);
   // Blocked uncommitted heads may sleep only when re-running their VC
   // allocation is pure: draw-free routing and a selection function that
@@ -257,6 +265,7 @@ void Network::build() {
       nodes_->consumer_bytes();
   state_gather_ = state_gather_wanted(state_gather_bytes_, reported_l2_bytes());
   due_.reserve(static_cast<std::size_t>(total_links));
+  FLEXNET_CHECK(commits_.size() == total_commits);
 }
 
 void Network::set_telemetry_enabled(bool on) {
@@ -364,6 +373,9 @@ void Network::trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const {
 }
 
 void Network::step(Cycle now) {
+  // Link and pipeline events store their cycle as a Stamp.
+  FLEXNET_CHECK_MSG(now <= last_step_,
+                    "step past the last cycle a 32-bit event stamp can name");
   if (telem_.enabled()) observe_step();
   deliver_data(now);
   lap(StepPhase::kDeliverData);
@@ -420,10 +432,11 @@ void Network::deliver_data(Cycle now) {
       // when the packet was already granted onward — cut through the
       // router entirely, crediting the upstream sender right away and
       // advancing the outbound stream's availability count.
-      if (telem_.enabled()) observe_delivery(li, fp.phits);
+      const int phits = flying_phits(fp);
+      if (telem_.enabled()) observe_delivery(li, phits);
       InputBuffer& buf = in_[static_cast<std::size_t>(gi)];
-      if (fp.seq == 0) {
-        buf.push(fp.vc, fp.ref, fp.phits);
+      if (flying_head(fp)) {
+        buf.push(fp.vc, fp.ref, phits);
         // Only a new head can change what the slot's find_action sees.
         if (buf.packets(fp.vc) == 1) {
           arm_slot(link.to, gi, fp.vc);
@@ -435,8 +448,7 @@ void Network::deliver_data(Cycle now) {
       if (tail.ref == fp.ref && tail.remaining > 0) {
         // The freed upstream slot travels back per flit, drained in the
         // credits phase.
-        push_credit(li,
-                    FlyingCredit{fp.vc, 1, tail.kind, now + link.latency});
+        push_credit(li, fp.vc, 1, tail.kind, now + link.latency);
         --tail.remaining;
         if (tail.remaining == 0) tail = TransitTail{};
         if (telem_.enabled()) observe_transit(li);
@@ -538,6 +550,9 @@ void Network::fire_waiters(RouterId r, int li) {
 }
 
 bool Network::try_inject(NodeId n, Packet& pkt, Cycle now) {
+  // Credits and pipeline slots carry a packet's phits in 16 bits.
+  FLEXNET_CHECK_MSG(pkt.size >= 1 && pkt.size <= kMaxPacketPhits,
+                    "a packet holds 1 to 32767 phits");
   const RouterId r = topo_->router_of_node(n);
   const int gi = injection_input(n);
   InputBuffer& buf = in_[static_cast<std::size_t>(gi)];
@@ -633,7 +648,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
   // for an already-committed packet — the work pruning exists to remove.
   if (commit.pkt == head.id) {
     ++re_requests_;
-    if (commit.ejection) {
+    if (commit.ejection()) {
       if (flit_ && buf.front_phits(vc) < head.size) {
         disarm_slot(r, gi, vc);  // re-armed by the completing body flit
         return false;
@@ -664,7 +679,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
       fill_request(commit.out_port);
       return true;
     }
-    if (commit.safe) {
+    if (commit.safe()) {
       // Downstream resources are only consumed for the rest of this
       // allocate call, so a resource block holds until a credit returns or
       // the output buffer drains — sleep on those edges. A block on the
@@ -934,7 +949,7 @@ void Network::allocate(RouterId r, Cycle now) {
                 continue;
               const Commitment& lc = commits_[static_cast<std::size_t>(
                   commit_index_[static_cast<std::size_t>(lgi)] + q.in_vc)];
-              if (lc.safe) lost_in |= std::uint64_t{1} << q.in_port;
+              if (lc.safe()) lost_in |= std::uint64_t{1} << q.in_port;
             }
           }
           out_matched_[static_cast<std::size_t>(o)] = true;
@@ -991,7 +1006,7 @@ void Network::gather_targets(RouterId r) const {
     const Commitment* slots = commits_.data() + commit_index_[gi];
     for (std::uint64_t v = armed_[gi]; v != 0; v &= v - 1) {
       const Commitment& c = slots[__builtin_ctzll(v)];
-      if (c.pkt >= 0 && !c.ejection)
+      if (c.pkt >= 0 && !c.ejection())
         ledger_[static_cast<std::size_t>(l0 + c.out_port)].prefetch(
             max_ledger_vcs_);
     }
@@ -1068,7 +1083,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   last_grant_ = now;
   ++total_grants_;
   if (telem_.enabled()) observe_grant(r);
-  if (cmt.is_escape && pkt.valiant != kInvalidRouter &&
+  if (cmt.is_escape() && pkt.valiant != kInvalidRouter &&
       !pkt.valiant_reached) {
     ++escape_grants_;
   }
@@ -1087,8 +1102,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
   const int uli = upstream_link_[static_cast<std::size_t>(gi)];
   if (uli >= 0) {
     const int latency = links_[static_cast<std::size_t>(uli)].latency;
-    push_credit(uli, FlyingCredit{req.in_vc, slot.phits, pkt.route_kind,
-                                  now + latency});
+    push_credit(uli, req.in_vc, slot.phits, pkt.route_kind, now + latency);
     if (flit_ && slot.phits < pkt.size) {
       TransitTail& tail = transit_[static_cast<std::size_t>(uli)];
       FLEXNET_CHECK(tail.ref == kInvalidPacketRef);
@@ -1100,7 +1114,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
                    net_ports(r));
   }
 
-  if (cmt.ejection) {
+  if (cmt.ejection()) {
     // Grants run in ascending router order, so metrics accumulate (Welford
     // means are floating-point-order sensitive) and pool slots free (LIFO)
     // in that order.
@@ -1113,9 +1127,9 @@ void Network::grant(RouterId r, const Request& req, Cycle now) {
     return;
   }
 
-  pkt.route_kind = cmt.kind_after;
+  pkt.route_kind = cmt.kind_after();
   pkt.valiant = cmt.valiant_after;
-  pkt.valiant_reached = cmt.valiant_reached_after;
+  pkt.valiant_reached = cmt.valiant_reached_after();
   pkt.vc_position = cmt.out_position;
   {
     const VcTemplate& tmpl = policy_->tmpl();
@@ -1160,8 +1174,7 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
     fire_waiters<false>(r, li);
     // The packet is eligible downstream one cycle after its head
     // arrives; its phits keep streaming behind it.
-    push_data(li,
-              FlyingPacket{d.ref, d.vc, now + link_latency + 1, 0, d.phits});
+    push_data(li, d.ref, d.vc, now + link_latency + 1, d.phits);
     add_send_work(r, -1);
     return next_start();
   }
@@ -1211,8 +1224,7 @@ Cycle Network::send_link(RouterId r, int li, Cycle now) {
     }
     ledger.on_send(st.vc, 1, st.kind);
   }
-  push_data(li,
-            FlyingPacket{st.ref, st.vc, now + link_latency + 1, st.next, 1});
+  push_data(li, st.ref, st.vc, now + link_latency + 1, st.next);
   if (telem_.enabled()) observe_flit(li);
   ++st.next;
   if (st.next == st.total) {

@@ -17,9 +17,11 @@
 //   * Packets live in a PacketPool slab from injection to consumption;
 //     queues and link lanes move 4-byte PacketRefs, never whole packets.
 //   * In-flight traffic sits in per-link ring-buffer event lanes
-//     (EventLane) ordered by arrival cycle. Each event carries the phits
-//     it delivers, so delivery never reads the pool; a head's pool line is
-//     first touched by its allocation.
+//     (EventLane) ordered by arrival cycle. Each event carries what it
+//     delivers (a packet's size, or a flit's index), so delivery never
+//     reads the pool; a head's pool line is first touched by its
+//     allocation. Events stamp their cycle in 32 bits, so a data event
+//     is 16 bytes, a credit 8 and an output pipeline slot 16.
 //   * Allocation gathers before it evaluates: Network::allocate(r) starts
 //     the loads of every armed head of router r (input VC block, then the
 //     head's pool line) before stage 1 waits on any of them. When the
@@ -205,27 +207,29 @@ class Network final : public CongestionOracle {
   void debug_dump_stuck(Cycle now, Cycle min_age) const;
 
  private:
-  /// A packet in flight on a link (payload in the pool slab). Under
-  /// flit-level flow control one event per flit travels the lane; `seq` is
-  /// the flit's index within its packet (0 = head). Packet mode keeps one
-  /// event per packet with seq 0. `phits` is what the event adds to the
-  /// downstream buffer — the packet's size in packet mode, 1 per flit — so
-  /// delivery never reads the packet itself.
+  /// A packet in flight on a link (payload in the pool slab). Packet mode
+  /// sends one event per packet, and `count` is its size: the phits the
+  /// event adds to the downstream buffer. Under flit-level flow control one
+  /// event per flit travels the lane, each adding 1 phit, and `count` is the
+  /// flit's index within its packet (0 = head). Either way delivery never
+  /// reads the packet itself (see flying_phits and flying_head).
   struct FlyingPacket {
     PacketRef ref = kInvalidPacketRef;
     VcIndex vc = kInvalidVc;
-    Cycle arrive = 0;
-    std::int32_t seq = 0;
-    std::int32_t phits = 0;
+    Stamp arrive = 0;
+    std::int32_t count = 0;
   };
-  static_assert(sizeof(FlyingPacket) == 24,
-                "phits fills the padding after seq");
+  static_assert(sizeof(FlyingPacket) == 16, "a data event is four words");
+  /// Phits freed on link VC `vc`, returning to the sender's ledger. `vc` is
+  /// a network port's VC (at most CreditLedger::kMaxVcs) and `phits` at
+  /// most one packet (kMaxPacketPhits).
   struct FlyingCredit {
-    VcIndex vc = kInvalidVc;
-    int phits = 0;
+    Stamp arrive = 0;
+    std::int16_t phits = 0;
+    std::int8_t vc = kInvalidVc;
     RouteKind kind = RouteKind::kMinimal;
-    Cycle arrive = 0;
   };
+  static_assert(sizeof(FlyingCredit) == 8, "a credit event is one word");
 
   /// One directed network link plus its credit backchannel. Both lanes are
   /// rings ordered by arrival cycle (fixed latency, monotone clock).
@@ -253,19 +257,37 @@ class Network final : public CongestionOracle {
   /// then waits for its credits through switch allocation. A *safe*
   /// commitment may be waited on indefinitely; an opportunistic one is
   /// dropped and re-made the moment its credits disappear. Holds only the
-  /// scalars of the chosen RouteOption that revalidation and grant() read.
+  /// scalars of the chosen RouteOption that revalidation and grant() read:
+  /// the output port, VC and template position each fit a byte (routers
+  /// have at most 64 inputs, ports at most 64 VCs and templates fewer than
+  /// 63 positions), and the route kind and four flags share one.
   struct Commitment {
     PacketId pkt = -1;  ///< head packet this commitment belongs to
-    PortIndex out_port = kInvalidPort;
-    VcIndex out_vc = kInvalidVc;
-    int out_position = -1;
     RouterId valiant_after = kInvalidRouter;
-    RouteKind kind_after = RouteKind::kMinimal;
-    bool ejection = false;
-    bool is_escape = false;
-    bool valiant_reached_after = false;
-    bool safe = false;
+    std::int8_t out_port = kInvalidPort;
+    std::int8_t out_vc = kInvalidVc;
+    std::int8_t out_position = -1;
+    std::uint8_t bits = 0;  ///< kind_after and the flags below
+
+    enum : std::uint8_t {
+      kNonminimalAfter = 1,
+      kEjection = 2,
+      kEscape = 4,
+      kValiantReachedAfter = 8,
+      kSafe = 16,
+    };
+    RouteKind kind_after() const {
+      return (bits & kNonminimalAfter) != 0 ? RouteKind::kNonminimal
+                                            : RouteKind::kMinimal;
+    }
+    bool ejection() const { return (bits & kEjection) != 0; }
+    bool is_escape() const { return (bits & kEscape) != 0; }
+    bool valiant_reached_after() const {
+      return (bits & kValiantReachedAfter) != 0;
+    }
+    bool safe() const { return (bits & kSafe) != 0; }
   };
+  static_assert(sizeof(Commitment) == 16, "a commitment is two words");
 
   /// What a sleeping commit slot waits on: the link whose waiter list
   /// holds its live entry (-1: none) and, for a safe commitment, the
@@ -389,15 +411,18 @@ class Network final : public CongestionOracle {
   static void commit_to(Commitment& c, PacketId pkt, const RouteOption& opt,
                         VcIndex out_vc, int out_position, bool safe) {
     c.pkt = pkt;
-    c.out_port = opt.out_port;
-    c.out_vc = out_vc;
-    c.out_position = out_position;
     c.valiant_after = opt.valiant_after;
-    c.kind_after = opt.kind_after;
-    c.ejection = opt.ejection;
-    c.is_escape = opt.is_escape;
-    c.valiant_reached_after = opt.valiant_reached_after;
-    c.safe = safe;
+    c.out_port = static_cast<std::int8_t>(opt.out_port);
+    c.out_vc = static_cast<std::int8_t>(out_vc);
+    c.out_position = static_cast<std::int8_t>(out_position);
+    c.bits = static_cast<std::uint8_t>(
+        (opt.kind_after == RouteKind::kNonminimal
+             ? Commitment::kNonminimalAfter
+             : 0) |
+        (opt.ejection ? Commitment::kEjection : 0) |
+        (opt.is_escape ? Commitment::kEscape : 0) |
+        (opt.valiant_reached_after ? Commitment::kValiantReachedAfter : 0) |
+        (safe ? Commitment::kSafe : 0));
   }
   void grant(RouterId r, const Request& req, Cycle now);
   /// One output link's serializer turn; returns the cycle the link is next
@@ -497,16 +522,30 @@ class Network final : public CongestionOracle {
   // phase's wheel under the new head's arrival (no phase pushes into the
   // wheel it is sweeping); a lane that was already non-empty is filed
   // under its older head.
-  void push_credit(int li, const FlyingCredit& fc) {
+  // Both narrow what they store: step() keeps `arrive` within kMaxStamp,
+  // and `phits` is at most one packet.
+  void push_credit(int li, VcIndex vc, int phits, RouteKind kind,
+                   Cycle arrive) {
     EventLane<FlyingCredit>& lane =
         links_[static_cast<std::size_t>(li)].credits;
-    lane.push_back(fc);
-    if (lane.size() == 1) credit_wheel_.add(li, fc.arrive);
+    lane.push_back(FlyingCredit{static_cast<Stamp>(arrive),
+                                static_cast<std::int16_t>(phits),
+                                static_cast<std::int8_t>(vc), kind});
+    if (lane.size() == 1) credit_wheel_.add(li, arrive);
   }
-  void push_data(int li, const FlyingPacket& fp) {
+  void push_data(int li, PacketRef ref, VcIndex vc, Cycle arrive,
+                 int count) {
     EventLane<FlyingPacket>& lane = links_[static_cast<std::size_t>(li)].data;
-    lane.push_back(fp);
-    if (lane.size() == 1) data_wheel_.add(li, fp.arrive);
+    lane.push_back(FlyingPacket{ref, vc, static_cast<Stamp>(arrive), count});
+    if (lane.size() == 1) data_wheel_.add(li, arrive);
+  }
+  /// What a data event adds to the downstream buffer, and whether it
+  /// starts a packet there (see FlyingPacket).
+  int flying_phits(const FlyingPacket& fp) const {
+    return flit_ ? 1 : fp.count;
+  }
+  bool flying_head(const FlyingPacket& fp) const {
+    return !flit_ || fp.count == 0;
   }
 
   /// Downstream phits a grant claims in the ledger for a packet of `size`
@@ -625,6 +664,9 @@ class Network final : public CongestionOracle {
   std::size_t state_gather_bytes_ = 0;
   int max_ledger_vcs_ = 0;  // widest ledger: counters gather_targets loads
   int wake_ring_ = 1;  // wake-calendar span (max packet phits + margin)
+  // Last cycle step() may run: every event stamp it writes stays within
+  // kMaxStamp (stamp_horizon).
+  Cycle last_step_ = 0;
   // Ring of per-cycle wake buckets, entries (gi<<6)|vc.
   Vec<Vec<std::int32_t>> eject_wake_{&arena_};
 

@@ -1,6 +1,7 @@
 // Tests of the per-network memory arena (common/arena.hpp): alignment,
 // the huge-page chunk rule, block reuse, flat growth, the network-size
-// rule end to end, and that AddressSanitizer still sees inside it.
+// rule end to end, a network's footprint, and that AddressSanitizer still
+// sees inside it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -139,11 +140,36 @@ TEST(Arena, ChunkRuleFollowsNetworkSize) {
   EXPECT_LT(smoke.arena().os_bytes(), Arena::kHugePage);
   EXPECT_EQ(smoke.arena().advised_chunks(), 0u);
   EXPECT_GT(smoke.arena().used_bytes(), 0u);
-  // ...while a 264-router Dragonfly(4,8,4) crosses into advised chunks.
+  // ...while a 264-router Dragonfly(4,8,4) under FlexVC 4/2 crosses into
+  // advised chunks (under the default 2/1 arrangement its 2.1 MB of
+  // blocks fit the chunks below 2 MB).
   SimConfig mid;
   mid.dragonfly = DragonflyParams{4, 8, 4};
+  mid.vcs = "4/2";
+  mid.policy = "flexvc";
   const Network net(mid);
   EXPECT_GT(net.arena().advised_chunks(), 0u);
+}
+
+TEST(Arena, NetworkFootprintIsPinned) {
+  // The DF(4,8,4) FlexVC 4/2 VCT network of the h4_adv_par_vct benchmark,
+  // at build and after 300 saturated cycles. The bounds sit just above
+  // what it holds (2.66 MB and 10.9 MB); 32-bit ledger counters, 32-byte
+  // commitments and 24-byte link events took 3.22 MB and 14.7 MB, so a
+  // record that grows back fails here and not only in a benchmark.
+  SimConfig cfg;
+  cfg.dragonfly = DragonflyParams{4, 8, 4};
+  cfg.traffic = "adversarial";
+  cfg.routing = "par";
+  cfg.policy = "flexvc";
+  cfg.vcs = "4/2";
+  cfg.flow_control = "vct";
+  cfg.buffer_mgmt = "on_off";
+  cfg.load = 1.0;
+  Network net(cfg);
+  EXPECT_LE(net.arena().used_bytes(), std::size_t{2'700'000});
+  for (Cycle now = 0; now < 300; ++now) net.step(now);
+  EXPECT_LE(net.arena().used_bytes(), std::size_t{11'000'000});
 }
 
 TEST(Arena, EveryFlowControlAndBufferOrgDrawsFromTheArena) {

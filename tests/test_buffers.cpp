@@ -432,6 +432,21 @@ TEST(CreditLedger, AtItsVcCountLimit) {
   EXPECT_DEATH(CreditLedger(kVcs + 1, 4, 0), "1 to 16 VCs");
 }
 
+TEST(CreditLedger, AtItsPortCapacityLimit) {
+  // 16-bit counters: a port of kMaxPortPhits fills and drains exactly.
+  constexpr int kMax = CreditLedger::kMaxPortPhits;
+  CreditLedger ledger(2, kMax / 2, kMax % 2);
+  EXPECT_EQ(ledger.capacity_port(), kMax);
+  ledger.on_send(0, kMax / 2 + kMax % 2, RouteKind::kMinimal);
+  ledger.on_send(1, kMax / 2, RouteKind::kMinimal);
+  EXPECT_EQ(ledger.occupied_port(), kMax);
+  EXPECT_EQ(ledger.occupied_min_port(), kMax);
+  EXPECT_FALSE(ledger.can_send(1, 1));
+  ledger.on_credit(0, kMax / 2 + kMax % 2, RouteKind::kMinimal);
+  EXPECT_EQ(ledger.free_for(0), kMax / 2 + kMax % 2);
+  EXPECT_DEATH(CreditLedger(2, kMax / 2 + 1, 0), "at most 32767 phits");
+}
+
 TEST(CreditLedger, ConservationInvariant) {
   // occupied + free == capacity for the port under static geometry.
   CreditLedger ledger(2, 16, 0);

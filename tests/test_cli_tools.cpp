@@ -156,6 +156,7 @@ TEST(FlexnetRunCli, ConfigsNoNetworkCanRunExitTwoBeforeAnyJob) {
        "damq_private_fraction in [0, 1]"},
       {"traffic=bursty burst_length=nan", "burst_length >= 1"},
       {"df_p=63 df_a=2 df_h=1", "65 input ports"},
+      {"injection_vcs=65", "injection_vcs must be <= 64"},
   };
   for (const Bad& b : bad) {
     for (const char* jobs : {"1", "2"}) {

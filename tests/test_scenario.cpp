@@ -205,6 +205,26 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeValues) {
       {"warmup", [](SimConfig& c) { c.warmup = -100; }},
       {"sim_domains", [](SimConfig& c) { c.sim_domains = 4; }},
       {"sim_domains", [](SimConfig& c) { c.sim_domains = 0; }},
+      // Ceilings of the engine's narrow records, one past each: 16-bit
+      // packet phits, a 64-bit armed-VC mask, 16-bit ledger counts (the
+      // default 2/1 arrangement has 2 local VCs and 1 global VC) and
+      // 32-bit event stamps (the default latencies' horizon is 101).
+      {"packet_size", [](SimConfig& c) { c.packet_size = 32768; }},
+      {"injection_vcs", [](SimConfig& c) { c.injection_vcs = 65; }},
+      {"local_buffer", [](SimConfig& c) { c.local_buffer_per_vc = 16384; }},
+      {"global_buffer",
+       [](SimConfig& c) { c.global_buffer_per_vc = 32768; }},
+      {"local_port_capacity",
+       [](SimConfig& c) { c.local_port_capacity = 32768; }},
+      {"global_port_capacity",
+       [](SimConfig& c) { c.global_port_capacity = 32768; }},
+      {"warmup + measure",
+       [](SimConfig& c) {
+         c.warmup = 2147483547;
+         c.measure = 1;
+       }},
+      {"warmup + measure",
+       [](SimConfig& c) { c.measure = std::int64_t{1} << 40; }},
   };
   for (const Bad& b : bad) {
     SimConfig cfg;
@@ -236,6 +256,30 @@ TEST(BuiltinRegistries, ValidateRejectsOutOfRangeValues) {
   edge.warmup = 0;
   edge.measure = 1;
   EXPECT_NO_THROW(validate_config(edge));
+  // ...and each ceiling itself.
+  void (*const at_ceiling[])(SimConfig&) = {
+      [](SimConfig& c) { c.packet_size = 32767; },
+      [](SimConfig& c) { c.injection_vcs = 64; },
+      [](SimConfig& c) { c.local_buffer_per_vc = 16383; },
+      [](SimConfig& c) { c.global_buffer_per_vc = 32767; },
+      [](SimConfig& c) { c.local_port_capacity = 32767; },
+      [](SimConfig& c) { c.global_port_capacity = 32767; },
+      [](SimConfig& c) {
+        c.warmup = 2147483546;
+        c.measure = 1;
+      },
+  };
+  for (const auto set : at_ceiling) {
+    SimConfig cfg;
+    set(cfg);
+    EXPECT_NO_THROW(validate_config(cfg));
+  }
+  // Untyped networks have no global ports: the global ceilings skip them.
+  SimConfig slimfly;
+  slimfly.topology = "slimfly";
+  slimfly.vcs = "3";
+  slimfly.global_buffer_per_vc = 1 << 20;
+  EXPECT_NO_THROW(validate_config(slimfly));
 }
 
 TEST(ShippedSuites, PerfbenchSuitePinningOneDomainValidates) {

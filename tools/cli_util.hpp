@@ -18,7 +18,9 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
+#include "common/options.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/exit_codes.hpp"
 #include "scenario/suite.hpp"
@@ -102,6 +104,18 @@ inline bool reject_bad_config_override(const std::string& key,
     return true;
   }
   return false;
+}
+
+/// The suite's grid under the tool's key=value overrides: SimConfig{}, then
+/// the suite, then `overrides` (argv-shaped: element 0 is the program name).
+/// Every tool builds its grid here, so a shard run, the merge of its
+/// journals and the orchestrator that launched it agree on the grid and
+/// its fingerprint.
+inline MaterializedSuite materialize_suite(
+    const std::string& suite_path, const std::vector<const char*>& overrides) {
+  const Options cli =
+      Options::parse(static_cast<int>(overrides.size()), overrides.data());
+  return materialize_for_run(suite_path, &cli);
 }
 
 /// Refuses an existing --out path (exit 2): it could be an input journal,

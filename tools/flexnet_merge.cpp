@@ -47,7 +47,6 @@
 
 #include "cli_util.hpp"
 #include "common/log.hpp"
-#include "common/options.hpp"
 #include "runner/exit_codes.hpp"
 #include "runner/merge.hpp"
 #include "scenario/suite.hpp"
@@ -141,9 +140,8 @@ int main(int argc, char** argv) {
   if (const int code = cli::refuse_existing_out(out_path)) return code;
 
   try {
-    const Options cli = Options::parse(static_cast<int>(overrides.size()),
-                                       overrides.data());
-    const MaterializedSuite suite = materialize_for_run(suite_path, &cli);
+    const MaterializedSuite suite =
+        cli::materialize_suite(suite_path, overrides);
 
     if (!watch) {
       MergeOutputs outputs;

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "cli_util.hpp"
-#include "common/options.hpp"
 #include "runner/exit_codes.hpp"
 #include "runner/merge.hpp"
 #include "runner/orchestrator.hpp"
@@ -259,9 +258,8 @@ int main(int argc, char** argv) {
   try {
     // Materialize the grid once up front: a suite or override problem
     // should fail here, in this process, not N times in shard logs.
-    const Options cli = Options::parse(static_cast<int>(overrides.size()),
-                                       overrides.data());
-    const MaterializedSuite suite = materialize_for_run(suite_path, &cli);
+    const MaterializedSuite suite =
+        cli::materialize_suite(suite_path, overrides);
 
     ForkExecLauncher local;
     FaultInjectingLauncher faulty(fault_shard, fault_after);

@@ -46,7 +46,6 @@
 
 #include "cli_util.hpp"
 #include "common/log.hpp"
-#include "common/options.hpp"
 #include "runner/exit_codes.hpp"
 #include "runner/json_report.hpp"
 #include "runner/shard.hpp"
@@ -181,9 +180,8 @@ int main(int argc, char** argv) {
   try {
     // The same SimConfig{} + suite + CLI-override grid flexnet_merge
     // rebuilds to validate and aggregate shard journals.
-    const Options cli = Options::parse(static_cast<int>(overrides.size()),
-                                       overrides.data());
-    const MaterializedSuite suite = materialize_for_run(suite_path, &cli);
+    const MaterializedSuite suite =
+        cli::materialize_suite(suite_path, overrides);
     const SuiteSpec& spec = suite.spec;
     const std::vector<ExperimentSeries>& grid = suite.grid;
     const int seeds = suite.seeds;
